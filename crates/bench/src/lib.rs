@@ -76,11 +76,17 @@ pub fn default_sweep() -> Vec<Alpha> {
 impl ExperimentEnv {
     /// Read the configuration from the environment.
     pub fn from_env() -> Self {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Build the configuration from a variable lookup (`VICINITY_*` name →
+    /// value); unset or unparsable variables keep their defaults.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let mut env = ExperimentEnv {
-            scale: Scale::from_env(),
+            scale: Scale::from_name(&lookup("VICINITY_SCALE").unwrap_or_default()),
             ..Default::default()
         };
-        if let Ok(alphas) = std::env::var("VICINITY_ALPHAS") {
+        if let Some(alphas) = lookup("VICINITY_ALPHAS") {
             let parsed: Vec<Alpha> = alphas
                 .split(',')
                 .filter_map(|s| s.trim().parse::<f64>().ok())
@@ -90,22 +96,22 @@ impl ExperimentEnv {
                 env.alphas = parsed;
             }
         }
-        if let Ok(v) = std::env::var("VICINITY_SAMPLE_NODES") {
+        if let Some(v) = lookup("VICINITY_SAMPLE_NODES") {
             if let Ok(n) = v.trim().parse() {
                 env.sample_nodes = n;
             }
         }
-        if let Ok(v) = std::env::var("VICINITY_RUNS") {
+        if let Some(v) = lookup("VICINITY_RUNS") {
             if let Ok(n) = v.trim().parse() {
                 env.runs = n;
             }
         }
-        if let Ok(v) = std::env::var("VICINITY_BASELINE_PAIRS") {
+        if let Some(v) = lookup("VICINITY_BASELINE_PAIRS") {
             if let Ok(n) = v.trim().parse() {
                 env.baseline_pairs = n;
             }
         }
-        if let Ok(v) = std::env::var("VICINITY_DATASETS") {
+        if let Some(v) = lookup("VICINITY_DATASETS") {
             let selected: Vec<StandIn> = v
                 .split(',')
                 .filter_map(|name| {
@@ -198,12 +204,18 @@ mod tests {
 
     #[test]
     fn env_parsing_overrides() {
-        std::env::set_var("VICINITY_ALPHAS", "2, 8");
-        std::env::set_var("VICINITY_SAMPLE_NODES", "55");
-        std::env::set_var("VICINITY_RUNS", "7");
-        std::env::set_var("VICINITY_BASELINE_PAIRS", "123");
-        std::env::set_var("VICINITY_DATASETS", "dblp, orkut");
-        let env = ExperimentEnv::from_env();
+        let vars: std::collections::HashMap<&str, &str> = [
+            ("VICINITY_SCALE", "tiny"),
+            ("VICINITY_ALPHAS", "2, 8"),
+            ("VICINITY_SAMPLE_NODES", "55"),
+            ("VICINITY_RUNS", "7"),
+            ("VICINITY_BASELINE_PAIRS", "123"),
+            ("VICINITY_DATASETS", "dblp, orkut"),
+        ]
+        .into_iter()
+        .collect();
+        let env = ExperimentEnv::from_lookup(|name| vars.get(name).map(|v| v.to_string()));
+        assert_eq!(env.scale, Scale::Tiny);
         assert_eq!(
             env.alphas.iter().map(|a| a.value()).collect::<Vec<_>>(),
             vec![2.0, 8.0]
@@ -212,15 +224,10 @@ mod tests {
         assert_eq!(env.runs, 7);
         assert_eq!(env.baseline_pairs, 123);
         assert_eq!(env.datasets, vec![StandIn::Dblp, StandIn::Orkut]);
-        for var in [
-            "VICINITY_ALPHAS",
-            "VICINITY_SAMPLE_NODES",
-            "VICINITY_RUNS",
-            "VICINITY_BASELINE_PAIRS",
-            "VICINITY_DATASETS",
-        ] {
-            std::env::remove_var(var);
-        }
+        // Nothing set: the defaults.
+        let unset = ExperimentEnv::from_lookup(|_| None);
+        assert_eq!(unset.scale, Scale::Default);
+        assert_eq!(unset.runs, ExperimentEnv::default().runs);
     }
 
     #[test]

@@ -5,20 +5,50 @@
 //! computing exact [3,4] or approximate [5,12,17,20] paths." This module
 //! provides both combinations:
 //!
-//! * [`ExactFallback`] — a bidirectional BFS run only for missed queries
-//!   (a self-contained implementation so the core crate does not depend on
-//!   the baselines crate).
+//! * [`fallback_distance`] — the exact miss path: a bidirectional BFS
+//!   ([`BidirBfsScratch`], from the graph crate) seeded with both
+//!   endpoints' stored vicinities. It is the one place the seeding
+//!   decision is made; the serving layer, [`QueryWithFallback`] and the
+//!   examples all resolve misses through it.
 //! * Landmark-estimate fallback — an *approximate* answer computed from the
 //!   landmark rows the oracle already stores: `min_{ℓ ∈ L} d(s,ℓ) + d(ℓ,t)`
 //!   is an upper bound on the true distance at the cost of |L| row probes.
 
-use std::collections::VecDeque;
-
+use vicinity_graph::algo::bfs::BidirBfsScratch;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::{Distance, NodeId, INFINITY};
+use vicinity_graph::{Adjacency, Distance, NodeId};
 
 use crate::index::VicinityOracle;
-use crate::query::DistanceAnswer;
+use crate::query::{DistanceAnswer, QueryIndex};
+
+/// Exact distance between `s` and `t` — the answer to a query the index
+/// missed — or `None` when they are disconnected (or either id is out of
+/// range).
+///
+/// `graph` must be the graph `index` describes: the build graph of a
+/// frozen oracle, or the overlay view of a dynamic one. When both
+/// endpoints have non-empty vicinities the search is *seeded* with them:
+/// the index already holds each endpoint's complete distance ball with
+/// exact distances (the seeding contract), so the search stamps the ball
+/// interiors and resumes from the ball boundaries. Under the dynamic
+/// overlay the balls consulted are the patched ones, so seeding stays
+/// exact across updates. Balls that overlap, which a pair the index could
+/// answer presents, are handled as meeting candidates. Otherwise the
+/// search starts from the endpoints themselves.
+pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
+    index: &Q,
+    graph: &G,
+    scratch: &mut BidirBfsScratch,
+    s: NodeId,
+    t: NodeId,
+) -> Option<Distance> {
+    match (index.vicinity_of(s), index.vicinity_of(t)) {
+        (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => {
+            scratch.distance_seeded(graph, vs.iter(), vs.radius(), vt.iter(), vt.radius())
+        }
+        _ => scratch.distance(graph, s, t),
+    }
+}
 
 /// Outcome of a query answered through [`QueryWithFallback`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +57,6 @@ pub enum ResolvedDistance {
     OracleExact(Distance),
     /// Answered exactly by the fallback search.
     FallbackExact(Distance),
-    /// Approximate upper bound from the landmark rows.
-    Approximate(Distance),
     /// The endpoints are not connected.
     Unreachable,
 }
@@ -37,128 +65,23 @@ impl ResolvedDistance {
     /// The numeric distance, when one is available.
     pub fn value(&self) -> Option<Distance> {
         match self {
-            ResolvedDistance::OracleExact(d)
-            | ResolvedDistance::FallbackExact(d)
-            | ResolvedDistance::Approximate(d) => Some(*d),
+            ResolvedDistance::OracleExact(d) | ResolvedDistance::FallbackExact(d) => Some(*d),
             ResolvedDistance::Unreachable => None,
         }
     }
 
-    /// True when the value is exact (oracle or fallback search).
+    /// True when a distance was found (by the oracle or the fallback).
     pub fn is_exact(&self) -> bool {
-        matches!(
-            self,
-            ResolvedDistance::OracleExact(_) | ResolvedDistance::FallbackExact(_)
-        )
+        !matches!(self, ResolvedDistance::Unreachable)
     }
 }
 
-/// Exact bidirectional-BFS fallback over a borrowed graph, with reusable
-/// scratch space so that repeated misses stay cheap.
-pub struct ExactFallback<'g> {
-    graph: &'g CsrGraph,
-    dist_fwd: Vec<Distance>,
-    dist_bwd: Vec<Distance>,
-    stamp_fwd: Vec<u32>,
-    stamp_bwd: Vec<u32>,
-    stamp: u32,
-}
-
-impl<'g> ExactFallback<'g> {
-    /// Create a fallback engine for `graph`.
-    pub fn new(graph: &'g CsrGraph) -> Self {
-        let n = graph.node_count();
-        ExactFallback {
-            graph,
-            dist_fwd: vec![0; n],
-            dist_bwd: vec![0; n],
-            stamp_fwd: vec![0; n],
-            stamp_bwd: vec![0; n],
-            stamp: 0,
-        }
-    }
-
-    /// Exact distance between `s` and `t`, or `None` when unreachable.
-    pub fn distance(&mut self, s: NodeId, t: NodeId) -> Option<Distance> {
-        let n = self.graph.node_count();
-        if (s as usize) >= n || (t as usize) >= n {
-            return None;
-        }
-        if s == t {
-            return Some(0);
-        }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.stamp_fwd.iter_mut().for_each(|x| *x = 0);
-            self.stamp_bwd.iter_mut().for_each(|x| *x = 0);
-            self.stamp = 1;
-        }
-        let stamp = self.stamp;
-        let mut q_fwd = VecDeque::from([s]);
-        let mut q_bwd = VecDeque::from([t]);
-        self.stamp_fwd[s as usize] = stamp;
-        self.dist_fwd[s as usize] = 0;
-        self.stamp_bwd[t as usize] = stamp;
-        self.dist_bwd[t as usize] = 0;
-        let mut best = INFINITY;
-        let mut radius_fwd = 0;
-        let mut radius_bwd = 0;
-
-        while !q_fwd.is_empty() && !q_bwd.is_empty() {
-            if best != INFINITY && radius_fwd + radius_bwd + 1 >= best {
-                break;
-            }
-            let forward = q_fwd.len() <= q_bwd.len();
-            let (queue, dist, stamp_vec, other_dist, other_stamp, radius) = if forward {
-                (
-                    &mut q_fwd,
-                    &mut self.dist_fwd,
-                    &mut self.stamp_fwd,
-                    &self.dist_bwd,
-                    &self.stamp_bwd,
-                    &mut radius_fwd,
-                )
-            } else {
-                (
-                    &mut q_bwd,
-                    &mut self.dist_bwd,
-                    &mut self.stamp_bwd,
-                    &self.dist_fwd,
-                    &self.stamp_fwd,
-                    &mut radius_bwd,
-                )
-            };
-            let level = dist[*queue.front().expect("non-empty") as usize];
-            while let Some(&u) = queue.front() {
-                if dist[u as usize] != level {
-                    break;
-                }
-                queue.pop_front();
-                let du = dist[u as usize];
-                for &v in self.graph.neighbors(u) {
-                    if stamp_vec[v as usize] != stamp {
-                        stamp_vec[v as usize] = stamp;
-                        dist[v as usize] = du + 1;
-                        queue.push_back(v);
-                        if other_stamp[v as usize] == stamp {
-                            let total = du + 1 + other_dist[v as usize];
-                            if total < best {
-                                best = total;
-                            }
-                        }
-                    }
-                }
-            }
-            *radius = level + 1;
-        }
-        (best != INFINITY).then_some(best)
-    }
-}
-
-/// Combines an oracle with an exact fallback so every query gets an answer.
+/// Combines an oracle with the exact fallback so every query gets an
+/// answer; a thin wrapper over [`fallback_distance`] with its own scratch.
 pub struct QueryWithFallback<'o, 'g> {
     oracle: &'o VicinityOracle,
-    fallback: ExactFallback<'g>,
+    graph: &'g CsrGraph,
+    scratch: BidirBfsScratch,
     /// Count of queries answered by the oracle index.
     pub oracle_hits: u64,
     /// Count of queries that needed the fallback search.
@@ -171,14 +94,15 @@ impl<'o, 'g> QueryWithFallback<'o, 'g> {
     pub fn new(oracle: &'o VicinityOracle, graph: &'g CsrGraph) -> Self {
         QueryWithFallback {
             oracle,
-            fallback: ExactFallback::new(graph),
+            graph,
+            scratch: BidirBfsScratch::with_node_capacity(graph.node_count()),
             oracle_hits: 0,
             fallback_hits: 0,
         }
     }
 
     /// Exact distance for every pair: the oracle answers when it can, the
-    /// bidirectional-BFS fallback otherwise.
+    /// seeded bidirectional-BFS fallback otherwise.
     pub fn distance(&mut self, s: NodeId, t: NodeId) -> ResolvedDistance {
         match self.oracle.distance(s, t) {
             DistanceAnswer::Exact { distance, .. } => {
@@ -191,7 +115,7 @@ impl<'o, 'g> QueryWithFallback<'o, 'g> {
             }
             DistanceAnswer::Miss => {
                 self.fallback_hits += 1;
-                match self.fallback.distance(s, t) {
+                match fallback_distance(self.oracle, self.graph, &mut self.scratch, s, t) {
                     Some(d) => ResolvedDistance::FallbackExact(d),
                     None => ResolvedDistance::Unreachable,
                 }
@@ -245,15 +169,25 @@ mod tests {
 
     #[test]
     fn exact_fallback_matches_bfs() {
+        // Every pair, hit or miss: seeding must stay exact even where the
+        // two vicinities overlap, which a real miss never presents.
         let g = SocialGraphConfig::small_test().generate(101);
-        let mut fb = ExactFallback::new(&g);
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(6).build(&g);
+        let mut scratch = BidirBfsScratch::new();
         let mut bfs = BfsEngine::new(&g);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for (s, t) in random_pairs(&g, 200, &mut rng) {
-            assert_eq!(fb.distance(s, t), bfs.distance(s, t), "pair ({s},{t})");
+            assert_eq!(
+                fallback_distance(&oracle, &g, &mut scratch, s, t),
+                bfs.distance(s, t),
+                "pair ({s},{t})"
+            );
         }
-        assert_eq!(fb.distance(3, 3), Some(0));
-        assert_eq!(fb.distance(0, 999_999), None);
+        assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 3, 3), Some(0));
+        assert_eq!(
+            fallback_distance(&oracle, &g, &mut scratch, 0, 999_999),
+            None
+        );
     }
 
     #[test]
@@ -262,10 +196,11 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(2, 3);
         let g = b.build_undirected();
-        let mut fb = ExactFallback::new(&g);
-        assert_eq!(fb.distance(0, 1), Some(1));
-        assert_eq!(fb.distance(0, 3), None);
-        assert_eq!(fb.distance(4, 5), None);
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(7).build(&g);
+        let mut scratch = BidirBfsScratch::new();
+        assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 1), Some(1));
+        assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 3), None);
+        assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 4, 5), None);
     }
 
     #[test]
@@ -337,8 +272,7 @@ mod tests {
         assert_eq!(ResolvedDistance::OracleExact(3).value(), Some(3));
         assert!(ResolvedDistance::OracleExact(3).is_exact());
         assert!(ResolvedDistance::FallbackExact(4).is_exact());
-        assert!(!ResolvedDistance::Approximate(5).is_exact());
-        assert_eq!(ResolvedDistance::Approximate(5).value(), Some(5));
+        assert_eq!(ResolvedDistance::FallbackExact(4).value(), Some(4));
         assert_eq!(ResolvedDistance::Unreachable.value(), None);
         assert!(!ResolvedDistance::Unreachable.is_exact());
     }

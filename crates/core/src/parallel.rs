@@ -1,190 +1,10 @@
-//! Parallel batch query execution.
-//!
-//! §5 of the paper lists parallelisation as an open challenge: "shortest
-//! path queries are notoriously hard to parallelize, requiring either large
-//! memory at each machine (to replicate the input network across each
-//! machine) or large amounts of data transfer. Is it possible to parallelize
-//! our technique without replicating the data structure?"
-//!
-//! Within a single machine the answer is straightforward and implemented
-//! here: the oracle is immutable after construction, so any number of worker
-//! threads can answer queries against the *same* index concurrently — no
-//! replication, no synchronisation on the hot path. [`ParallelQueryEngine`]
-//! shards a batch of queries over `std::thread` scoped threads and returns
-//! the answers in input order; misses can optionally be resolved with
-//! per-thread exact fallbacks (each fallback needs only O(n) scratch, not a
-//! copy of the index). Within each thread the index answers run through
-//! [`crate::VicinityOracle::distance_batch_accumulate`], so sharding and
-//! the software-prefetch pipeline compose.
-
-use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::{Distance, NodeId};
-
-use crate::fallback::ExactFallback;
-use crate::index::VicinityOracle;
-use crate::query::DistanceAnswer;
-
-/// Outcome of one query in a parallel batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchAnswer {
-    /// Exact distance from the oracle index.
-    Exact(Distance),
-    /// Exact distance from the per-thread fallback search.
-    ExactViaFallback(Distance),
-    /// The endpoints are not connected.
-    Unreachable,
-    /// The index could not answer and no fallback was requested.
-    Miss,
-}
-
-impl BatchAnswer {
-    /// The numeric distance, when one is available.
-    pub fn distance(&self) -> Option<Distance> {
-        match self {
-            BatchAnswer::Exact(d) | BatchAnswer::ExactViaFallback(d) => Some(*d),
-            _ => None,
-        }
-    }
-
-    /// True when the answer is exact (index or fallback).
-    pub fn is_exact(&self) -> bool {
-        matches!(
-            self,
-            BatchAnswer::Exact(_) | BatchAnswer::ExactViaFallback(_)
-        )
-    }
-}
-
-/// Aggregate statistics of a parallel batch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchStats {
-    /// Queries answered directly by the index.
-    pub index_hits: u64,
-    /// Queries resolved by the fallback search.
-    pub fallback_hits: u64,
-    /// Queries left unanswered (no fallback requested).
-    pub misses: u64,
-    /// Queries whose endpoints are disconnected.
-    pub unreachable: u64,
-    /// Total membership probes performed by index queries.
-    pub total_lookups: u64,
-}
-
-/// Batch query executor over an immutable oracle.
-pub struct ParallelQueryEngine<'o, 'g> {
-    oracle: &'o VicinityOracle,
-    graph: Option<&'g CsrGraph>,
-    threads: usize,
-}
-
-impl<'o, 'g> ParallelQueryEngine<'o, 'g> {
-    /// Create an engine that answers only from the index (misses stay
-    /// misses).
-    pub fn new(oracle: &'o VicinityOracle) -> Self {
-        ParallelQueryEngine {
-            oracle,
-            graph: None,
-            threads: 0,
-        }
-    }
-
-    /// Create an engine that resolves misses with a per-thread exact
-    /// bidirectional-BFS fallback over `graph`.
-    pub fn with_fallback(oracle: &'o VicinityOracle, graph: &'g CsrGraph) -> Self {
-        ParallelQueryEngine {
-            oracle,
-            graph: Some(graph),
-            threads: 0,
-        }
-    }
-
-    /// Set the number of worker threads (`0` = all available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn effective_threads(&self, work_items: usize) -> usize {
-        resolve_worker_threads(self.threads, work_items)
-    }
-
-    /// Answer a batch of queries. Results are returned in the same order as
-    /// the input pairs, together with aggregate statistics.
-    pub fn distances(&self, pairs: &[(NodeId, NodeId)]) -> (Vec<BatchAnswer>, BatchStats) {
-        if pairs.is_empty() {
-            return (Vec::new(), BatchStats::default());
-        }
-        let threads = self.effective_threads(pairs.len());
-        if threads == 1 {
-            return self.run_chunk(pairs);
-        }
-        let chunk_size = pairs.len().div_ceil(threads);
-        let mut answers = Vec::with_capacity(pairs.len());
-        let mut stats = BatchStats::default();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in pairs.chunks(chunk_size) {
-                handles.push(scope.spawn(move || self.run_chunk(chunk)));
-            }
-            for handle in handles {
-                let (chunk_answers, chunk_stats) =
-                    handle.join().expect("parallel query worker panicked");
-                answers.extend(chunk_answers);
-                stats = merge(stats, chunk_stats);
-            }
-        });
-        (answers, stats)
-    }
-
-    fn run_chunk(&self, pairs: &[(NodeId, NodeId)]) -> (Vec<BatchAnswer>, BatchStats) {
-        let mut fallback = self.graph.map(ExactFallback::new);
-        let mut answers = Vec::with_capacity(pairs.len());
-        let mut stats = BatchStats::default();
-        // Index answers come from the staged batch engine (prefetch
-        // pipeline); per-pair resolution below only classifies them and
-        // runs the fallback for misses.
-        let mut query_stats = crate::query::QueryStats::default();
-        let mut index_answers = Vec::with_capacity(pairs.len());
-        self.oracle
-            .distance_batch_accumulate(pairs, &mut index_answers, &mut query_stats);
-        stats.total_lookups = query_stats.lookups;
-        for (&(s, t), &answer) in pairs.iter().zip(&index_answers) {
-            let resolved = match answer {
-                DistanceAnswer::Exact { distance, .. } => {
-                    stats.index_hits += 1;
-                    BatchAnswer::Exact(distance)
-                }
-                DistanceAnswer::Unreachable => {
-                    stats.unreachable += 1;
-                    BatchAnswer::Unreachable
-                }
-                DistanceAnswer::Miss => match fallback.as_mut() {
-                    Some(engine) => match engine.distance(s, t) {
-                        Some(d) => {
-                            stats.fallback_hits += 1;
-                            BatchAnswer::ExactViaFallback(d)
-                        }
-                        None => {
-                            stats.unreachable += 1;
-                            BatchAnswer::Unreachable
-                        }
-                    },
-                    None => {
-                        stats.misses += 1;
-                        BatchAnswer::Miss
-                    }
-                },
-            };
-            answers.push(resolved);
-        }
-        (answers, stats)
-    }
-}
+//! Worker-thread sizing shared by every parallel loop in the stack: the
+//! store's derived-section rebuild, snapshot encode/decode and the
+//! serving layer's `serve_batch` sharding.
 
 /// Resolve a requested worker-thread count (`0` = all available
 /// parallelism) against the amount of work, clamping to at least one
-/// thread and at most one thread per work item. Shared by every batch
-/// executor in the stack (this engine and `vicinity-server`).
+/// thread and at most one thread per work item.
 pub fn resolve_worker_threads(requested: usize, work_items: usize) -> usize {
     let available = if requested == 0 {
         std::thread::available_parallelism()
@@ -194,135 +14,4 @@ pub fn resolve_worker_threads(requested: usize, work_items: usize) -> usize {
         requested
     };
     available.clamp(1, work_items.max(1))
-}
-
-fn merge(a: BatchStats, b: BatchStats) -> BatchStats {
-    BatchStats {
-        index_hits: a.index_hits + b.index_hits,
-        fallback_hits: a.fallback_hits + b.fallback_hits,
-        misses: a.misses + b.misses,
-        unreachable: a.unreachable + b.unreachable,
-        total_lookups: a.total_lookups + b.total_lookups,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::build::OracleBuilder;
-    use crate::config::Alpha;
-    use rand::SeedableRng;
-    use vicinity_baselines::bfs::BfsEngine;
-    use vicinity_baselines::PointToPoint;
-    use vicinity_graph::algo::sampling::random_pairs;
-    use vicinity_graph::builder::GraphBuilder;
-    use vicinity_graph::generators::{classic, social::SocialGraphConfig};
-
-    #[test]
-    fn parallel_results_match_sequential() {
-        let g = SocialGraphConfig::small_test().generate(151);
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(1).build(&g);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let pairs = random_pairs(&g, 500, &mut rng);
-
-        let sequential = ParallelQueryEngine::new(&oracle)
-            .threads(1)
-            .distances(&pairs);
-        let parallel = ParallelQueryEngine::new(&oracle)
-            .threads(4)
-            .distances(&pairs);
-        assert_eq!(
-            sequential.0, parallel.0,
-            "answers must not depend on the thread count"
-        );
-        assert_eq!(
-            sequential.1, parallel.1,
-            "stats must not depend on the thread count"
-        );
-        assert_eq!(parallel.0.len(), pairs.len());
-    }
-
-    #[test]
-    fn fallback_resolves_every_connected_pair() {
-        let g = SocialGraphConfig::small_test().generate(152);
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(2).build(&g);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let pairs = random_pairs(&g, 300, &mut rng);
-
-        let (answers, stats) = ParallelQueryEngine::with_fallback(&oracle, &g)
-            .threads(3)
-            .distances(&pairs);
-        let mut bfs = BfsEngine::new(&g);
-        for (&(s, t), answer) in pairs.iter().zip(&answers) {
-            assert!(
-                answer.is_exact(),
-                "connected pair ({s},{t}) must be answered"
-            );
-            assert_eq!(answer.distance(), bfs.distance(s, t), "pair ({s},{t})");
-        }
-        assert_eq!(stats.misses, 0);
-        assert_eq!(
-            stats.index_hits + stats.fallback_hits + stats.unreachable,
-            pairs.len() as u64
-        );
-        assert!(stats.total_lookups > 0);
-    }
-
-    #[test]
-    fn without_fallback_misses_are_reported() {
-        // A large grid at moderate alpha produces misses.
-        let g = classic::grid(25, 25);
-        let oracle = OracleBuilder::new(Alpha::new(8.0).unwrap())
-            .seed(3)
-            .build(&g);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let pairs = random_pairs(&g, 200, &mut rng);
-        let (answers, stats) = ParallelQueryEngine::new(&oracle).distances(&pairs);
-        assert_eq!(answers.len(), 200);
-        assert!(stats.misses > 0, "expected some misses on a grid");
-        assert_eq!(
-            answers
-                .iter()
-                .filter(|a| matches!(a, BatchAnswer::Miss))
-                .count() as u64,
-            stats.misses
-        );
-    }
-
-    #[test]
-    fn disconnected_pairs_are_unreachable() {
-        let mut b = GraphBuilder::with_node_count(10);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(5, 6);
-        let g = b.build_undirected();
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(4).build(&g);
-        let pairs = vec![(0, 6), (5, 2), (0, 2)];
-        let (answers, stats) = ParallelQueryEngine::with_fallback(&oracle, &g).distances(&pairs);
-        assert_eq!(answers[0], BatchAnswer::Unreachable);
-        assert_eq!(answers[1], BatchAnswer::Unreachable);
-        assert_eq!(answers[2].distance(), Some(2));
-        assert_eq!(stats.unreachable, 2);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let g = classic::path(5);
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).build(&g);
-        let (answers, stats) = ParallelQueryEngine::new(&oracle).distances(&[]);
-        assert!(answers.is_empty());
-        assert_eq!(stats, BatchStats::default());
-    }
-
-    #[test]
-    fn batch_answer_accessors() {
-        assert_eq!(BatchAnswer::Exact(3).distance(), Some(3));
-        assert_eq!(BatchAnswer::ExactViaFallback(4).distance(), Some(4));
-        assert_eq!(BatchAnswer::Miss.distance(), None);
-        assert_eq!(BatchAnswer::Unreachable.distance(), None);
-        assert!(BatchAnswer::Exact(1).is_exact());
-        assert!(BatchAnswer::ExactViaFallback(1).is_exact());
-        assert!(!BatchAnswer::Miss.is_exact());
-        assert!(!BatchAnswer::Unreachable.is_exact());
-    }
 }

@@ -39,12 +39,12 @@ pub fn data_dir() -> Option<PathBuf> {
     std::env::var_os("VICINITY_DATA_DIR").map(PathBuf::from)
 }
 
-/// Try to load the real edge list for `which` from `VICINITY_DATA_DIR`.
-/// Returns `None` when the variable is unset, the file is missing, or it
-/// fails to parse (a parse failure is reported on stderr so a typo in the
-/// data directory does not silently fall back to synthetic data).
-pub fn try_load_real(which: StandIn) -> Option<Dataset> {
-    let dir = data_dir()?;
+/// Try to load the real edge list for `which` from `dir` (the directory
+/// `VICINITY_DATA_DIR` names, see [`data_dir`]). Returns `None` when the
+/// file is missing or fails to parse (a parse failure is reported on
+/// stderr so a typo in the data directory does not silently fall back to
+/// synthetic data).
+pub fn try_load_real(dir: &Path, which: StandIn) -> Option<Dataset> {
     let path = dir.join(expected_file_name(which));
     if !path.exists() {
         return None;
@@ -114,22 +114,17 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("vicinity-datadir-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        // Without the env var: no real data.
-        std::env::remove_var("VICINITY_DATA_DIR");
-        assert!(try_load_real(StandIn::Dblp).is_none());
-        // With the env var but no file: still none.
-        std::env::set_var("VICINITY_DATA_DIR", &dir);
-        assert!(try_load_real(StandIn::Dblp).is_none());
+        // No file: no real data.
+        assert!(try_load_real(&dir, StandIn::Dblp).is_none());
         // With a file: loaded as real data.
         let g = classic::grid(5, 5);
         save_edge_list(&g, dir.join("dblp.txt")).unwrap();
-        let d = try_load_real(StandIn::Dblp).expect("file exists now");
+        let d = try_load_real(&dir, StandIn::Dblp).expect("file exists now");
         assert!(d.from_real_data);
         assert_eq!(d.graph.node_count(), 25);
         // A malformed file falls back to None (with a warning).
         std::fs::write(dir.join("flickr.txt"), "not an edge list\n").unwrap();
-        assert!(try_load_real(StandIn::Flickr).is_none());
-        std::env::remove_var("VICINITY_DATA_DIR");
+        assert!(try_load_real(&dir, StandIn::Flickr).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

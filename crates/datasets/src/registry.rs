@@ -11,7 +11,7 @@
 //! Generated graphs are cached on disk (binary format) keyed by name, scale
 //! and generator seed, so repeated experiment runs skip regeneration.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use vicinity_graph::csr::CsrGraph;
@@ -206,13 +206,15 @@ impl Scale {
     }
 
     /// Resolve the scale from the `VICINITY_SCALE` environment variable
-    /// (`tiny`, `small`, `default`, `large`), defaulting to `Default`.
+    /// (parsed by [`Scale::from_name`]).
     pub fn from_env() -> Scale {
-        match std::env::var("VICINITY_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
+        Scale::from_name(&std::env::var("VICINITY_SCALE").unwrap_or_default())
+    }
+
+    /// Parse a scale name (`tiny`, `small`, `default`, `large`, any case),
+    /// defaulting to `Default` for anything else.
+    pub fn from_name(name: &str) -> Scale {
+        match name.trim().to_lowercase().as_str() {
             "tiny" => Scale::Tiny,
             "small" => Scale::Small,
             "large" => Scale::Large,
@@ -253,16 +255,32 @@ static CACHE_LOCK: Mutex<()> = Mutex::new(());
 impl Dataset {
     /// Obtain a stand-in dataset at the given scale: loaded from the real
     /// edge list if `VICINITY_DATA_DIR` provides one, from the on-disk cache
-    /// if previously generated, and generated (then cached) otherwise.
+    /// (see [`cache_dir`]) if previously generated, and generated (then
+    /// cached) otherwise. Reads both variables once, then defers to
+    /// [`Dataset::stand_in_with`].
     pub fn stand_in(which: StandIn, scale: Scale) -> Dataset {
+        let data_dir = crate::loader::data_dir();
+        Dataset::stand_in_with(which, scale, data_dir.as_deref(), &cache_dir())
+    }
+
+    /// [`Dataset::stand_in`] with explicit directories: real edge lists are
+    /// looked up in `data_dir` (when given) and generated graphs are cached
+    /// in `cache_dir`. A failed cache write is reported on stderr; the
+    /// generated dataset is still returned.
+    pub fn stand_in_with(
+        which: StandIn,
+        scale: Scale,
+        data_dir: Option<&Path>,
+        cache_dir: &Path,
+    ) -> Dataset {
         // Real data takes priority when available.
-        if let Some(real) = crate::loader::try_load_real(which) {
+        if let Some(real) = data_dir.and_then(|dir| crate::loader::try_load_real(dir, which)) {
             return real;
         }
         let _guard = CACHE_LOCK
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let cache_path = cache_path(which, scale);
+        let cache_path = cache_path(cache_dir, which, scale);
         if let Ok(graph) = binary::load(&cache_path) {
             return Dataset {
                 name: which.name().to_string(),
@@ -272,10 +290,16 @@ impl Dataset {
             };
         }
         let graph = which.config(scale).generate(which.seed());
-        if let Some(parent) = cache_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
+        let saved = std::fs::create_dir_all(cache_dir)
+            .map_err(vicinity_graph::GraphError::from)
+            .and_then(|()| binary::save(&graph, &cache_path));
+        if let Err(err) = saved {
+            eprintln!(
+                "warning: could not cache the {} stand-in at {}: {err}",
+                which.name(),
+                cache_path.display()
+            );
         }
-        let _ = binary::save(&graph, &cache_path);
         Dataset {
             name: which.name().to_string(),
             graph,
@@ -321,8 +345,8 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| std::env::temp_dir().join("vicinity-cache"))
 }
 
-fn cache_path(which: StandIn, scale: Scale) -> PathBuf {
-    cache_dir().join(format!(
+fn cache_path(cache_dir: &Path, which: StandIn, scale: Scale) -> PathBuf {
+    cache_dir.join(format!(
         "standin-{}-{}-seed{}.vgr",
         which.name().to_lowercase(),
         scale.name(),
@@ -372,6 +396,8 @@ mod tests {
         assert!(Scale::Small.node_factor() < Scale::Default.node_factor());
         assert!(Scale::Default.node_factor() < Scale::Large.node_factor());
         assert_eq!(Scale::Default.name(), "default");
+        assert_eq!(Scale::from_name(" Tiny"), Scale::Tiny);
+        assert_eq!(Scale::from_name("bogus"), Scale::Default);
     }
 
     #[test]
@@ -401,13 +427,27 @@ mod tests {
     #[test]
     fn cache_round_trip() {
         let dir = std::env::temp_dir().join(format!("vicinity-cache-test-{}", std::process::id()));
-        std::env::set_var("VICINITY_CACHE_DIR", &dir);
-        let a = Dataset::stand_in(StandIn::Dblp, Scale::Tiny);
-        assert!(cache_path(StandIn::Dblp, Scale::Tiny).exists());
-        let b = Dataset::stand_in(StandIn::Dblp, Scale::Tiny);
+        let a = Dataset::stand_in_with(StandIn::Dblp, Scale::Tiny, None, &dir);
+        assert!(cache_path(&dir, StandIn::Dblp, Scale::Tiny).exists());
+        let b = Dataset::stand_in_with(StandIn::Dblp, Scale::Tiny, None, &dir);
         assert_eq!(a.graph, b.graph);
         std::fs::remove_dir_all(&dir).ok();
-        std::env::remove_var("VICINITY_CACHE_DIR");
+    }
+
+    #[test]
+    fn unwritable_cache_still_returns_the_dataset() {
+        // A regular file where the cache directory should be: the write
+        // fails (and is reported), the generated graph is still returned.
+        let blocker =
+            std::env::temp_dir().join(format!("vicinity-cache-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let d = Dataset::stand_in_with(StandIn::Dblp, Scale::Tiny, None, &blocker);
+        assert_eq!(
+            d.graph,
+            Dataset::generate_uncached(StandIn::Dblp, Scale::Tiny).graph
+        );
+        assert!(!cache_path(&blocker, StandIn::Dblp, Scale::Tiny).exists());
+        std::fs::remove_file(&blocker).ok();
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! algorithm that stops once all the nodes at distance `d(u, ℓ(u))` or less
 //! have been visited" (§2.2) — i.e. a bounded BFS on unweighted graphs. The
 //! bounded / predicate-terminated variants live here so they can be reused
-//! by both the oracle and the baselines.
+//! by both the oracle and the baselines, as does the bidirectional search
+//! ([`BidirBfsScratch`]) that the oracle's miss path, the serving layer and
+//! the Table 3 baseline share.
 
 use std::collections::VecDeque;
 
@@ -233,6 +235,302 @@ impl BoundedBfsScratch {
             }
         }
         visited
+    }
+}
+
+/// Reusable scratch state for bidirectional BFS, decoupled from any graph
+/// borrow.
+///
+/// The graph is passed to [`BidirBfsScratch::distance`] per call, so a
+/// long-lived owner (e.g. a server worker session holding the graph behind
+/// an `Arc`) can keep one scratch allocation alive across millions of
+/// queries without a self-referential borrow. All O(n) buffers — including
+/// the two frontier queues — are allocated once and recycled, so repeated
+/// queries perform no per-query allocation.
+#[derive(Debug, Clone, Default)]
+pub struct BidirBfsScratch {
+    stamp_fwd: Vec<u32>,
+    stamp_bwd: Vec<u32>,
+    dist_fwd: Vec<Distance>,
+    dist_bwd: Vec<Distance>,
+    parent_fwd: Vec<NodeId>,
+    parent_bwd: Vec<NodeId>,
+    queue_fwd: VecDeque<NodeId>,
+    queue_bwd: VecDeque<NodeId>,
+    current_stamp: u32,
+    operations: u64,
+    /// The node where the two searches met on the last successful query.
+    last_meeting: Option<NodeId>,
+}
+
+impl BidirBfsScratch {
+    /// Empty scratch; buffers grow to the graph size on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Scratch pre-sized for a graph with `n` nodes.
+    pub fn with_node_capacity(n: usize) -> Self {
+        let mut scratch = Self::default();
+        scratch.ensure_capacity(n);
+        scratch
+    }
+
+    fn ensure_capacity(&mut self, n: usize) {
+        if self.stamp_fwd.len() < n {
+            self.stamp_fwd.resize(n, 0);
+            self.stamp_bwd.resize(n, 0);
+            self.dist_fwd.resize(n, 0);
+            self.dist_bwd.resize(n, 0);
+            self.parent_fwd.resize(n, 0);
+            self.parent_bwd.resize(n, 0);
+        }
+    }
+
+    /// Graph-exploration operations (queue pops) of the most recent call.
+    pub fn last_operations(&self) -> u64 {
+        self.operations
+    }
+
+    /// The meeting node of the most recent successful search.
+    pub fn last_meeting(&self) -> Option<NodeId> {
+        self.last_meeting
+    }
+
+    fn bump_stamp(&mut self) -> u32 {
+        self.current_stamp = self.current_stamp.wrapping_add(1);
+        if self.current_stamp == 0 {
+            self.stamp_fwd.iter_mut().for_each(|x| *x = 0);
+            self.stamp_bwd.iter_mut().for_each(|x| *x = 0);
+            self.current_stamp = 1;
+        }
+        self.current_stamp
+    }
+
+    /// Exact distance between `s` and `t` in `graph`, or `None` when
+    /// unreachable (or either endpoint is out of range). Generic over
+    /// [`Adjacency`] so the serving fallback runs on dynamic graph
+    /// overlays as well as frozen CSR graphs.
+    pub fn distance<G: Adjacency>(&mut self, graph: &G, s: NodeId, t: NodeId) -> Option<Distance> {
+        let n = graph.node_count();
+        self.ensure_capacity(n);
+        self.operations = 0;
+        self.last_meeting = None;
+        if (s as usize) >= n || (t as usize) >= n {
+            return None;
+        }
+        if s == t {
+            self.last_meeting = Some(s);
+            return Some(0);
+        }
+        let stamp = self.bump_stamp();
+
+        self.queue_fwd.clear();
+        self.queue_bwd.clear();
+        self.stamp_fwd[s as usize] = stamp;
+        self.dist_fwd[s as usize] = 0;
+        self.parent_fwd[s as usize] = s;
+        self.queue_fwd.push_back(s);
+        self.stamp_bwd[t as usize] = stamp;
+        self.dist_bwd[t as usize] = 0;
+        self.parent_bwd[t as usize] = t;
+        self.queue_bwd.push_back(t);
+
+        self.run(graph, stamp, 0, 0, INFINITY, None)
+    }
+
+    /// Exact distance between two *seeded* search regions: a bidirectional
+    /// BFS whose sides start from precomputed distance balls instead of
+    /// single nodes.
+    ///
+    /// This is the natural fallback for a vicinity-oracle miss: the index
+    /// already holds the exact ball of each endpoint, so the search can
+    /// stamp the ball interiors for free and begin expansion at the ball
+    /// boundaries, skipping the first `fwd_radius` / `bwd_radius` levels of
+    /// re-exploration.
+    ///
+    /// Contract (the oracle guarantees all of this for a missed query):
+    ///
+    /// * `fwd_seeds` is the **complete** set of nodes within `fwd_radius`
+    ///   hops of the forward endpoint, with exact distances (and likewise
+    ///   for the backward side) — completeness is what makes the resumed
+    ///   BFS exact;
+    /// * node ids are in range for `graph`.
+    ///
+    /// Overlapping seed sets are handled (the overlap is treated as a set
+    /// of meeting candidates), though an oracle miss implies disjoint
+    /// balls. After a seeded search, [`BidirBfsScratch::last_meeting`]
+    /// reports the meeting node but paths cannot be reconstructed (seed
+    /// parents are unknown to the scratch).
+    pub fn distance_seeded<G: Adjacency, F, B>(
+        &mut self,
+        graph: &G,
+        fwd_seeds: F,
+        fwd_radius: Distance,
+        bwd_seeds: B,
+        bwd_radius: Distance,
+    ) -> Option<Distance>
+    where
+        F: IntoIterator<Item = (NodeId, Distance)>,
+        B: IntoIterator<Item = (NodeId, Distance)>,
+    {
+        let n = graph.node_count();
+        self.ensure_capacity(n);
+        self.operations = 0;
+        self.last_meeting = None;
+        let stamp = self.bump_stamp();
+
+        self.queue_fwd.clear();
+        self.queue_bwd.clear();
+        // Stamp every seed; only the outermost shell needs to live in the
+        // queue, because an interior node's neighbours are all inside the
+        // ball already (distance <= radius - 1 implies every neighbour is
+        // within the radius). This keeps the resumed expansion's cost
+        // proportional to the boundary shell, not the whole ball.
+        for (node, distance) in fwd_seeds {
+            debug_assert!((node as usize) < n && distance <= fwd_radius);
+            self.stamp_fwd[node as usize] = stamp;
+            self.dist_fwd[node as usize] = distance;
+            self.parent_fwd[node as usize] = node;
+            if distance == fwd_radius {
+                self.queue_fwd.push_back(node);
+            }
+        }
+        let mut best: Distance = INFINITY;
+        let mut meeting: Option<NodeId> = None;
+        for (node, distance) in bwd_seeds {
+            debug_assert!((node as usize) < n && distance <= bwd_radius);
+            self.stamp_bwd[node as usize] = stamp;
+            self.dist_bwd[node as usize] = distance;
+            self.parent_bwd[node as usize] = node;
+            if distance == bwd_radius {
+                self.queue_bwd.push_back(node);
+            }
+            if self.stamp_fwd[node as usize] == stamp {
+                let total = self.dist_fwd[node as usize] + distance;
+                if total < best {
+                    best = total;
+                    meeting = Some(node);
+                }
+            }
+        }
+
+        self.run(graph, stamp, fwd_radius, bwd_radius, best, meeting)
+    }
+
+    /// Level-synchronous bidirectional expansion over pre-seeded queues.
+    /// `radius_fwd` / `radius_bwd` are the distances through which each
+    /// side is already complete; `best` / `meeting` carry any meeting
+    /// already discovered during seeding.
+    fn run<G: Adjacency>(
+        &mut self,
+        graph: &G,
+        stamp: u32,
+        mut radius_fwd: Distance,
+        mut radius_bwd: Distance,
+        mut best: Distance,
+        mut meeting: Option<NodeId>,
+    ) -> Option<Distance> {
+        while !self.queue_fwd.is_empty() && !self.queue_bwd.is_empty() {
+            // Termination: no undiscovered path can beat `best` once the
+            // frontier radii sum to at least it.
+            if best != INFINITY && radius_fwd + radius_bwd + 1 >= best {
+                break;
+            }
+            // Expand the smaller frontier by one full level.
+            let expand_forward = self.queue_fwd.len() <= self.queue_bwd.len();
+            if expand_forward {
+                let level = self.dist_fwd[*self.queue_fwd.front().expect("non-empty") as usize];
+                while let Some(&u) = self.queue_fwd.front() {
+                    if self.dist_fwd[u as usize] != level {
+                        break;
+                    }
+                    self.queue_fwd.pop_front();
+                    self.operations += 1;
+                    let du = self.dist_fwd[u as usize];
+                    for &v in graph.neighbors(u) {
+                        if self.stamp_fwd[v as usize] != stamp {
+                            self.stamp_fwd[v as usize] = stamp;
+                            self.dist_fwd[v as usize] = du + 1;
+                            self.parent_fwd[v as usize] = u;
+                            self.queue_fwd.push_back(v);
+                            if self.stamp_bwd[v as usize] == stamp {
+                                let total = du + 1 + self.dist_bwd[v as usize];
+                                if total < best {
+                                    best = total;
+                                    meeting = Some(v);
+                                }
+                            }
+                        }
+                    }
+                }
+                radius_fwd = level + 1;
+            } else {
+                let level = self.dist_bwd[*self.queue_bwd.front().expect("non-empty") as usize];
+                while let Some(&u) = self.queue_bwd.front() {
+                    if self.dist_bwd[u as usize] != level {
+                        break;
+                    }
+                    self.queue_bwd.pop_front();
+                    self.operations += 1;
+                    let du = self.dist_bwd[u as usize];
+                    for &v in graph.neighbors(u) {
+                        if self.stamp_bwd[v as usize] != stamp {
+                            self.stamp_bwd[v as usize] = stamp;
+                            self.dist_bwd[v as usize] = du + 1;
+                            self.parent_bwd[v as usize] = u;
+                            self.queue_bwd.push_back(v);
+                            if self.stamp_fwd[v as usize] == stamp {
+                                let total = du + 1 + self.dist_fwd[v as usize];
+                                if total < best {
+                                    best = total;
+                                    meeting = Some(v);
+                                }
+                            }
+                        }
+                    }
+                }
+                radius_bwd = level + 1;
+            }
+        }
+
+        if best == INFINITY {
+            None
+        } else {
+            self.last_meeting = meeting;
+            Some(best)
+        }
+    }
+
+    /// Shortest path between `s` and `t`, or `None` when unreachable. Runs
+    /// a fresh search so the parent arrays are in scope for reconstruction.
+    pub fn path<G: Adjacency>(&mut self, graph: &G, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
+        self.distance(graph, s, t)?;
+        if s == t {
+            return Some(vec![s]);
+        }
+        let meeting = self
+            .last_meeting
+            .expect("successful search records a meeting node");
+        Some(self.reconstruct(s, t, meeting))
+    }
+
+    fn reconstruct(&self, s: NodeId, t: NodeId, meeting: NodeId) -> Vec<NodeId> {
+        // Forward half: meeting -> s, reversed.
+        let mut forward = vec![meeting];
+        let mut cur = meeting;
+        while cur != s {
+            cur = self.parent_fwd[cur as usize];
+            forward.push(cur);
+        }
+        forward.reverse();
+        // Backward half: meeting -> t (skip the meeting node itself).
+        let mut cur = meeting;
+        while cur != t {
+            cur = self.parent_bwd[cur as usize];
+            forward.push(cur);
+        }
+        forward
     }
 }
 
@@ -472,6 +770,16 @@ mod tests {
         assert_eq!(scratch.bounded_bfs(&g, 0, 4).len(), 5);
         assert_eq!(scratch.bounded_bfs(&g, 0, 4).len(), 5);
         assert_eq!(scratch.bounded_bfs(&g, 4, 1).len(), 2);
+    }
+
+    #[test]
+    fn bidir_scratch_stamp_wraparound() {
+        let g = path_graph(4);
+        let mut scratch = BidirBfsScratch::with_node_capacity(4);
+        scratch.current_stamp = u32::MAX - 1;
+        assert_eq!(scratch.distance(&g, 0, 3), Some(3));
+        assert_eq!(scratch.distance(&g, 0, 3), Some(3));
+        assert_eq!(scratch.distance(&g, 3, 0), Some(3));
     }
 
     #[test]

@@ -237,13 +237,21 @@ impl OracleWriter {
 /// A concurrent, batched query-serving frontend over one immutable
 /// [`VicinityOracle`] build.
 ///
-/// The oracle and graph live behind `Arc`s; worker sessions share them
-/// without replication (the paper's §5 open question, answered within one
-/// machine: the index is immutable after construction, so the hot path
-/// needs no synchronisation at all). Misses are resolved by per-worker
-/// allocation-free bidirectional BFS, repeated pairs by a sharded LRU
-/// result cache, and every query feeds a latency/method/work statistics
-/// aggregate.
+/// §5 of the paper lists parallelisation as an open challenge: "shortest
+/// path queries are notoriously hard to parallelize, requiring either
+/// large memory at each machine (to replicate the input network across
+/// each machine) or large amounts of data transfer. Is it possible to
+/// parallelize our technique without replicating the data structure?"
+/// Within one machine this type is the answer: the index is immutable
+/// after construction, so the oracle and graph live behind `Arc`s and
+/// any number of worker sessions share them without replication and
+/// without synchronisation on the hot path. `serve_batch` shards a batch
+/// over scoped threads; each session runs its shard through the batched
+/// prefetch pipeline and resolves misses with its own O(n) search scratch
+/// (never a copy of the index) through
+/// [`vicinity_core::fallback::fallback_distance`]. Repeated pairs are
+/// served by a sharded LRU result cache, and every query feeds a
+/// latency/method/work statistics aggregate.
 ///
 /// ```
 /// use std::sync::Arc;

@@ -42,10 +42,11 @@
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use vicinity_baselines::bidirectional_bfs::BidirBfsScratch;
 use vicinity_core::dynamic::DynamicSnapshot;
+use vicinity_core::fallback::fallback_distance;
 use vicinity_core::index::VicinityOracle;
-use vicinity_core::query::{DistanceAnswer, QueryIndex, QueryStats};
+use vicinity_core::query::{DistanceAnswer, QueryStats};
+use vicinity_graph::algo::bfs::BidirBfsScratch;
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Distance, NodeId};
@@ -146,14 +147,8 @@ impl EpochOracle {
         }
     }
 
-    /// Exact fallback for an index miss, on this epoch's graph view. When
-    /// both endpoints have stored vicinities, the bidirectional BFS is
-    /// *seeded* with them: the index already holds each endpoint's exact
-    /// distance ball, so the search stamps the ball interiors and resumes
-    /// expansion from the ball boundaries. Misses are precisely the
-    /// queries whose balls do not intersect, which is the seeding
-    /// contract — and under the dynamic overlay the balls consulted are
-    /// the patched ones, so seeding stays exact across updates.
+    /// Exact fallback for an index miss, on this epoch's graph view: the
+    /// seeded bidirectional BFS of [`fallback_distance`].
     fn fallback_distance(
         &self,
         scratch: &mut BidirBfsScratch,
@@ -162,30 +157,10 @@ impl EpochOracle {
     ) -> Option<Distance> {
         match self {
             EpochOracle::Frozen { oracle, graph } => {
-                match (oracle.vicinity(s), oracle.vicinity(t)) {
-                    (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => scratch
-                        .distance_seeded(
-                            graph.as_ref(),
-                            vs.iter(),
-                            vs.radius(),
-                            vt.iter(),
-                            vt.radius(),
-                        ),
-                    _ => scratch.distance(graph.as_ref(), s, t),
-                }
+                fallback_distance(oracle.as_ref(), graph.as_ref(), scratch, s, t)
             }
             EpochOracle::Dynamic(snapshot) => {
-                match (snapshot.vicinity_of(s), snapshot.vicinity_of(t)) {
-                    (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => scratch
-                        .distance_seeded(
-                            snapshot.graph(),
-                            vs.iter(),
-                            vs.radius(),
-                            vt.iter(),
-                            vt.radius(),
-                        ),
-                    _ => scratch.distance(snapshot.graph(), s, t),
-                }
+                fallback_distance(snapshot, snapshot.graph(), scratch, s, t)
             }
         }
     }

@@ -5,8 +5,9 @@
 //! perceived by the users". This example simulates an online service: a
 //! stream of distance queries is answered under a per-query latency budget,
 //! using the oracle first, the landmark-based approximation when the oracle
-//! misses and the budget is tight, and the exact fallback search when there
-//! is budget to spare. It then prints the latency distribution.
+//! misses and the budget is tight, and the exact fallback search (seeded
+//! with both endpoints' vicinities) when there is budget to spare. It then
+//! prints the latency distribution.
 //!
 //! ```bash
 //! cargo run --release --example realtime_queries
@@ -14,7 +15,8 @@
 
 use std::time::{Duration, Instant};
 
-use vicinity::core::fallback::ExactFallback;
+use vicinity::core::fallback::fallback_distance;
+use vicinity::graph::algo::bfs::BidirBfsScratch;
 use vicinity::prelude::*;
 
 /// Per-query latency budget for the simulated service.
@@ -41,7 +43,7 @@ fn main() {
     println!("oracle ready in {:.2?}", build.elapsed());
 
     let workload = PairWorkload::uniform_random(graph, 5_000, 777);
-    let mut fallback = ExactFallback::new(graph);
+    let mut scratch = BidirBfsScratch::with_node_capacity(graph.node_count());
 
     let mut latencies: Vec<Duration> = Vec::with_capacity(workload.len());
     let mut exact_from_index = 0u64;
@@ -70,7 +72,7 @@ fn main() {
                     oracle.landmark_estimate(s, t)
                 } else {
                     exact_from_fallback += 1;
-                    fallback.distance(s, t)
+                    fallback_distance(&oracle, graph, &mut scratch, s, t)
                 }
             }
         };

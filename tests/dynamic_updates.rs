@@ -3,14 +3,17 @@
 //! backends, path storage settings, and forced compaction boundaries — the
 //! [`DynamicOracle`]'s answers (distances, paths, and the answer method the
 //! stats plane reports) must equal a from-scratch rebuild on the mutated
-//! graph with the same (pinned) landmark set, and published snapshots must
-//! answer identically to the writer.
+//! graph with the same (pinned) landmark set, published snapshots must
+//! answer identically to the writer, and every miss must be resolved
+//! exactly by the seeded fallback search over the patched vicinities.
 
 use proptest::prelude::*;
 
 use vicinity::core::config::{Alpha, TableBackend};
 use vicinity::core::dynamic::DynamicOracle;
+use vicinity::core::fallback::fallback_distance;
 use vicinity::core::OracleBuilder;
+use vicinity::graph::algo::bfs::{bfs_distance_between, BidirBfsScratch};
 use vicinity::graph::builder::GraphBuilder;
 use vicinity::graph::csr::CsrGraph;
 use vicinity::graph::NodeId;
@@ -41,12 +44,25 @@ fn assert_matches_rebuild(dynamic: &DynamicOracle, stride: usize) {
         .landmarks(dynamic.base().landmarks().nodes().to_vec())
         .build(&graph);
     let snapshot = dynamic.snapshot();
+    let snapshot_csr = snapshot.graph().to_csr();
+    let mut scratch = BidirBfsScratch::new();
     let n = graph.node_count() as NodeId;
     for s in (0..n).step_by(stride) {
         for t in (0..n).step_by(stride) {
             let expected = rebuilt.distance(s, t);
             prop_assert_eq!(dynamic.distance(s, t), expected, "distance ({}, {})", s, t);
             prop_assert_eq!(snapshot.distance(s, t), expected, "snapshot ({}, {})", s, t);
+            // A miss is resolved by the search seeded with the patched
+            // vicinities; it must agree with plain BFS on the mutated graph.
+            if expected.is_miss() {
+                prop_assert_eq!(
+                    fallback_distance(&snapshot, snapshot.graph(), &mut scratch, s, t),
+                    bfs_distance_between(&snapshot_csr, s, t),
+                    "fallback ({}, {})",
+                    s,
+                    t
+                );
+            }
             prop_assert_eq!(
                 dynamic.path(s, t),
                 rebuilt.path_with_graph(&graph, s, t),
