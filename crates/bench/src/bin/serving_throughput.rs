@@ -9,18 +9,28 @@
 //!
 //! Honours `VICINITY_SCALE`, `VICINITY_DATASETS` and
 //! `VICINITY_SERVE_QUERIES` (default 100000 queries per configuration).
+//! Every configuration's answers are checked against BFS on a seeded
+//! sample of the pairs; any mismatch fails the run (exit code 1). The
+//! fallback columns report the search's queue pops and neighbour entries
+//! read per index miss, from the service's own counters.
 //! Results are also written as the `serving_throughput` section of
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
+use vicinity_baselines::bfs::BfsEngine;
+use vicinity_baselines::PointToPoint;
 use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{print_header, timed, ExperimentEnv};
 use vicinity_core::config::Alpha;
 use vicinity_core::OracleBuilder;
 use vicinity_graph::algo::sampling::random_pairs;
+use vicinity_graph::Distance;
 use vicinity_server::QueryService;
+
+/// Served answers checked against BFS per dataset and configuration.
+const CHECKED_PAIRS: usize = 1_000;
 
 fn main() {
     let env = ExperimentEnv::from_env();
@@ -31,9 +41,10 @@ fn main() {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(100_000);
+    let mut mismatches = 0usize;
 
     println!(
-        "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9}",
+        "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}",
         "dataset",
         "threads",
         "cache",
@@ -42,6 +53,8 @@ fn main() {
         "p50",
         "p99",
         "fallback",
+        "pops/miss",
+        "arcs/miss",
         "cachehit"
     );
 
@@ -63,6 +76,15 @@ fn main() {
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let pairs = random_pairs(&graph, queries, &mut rng);
+        // The BFS reference for a fixed sample of positions, shared by
+        // every configuration below.
+        let mut bfs = BfsEngine::new(&graph);
+        let checks: Vec<(usize, Option<Distance>)> = (0..CHECKED_PAIRS.min(pairs.len()))
+            .map(|_| {
+                let i = rng.gen_range(0..pairs.len());
+                (i, bfs.distance(pairs[i].0, pairs[i].1))
+            })
+            .collect();
 
         for threads in [1usize, 4] {
             for cache_capacity in [0usize, 1 << 16] {
@@ -73,9 +95,20 @@ fn main() {
                     .expect("oracle and graph agree");
                 let answers = service.serve_batch(&pairs);
                 assert_eq!(answers.len(), pairs.len());
+                for &(i, expected) in &checks {
+                    if answers[i].distance() != expected {
+                        eprintln!(
+                            "FAIL: {} threads={threads} cache={cache_capacity}: served {:?} = \
+                             {:?}, BFS says {expected:?}",
+                            dataset.name, pairs[i], answers[i]
+                        );
+                        mismatches += 1;
+                    }
+                }
                 let stats = service.stats();
+                let (pops, arcs) = stats.fallback_work_per_miss();
                 println!(
-                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>8.2}%",
+                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>8.2}%",
                     dataset.name,
                     threads,
                     cache_capacity,
@@ -84,12 +117,15 @@ fn main() {
                     stats.latency.percentile(50.0),
                     stats.latency.percentile(99.0),
                     stats.fallback_rate() * 100.0,
+                    pops,
+                    arcs,
                     stats.cache_hit_rate() * 100.0,
                 );
                 json_rows.push(format!(
                     "{{\"graph\": \"{}\", \"nodes\": {}, \"alpha\": {}, \"threads\": {threads}, \
                      \"cache\": {cache_capacity}, \"queries\": {}, \"qps\": {:.0}, \
                      \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"fallback_pct\": {:.3}, \
+                     \"fallback_pops_per_miss\": {pops:.3}, \"fallback_arcs_per_miss\": {arcs:.1}, \
                      \"cache_hit_pct\": {:.3}}}",
                     dataset.name,
                     graph.node_count(),
@@ -104,6 +140,11 @@ fn main() {
             }
         }
         println!();
+    }
+
+    if mismatches > 0 {
+        eprintln!("serving_throughput: {mismatches} served answer(s) disagree with BFS");
+        std::process::exit(1);
     }
 
     // Reduced scales (tiny/small) are quick-iteration modes; only

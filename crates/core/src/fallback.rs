@@ -7,16 +7,22 @@
 //!
 //! * [`fallback_distance`] — the exact miss path: a bidirectional BFS
 //!   ([`BidirBfsScratch`], from the graph crate) seeded with both
-//!   endpoints' stored vicinities. It is the one place the seeding
-//!   decision is made; the serving layer, [`QueryWithFallback`] and the
-//!   examples all resolve misses through it.
+//!   endpoints' stored vicinities and started at the walk through either
+//!   endpoint's nearest landmark, `d(s, ℓ) + d(ℓ, t)`, read from one
+//!   exact landmark row. That walk is usually already a shortest path:
+//!   a miss proves `d(s, t) > r_s + r_t`, so when the walk has length
+//!   `r_s + r_t + 1` the search stops right after seeding, and otherwise
+//!   it never expands past the walk. It is the one place the seeding and
+//!   bounding decisions are made; the serving layer,
+//!   [`QueryWithFallback`] and the examples all resolve misses through
+//!   it.
 //! * Landmark-estimate fallback — an *approximate* answer computed from the
 //!   landmark rows the oracle already stores: `min_{ℓ ∈ L} d(s,ℓ) + d(ℓ,t)`
 //!   is an upper bound on the true distance at the cost of |L| row probes.
 
 use vicinity_graph::algo::bfs::BidirBfsScratch;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::{Adjacency, Distance, NodeId};
+use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
 use crate::index::VicinityOracle;
 use crate::query::{DistanceAnswer, QueryIndex};
@@ -33,8 +39,12 @@ use crate::query::{DistanceAnswer, QueryIndex};
 /// interiors and resumes from the ball boundaries. Under the dynamic
 /// overlay the balls consulted are the patched ones, so seeding stays
 /// exact across updates. Balls that overlap, which a pair the index could
-/// answer presents, are handled as meeting candidates. Otherwise the
-/// search starts from the endpoints themselves.
+/// answer presents, are handled as meeting candidates. The seeded search
+/// starts with the length of the walk through `ℓ(s)` or `ℓ(t)` as its
+/// best distance, so it does no work past the radii when that walk is
+/// provably shortest; the answer is then the walk's length and
+/// `scratch.last_meeting()` is `None`. When either vicinity is empty,
+/// a plain unbounded search starts from the endpoints themselves.
 pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
     index: &Q,
     graph: &G,
@@ -44,10 +54,35 @@ pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
 ) -> Option<Distance> {
     match (index.vicinity_of(s), index.vicinity_of(t)) {
         (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => {
-            scratch.distance_seeded(graph, vs.iter(), vs.radius(), vt.iter(), vt.radius())
+            let upper = landmark_walk(index, s, t).unwrap_or(INFINITY);
+            scratch.distance_seeded_within(
+                graph,
+                vs.iter(),
+                vs.radius(),
+                vt.iter(),
+                vt.radius(),
+                upper,
+            )
         }
         _ => scratch.distance(graph, s, t),
     }
+}
+
+/// Length of the shorter walk `s → ℓ → t` through `ℓ(s)` or `ℓ(t)`, read
+/// from the two nearest-landmark rows, or `None` when neither row holds
+/// exact entries for both endpoints (unreachable or saturated). Both
+/// terms come from one exact row, so the result is the length of a real
+/// walk — an upper bound on `d(s, t)` that needs no invariant between a
+/// node's radius and its landmark.
+fn landmark_walk<Q: QueryIndex>(index: &Q, s: NodeId, t: NodeId) -> Option<Distance> {
+    [s, t]
+        .into_iter()
+        .filter_map(|u| index.nearest_landmark_of(u))
+        .filter_map(|landmark| {
+            let row = index.landmark_row_of(landmark)?;
+            Some(row.distance_to(s)? + row.distance_to(t)?)
+        })
+        .min()
 }
 
 /// Outcome of a query answered through [`QueryWithFallback`].
@@ -159,7 +194,7 @@ impl VicinityOracle {
 mod tests {
     use super::*;
     use crate::build::OracleBuilder;
-    use crate::config::Alpha;
+    use crate::config::{Alpha, TableBackend};
     use rand::SeedableRng;
     use vicinity_baselines::bfs::BfsEngine;
     use vicinity_baselines::PointToPoint;
@@ -201,6 +236,81 @@ mod tests {
         assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 1), Some(1));
         assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 3), None);
         assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 4, 5), None);
+    }
+
+    #[test]
+    fn tight_landmark_walk_ends_the_search_after_seeding() {
+        // Path 0..=7 with landmarks 3 and 4: Γ(0) and Γ(7) are the two
+        // halves, so (0, 7) misses, and the walk 0 → 3 → 7 has length
+        // r_0 + r_7 + 1 = 7, the least a miss allows. Nothing is popped.
+        let g = classic::path(8);
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(vec![3, 4])
+            .build(&g);
+        assert!(oracle.distance(0, 7).is_miss());
+        let mut scratch = BidirBfsScratch::new();
+        assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 7), Some(7));
+        assert_eq!(scratch.last_operations(), 0);
+        assert_eq!(scratch.last_arcs_scanned(), 0);
+        assert_eq!(scratch.last_meeting(), None);
+    }
+
+    #[test]
+    fn loose_landmark_walk_still_finds_the_bypass() {
+        // 0 - 1 - 2 - 3 - 4 - 5 is the short way; each endpoint hangs its
+        // landmark off a two-hop spur (0 - 6 - 7, 5 - 8 - 9), so either
+        // walk through a nearest landmark takes 2 + 7 = 9 hops.
+        let mut b = GraphBuilder::with_node_count(10);
+        for (u, v) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (0, 6),
+            (6, 7),
+            (5, 8),
+            (8, 9),
+        ] {
+            b.add_edge(u, v);
+        }
+        let g = b.build_undirected();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(vec![7, 9])
+            .build(&g);
+        assert!(oracle.distance(0, 5).is_miss());
+        assert_eq!(landmark_walk(&oracle, 0, 5), Some(9));
+        let mut scratch = BidirBfsScratch::new();
+        let mut bfs = BfsEngine::new(&g);
+        assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 5), Some(5));
+        assert_eq!(bfs.distance(0, 5), Some(5));
+        assert!(scratch.last_meeting().is_some());
+    }
+
+    #[test]
+    fn saturated_rows_give_no_bound() {
+        // A 66,000-node path: both endpoints' nearest landmarks sit two
+        // hops in, so each nearest-landmark row reaches the far endpoint
+        // only past the 16-bit horizon. Interior landmarks every 200 hops
+        // keep the vicinities (and this build) small.
+        let n: NodeId = 66_000;
+        let g = classic::path(n as usize);
+        let mut landmarks = vec![2, n - 3];
+        landmarks.extend((200..n - 200).step_by(200));
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(landmarks)
+            .backend(TableBackend::SortedArray)
+            .store_paths(false)
+            .build(&g);
+        let (s, t) = (0, n - 1);
+        assert!(oracle.distance(s, t).is_miss());
+        assert_eq!(landmark_walk(&oracle, s, t), None);
+        let mut scratch = BidirBfsScratch::new();
+        assert_eq!(
+            fallback_distance(&oracle, &g, &mut scratch, s, t),
+            BfsEngine::new(&g).distance(s, t)
+        );
+        assert!(scratch.last_meeting().is_some());
     }
 
     #[test]

@@ -259,6 +259,7 @@ pub struct BidirBfsScratch {
     queue_bwd: VecDeque<NodeId>,
     current_stamp: u32,
     operations: u64,
+    arcs_scanned: u64,
     /// The node where the two searches met on the last successful query.
     last_meeting: Option<NodeId>,
 }
@@ -292,6 +293,12 @@ impl BidirBfsScratch {
         self.operations
     }
 
+    /// Neighbour entries read by the most recent call: the summed degree
+    /// of the nodes it popped.
+    pub fn last_arcs_scanned(&self) -> u64 {
+        self.arcs_scanned
+    }
+
     /// The meeting node of the most recent successful search.
     pub fn last_meeting(&self) -> Option<NodeId> {
         self.last_meeting
@@ -315,6 +322,7 @@ impl BidirBfsScratch {
         let n = graph.node_count();
         self.ensure_capacity(n);
         self.operations = 0;
+        self.arcs_scanned = 0;
         self.last_meeting = None;
         if (s as usize) >= n || (t as usize) >= n {
             return None;
@@ -374,9 +382,41 @@ impl BidirBfsScratch {
         F: IntoIterator<Item = (NodeId, Distance)>,
         B: IntoIterator<Item = (NodeId, Distance)>,
     {
+        self.distance_seeded_within(
+            graph, fwd_seeds, fwd_radius, bwd_seeds, bwd_radius, INFINITY,
+        )
+    }
+
+    /// [`BidirBfsScratch::distance_seeded`] started from a known upper
+    /// bound: the search begins with `upper` as its best distance, so it
+    /// stops as soon as the two seeded radii prove nothing shorter exists
+    /// (`fwd_radius + bwd_radius + 1 >= upper` stops it right after
+    /// seeding) and never expands a level that could only find a longer
+    /// path.
+    ///
+    /// `upper` must be the length of a real walk between the two
+    /// endpoints (for example `d(s, ℓ) + d(ℓ, t)` read from one exact
+    /// landmark row), or [`INFINITY`] for no bound. The answer stays exact
+    /// because the search still finds every path shorter than `upper`;
+    /// when none exists it returns `upper` itself and
+    /// [`BidirBfsScratch::last_meeting`] is `None`, since no search met.
+    pub fn distance_seeded_within<G: Adjacency, F, B>(
+        &mut self,
+        graph: &G,
+        fwd_seeds: F,
+        fwd_radius: Distance,
+        bwd_seeds: B,
+        bwd_radius: Distance,
+        upper: Distance,
+    ) -> Option<Distance>
+    where
+        F: IntoIterator<Item = (NodeId, Distance)>,
+        B: IntoIterator<Item = (NodeId, Distance)>,
+    {
         let n = graph.node_count();
         self.ensure_capacity(n);
         self.operations = 0;
+        self.arcs_scanned = 0;
         self.last_meeting = None;
         let stamp = self.bump_stamp();
 
@@ -396,7 +436,7 @@ impl BidirBfsScratch {
                 self.queue_fwd.push_back(node);
             }
         }
-        let mut best: Distance = INFINITY;
+        let mut best: Distance = upper;
         let mut meeting: Option<NodeId> = None;
         for (node, distance) in bwd_seeds {
             debug_assert!((node as usize) < n && distance <= bwd_radius);
@@ -420,8 +460,9 @@ impl BidirBfsScratch {
 
     /// Level-synchronous bidirectional expansion over pre-seeded queues.
     /// `radius_fwd` / `radius_bwd` are the distances through which each
-    /// side is already complete; `best` / `meeting` carry any meeting
-    /// already discovered during seeding.
+    /// side is already complete; `best` / `meeting` carry the caller's
+    /// upper bound or any shorter meeting already discovered during
+    /// seeding (`meeting` is `None` while `best` is the bound).
     fn run<G: Adjacency>(
         &mut self,
         graph: &G,
@@ -448,7 +489,9 @@ impl BidirBfsScratch {
                     self.queue_fwd.pop_front();
                     self.operations += 1;
                     let du = self.dist_fwd[u as usize];
-                    for &v in graph.neighbors(u) {
+                    let neighbors = graph.neighbors(u);
+                    self.arcs_scanned += neighbors.len() as u64;
+                    for &v in neighbors {
                         if self.stamp_fwd[v as usize] != stamp {
                             self.stamp_fwd[v as usize] = stamp;
                             self.dist_fwd[v as usize] = du + 1;
@@ -474,7 +517,9 @@ impl BidirBfsScratch {
                     self.queue_bwd.pop_front();
                     self.operations += 1;
                     let du = self.dist_bwd[u as usize];
-                    for &v in graph.neighbors(u) {
+                    let neighbors = graph.neighbors(u);
+                    self.arcs_scanned += neighbors.len() as u64;
+                    for &v in neighbors {
                         if self.stamp_bwd[v as usize] != stamp {
                             self.stamp_bwd[v as usize] = stamp;
                             self.dist_bwd[v as usize] = du + 1;
@@ -780,6 +825,44 @@ mod tests {
         assert_eq!(scratch.distance(&g, 0, 3), Some(3));
         assert_eq!(scratch.distance(&g, 0, 3), Some(3));
         assert_eq!(scratch.distance(&g, 3, 0), Some(3));
+    }
+
+    #[test]
+    fn seeded_search_within_a_bound() {
+        // Path 0..=9 with balls of radius 2 around both ends: d(0, 9) = 9
+        // exceeds 2 + 2 + 1, so the search has levels left to expand.
+        let g = path_graph(10);
+        let fwd = [(0, 0), (1, 1), (2, 2)];
+        let bwd = [(9, 0), (8, 1), (7, 2)];
+        let mut scratch = BidirBfsScratch::new();
+        assert_eq!(scratch.distance_seeded(&g, fwd, 2, bwd, 2), Some(9));
+        let unbounded = (scratch.last_operations(), scratch.last_arcs_scanned());
+        assert!(unbounded.0 > 0 && unbounded.1 >= unbounded.0);
+        assert!(scratch.last_meeting().is_some());
+        // A tight bound is returned as is; the search still has to rule
+        // out the levels between the radii and the bound.
+        assert_eq!(
+            scratch.distance_seeded_within(&g, fwd, 2, bwd, 2, 9),
+            Some(9)
+        );
+        assert_eq!(scratch.last_meeting(), None);
+        assert!(scratch.last_operations() <= unbounded.0);
+        // A loose bound never hides the shorter path.
+        assert_eq!(
+            scratch.distance_seeded_within(&g, fwd, 2, bwd, 2, 12),
+            Some(9)
+        );
+        assert!(scratch.last_meeting().is_some());
+        // When the radii already prove the bound, no node is popped.
+        let fwd = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)];
+        let bwd = [(9, 0), (8, 1), (7, 2), (6, 3), (5, 4)];
+        assert_eq!(
+            scratch.distance_seeded_within(&g, fwd, 4, bwd, 4, 9),
+            Some(9)
+        );
+        assert_eq!(scratch.last_operations(), 0);
+        assert_eq!(scratch.last_arcs_scanned(), 0);
+        assert_eq!(scratch.last_meeting(), None);
     }
 
     #[test]

@@ -519,6 +519,10 @@ mod tests {
             stats.misses, 0,
             "fallback is enabled, no query goes unanswered"
         );
+        // One search per unique miss; a duplicate adopts its answer.
+        assert!(stats.fallback_searches > 0);
+        assert!(stats.fallback_searches <= stats.fallbacks + stats.unreachable);
+        assert!(stats.fallback_arcs >= stats.fallback_pops);
     }
 
     #[test]
@@ -603,6 +607,7 @@ mod tests {
             "a sparse grid at alpha=2 must produce some misses"
         );
         assert_eq!(service.stats().misses, misses as u64);
+        assert_eq!(service.stats().fallback_searches, 0);
     }
 
     #[test]

@@ -369,7 +369,11 @@ impl WorkerSession {
                 ServedAnswer::Unreachable
             }
             DistanceAnswer::Miss if self.shared.fallback => {
-                match epoch.oracle.fallback_distance(&mut self.scratch, s, t) {
+                let found = epoch.oracle.fallback_distance(&mut self.scratch, s, t);
+                self.stats.fallback_searches += 1;
+                self.stats.fallback_pops += self.scratch.last_operations();
+                self.stats.fallback_arcs += self.scratch.last_arcs_scanned();
+                match found {
                     Some(distance) => {
                         self.cache_store(epoch, s, t, CachedAnswer::Exact(distance));
                         ServedAnswer::Exact {

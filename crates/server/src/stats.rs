@@ -163,6 +163,14 @@ pub struct ServerStats {
     pub method_counts: [u64; 10],
     /// Aggregate index work (hash probes, boundary scans).
     pub index_work: QueryStats,
+    /// Fallback searches run: one per unique index miss (duplicates in
+    /// a block and cache hits reuse an answer without a search).
+    pub fallback_searches: u64,
+    /// Queue pops of the fallback search, summed over its searches.
+    pub fallback_pops: u64,
+    /// Neighbour entries the fallback search read, summed over its
+    /// searches.
+    pub fallback_arcs: u64,
     /// Per-query latency distribution. Queries served individually
     /// (`serve_one`) record true per-query samples; batched serving
     /// (`serve_into` / `serve_batch`) records batch-amortised samples —
@@ -223,6 +231,9 @@ impl ServerStats {
             *a += b;
         }
         self.index_work.merge(&other.index_work);
+        self.fallback_searches += other.fallback_searches;
+        self.fallback_pops += other.fallback_pops;
+        self.fallback_arcs += other.fallback_arcs;
         self.latency.merge(&other.latency);
         self.busy_time += other.busy_time;
         self.wall_time += other.wall_time;
@@ -253,6 +264,19 @@ impl ServerStats {
             return 0.0;
         }
         (self.fallbacks + self.misses) as f64 / self.queries as f64
+    }
+
+    /// Fallback queue pops and neighbour entries read per search, or
+    /// zeros before any search ran.
+    pub fn fallback_work_per_miss(&self) -> (f64, f64) {
+        if self.fallback_searches == 0 {
+            return (0.0, 0.0);
+        }
+        let misses = self.fallback_searches as f64;
+        (
+            self.fallback_pops as f64 / misses,
+            self.fallback_arcs as f64 / misses,
+        )
     }
 
     /// Method histogram as `(label, count)` pairs, skipping empty slots.
@@ -289,6 +313,11 @@ impl ServerStats {
             out,
             "fallback/miss    {:.3}% of queries",
             self.fallback_rate() * 100.0
+        );
+        let (pops, arcs) = self.fallback_work_per_miss();
+        let _ = writeln!(
+            out,
+            "fallback work    {pops:.2} pops, {arcs:.1} arcs scanned per miss"
         );
         let _ = writeln!(out, "index lookups    {}", self.index_work.lookups);
         let _ = writeln!(out, "answer methods:");
@@ -350,6 +379,9 @@ mod tests {
         );
         w1.record(ServedMethod::Cache, Some(Duration::from_nanos(200)));
         w2.record(ServedMethod::Fallback, Some(Duration::from_micros(80)));
+        w2.fallback_searches = 1;
+        w2.fallback_pops = 3;
+        w2.fallback_arcs = 40;
         w2.record(ServedMethod::Unreachable, None);
         w2.record(ServedMethod::Miss, None);
 
@@ -365,6 +397,8 @@ mod tests {
         assert_eq!(total.latency.count(), 3);
         assert!((total.cache_hit_rate() - 0.2).abs() < 1e-12);
         assert!((total.fallback_rate() - 0.4).abs() < 1e-12);
+        assert_eq!(total.fallback_work_per_miss(), (3.0, 40.0));
+        assert_eq!(ServerStats::default().fallback_work_per_miss(), (0.0, 0.0));
         let histogram = total.method_histogram();
         assert_eq!(histogram.len(), 5);
         assert!(histogram.contains(&("vicinity-intersection", 1)));
@@ -391,5 +425,6 @@ mod tests {
         assert!(report.contains("throughput"));
         assert!(report.contains("cache"));
         assert!(report.contains("p99"));
+        assert!(report.contains("arcs scanned per miss"));
     }
 }
