@@ -1,4 +1,5 @@
-//! Flat-store layout experiment: per-node vs arena-backed vicinity storage.
+//! Flat-store layout experiment: the arena-backed vicinity store against
+//! the modeled cost of the retired per-node layout.
 //!
 //! Builds the α = 4 oracle over a generated social graph (100k nodes by
 //! default, a small graph with `--smoke`) and reports:
@@ -6,15 +7,14 @@
 //! * index memory — the flat store's exact bytes (`memory.rs` accounting)
 //!   against the modeled cost of the retired one-`NodeVicinity`-per-node
 //!   layout;
-//! * snapshot encode/decode wall time for the current sectioned format (v3) and
-//!   the legacy v1 per-node record path;
+//! * snapshot (format v3) size, encode time and cold-process load time;
 //! * p50/p99 single-thread query latency over random pairs.
 //!
 //! The binary doubles as a correctness gate: it exits non-zero if decoding
-//! a freshly encoded snapshot (either format) does not reproduce the
-//! oracle, or if the flat store costs more memory than the per-node model.
-//! CI runs `store_layout -- --smoke` so neither the binary nor the v2
-//! decode path can bit-rot.
+//! a freshly encoded snapshot does not reproduce the oracle, or if the flat
+//! store costs more memory than the per-node model. CI runs
+//! `store_layout -- --smoke` so neither the binary nor the snapshot decode
+//! path can bit-rot.
 
 use std::time::{Duration, Instant};
 
@@ -28,13 +28,13 @@ use vicinity_graph::generators::social::SocialGraphConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // Hidden child mode: `--measure-decode <v1|v2|pernode> <file>` decodes
-    // the snapshot once in a fresh process and prints the nanoseconds.
-    // Cold-process timing is the honest definition of snapshot load time:
-    // it includes every first-touch allocation the layout causes, which is
-    // precisely where per-node and flat storage differ.
+    // Hidden child mode: `--measure-decode <file>` decodes the snapshot
+    // once in a fresh process and prints the nanoseconds. Cold-process
+    // timing is the honest definition of snapshot load time: it includes
+    // every first-touch allocation the load causes.
     if let Some(i) = args.iter().position(|a| a == "--measure-decode") {
-        std::process::exit(measure_decode_child(&args[i + 1], &args[i + 2]));
+        measure_decode_child(&args[i + 1]);
+        return;
     }
 
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -91,96 +91,30 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Snapshot encode/decode: v3 flat sections vs v1 per-node records.
-    // Every measured run happens on a warm heap (one unmeasured pass
-    // first, results dropped), so the timings capture the codec paths
-    // rather than first-touch page faults on hundreds of MB of fresh
-    // allocations — which would otherwise be charged to whichever format
-    // happened to run first.
+    // Snapshot encode/decode (format v3). The measured encode runs on a
+    // warm heap (one unmeasured pass first, result dropped), so it captures
+    // the codec rather than first-touch page faults on fresh allocations.
     println!();
     println!("-- snapshot format --");
     drop(serialize::encode(&oracle));
-    let (v2_bytes, v2_encode) = timed(|| serialize::encode(&oracle));
-    drop(serialize::encode_v1(&oracle));
-    let (v1_bytes, v1_encode) = timed(|| serialize::encode_v1(&oracle));
-    // Correctness gates (in-process): both library readers must reproduce
-    // the oracle exactly, and the legacy replica must agree with it.
-    let (_, f) = timed_decode("v1", &v1_bytes, &oracle);
-    failures += f;
-    let (_, f) = timed_decode("v2", &v2_bytes, &oracle);
-    failures += f;
-    let (legacy_tables, legacy_vicinities) = legacy::decode_per_node(&v1_bytes);
+    let (bytes, encode_time) = timed(|| serialize::encode(&oracle));
+    failures += check_roundtrip(&oracle, &serialize::decode(&bytes).expect("decode"));
 
-    // Load timings, each taken in a fresh child process (see
-    // `measure_decode_child`): a snapshot load happens at process start,
-    // on a cold heap, so first-touch allocation cost is part of the
-    // measurement — and it is exactly where one-allocation-per-node and
-    // flat-section storage differ. Best of N children per path.
+    // Load time, taken in fresh child processes (see
+    // `measure_decode_child`): a snapshot load happens at process start, on
+    // a cold heap, so first-touch allocation cost is part of the
+    // measurement. Best of N children.
     let dir = std::env::temp_dir().join("vicinity_store_layout");
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let v1_path = dir.join("oracle_v1.vor");
-    let v2_path = dir.join("oracle_v2.vor");
-    std::fs::write(&v1_path, &v1_bytes).expect("write v1 snapshot");
-    std::fs::write(&v2_path, &v2_bytes).expect("write v2 snapshot");
+    let path = dir.join("oracle.vor");
+    std::fs::write(&path, &bytes).expect("write snapshot");
     let rounds = if smoke { 1 } else { 3 };
-    let v2_decode = cold_decode_time("v2", &v2_path, rounds);
-    let v1_decode = cold_decode_time("v1", &v1_path, rounds);
-    let legacy_decode = cold_decode_time("pernode", &v1_path, rounds);
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
-
-    let legacy_bytes: u64 = legacy_vicinities
-        .iter()
-        .map(|v| v.memory_bytes() as u64)
-        .sum();
-    let legacy_entries: u64 = legacy_vicinities
-        .iter()
-        .map(|v| v.members.len() as u64)
-        .sum();
-    if legacy_entries != report.vicinity_entries || legacy_tables.len() != report.landmark_rows {
-        eprintln!("FAIL: legacy per-node decode disagrees with the oracle");
-        failures += 1;
-    }
-    for (u, v) in legacy_vicinities.iter().enumerate().step_by(997) {
-        let reference = oracle.vicinity(u as u32).expect("in range");
-        if v.owner != reference.owner()
-            || v.radius != reference.radius()
-            || reference
-                .nearest_landmark()
-                .unwrap_or(vicinity_graph::INVALID_NODE)
-                != v.nearest_landmark
-            || v.members != reference.members()
-        {
-            eprintln!("FAIL: legacy per-node vicinity {u} disagrees with the flat store");
-            failures += 1;
-            break;
-        }
-    }
-    drop((legacy_tables, legacy_vicinities));
-
-    print_format_row("v3 (flat sections)", v2_bytes.len(), v2_encode, v2_decode);
-    print_format_row("v1 (compat reader)", v1_bytes.len(), v1_encode, v1_decode);
+    let load_time = cold_decode_time(&path, rounds);
+    std::fs::remove_file(&path).ok();
     println!(
-        "v1 (per-node objects)                   cold load {legacy_decode:>9.1?}  [retired layout, replicated in-bench]"
+        "v3 (flat sections) {:>10.1} MiB  encode {encode_time:>9.1?}  cold load {load_time:>9.1?}",
+        bytes.len() as f64 / (1 << 20) as f64
     );
-    println!(
-        "cold-load speedup, per-node -> v3 flat     {:>9.1}x",
-        legacy_decode.as_secs_f64() / v2_decode.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "cold-load speedup, v1 compat -> v3 flat    {:>9.1}x",
-        v1_decode.as_secs_f64() / v2_decode.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "measured per-node index bytes              {:>9.1} MiB (flat store: {:.1} MiB, {:.2}x less)",
-        legacy_bytes as f64 / (1 << 20) as f64,
-        report.vicinity_bytes as f64 / (1 << 20) as f64,
-        legacy_bytes as f64 / report.vicinity_bytes.max(1) as f64
-    );
-    if report.vicinity_bytes > legacy_bytes {
-        eprintln!("FAIL: flat store costs more than the measured per-node layout");
-        failures += 1;
-    }
 
     // ------------------------------------------------------------------
     // Query latency on the flat store.
@@ -224,231 +158,29 @@ fn main() {
     println!("store_layout: all checks passed");
 }
 
-/// Warm the heap with one unmeasured decode, then time a second one and
-/// verify it reproduces the oracle. Returns `(duration, failure_count)`.
-fn timed_decode(label: &str, bytes: &[u8], oracle: &VicinityOracle) -> (Duration, u32) {
-    drop(serialize::decode(bytes).expect("warm decode"));
-    let (decoded, duration) = timed(|| serialize::decode(bytes).expect("decode"));
-    let failures = check_roundtrip(label, oracle, &decoded);
-    (duration, failures)
-}
-
-/// Faithful replica of the index layout and v1 snapshot reader this PR
-/// retired from `vicinity-core`: one heap object per node (six private
-/// `Vec`s plus a per-node hash index and per-node shell index, all rebuilt
-/// node by node), loaded with element-wise reads. Kept *here* so the
-/// benchmark can measure the per-node decode path and its real memory
-/// footprint against the flat store — the library itself only ships the
-/// fast readers.
-mod legacy {
-    use bytes::Buf;
-    use vicinity_graph::fast_hash::FastMap;
-    use vicinity_graph::{Distance, NodeId};
-
-    /// The retired per-node vicinity object (field-for-field).
-    pub struct NodeVicinity {
-        pub owner: NodeId,
-        pub radius: Distance,
-        pub nearest_landmark: NodeId,
-        pub members: Vec<NodeId>,
-        pub distances: Vec<Distance>,
-        pub predecessors: Vec<NodeId>,
-        pub boundary: Vec<u32>,
-        pub shell_data: Vec<NodeId>,
-        pub shell_offsets: Vec<u32>,
-        pub hash_index: Option<FastMap<NodeId, u32>>,
-    }
-
-    impl NodeVicinity {
-        /// The retired layout's own memory accounting (payload Vecs, the
-        /// struct header, and the hash index charged at twice its
-        /// key/value capacity).
-        pub fn memory_bytes(&self) -> usize {
-            let base = self.members.len() * std::mem::size_of::<NodeId>()
-                + self.distances.len() * std::mem::size_of::<Distance>()
-                + self.predecessors.len() * std::mem::size_of::<NodeId>()
-                + self.boundary.len() * std::mem::size_of::<u32>()
-                + self.shell_data.len() * std::mem::size_of::<NodeId>()
-                + self.shell_offsets.len() * std::mem::size_of::<u32>()
-                + std::mem::size_of::<Self>();
-            let hash = self
-                .hash_index
-                .as_ref()
-                .map(|h| h.capacity() * (std::mem::size_of::<(NodeId, u32)>() * 2))
-                .unwrap_or(0);
-            base + hash
-        }
-    }
-
-    /// The retired per-node shell construction (counting sort per node).
-    fn build_shells(members: &[NodeId], distances: &[Distance]) -> (Vec<NodeId>, Vec<u32>) {
-        if members.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        let max_distance = distances.iter().copied().max().unwrap_or(0);
-        let levels = max_distance as usize + 1;
-        let mut counts = vec![0u32; levels + 1];
-        for &d in distances {
-            counts[d as usize + 1] += 1;
-        }
-        for level in 0..levels {
-            counts[level + 1] += counts[level];
-        }
-        let offsets = counts;
-        let mut cursors = offsets.clone();
-        let mut shell_data = vec![0 as NodeId; members.len()];
-        for (&id, &d) in members.iter().zip(distances.iter()) {
-            let slot = cursors[d as usize] as usize;
-            shell_data[slot] = id;
-            cursors[d as usize] += 1;
-        }
-        (shell_data, offsets)
-    }
-
-    /// The retired decode path, end to end: checksum, header, landmark
-    /// rows and vicinity records all read element by element, one
-    /// `NodeVicinity` object (hash index, shells and all) built per node.
-    /// Panics on malformed input — the benchmark feeds it freshly encoded
-    /// snapshots.
-    pub fn decode_per_node(data: &[u8]) -> (FastMap<NodeId, Vec<u16>>, Vec<NodeVicinity>) {
-        let (body, checksum_bytes) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(checksum_bytes.try_into().expect("checksum"));
-        let computed: u64 = body.iter().map(|&b| b as u64).sum();
-        assert_eq!(stored, computed, "checksum mismatch");
-
-        let mut cur = body;
-        let mut magic = [0u8; 4];
-        cur.copy_to_slice(&mut magic);
-        assert_eq!(&magic, b"VOR1", "bad magic");
-        assert_eq!(cur.get_u8(), 1, "legacy reader handles v1 only");
-
-        let _alpha = cur.get_f64_le();
-        let _sampling = cur.get_u8();
-        let build_hash_index = cur.get_u8() == 0; // TableBackend::HashMap
-        let _seed = cur.get_u64_le();
-        let _store_paths = cur.get_u8();
-        let node_count = cur.get_u64_le() as usize;
-        let _edge_count = cur.get_u64_le();
-
-        let landmark_count = cur.get_u64_le() as usize;
-        for _ in 0..landmark_count {
-            let _ = cur.get_u32_le();
-        }
-
-        let table_count = cur.get_u64_le() as usize;
-        let mut tables = FastMap::with_capacity_and_hasher(table_count, Default::default());
-        for _ in 0..table_count {
-            let l = cur.get_u32_le();
-            let len = cur.get_u64_le() as usize;
-            let mut row = Vec::with_capacity(len);
-            for _ in 0..len {
-                row.push(cur.get_u16_le());
-            }
-            tables.insert(l, row);
-        }
-
-        let vicinity_count = cur.get_u64_le() as usize;
-        assert_eq!(vicinity_count, node_count, "vicinity count mismatch");
-        let mut vicinities = Vec::with_capacity(vicinity_count);
-        for _ in 0..vicinity_count {
-            let owner = cur.get_u32_le();
-            let radius = cur.get_u32_le();
-            let nearest_landmark = cur.get_u32_le();
-            let member_count = cur.get_u64_le() as usize;
-            let mut members = Vec::with_capacity(member_count);
-            for _ in 0..member_count {
-                members.push(cur.get_u32_le());
-            }
-            let mut distances = Vec::with_capacity(member_count);
-            for _ in 0..member_count {
-                distances.push(cur.get_u32_le());
-            }
-            let has_preds = cur.get_u8() != 0;
-            let mut predecessors = Vec::new();
-            if has_preds {
-                predecessors.reserve(member_count);
-                for _ in 0..member_count {
-                    predecessors.push(cur.get_u32_le());
-                }
-            }
-            let boundary_count = cur.get_u64_le() as usize;
-            let mut boundary = Vec::with_capacity(boundary_count);
-            for _ in 0..boundary_count {
-                boundary.push(cur.get_u32_le());
-            }
-            // The retired `from_raw_parts`: hash index and shells rebuilt
-            // per node.
-            let hash_index = build_hash_index.then(|| {
-                members
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| (n, i as u32))
-                    .collect::<FastMap<_, _>>()
-            });
-            let (shell_data, shell_offsets) = build_shells(&members, &distances);
-            vicinities.push(NodeVicinity {
-                owner,
-                radius,
-                nearest_landmark,
-                members,
-                distances,
-                predecessors,
-                boundary,
-                shell_data,
-                shell_offsets,
-                hash_index,
-            });
-        }
-        (tables, vicinities)
-    }
-}
-
-fn print_format_row(label: &str, bytes: usize, encode: Duration, decode: Duration) {
-    println!(
-        "{label:<25} {:>10.1} MiB  encode {encode:>9.1?}  cold load {decode:>9.1?}",
-        bytes as f64 / (1 << 20) as f64
-    );
-}
-
 /// Child-process entry for `--measure-decode`: read the snapshot, decode
 /// it once on this process's cold heap, print the elapsed nanoseconds.
-fn measure_decode_child(format: &str, path: &str) -> i32 {
+fn measure_decode_child(path: &str) {
     let data = std::fs::read(path).expect("read snapshot file");
-    let nanos = match format {
-        "v1" | "v2" => {
-            let (decoded, elapsed) = timed(|| serialize::decode(&data).expect("decode"));
-            std::hint::black_box(&decoded);
-            elapsed.as_nanos()
-        }
-        "pernode" => {
-            let (decoded, elapsed) = timed(|| legacy::decode_per_node(&data));
-            std::hint::black_box(&decoded);
-            elapsed.as_nanos()
-        }
-        other => {
-            eprintln!("unknown decode format {other}");
-            return 1;
-        }
-    };
-    println!("{nanos}");
-    0
+    let (decoded, elapsed) = timed(|| serialize::decode(&data).expect("decode"));
+    std::hint::black_box(&decoded);
+    println!("{}", elapsed.as_nanos());
 }
 
-/// Spawn `rounds` fresh child processes decoding `path` as `format` and
-/// return the fastest run.
-fn cold_decode_time(format: &str, path: &std::path::Path, rounds: usize) -> Duration {
+/// Spawn `rounds` fresh child processes decoding `path` and return the
+/// fastest run.
+fn cold_decode_time(path: &std::path::Path, rounds: usize) -> Duration {
     let exe = std::env::current_exe().expect("current exe");
     let mut best: Option<Duration> = None;
     for _ in 0..rounds.max(1) {
         let output = std::process::Command::new(&exe)
             .arg("--measure-decode")
-            .arg(format)
             .arg(path)
             .output()
             .expect("spawn decode child");
         assert!(
             output.status.success(),
-            "decode child ({format}) failed: {}",
+            "decode child failed: {}",
             String::from_utf8_lossy(&output.stderr)
         );
         let nanos: u64 = String::from_utf8_lossy(&output.stdout)
@@ -463,16 +195,16 @@ fn cold_decode_time(format: &str, path: &std::path::Path, rounds: usize) -> Dura
 
 /// Exact-equality gate between the in-memory oracle and a decoded snapshot,
 /// plus a spot check that both answer identically.
-fn check_roundtrip(label: &str, original: &VicinityOracle, decoded: &VicinityOracle) -> u32 {
+fn check_roundtrip(original: &VicinityOracle, decoded: &VicinityOracle) -> u32 {
     if original != decoded {
-        eprintln!("FAIL: {label} decode does not reproduce the oracle");
+        eprintln!("FAIL: v3 decode does not reproduce the oracle");
         return 1;
     }
     let n = original.node_count() as u32;
     for probe in 0..200u32 {
         let (s, t) = (probe * 131 % n, probe * 977 % n);
         if original.distance(s, t) != decoded.distance(s, t) {
-            eprintln!("FAIL: {label} decoded oracle answers ({s},{t}) differently");
+            eprintln!("FAIL: v3 decoded oracle answers ({s},{t}) differently");
             return 1;
         }
     }

@@ -1,47 +1,33 @@
 //! Versioned binary persistence of a [`VicinityOracle`].
 //!
-//! Building an oracle over the larger stand-in datasets takes seconds to
-//! minutes; the experiment harness therefore caches constructed oracles on
-//! disk. The format mirrors the graph format of `vicinity-graph::io::binary`:
-//! a magic number, a version byte, little-endian sections and a trailing
-//! byte-sum checksum so corrupt caches are rejected rather than silently
-//! producing wrong answers.
+//! A snapshot hands an oracle from the offline build to the in-memory
+//! server: [`encode`] writes one, [`decode`] turns it back into the
+//! identical oracle. The format mirrors the graph format of
+//! `vicinity-graph::io::binary`: a magic number, a version byte,
+//! little-endian sections and a trailing byte-sum checksum so corrupt
+//! snapshots are rejected rather than silently producing wrong answers.
 //!
-//! ## Format v3 (current writer)
+//! ## Format v3
 //!
 //! Sectioned raw-array dumps of the flat [`VicinityStore`]: after the
-//! shared header (config, graph summary, landmark set, landmark rows) the
+//! header (config, graph summary, landmark set, landmark rows) the
 //! vicinity index is a store-flags byte followed by exactly eight
 //! contiguous little-endian arrays — per-node radii and nearest landmarks,
 //! CSR offsets, and the member / distance / predecessor / boundary pools.
 //! Bit 0 of the flags byte ([`STORE_FLAG_SORTED_MEMBERS`]) records the
 //! build-time invariant that member pools are sorted by node id within
-//! each span; snapshots carrying it load without re-validation, while
-//! snapshots without it (and both legacy formats) get their spans sorted
-//! on load, so queries can rely on the invariant unconditionally. Encode
-//! and decode move whole sections with bulk `put_slice` / `copy_to_slice`
-//! conversions instead of per-node loops, so load time is O(bytes); the
-//! derived shell indexes and membership hash slots are rebuilt at load,
-//! never stored.
-//!
-//! ## Format v2 (legacy, still readable)
-//!
-//! Identical sections to v3 but without the store-flags byte (it predates
-//! the recorded sorted-pool invariant). Decoded through the same bulk
-//! path with a sort-on-load pass establishing the invariant.
-//!
-//! ## Format v1 (legacy, still readable)
-//!
-//! One record per node (owner, radius, members, distances, predecessors,
-//! boundary), decoded element by element. [`decode`] accepts v1 snapshots
-//! and splices them into the flat store (sorting spans on load);
-//! [`encode_v1`] keeps the writer around so compatibility tests and the
-//! `store_layout` benchmark can measure the old path. Unknown versions
-//! are rejected with an error naming every supported format.
+//! each span. [`decode`] reads only v3 snapshots that carry the flag, and
+//! checks that every span is strictly ascending and that every
+//! member is a node of the graph, so queries can rely on both
+//! unconditionally. Any other version byte is rejected with an error
+//! naming v3. Encode and decode move whole sections with bulk
+//! `put_slice` / `copy_to_slice` conversions instead of per-node loops,
+//! so load time is O(bytes); the derived shell indexes and membership
+//! hash slots are rebuilt at load, never stored.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use vicinity_graph::{Distance, NodeId};
+use vicinity_graph::NodeId;
 
 use crate::config::{Alpha, OracleConfig, SamplingStrategy, TableBackend};
 use crate::index::{LandmarkTable, VicinityOracle};
@@ -50,24 +36,18 @@ use crate::vicinity::VicinityStore;
 use crate::{OracleError, Result};
 
 const MAGIC: &[u8; 4] = b"VOR1";
-/// Current writer version: flat-store sections with a store-flags byte.
+/// The snapshot format version [`encode`] writes and [`decode`] reads:
+/// flat-store sections with a store-flags byte.
 pub const FORMAT_VERSION: u8 = 3;
-/// Legacy flat-store section format without the flags byte, still
-/// accepted by [`decode`] (spans are sorted on load).
-pub const SECTIONED_FORMAT_VERSION: u8 = 2;
-/// Legacy per-node record format, still accepted by [`decode`].
-pub const LEGACY_FORMAT_VERSION: u8 = 1;
 
 /// Bit 0 of the v3 store-flags byte: member pools are sorted by node id
 /// within each node span (the build-time invariant the batched query
-/// engine's merge intersection and sorted-array probes rely on). Decoding
-/// a v3 snapshot without this bit — or any v1/v2 stream, which predate
-/// the flag — sorts the spans on load instead of trusting them.
+/// engine's merge intersection and sorted-array probes rely on).
+/// [`decode`] rejects a snapshot without this bit.
 pub const STORE_FLAG_SORTED_MEMBERS: u8 = 1;
 
 // ---------------------------------------------------------------------------
-// Checksum. The trailing checksum is the plain sum of every body byte — the
-// same quantity the v1 writer stored, so old snapshots keep verifying — but
+// Checksum. The trailing checksum is the plain sum of every body byte,
 // computed as a SWAR sum over u64 words and fanned out across worker
 // threads for multi-megabyte snapshots.
 
@@ -196,11 +176,11 @@ fn get_u32s_parallel(cur: &mut &[u8], len: usize) -> Result<Vec<u32>> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared header (identical bytes in both versions).
+// Header: config, graph summary, landmark set and landmark rows.
 
-fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle, version: u8) {
+fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
     buf.put_slice(MAGIC);
-    buf.put_u8(version);
+    buf.put_u8(FORMAT_VERSION);
 
     // Configuration.
     buf.put_f64_le(oracle.config.alpha.value());
@@ -237,7 +217,7 @@ fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle, version: u8) {
     }
 }
 
-/// Everything the shared header carries, short of the vicinity sections.
+/// Everything the header carries, short of the vicinity sections.
 struct DecodedHeader {
     config: OracleConfig,
     node_count: usize,
@@ -246,12 +226,8 @@ struct DecodedHeader {
     landmark_tables: vicinity_graph::fast_hash::FastMap<NodeId, std::sync::Arc<LandmarkTable>>,
 }
 
-/// Decode the shared header. `bulk` selects the v2 whole-section reads;
-/// the v1 path passes `false` and walks the landmark rows element by
-/// element, exactly as the legacy decoder did (v1 decoding is a
-/// compatibility path, not a fast path — the `store_layout` benchmark
-/// measures the two against each other).
-fn decode_header(cur: &mut &[u8], bulk: bool) -> Result<DecodedHeader> {
+/// Decode the header.
+fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
     ensure(cur, 8 + 1 + 1 + 8 + 1 + 16)?;
     let alpha =
         Alpha::new(cur.get_f64_le()).map_err(|e| OracleError::Decode(format!("bad alpha: {e}")))?;
@@ -289,62 +265,48 @@ fn decode_header(cur: &mut &[u8], bulk: bool) -> Result<DecodedHeader> {
         table_count,
         Default::default(),
     );
-    if bulk {
-        // First pass collects (id, payload) descriptors — the row sizes
-        // are in the framing, so the payloads can be converted in
-        // parallel, one worker per group of rows.
-        let mut rows: Vec<(NodeId, &[u8])> = Vec::with_capacity(table_count);
-        let mut payload_bytes = 0usize;
-        for _ in 0..table_count {
-            ensure(cur, 12)?;
-            let l = cur.get_u32_le();
-            let len = cur.get_u64_le() as usize;
-            ensure(cur, len * 2)?;
-            let (payload, tail) = cur.split_at(len * 2);
-            rows.push((l, payload));
-            payload_bytes += len * 2;
-            *cur = tail;
-        }
-        const PARALLEL_MIN: usize = 4 << 20;
-        let threads = crate::parallel::resolve_worker_threads(0, payload_bytes / PARALLEL_MIN);
-        let convert = |group: &[(NodeId, &[u8])]| -> Vec<(NodeId, std::sync::Arc<LandmarkTable>)> {
-            group
-                .iter()
-                .map(|&(l, payload)| {
-                    let row = payload
-                        .chunks_exact(2)
-                        .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
-                        .collect();
-                    (l, std::sync::Arc::new(LandmarkTable::from_raw(row)))
-                })
-                .collect()
-        };
-        if threads <= 1 {
-            landmark_tables.extend(convert(&rows));
-        } else {
-            let group_size = rows.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = rows
-                    .chunks(group_size)
-                    .map(|group| scope.spawn(move || convert(group)))
+    // First pass collects (id, payload) descriptors — the row sizes are in
+    // the framing, so the payloads can be converted in parallel, one worker
+    // per group of rows.
+    let mut rows: Vec<(NodeId, &[u8])> = Vec::with_capacity(table_count);
+    let mut payload_bytes = 0usize;
+    for _ in 0..table_count {
+        ensure(cur, 12)?;
+        let l = cur.get_u32_le();
+        let len = cur.get_u64_le() as usize;
+        ensure(cur, len * 2)?;
+        let (payload, tail) = cur.split_at(len * 2);
+        rows.push((l, payload));
+        payload_bytes += len * 2;
+        *cur = tail;
+    }
+    const PARALLEL_MIN: usize = 4 << 20;
+    let threads = crate::parallel::resolve_worker_threads(0, payload_bytes / PARALLEL_MIN);
+    let convert = |group: &[(NodeId, &[u8])]| -> Vec<(NodeId, std::sync::Arc<LandmarkTable>)> {
+        group
+            .iter()
+            .map(|&(l, payload)| {
+                let row = payload
+                    .chunks_exact(2)
+                    .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
                     .collect();
-                for handle in handles {
-                    landmark_tables.extend(handle.join().expect("landmark decode worker panicked"));
-                }
-            });
-        }
+                (l, std::sync::Arc::new(LandmarkTable::from_raw(row)))
+            })
+            .collect()
+    };
+    if threads <= 1 {
+        landmark_tables.extend(convert(&rows));
     } else {
-        for _ in 0..table_count {
-            ensure(cur, 12)?;
-            let l = cur.get_u32_le();
-            let len = cur.get_u64_le() as usize;
-            ensure(cur, len * 2)?;
-            let mut row = Vec::with_capacity(len);
-            for _ in 0..len {
-                row.push(cur.get_u16_le());
+        let group_size = rows.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rows
+                .chunks(group_size)
+                .map(|group| scope.spawn(move || convert(group)))
+                .collect();
+            for handle in handles {
+                landmark_tables.extend(handle.join().expect("landmark decode worker panicked"));
             }
-            landmark_tables.insert(l, std::sync::Arc::new(LandmarkTable::from_raw(row)));
-        }
+        });
     }
 
     Ok(DecodedHeader {
@@ -364,7 +326,7 @@ fn decode_header(cur: &mut &[u8], bulk: bool) -> Result<DecodedHeader> {
 }
 
 // ---------------------------------------------------------------------------
-// Formats v3/v2: flat-store sections (v3 adds the store-flags byte).
+// Vicinity sections.
 
 /// Serialize an oracle to bytes (format v3, the flat-store sections).
 pub fn encode(oracle: &VicinityOracle) -> Bytes {
@@ -378,11 +340,10 @@ pub fn encode(oracle: &VicinityOracle) -> Bytes {
         + (offsets.len() + boundary_offsets.len()) * 8
         + (members.len() + distances.len() + predecessors.len() + boundary.len()) * 4;
     let mut buf = BytesMut::with_capacity(estimate);
-    encode_header(&mut buf, oracle, FORMAT_VERSION);
+    encode_header(&mut buf, oracle);
 
     // Store-flags byte: every builder sorts member spans by node id, so
-    // current snapshots always record the invariant and load without a
-    // validation pass.
+    // every snapshot records the invariant.
     buf.put_u8(STORE_FLAG_SORTED_MEMBERS);
     put_u32s(&mut buf, radii);
     put_u32s(&mut buf, nearest);
@@ -399,15 +360,16 @@ pub fn encode(oracle: &VicinityOracle) -> Bytes {
     buf.freeze()
 }
 
-fn decode_sections(cur: &mut &[u8], header: DecodedHeader, version: u8) -> Result<VicinityOracle> {
+fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOracle> {
     let n = header.node_count;
-    // v2 predates the store-flags byte; its spans are sorted on load.
-    let members_sorted = if version >= FORMAT_VERSION {
-        ensure(cur, 1)?;
-        cur.get_u8() & STORE_FLAG_SORTED_MEMBERS != 0
-    } else {
-        false
-    };
+    ensure(cur, 1)?;
+    if cur.get_u8() & STORE_FLAG_SORTED_MEMBERS == 0 {
+        return Err(OracleError::Decode(
+            "snapshot does not record sorted member spans (store flag bit 0 clear); \
+             only v3 snapshots carrying the flag are supported"
+                .into(),
+        ));
+    }
     let radii = get_u32s(cur, n)?;
     let nearest = get_u32s(cur, n)?;
     let offsets = get_u64s(cur, n + 1)?;
@@ -447,204 +409,30 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader, version: u8) -> Resul
         }
     }
 
-    // Snapshots recording the sorted-pool invariant skip the sort pass —
-    // but never the *check*: the trailing byte-sum checksum is
-    // order-invariant, so a transposed (or duplicated) member span can
-    // reach this point checksum-valid, and trusting the flag blindly
-    // would build a store whose merges and probes silently return wrong
-    // answers. The read-only validation scan is a vanishing fraction of
-    // decode cost. Anything unflagged (a pre-invariant writer) is sorted
-    // on load, so queries can rely on ordered spans unconditionally.
-    if members_sorted && !crate::vicinity::spans_sorted(&offsets, &members) {
+    // The flag is never trusted blindly: the trailing byte-sum checksum is
+    // order-invariant, so a transposed (or duplicated) member span can reach
+    // this point checksum-valid, and a store built from it would make merges
+    // and probes silently return wrong answers.
+    if !crate::vicinity::spans_sorted(&offsets, &members) {
         return Err(OracleError::Decode(
             "snapshot claims sorted member spans but a span is out of order or \
              lists a member twice"
                 .into(),
         ));
     }
-    let store = if members_sorted {
-        VicinityStore::from_raw(
-            header.config.backend,
-            radii,
-            nearest,
-            offsets,
-            members,
-            distances,
-            predecessors,
-            boundary_offsets,
-            boundary,
-        )
-    } else {
-        VicinityStore::from_raw_unsorted(
-            header.config.backend,
-            radii,
-            nearest,
-            offsets,
-            members,
-            distances,
-            predecessors,
-            boundary_offsets,
-            boundary,
-        )
-        .map_err(OracleError::Decode)?
-    };
-    Ok(VicinityOracle {
-        config: header.config,
-        node_count: header.node_count,
-        edge_count: header.edge_count,
-        landmarks: header.landmarks,
-        store,
-        landmark_tables: header.landmark_tables,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Format v1: legacy per-node records.
-
-/// Serialize an oracle in the legacy v1 per-node record format.
-///
-/// Kept for compatibility testing and for the `store_layout` benchmark,
-/// which measures the per-node decode path against the v2 section path.
-/// New snapshots should use [`encode`].
-pub fn encode_v1(oracle: &VicinityOracle) -> Bytes {
-    let mut buf = BytesMut::new();
-    encode_header(&mut buf, oracle, LEGACY_FORMAT_VERSION);
-
-    // Vicinities (in node order), one framed record per node — the exact
-    // byte layout the retired per-node writer produced.
-    let (radii, nearest, offsets, members, distances, predecessors, boundary_offsets, boundary) =
-        oracle.store.raw_sections();
-    let n = oracle.store.node_count();
-    buf.put_u64_le(n as u64);
+    // Spans are strictly ascending, so each span's last member bounds all of
+    // it: one look per node keeps every member id a valid index into the
+    // graph the oracle is served with.
     for u in 0..n {
         let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
-        buf.put_u32_le(u as NodeId);
-        buf.put_u32_le(radii[u]);
-        buf.put_u32_le(nearest[u]);
-        buf.put_u64_le((end - start) as u64);
-        for &m in &members[start..end] {
-            buf.put_u32_le(m);
-        }
-        for &d in &distances[start..end] {
-            buf.put_u32_le(d);
-        }
-        let has_preds = !predecessors.is_empty() && end > start;
-        buf.put_u8(u8::from(has_preds));
-        if has_preds {
-            for &p in &predecessors[start..end] {
-                buf.put_u32_le(p);
-            }
-        }
-        let (b_start, b_end) = (
-            boundary_offsets[u] as usize,
-            boundary_offsets[u + 1] as usize,
-        );
-        buf.put_u64_le((b_end - b_start) as u64);
-        for &b in &boundary[b_start..b_end] {
-            buf.put_u32_le(b);
-        }
-    }
-
-    let checksum = byte_sum(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
-}
-
-fn decode_v1(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOracle> {
-    ensure(cur, 8)?;
-    let vicinity_count = cur.get_u64_le() as usize;
-    if vicinity_count != header.node_count {
-        return Err(OracleError::Decode(format!(
-            "vicinity count {vicinity_count} does not match node count {}",
-            header.node_count
-        )));
-    }
-
-    // The v1 records are parsed node by node (the format interleaves
-    // per-node framing with the data, so there is nothing to bulk-copy)
-    // and spliced into the flat pools.
-    let n = vicinity_count;
-    let mut radii = Vec::with_capacity(n);
-    let mut nearest = Vec::with_capacity(n);
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut members = Vec::new();
-    let mut distances = Vec::new();
-    let mut predecessors = Vec::new();
-    let mut boundary_offsets = Vec::with_capacity(n + 1);
-    let mut boundary = Vec::new();
-    offsets.push(0u64);
-    boundary_offsets.push(0u64);
-
-    for expected_owner in 0..n as NodeId {
-        ensure(cur, 12 + 8)?;
-        let owner = cur.get_u32_le();
-        if owner != expected_owner {
+        if end > start && members[end - 1] as usize >= n {
             return Err(OracleError::Decode(format!(
-                "vicinity out of order: expected owner {expected_owner}, found {owner}"
+                "member id {} of node {u} is out of range for {n} nodes",
+                members[end - 1]
             )));
         }
-        let radius: Distance = cur.get_u32_le();
-        let nearest_landmark = cur.get_u32_le();
-        let member_count = cur.get_u64_le() as usize;
-        ensure(cur, member_count * 8 + 1)?;
-        let mut node_members = Vec::with_capacity(member_count);
-        for _ in 0..member_count {
-            node_members.push(cur.get_u32_le());
-        }
-        let mut node_distances = Vec::with_capacity(member_count);
-        for _ in 0..member_count {
-            node_distances.push(cur.get_u32_le());
-        }
-        let has_preds = cur.get_u8() != 0;
-        let mut node_predecessors = Vec::new();
-        if has_preds {
-            ensure(cur, member_count * 4)?;
-            node_predecessors.reserve(member_count);
-            for _ in 0..member_count {
-                node_predecessors.push(cur.get_u32_le());
-            }
-        }
-        ensure(cur, 8)?;
-        let boundary_count = cur.get_u64_le() as usize;
-        ensure(cur, boundary_count * 4)?;
-        let mut node_boundary = Vec::with_capacity(boundary_count);
-        for _ in 0..boundary_count {
-            let idx = cur.get_u32_le();
-            if idx as usize >= member_count {
-                return Err(OracleError::Decode(format!(
-                    "boundary index {idx} out of range for {member_count} members"
-                )));
-            }
-            node_boundary.push(idx);
-        }
-
-        radii.push(radius);
-        nearest.push(nearest_landmark);
-        members.extend_from_slice(&node_members);
-        distances.extend_from_slice(&node_distances);
-        predecessors.extend_from_slice(&node_predecessors);
-        boundary.extend_from_slice(&node_boundary);
-        offsets.push(members.len() as u64);
-        boundary_offsets.push(boundary.len() as u64);
     }
-
-    // The flat predecessor pool must be empty (paths not stored) or
-    // parallel to the member pool. A v1 stream whose per-node `has_preds`
-    // flags disagree (some populated records with, some without) would
-    // silently misalign every span after the first gap — reject it here
-    // rather than hand the store out-of-range slice bounds.
-    if !predecessors.is_empty() && predecessors.len() != members.len() {
-        return Err(OracleError::Decode(format!(
-            "inconsistent per-node predecessor flags: {} predecessor entries for {} members",
-            predecessors.len(),
-            members.len()
-        )));
-    }
-
-    // v1 predates the sorted-pool invariant's header flag: establish it
-    // here (a read-only pass when the writer already sorted, as every
-    // in-tree writer did).
-    let store = VicinityStore::from_raw_unsorted(
+    let store = VicinityStore::from_raw(
         header.config.backend,
         radii,
         nearest,
@@ -654,8 +442,7 @@ fn decode_v1(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOracle> {
         predecessors,
         boundary_offsets,
         boundary,
-    )
-    .map_err(OracleError::Decode)?;
+    );
     Ok(VicinityOracle {
         config: header.config,
         node_count: header.node_count,
@@ -669,8 +456,10 @@ fn decode_v1(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOracle> {
 // ---------------------------------------------------------------------------
 // Entry points.
 
-/// Deserialize an oracle from bytes produced by [`encode`] (format v3) or
-/// by the legacy v2/v1 writers.
+/// Deserialize an oracle from bytes produced by [`encode`]. Only format v3
+/// with [`STORE_FLAG_SORTED_MEMBERS`] set is accepted; any other version,
+/// a cleared flag, a failed checksum or a structurally invalid section is
+/// an [`OracleError::Decode`].
 pub fn decode(data: &[u8]) -> Result<VicinityOracle> {
     if data.len() < MAGIC.len() + 1 + 8 {
         return Err(OracleError::Decode("input too short".into()));
@@ -696,25 +485,15 @@ pub fn decode(data: &[u8]) -> Result<VicinityOracle> {
         return Err(OracleError::Decode("bad magic number".into()));
     }
     let version = cur.get_u8();
-    if !matches!(
-        version,
-        LEGACY_FORMAT_VERSION | SECTIONED_FORMAT_VERSION | FORMAT_VERSION
-    ) {
+    if version != FORMAT_VERSION {
         return Err(OracleError::Decode(format!(
-            "unsupported snapshot format version {version}: this build reads \
-             v{LEGACY_FORMAT_VERSION} (legacy per-node records), \
-             v{SECTIONED_FORMAT_VERSION} (flat-store sections) and \
-             v{FORMAT_VERSION} (flat-store sections + store flags)"
+            "unsupported snapshot format version {version}: this build reads only \
+             v{FORMAT_VERSION} (flat-store sections with sorted member spans)"
         )));
     }
 
-    let bulk = version >= SECTIONED_FORMAT_VERSION;
-    let header = decode_header(&mut cur, bulk)?;
-    if bulk {
-        decode_sections(&mut cur, header, version)
-    } else {
-        decode_v1(&mut cur, header)
-    }
+    let header = decode_header(&mut cur)?;
+    decode_sections(&mut cur, header)
 }
 
 /// Write an oracle to a file (format v3).
@@ -723,8 +502,8 @@ pub fn save<P: AsRef<std::path::Path>>(oracle: &VicinityOracle, path: P) -> Resu
     Ok(())
 }
 
-/// Read an oracle from a file written by [`save`] (or by the legacy
-/// v2/v1 writers).
+/// Read an oracle from a file written by [`save`]; see [`decode`] for
+/// what is accepted.
 pub fn load<P: AsRef<std::path::Path>>(path: P) -> Result<VicinityOracle> {
     let data = std::fs::read(path)?;
     decode(&data)
@@ -746,6 +525,7 @@ mod tests {
     use crate::build::OracleBuilder;
     use crate::query::DistanceAnswer;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
+    use vicinity_graph::Distance;
 
     fn sample_oracle(seed: u64, store_paths: bool, backend: TableBackend) -> VicinityOracle {
         let g = SocialGraphConfig::small_test()
@@ -773,22 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_snapshots_decode_into_the_flat_store() {
-        for (seed, store_paths, backend) in [
-            (141, true, TableBackend::HashMap),
-            (142, false, TableBackend::SortedArray),
-        ] {
-            let oracle = sample_oracle(seed, store_paths, backend);
-            let v1_bytes = encode_v1(&oracle);
-            assert_eq!(v1_bytes[4], LEGACY_FORMAT_VERSION);
-            let decoded = decode(&v1_bytes).unwrap();
-            assert_eq!(oracle, decoded, "v1 round trip (seed {seed})");
-            // And the two formats decode to identical oracles.
-            assert_eq!(decode(&encode(&oracle)).unwrap(), decoded);
-        }
-    }
-
-    #[test]
     fn decoded_oracle_answers_queries_identically() {
         let g = SocialGraphConfig::small_test()
             .with_nodes(600)
@@ -808,7 +572,7 @@ mod tests {
     #[test]
     fn saturated_landmark_rows_round_trip() {
         // Rows containing the saturated (u16::MAX - 1) and unreachable
-        // (u16::MAX) sentinels must survive both formats bit-for-bit.
+        // (u16::MAX) sentinels must survive a round trip bit-for-bit.
         let mut oracle = sample_oracle(134, true, TableBackend::HashMap);
         let landmark = oracle.landmarks.nodes()[0];
         let n = oracle.node_count;
@@ -819,53 +583,12 @@ mod tests {
             landmark,
             std::sync::Arc::new(LandmarkTable::from_distances(&saturated)),
         );
-        for bytes in [encode(&oracle), encode_v1(&oracle)] {
-            let decoded = decode(&bytes).unwrap();
-            assert_eq!(oracle, decoded);
-            assert_eq!(
-                decoded.landmark_table(landmark).unwrap().raw(),
-                oracle.landmark_table(landmark).unwrap().raw()
-            );
-        }
-    }
-
-    #[test]
-    fn v1_with_inconsistent_predecessor_flags_is_rejected() {
-        // Hand-written minimal v1 snapshot: two single-member records, but
-        // only the first carries predecessors. The misaligned pool must
-        // surface as a decode error, not a panic on a later query.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"VOR1");
-        buf.put_u8(1); // version
-        buf.put_f64_le(4.0); // alpha
-        buf.put_u8(0); // sampling: degree-proportional
-        buf.put_u8(0); // backend: hash map
-        buf.put_u64_le(0); // seed
-        buf.put_u8(1); // store_paths
-        buf.put_u64_le(2); // node count
-        buf.put_u64_le(1); // edge count
-        buf.put_u64_le(0); // landmark count
-        buf.put_u64_le(0); // table count
-        buf.put_u64_le(2); // vicinity count
-        for (owner, member, has_preds) in [(0u32, 1u32, true), (1, 0, false)] {
-            buf.put_u32_le(owner);
-            buf.put_u32_le(1); // radius
-            buf.put_u32_le(vicinity_graph::INVALID_NODE); // nearest landmark
-            buf.put_u64_le(1); // member count
-            buf.put_u32_le(member);
-            buf.put_u32_le(1); // distance
-            buf.put_u8(u8::from(has_preds));
-            if has_preds {
-                buf.put_u32_le(owner); // predecessor
-            }
-            buf.put_u64_le(0); // boundary count
-        }
-        let checksum = byte_sum(&buf);
-        buf.put_u64_le(checksum);
-
-        let err = decode(&buf).unwrap_err();
-        assert!(matches!(err, OracleError::Decode(_)));
-        assert!(err.to_string().contains("predecessor"), "{err}");
+        let decoded = decode(&encode(&oracle)).unwrap();
+        assert_eq!(oracle, decoded);
+        assert_eq!(
+            decoded.landmark_table(landmark).unwrap().raw(),
+            oracle.landmark_table(landmark).unwrap().raw()
+        );
     }
 
     #[test]
@@ -873,15 +596,16 @@ mod tests {
         let oracle = sample_oracle(137, true, TableBackend::HashMap);
         let bytes = encode(&oracle);
         assert_eq!(bytes[4], FORMAT_VERSION);
-        // Flipping the flag off must still decode to the same oracle —
-        // the reader then takes the sort-on-load path, which is a no-op
-        // on already-sorted spans.
+        // A snapshot without the flag is refused, even though its spans
+        // are in fact sorted and its checksum is valid.
         let mut unflagged = bytes.to_vec();
         let flag_pos = flags_byte_position(&bytes, &oracle);
         assert_eq!(unflagged[flag_pos] & STORE_FLAG_SORTED_MEMBERS, 1);
         unflagged[flag_pos] = 0;
         fix_checksum(&mut unflagged);
-        assert_eq!(decode(&unflagged).unwrap(), oracle);
+        let err = decode(&unflagged).unwrap_err();
+        assert!(matches!(err, OracleError::Decode(_)));
+        assert!(err.to_string().contains("sorted member spans"), "{err}");
     }
 
     #[test]
@@ -892,163 +616,78 @@ mod tests {
         // to surface as a decode error, never a silently wrong store.
         let oracle = sample_oracle(139, true, TableBackend::HashMap);
         let bytes = encode(&oracle);
-        let flag_pos = flags_byte_position(&bytes, &oracle);
-        let n = oracle.node_count();
-        // Section layout after the flags byte: radii (n u32), nearest
-        // (n u32), offsets (n+1 u64), then the member pool.
-        let members_pos = flag_pos + 1 + n * 4 + n * 4 + (n + 1) * 8;
-        let (_, _, offsets, members, ..) = oracle.store().raw_sections();
-        let span_start = (0..n)
-            .find(|&u| offsets[u + 1] - offsets[u] >= 2)
-            .map(|u| offsets[u] as usize)
-            .expect("some node has at least two members");
-        let a = members_pos + span_start * 4;
-        let mut corrupt = bytes.to_vec();
-        assert_eq!(
-            u32::from_le_bytes(corrupt[a..a + 4].try_into().unwrap()),
-            members[span_start],
-            "member-section offset arithmetic must line up"
-        );
+        let (a, _) = first_multi_member_span(&bytes, &oracle);
+        let mut transposed = bytes.to_vec();
         for i in 0..4 {
-            corrupt.swap(a + i, a + 4 + i); // transpose two adjacent members
+            transposed.swap(a + i, a + 4 + i); // transpose two adjacent members
         }
         // Checksum unchanged by the transposition — no fix_checksum needed.
-        let err = decode(&corrupt).unwrap_err();
+        let err = decode(&transposed).unwrap_err();
         assert!(err.to_string().contains("sorted member spans"), "{err}");
-    }
 
-    #[test]
-    fn legacy_v2_sectioned_snapshots_still_decode() {
-        // A v2 snapshot is byte-for-byte a v3 snapshot minus the
-        // store-flags byte (the layout this repo's previous writer
-        // produced). Reconstruct one from the current encoder's output
-        // and check it decodes to the identical oracle through the
-        // sort-on-load path.
-        let oracle = sample_oracle(138, true, TableBackend::HashMap);
-        let v3_bytes = encode(&oracle);
-        let flag_pos = flags_byte_position(&v3_bytes, &oracle);
-        let mut v2_bytes = v3_bytes.to_vec();
-        v2_bytes.remove(flag_pos); // drop the store-flags byte
-        v2_bytes[4] = SECTIONED_FORMAT_VERSION;
-        let body_len = v2_bytes.len() - 8;
-        v2_bytes.truncate(body_len); // stale checksum
-        let checksum = byte_sum(&v2_bytes);
-        v2_bytes.extend_from_slice(&checksum.to_le_bytes());
-        assert_eq!(decode(&v2_bytes).unwrap(), oracle);
-    }
-
-    /// Locate the v3 store-flags byte by re-encoding the shared header.
-    fn flags_byte_position(bytes: &[u8], oracle: &VicinityOracle) -> usize {
-        let mut header = BytesMut::new();
-        encode_header(&mut header, oracle, FORMAT_VERSION);
-        assert_eq!(&bytes[..header.len()], &header[..], "header mismatch");
-        header.len()
-    }
-
-    #[test]
-    fn unsorted_v1_streams_are_sorted_on_load() {
-        // A hand-written v1 snapshot whose single span lists members in
-        // descending order (legal for pre-invariant writers). Decode must
-        // establish the sorted invariant: correct answers and paths, with
-        // the boundary marking preserved through the permutation.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"VOR1");
-        buf.put_u8(1); // version
-        buf.put_f64_le(4.0); // alpha
-        buf.put_u8(0); // sampling
-        buf.put_u8(0); // backend: hash map
-        buf.put_u64_le(0); // seed
-        buf.put_u8(1); // store_paths
-        buf.put_u64_le(4); // node count (path graph 0-1-2-3)
-        buf.put_u64_le(3); // edge count
-        buf.put_u64_le(0); // landmark count
-        buf.put_u64_le(0); // table count
-        buf.put_u64_le(4); // vicinity count
-                           // Node 0: vicinity {0,1,2} at radius 2, written in REVERSE id
-                           // order; member 2 (local index 0 pre-sort) is the boundary.
-        buf.put_u32_le(0); // owner
-        buf.put_u32_le(2); // radius
-        buf.put_u32_le(vicinity_graph::INVALID_NODE);
-        buf.put_u64_le(3);
-        for m in [2u32, 1, 0] {
-            buf.put_u32_le(m); // members, descending
-        }
-        for d in [2u32, 1, 0] {
-            buf.put_u32_le(d); // distances, parallel
-        }
-        buf.put_u8(1); // predecessors present
-        for p in [1u32, 0, vicinity_graph::INVALID_NODE] {
-            buf.put_u32_le(p);
-        }
-        buf.put_u64_le(1); // boundary count
-        buf.put_u32_le(0); // local index of member 2 in the UNSORTED span
-                           // Nodes 1..3: empty vicinities.
-        for owner in 1u32..4 {
-            buf.put_u32_le(owner);
-            buf.put_u32_le(0); // radius
-            buf.put_u32_le(vicinity_graph::INVALID_NODE);
-            buf.put_u64_le(0); // members
-            buf.put_u8(0); // no predecessors
-            buf.put_u64_le(0); // boundary
-        }
-        let checksum = byte_sum(&buf);
-        buf.put_u64_le(checksum);
-
-        let decoded = decode(&buf).unwrap();
-        let v = decoded.vicinity(0).unwrap();
-        assert_eq!(v.members(), &[0, 1, 2], "span must come out sorted");
-        assert_eq!(v.distance_to(2), Some(2));
-        assert_eq!(v.distance_to(0), Some(0));
-        assert_eq!(v.path_to(2), Some(vec![0, 1, 2]));
-        let boundary: Vec<_> = v.boundary_iter().collect();
-        assert_eq!(boundary, vec![(2, 2)], "boundary index must be remapped");
-    }
-
-    #[test]
-    fn duplicate_members_in_v1_streams_error_instead_of_panicking() {
-        // Checksum-valid but semantically invalid: node 0's span lists
-        // member 1 twice. The sort-on-load path must surface a decode
-        // error (never an assert/panic, never a corrupt store).
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"VOR1");
-        buf.put_u8(1); // version
-        buf.put_f64_le(4.0);
-        buf.put_u8(0); // sampling
-        buf.put_u8(0); // backend
-        buf.put_u64_le(0); // seed
-        buf.put_u8(0); // store_paths
-        buf.put_u64_le(1); // node count
-        buf.put_u64_le(1); // edge count
-        buf.put_u64_le(0); // landmark count
-        buf.put_u64_le(0); // table count
-        buf.put_u64_le(1); // vicinity count
-        buf.put_u32_le(0); // owner
-        buf.put_u32_le(1); // radius
-        buf.put_u32_le(vicinity_graph::INVALID_NODE);
-        buf.put_u64_le(2); // member count
-        buf.put_u32_le(1);
-        buf.put_u32_le(1); // duplicate member id
-        buf.put_u32_le(1);
-        buf.put_u32_le(1); // distances
-        buf.put_u8(0); // no predecessors
-        buf.put_u64_le(0); // boundary count
-        let checksum = byte_sum(&buf);
-        buf.put_u64_le(checksum);
-
-        let err = decode(&buf).unwrap_err();
+        // A member overwritten with its left neighbour: the span lists
+        // that member twice.
+        let mut duplicated = bytes.to_vec();
+        duplicated.copy_within(a..a + 4, a + 4);
+        fix_checksum(&mut duplicated);
+        let err = decode(&duplicated).unwrap_err();
         assert!(matches!(err, OracleError::Decode(_)));
         assert!(err.to_string().contains("member twice"), "{err}");
     }
 
     #[test]
+    fn out_of_range_member_ids_are_rejected() {
+        // Raising a span's last member past the node count keeps the span
+        // sorted; once the checksum is fixed only the range check can catch
+        // it, and a query would otherwise index past the graph.
+        let oracle = sample_oracle(139, true, TableBackend::HashMap);
+        let bytes = encode(&oracle);
+        let n = oracle.node_count();
+        let (_, last) = first_multi_member_span(&bytes, &oracle);
+        let mut corrupt = bytes.to_vec();
+        corrupt[last..last + 4].copy_from_slice(&(n as u32 + 1000).to_le_bytes());
+        fix_checksum(&mut corrupt);
+        let err = decode(&corrupt).unwrap_err();
+        assert!(matches!(err, OracleError::Decode(_)));
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    /// Byte positions, in an encoded snapshot of `oracle`, of the first and
+    /// last member of the first span with at least two members.
+    fn first_multi_member_span(bytes: &[u8], oracle: &VicinityOracle) -> (usize, usize) {
+        let n = oracle.node_count();
+        // Section layout after the flags byte: radii (n u32), nearest
+        // (n u32), offsets (n+1 u64), then the member pool.
+        let members_pos = flags_byte_position(bytes, oracle) + 1 + n * 4 + n * 4 + (n + 1) * 8;
+        let (_, _, offsets, members, ..) = oracle.store().raw_sections();
+        let (start, end) = (0..n)
+            .find(|&u| offsets[u + 1] - offsets[u] >= 2)
+            .map(|u| (offsets[u] as usize, offsets[u + 1] as usize))
+            .expect("some node has at least two members");
+        let first = members_pos + start * 4;
+        assert_eq!(
+            u32::from_le_bytes(bytes[first..first + 4].try_into().unwrap()),
+            members[start],
+            "member-section offset arithmetic must line up"
+        );
+        (first, members_pos + (end - 1) * 4)
+    }
+
+    /// Locate the v3 store-flags byte by re-encoding the shared header.
+    fn flags_byte_position(bytes: &[u8], oracle: &VicinityOracle) -> usize {
+        let mut header = BytesMut::new();
+        encode_header(&mut header, oracle);
+        assert_eq!(&bytes[..header.len()], &header[..], "header mismatch");
+        header.len()
+    }
+
+    #[test]
     fn corruption_is_detected() {
         let oracle = sample_oracle(134, true, TableBackend::HashMap);
-        for bytes in [encode(&oracle).to_vec(), encode_v1(&oracle).to_vec()] {
-            let mut bytes = bytes;
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x5A;
-            assert!(matches!(decode(&bytes), Err(OracleError::Decode(_))));
-        }
+        let mut bytes = encode(&oracle).to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x5A;
+        assert!(matches!(decode(&bytes), Err(OracleError::Decode(_))));
     }
 
     #[test]
@@ -1079,16 +718,22 @@ mod tests {
         let err = decode(&bad_magic).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
-        let mut bad_version = bytes;
-        bad_version[4] = 99;
-        fix_checksum(&mut bad_version);
-        let err = decode(&bad_version).unwrap_err();
-        let message = err.to_string();
-        // The rejection names the offending version and both supported
-        // formats — no silent checksum-style failure.
-        assert!(message.contains("version 99"), "{message}");
-        assert!(message.contains("v1"), "{message}");
-        assert!(message.contains("v2"), "{message}");
+        // Versions 1 and 2 (formats this build no longer reads) and an
+        // unknown one alike: the rejection names the offending version and
+        // v3, the only format read — no silent checksum-style failure.
+        for version in [1u8, 2, 99] {
+            let mut bad_version = bytes.clone();
+            bad_version[4] = version;
+            fix_checksum(&mut bad_version);
+            let err = decode(&bad_version).unwrap_err();
+            assert!(matches!(err, OracleError::Decode(_)));
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("version {version}:")),
+                "{message}"
+            );
+            assert!(message.contains("v3"), "{message}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! * a query touches contiguous, prefetchable cache lines,
 //! * the whole index serializes as a handful of raw-array sections
-//!   (snapshot format v2 in [`crate::serialize`]), and
+//!   (snapshot format v3 in [`crate::serialize`]), and
 //! * derived structures (per-distance shells, membership hash slots) are
 //!   rebuilt in one pass at load instead of being stored.
 //!
@@ -193,7 +193,9 @@ impl VicinityStore {
     }
 
     /// Assemble a store from its primary pools (the exact sections snapshot
-    /// format v2 persists), rebuilding the derived shell and hash sections.
+    /// format v3 persists), rebuilding the derived shell and hash sections.
+    /// Member spans must already be sorted by node id; the decoder checks
+    /// this with [`spans_sorted`] before calling.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw(
         backend: TableBackend,
@@ -234,50 +236,6 @@ impl VicinityStore {
             "member pools must be sorted by node id within each span"
         );
         store
-    }
-
-    /// Like [`VicinityStore::from_raw`], but without assuming the
-    /// sorted-span invariant: spans that arrive unsorted (legacy v1/v2
-    /// snapshots, or v3 snapshots whose header does not claim the
-    /// invariant) are sorted here, with distances and predecessors
-    /// permuted alongside and boundary indices remapped, before the
-    /// derived sections are built. Current builders always produce sorted
-    /// spans, so on modern snapshots this is a single read-only pass.
-    ///
-    /// Errors (with a decode-style message) when a span lists the same
-    /// member id twice — no ordering can make a duplicated member valid,
-    /// and building the store anyway would corrupt shells and probes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_unsorted(
-        backend: TableBackend,
-        radii: Vec<Distance>,
-        nearest: Vec<NodeId>,
-        offsets: Vec<u64>,
-        mut members: Vec<NodeId>,
-        mut distances: Vec<Distance>,
-        mut predecessors: Vec<NodeId>,
-        boundary_offsets: Vec<u64>,
-        mut boundary: Vec<u32>,
-    ) -> std::result::Result<Self, String> {
-        sort_member_spans(
-            &offsets,
-            &mut members,
-            &mut distances,
-            &mut predecessors,
-            &boundary_offsets,
-            &mut boundary,
-        )?;
-        Ok(Self::from_raw(
-            backend,
-            radii,
-            nearest,
-            offsets,
-            members,
-            distances,
-            predecessors,
-            boundary_offsets,
-            boundary,
-        ))
     }
 
     /// Group each node's members by distance (counting sort per span).
@@ -1305,8 +1263,8 @@ pub(crate) fn fill_hash_slots(members: &[NodeId], span: &mut [u32]) {
 
 /// True when every node span of `members` is strictly ascending — the
 /// sorted-pool invariant every builder upholds and snapshot v3 headers
-/// record (see `crate::serialize`; v1/v2 streams predate the flag and are
-/// sorted on load). Queries rely on it for the merge intersection and the
+/// record (see `crate::serialize`, which rejects a snapshot whose spans
+/// fail this check). Queries rely on it for the merge intersection and the
 /// sorted-array membership probes.
 pub(crate) fn spans_sorted(offsets: &[u64], members: &[NodeId]) -> bool {
     offsets.windows(2).all(|w| {
@@ -1314,73 +1272,6 @@ pub(crate) fn spans_sorted(offsets: &[u64], members: &[NodeId]) -> bool {
             .windows(2)
             .all(|m| m[0] < m[1])
     })
-}
-
-/// Establish the sorted-span invariant in place: any span whose members
-/// are not strictly ascending is sorted, with `distances` (and
-/// `predecessors`, when stored) permuted alongside and that node's
-/// span-local `boundary` indices remapped through the permutation.
-/// A no-op pass on every snapshot a current builder wrote. Errors when a
-/// span contains the same member id twice — that is invalid data, not an
-/// ordering problem.
-pub(crate) fn sort_member_spans(
-    offsets: &[u64],
-    members: &mut [NodeId],
-    distances: &mut [Distance],
-    predecessors: &mut [NodeId],
-    boundary_offsets: &[u64],
-    boundary: &mut [u32],
-) -> std::result::Result<(), String> {
-    let n = offsets.len() - 1;
-    let mut perm: Vec<u32> = Vec::new();
-    let mut inverse: Vec<u32> = Vec::new();
-    for u in 0..n {
-        let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
-        let span = &members[start..end];
-        if span.windows(2).all(|m| m[0] < m[1]) {
-            continue;
-        }
-        let len = end - start;
-        perm.clear();
-        perm.extend(0..len as u32);
-        perm.sort_unstable_by_key(|&i| span[i as usize]);
-        if perm
-            .windows(2)
-            .any(|w| span[w[0] as usize] == span[w[1] as usize])
-        {
-            return Err(format!("vicinity span of node {u} lists a member twice"));
-        }
-        inverse.clear();
-        inverse.resize(len, 0);
-        for (new_pos, &old_pos) in perm.iter().enumerate() {
-            inverse[old_pos as usize] = new_pos as u32;
-        }
-        apply_permutation(&perm, &mut members[start..end]);
-        apply_permutation(&perm, &mut distances[start..end]);
-        if !predecessors.is_empty() {
-            apply_permutation(&perm, &mut predecessors[start..end]);
-        }
-        let (b_start, b_end) = (
-            boundary_offsets[u] as usize,
-            boundary_offsets[u + 1] as usize,
-        );
-        for idx in &mut boundary[b_start..b_end] {
-            *idx = inverse[*idx as usize];
-        }
-        // Boundary entries stay sorted by member id (== by new local
-        // index), matching what `VicinityChunk::push_node` emits.
-        boundary[b_start..b_end].sort_unstable();
-    }
-    Ok(())
-}
-
-/// Reorder `data` so `data[j] = old_data[perm[j]]`, via a scratch copy
-/// (spans are small; clarity over cleverness).
-fn apply_permutation<T: Copy>(perm: &[u32], data: &mut [T]) {
-    let snapshot: Vec<T> = data.to_vec();
-    for (slot, &src) in data.iter_mut().zip(perm) {
-        *slot = snapshot[src as usize];
-    }
 }
 
 /// Whether two ascending id slices share an element. Scans the smaller
@@ -1531,73 +1422,6 @@ mod tests {
             "hash backend must dispatch some lopsided pairs to the probe strategy"
         );
         assert!(totals.steps > 0);
-    }
-
-    #[test]
-    fn sort_member_spans_restores_the_invariant() {
-        // Scramble every span of a correctly built store, then rebuild via
-        // the sort-on-load path: the result must equal the original store
-        // exactly (members, distances, predecessors, boundary marking).
-        let g = SocialGraphConfig::small_test().generate(67);
-        let store = store_with_radius(&g, 2, 0, TableBackend::HashMap, true);
-        let (radii, nearest, offsets, members, distances, preds, b_offsets, boundary) =
-            store.raw_sections();
-        let (mut members, mut distances, mut preds, mut boundary) = (
-            members.to_vec(),
-            distances.to_vec(),
-            preds.to_vec(),
-            boundary.to_vec(),
-        );
-        // Reverse each span (worst case for sortedness); boundary indices
-        // must be remapped through the same reversal to stay meaningful.
-        for w in offsets.windows(2) {
-            let (start, end) = (w[0] as usize, w[1] as usize);
-            members[start..end].reverse();
-            distances[start..end].reverse();
-            preds[start..end].reverse();
-        }
-        for u in 0..store.node_count() {
-            let len = (offsets[u + 1] - offsets[u]) as u32;
-            let (b_start, b_end) = (b_offsets[u] as usize, b_offsets[u + 1] as usize);
-            for idx in &mut boundary[b_start..b_end] {
-                *idx = len - 1 - *idx;
-            }
-        }
-        assert!(!spans_sorted(offsets, &members));
-        let resorted = VicinityStore::from_raw_unsorted(
-            TableBackend::HashMap,
-            radii.to_vec(),
-            nearest.to_vec(),
-            offsets.to_vec(),
-            members,
-            distances,
-            preds,
-            b_offsets.to_vec(),
-            boundary,
-        )
-        .expect("reversed spans contain no duplicates");
-        assert_eq!(store, resorted);
-    }
-
-    #[test]
-    fn duplicate_members_in_a_span_are_rejected_not_built() {
-        // A span listing the same member twice is invalid data no ordering
-        // can fix; the sort-on-load path must refuse it (the decode layer
-        // surfaces this as an error instead of building a corrupt store).
-        let err = VicinityStore::from_raw_unsorted(
-            TableBackend::HashMap,
-            vec![1, 0],
-            vec![INVALID_NODE; 2],
-            vec![0, 3, 3],
-            vec![2, 1, 2], // member 2 twice in node 0's span
-            vec![1, 1, 1],
-            Vec::new(),
-            vec![0, 0, 0],
-            Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.contains("member twice"), "{err}");
-        assert!(err.contains("node 0"), "{err}");
     }
 
     #[test]

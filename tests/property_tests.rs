@@ -87,7 +87,7 @@ proptest! {
         }
     }
 
-    /// Snapshot format v2 round-trips on arbitrary graphs and backends,
+    /// Snapshot format v3 round-trips on arbitrary graphs and backends,
     /// with and without predecessor storage. The `arbitrary_graph` strategy
     /// keeps the node count fixed while edges are random, so most cases
     /// contain isolated and landmark-free nodes (empty and degenerate
@@ -111,7 +111,7 @@ proptest! {
         prop_assert_eq!(oracle, decoded);
     }
 
-    /// A v2-decoded oracle answers every pair identically to the original
+    /// A v3-decoded oracle answers every pair identically to the original
     /// (distances and paths), for any backend and path-storage setting.
     #[test]
     fn decoded_oracle_answers_all_pairs_identically(
@@ -134,24 +134,6 @@ proptest! {
                 prop_assert_eq!(oracle.path(s, t), decoded.path(s, t), "({}, {})", s, t);
             }
         }
-    }
-
-    /// Legacy v1 snapshots decode into exactly the same flat-store oracle
-    /// as the current v2 format.
-    #[test]
-    fn legacy_v1_snapshots_decode_identically(
-        graph in arbitrary_graph(40, 100),
-        seed in 0u64..1000,
-        store_paths in any::<bool>(),
-    ) {
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
-            .seed(seed)
-            .store_paths(store_paths)
-            .build(&graph);
-        let from_v1 = serialize::decode(&serialize::encode_v1(&oracle)).unwrap();
-        let from_v2 = serialize::decode(&serialize::encode(&oracle)).unwrap();
-        prop_assert_eq!(&oracle, &from_v1);
-        prop_assert_eq!(&from_v1, &from_v2);
     }
 
     /// The batched engine is the scalar engine with reordered memory
