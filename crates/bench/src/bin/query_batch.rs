@@ -13,6 +13,9 @@
 //!   accumulated `QueryStats` differ (the pipeline must only reorder
 //!   memory traffic, never the work) — checked in every mode, and what
 //!   CI's `query_batch --smoke` run enforces;
+//! * the workload did not send shell pairs through *both* intersection
+//!   strategies (galloping merge and membership-slot probe), so the
+//!   parity check above would leave one of them unexercised — every mode;
 //! * in full mode, the α = 4 run shows < 1.5× batched-over-scalar
 //!   throughput at batch ≥ 64 — the headline claim this experiment
 //!   exists to defend.
@@ -102,6 +105,16 @@ fn main() {
 
         let scalar = measure(&oracle, &pairs, 1, false);
         print_row("scalar", 1, &scalar, None);
+        let (merges, probes) = (
+            scalar.stats.merge_intersections,
+            scalar.stats.probe_intersections,
+        );
+        if merges == 0 || probes == 0 {
+            eprintln!(
+                "FAIL: alpha={alpha}: a strategy never fired ({merges} merge, {probes} probe)"
+            );
+            failures += 1;
+        }
         json_rows.push(json_row(
             &graph_label,
             nodes,

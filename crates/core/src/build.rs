@@ -89,12 +89,6 @@ impl OracleBuilder {
         self
     }
 
-    /// Set the membership-table backend.
-    pub fn backend(mut self, backend: crate::config::TableBackend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
     /// Enable or disable storage of shortest-path predecessors.
     pub fn store_paths(mut self, store: bool) -> Self {
         self.config.store_paths = store;
@@ -157,7 +151,7 @@ impl OracleBuilder {
 fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> VicinityStore {
     let n = graph.node_count();
     if n == 0 {
-        return VicinityStore::empty(0, config.backend);
+        return VicinityStore::empty(0);
     }
     let threads = config.effective_threads().clamp(1, n);
     let chunk_size = n.div_ceil(threads);
@@ -177,7 +171,7 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> Vi
     };
 
     if threads == 1 {
-        return VicinityStore::from_chunks(config.backend, vec![fill_chunk(0, n)]);
+        return VicinityStore::from_chunks(vec![fill_chunk(0, n)]);
     }
 
     let mut chunks: Vec<VicinityChunk> = Vec::new();
@@ -199,7 +193,7 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> Vi
             );
         }
     });
-    VicinityStore::from_chunks(config.backend, chunks)
+    VicinityStore::from_chunks(chunks)
 }
 
 /// Build the dense distance row of every landmark, in parallel.
@@ -242,7 +236,7 @@ fn build_landmark_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SamplingStrategy, TableBackend};
+    use crate::config::SamplingStrategy;
     use vicinity_graph::builder::GraphBuilder;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
 
@@ -320,13 +314,11 @@ mod tests {
         let builder = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(9)
             .sampling(SamplingStrategy::TopDegree)
-            .backend(TableBackend::SortedArray)
             .store_paths(false)
             .threads(2);
         let c = builder.config();
         assert_eq!(c.seed, 9);
         assert_eq!(c.sampling, SamplingStrategy::TopDegree);
-        assert_eq!(c.backend, TableBackend::SortedArray);
         assert!(!c.store_paths);
         assert_eq!(c.threads, 2);
 

@@ -74,19 +74,6 @@ pub enum SamplingStrategy {
     TopDegree,
 }
 
-/// Which exact-membership structure backs the per-node vicinity tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableBackend {
-    /// `HashMap`-backed tables — a faithful reproduction of the paper's
-    /// `unordered_map` implementation; O(1) probes.
-    #[default]
-    HashMap,
-    /// Sorted-array tables probed with binary search — smaller and more
-    /// cache friendly, O(log |Γ|) probes. Used by the "customized data
-    /// structures" discussion in §5.
-    SortedArray,
-}
-
 /// Full construction-time configuration of the oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleConfig {
@@ -94,8 +81,6 @@ pub struct OracleConfig {
     pub alpha: Alpha,
     /// Landmark sampling strategy.
     pub sampling: SamplingStrategy,
-    /// Membership-table backend.
-    pub backend: TableBackend,
     /// RNG seed for landmark sampling (construction is fully deterministic
     /// for a fixed seed).
     pub seed: u64,
@@ -112,7 +97,6 @@ impl Default for OracleConfig {
         OracleConfig {
             alpha: Alpha::PAPER_DEFAULT,
             sampling: SamplingStrategy::default(),
-            backend: TableBackend::default(),
             seed: 0xC0FFEE,
             store_paths: true,
             threads: 0,
@@ -191,7 +175,6 @@ mod tests {
         let c = OracleConfig::default();
         assert!(c.validate().is_ok());
         assert_eq!(c.sampling, SamplingStrategy::DegreeProportional);
-        assert_eq!(c.backend, TableBackend::HashMap);
         assert!(c.store_paths);
         assert!(c.effective_threads() >= 1);
         let fixed = OracleConfig {

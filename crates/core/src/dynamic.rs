@@ -82,7 +82,6 @@ use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY, INVALID_NODE};
 
-use crate::config::TableBackend;
 use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle, SATURATED_U16, UNREACHABLE_U16};
 use crate::query::{
     distance_batch_accumulate_on, distance_with_stats_on, path_batch_on, path_on, DistanceAnswer,
@@ -252,7 +251,7 @@ impl Adjacency for OverlayGraph {
 /// One patched vicinity: the same sections a store span holds (primary and
 /// derived), owned, so the overlay can serve it through a borrowed
 /// [`VicinityRef`] with the exact probe API and probe *behaviour* (same
-/// backend, same shells, same membership slots) as the frozen store.
+/// shells, same membership slots) as the frozen store.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct OwnedVicinity {
     /// Header radius in store encoding (the hop bound for landmark-free
@@ -280,7 +279,6 @@ impl OwnedVicinity {
         radius: Option<Distance>,
         nearest: Option<NodeId>,
         store_paths: bool,
-        backend: TableBackend,
         scratch: &mut BoundedBfsScratch,
     ) -> Self {
         let nearest = nearest.unwrap_or(INVALID_NODE);
@@ -326,11 +324,8 @@ impl OwnedVicinity {
                 &mut shell_data,
             );
         }
-        let mut hash_slots = Vec::new();
-        if matches!(backend, TableBackend::HashMap) {
-            hash_slots = vec![0u32; slot_count(members.len())];
-            fill_hash_slots(&members, &mut hash_slots);
-        }
+        let mut hash_slots = vec![0u32; slot_count(members.len())];
+        fill_hash_slots(&members, &mut hash_slots);
 
         OwnedVicinity {
             radius: effective_radius,
@@ -936,7 +931,6 @@ impl DynamicOracle {
         }
 
         let store = crate::vicinity::VicinityStore::from_raw(
-            self.base.store().backend(),
             radii,
             nearest,
             offsets,
@@ -1190,7 +1184,6 @@ impl DynamicOracle {
     /// turns out to be a no-op.
     fn rebuild_vicinities(&mut self, affected: &[(NodeId, bool)], a: NodeId, b: NodeId) {
         let store_paths = self.base.stores_paths();
-        let backend = self.base.store().backend();
         for &(u, full) in affected {
             if self.base.is_landmark(u) {
                 // Landmarks keep their empty vicinity (radius 0) forever.
@@ -1210,7 +1203,6 @@ impl DynamicOracle {
                 radius_opt,
                 nearest_opt,
                 store_paths,
-                backend,
                 &mut self.bfs,
             );
             self.fold_patch(u, owned);

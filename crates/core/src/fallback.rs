@@ -194,7 +194,7 @@ impl VicinityOracle {
 mod tests {
     use super::*;
     use crate::build::OracleBuilder;
-    use crate::config::{Alpha, TableBackend};
+    use crate::config::Alpha;
     use rand::SeedableRng;
     use vicinity_baselines::bfs::BfsEngine;
     use vicinity_baselines::PointToPoint;
@@ -299,7 +299,6 @@ mod tests {
         landmarks.extend((200..n - 200).step_by(200));
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .landmarks(landmarks)
-            .backend(TableBackend::SortedArray)
             .store_paths(false)
             .build(&g);
         let (s, t) = (0, n - 1);

@@ -772,7 +772,7 @@ impl VicinityOracle {
 mod tests {
     use super::*;
     use crate::build::OracleBuilder;
-    use crate::config::{Alpha, SamplingStrategy, TableBackend};
+    use crate::config::{Alpha, SamplingStrategy};
     use rand::SeedableRng;
     use vicinity_baselines::bfs::BfsEngine;
     use vicinity_baselines::{validate_path, PointToPoint};
@@ -844,11 +844,10 @@ mod tests {
     }
 
     #[test]
-    fn exactness_with_sorted_backend_and_uniform_sampling() {
+    fn exactness_with_uniform_sampling() {
         let g = social_graph(82);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(5)
-            .backend(TableBackend::SortedArray)
             .sampling(SamplingStrategy::Uniform)
             .build(&g);
         check_against_bfs(&g, &oracle, 300, 92, 0.2);
@@ -935,11 +934,8 @@ mod tests {
         // the far pair below is connected and must come back Exact or
         // Miss (resolvable by the fallback), never Unreachable.
         let g = classic::path(66_000);
-        // SortedArray + no paths keeps this 66k-node build cheap in debug
-        // test runs; the saturation behaviour is backend-independent.
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(3)
-            .backend(TableBackend::SortedArray)
             .store_paths(false)
             .build(&g);
         let answer = oracle.distance(0, 65_999);

@@ -29,7 +29,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use vicinity_graph::NodeId;
 
-use crate::config::{Alpha, OracleConfig, SamplingStrategy, TableBackend};
+use crate::config::{Alpha, OracleConfig, SamplingStrategy};
 use crate::index::{LandmarkTable, VicinityOracle};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::VicinityStore;
@@ -41,8 +41,8 @@ const MAGIC: &[u8; 4] = b"VOR1";
 pub const FORMAT_VERSION: u8 = 3;
 
 /// Bit 0 of the v3 store-flags byte: member pools are sorted by node id
-/// within each node span (the build-time invariant the batched query
-/// engine's merge intersection and sorted-array probes rely on).
+/// within each node span (the build-time invariant the galloping merge
+/// intersections rely on).
 /// [`decode`] rejects a snapshot without this bit.
 pub const STORE_FLAG_SORTED_MEMBERS: u8 = 1;
 
@@ -189,10 +189,9 @@ fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
         SamplingStrategy::Uniform => 1,
         SamplingStrategy::TopDegree => 2,
     });
-    buf.put_u8(match oracle.config.backend {
-        TableBackend::HashMap => 0,
-        TableBackend::SortedArray => 1,
-    });
+    // Membership byte, kept so the v3 layout stays fixed: 0 = flat hash
+    // slots, the only membership structure.
+    buf.put_u8(0);
     buf.put_u64_le(oracle.config.seed);
     buf.put_u8(u8::from(oracle.config.store_paths));
 
@@ -241,11 +240,12 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
             )))
         }
     };
-    let backend = match cur.get_u8() {
-        0 => TableBackend::HashMap,
-        1 => TableBackend::SortedArray,
-        other => return Err(OracleError::Decode(format!("unknown backend {other}"))),
-    };
+    let membership = cur.get_u8();
+    if membership != 0 {
+        return Err(OracleError::Decode(format!(
+            "unknown membership structure {membership}: only flat hash slots (0) are supported"
+        )));
+    }
     let seed = cur.get_u64_le();
     let store_paths = cur.get_u8() != 0;
     let node_count = cur.get_u64_le() as usize;
@@ -313,7 +313,6 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
         config: OracleConfig {
             alpha,
             sampling,
-            backend,
             seed,
             store_paths,
             threads: 0,
@@ -422,7 +421,10 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
     }
     // Spans are strictly ascending, so each span's last member bounds all of
     // it: one look per node keeps every member id a valid index into the
-    // graph the oracle is served with.
+    // graph the oracle is served with. Radii stay below n (a landmark-free
+    // node stores the hop bound n - 1) and no member lies beyond its
+    // node's radius: the shell index is sized by the largest distance, so
+    // an unchecked one would both answer wrongly and allocate without bound.
     for u in 0..n {
         let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
         if end > start && members[end - 1] as usize >= n {
@@ -431,9 +433,19 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
                 members[end - 1]
             )));
         }
+        let radius = radii[u];
+        if radius as usize >= n {
+            return Err(OracleError::Decode(format!(
+                "radius {radius} of node {u} is out of range for {n} nodes"
+            )));
+        }
+        if let Some(&d) = distances[start..end].iter().find(|&&d| d > radius) {
+            return Err(OracleError::Decode(format!(
+                "member distance {d} of node {u} exceeds its radius {radius}"
+            )));
+        }
     }
     let store = VicinityStore::from_raw(
-        header.config.backend,
         radii,
         nearest,
         offsets,
@@ -527,27 +539,26 @@ mod tests {
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
     use vicinity_graph::Distance;
 
-    fn sample_oracle(seed: u64, store_paths: bool, backend: TableBackend) -> VicinityOracle {
+    fn sample_oracle(seed: u64, store_paths: bool) -> VicinityOracle {
         let g = SocialGraphConfig::small_test()
             .with_nodes(600)
             .generate(seed);
         OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(seed)
             .store_paths(store_paths)
-            .backend(backend)
             .build(&g)
     }
 
     #[test]
     fn round_trip_preserves_oracle() {
-        let oracle = sample_oracle(131, true, TableBackend::HashMap);
+        let oracle = sample_oracle(131, true);
         let decoded = decode(&encode(&oracle)).unwrap();
         assert_eq!(oracle, decoded);
     }
 
     #[test]
-    fn round_trip_without_paths_and_sorted_backend() {
-        let oracle = sample_oracle(132, false, TableBackend::SortedArray);
+    fn round_trip_without_paths() {
+        let oracle = sample_oracle(132, false);
         let decoded = decode(&encode(&oracle)).unwrap();
         assert_eq!(oracle, decoded);
     }
@@ -573,7 +584,7 @@ mod tests {
     fn saturated_landmark_rows_round_trip() {
         // Rows containing the saturated (u16::MAX - 1) and unreachable
         // (u16::MAX) sentinels must survive a round trip bit-for-bit.
-        let mut oracle = sample_oracle(134, true, TableBackend::HashMap);
+        let mut oracle = sample_oracle(134, true);
         let landmark = oracle.landmarks.nodes()[0];
         let n = oracle.node_count;
         let mut saturated: Vec<Distance> = (0..n as Distance).collect();
@@ -593,7 +604,7 @@ mod tests {
 
     #[test]
     fn v3_snapshots_record_the_sorted_invariant() {
-        let oracle = sample_oracle(137, true, TableBackend::HashMap);
+        let oracle = sample_oracle(137, true);
         let bytes = encode(&oracle);
         assert_eq!(bytes[4], FORMAT_VERSION);
         // A snapshot without the flag is refused, even though its spans
@@ -614,9 +625,9 @@ mod tests {
         // members inside a span survives it. The decoder must not trust
         // the sorted flag blindly: the claimed-but-violated invariant has
         // to surface as a decode error, never a silently wrong store.
-        let oracle = sample_oracle(139, true, TableBackend::HashMap);
+        let oracle = sample_oracle(139, true);
         let bytes = encode(&oracle);
-        let (a, _) = first_multi_member_span(&bytes, &oracle);
+        let (_, a, _) = first_multi_member_span(&bytes, &oracle);
         let mut transposed = bytes.to_vec();
         for i in 0..4 {
             transposed.swap(a + i, a + 4 + i); // transpose two adjacent members
@@ -640,10 +651,10 @@ mod tests {
         // Raising a span's last member past the node count keeps the span
         // sorted; once the checksum is fixed only the range check can catch
         // it, and a query would otherwise index past the graph.
-        let oracle = sample_oracle(139, true, TableBackend::HashMap);
+        let oracle = sample_oracle(139, true);
         let bytes = encode(&oracle);
         let n = oracle.node_count();
-        let (_, last) = first_multi_member_span(&bytes, &oracle);
+        let (_, _, last) = first_multi_member_span(&bytes, &oracle);
         let mut corrupt = bytes.to_vec();
         corrupt[last..last + 4].copy_from_slice(&(n as u32 + 1000).to_le_bytes());
         fix_checksum(&mut corrupt);
@@ -652,25 +663,53 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
+    #[test]
+    fn distances_beyond_the_radius_are_rejected() {
+        // A member distance above its node's radius leaves the spans sorted
+        // and in range. Unchecked, it answers a wrong `Exact` distance, and
+        // a huge one sizes the node's shell index by its value. A radius of
+        // n or more is just as impossible (the hop bound is n - 1).
+        let oracle = sample_oracle(139, true);
+        let bytes = encode(&oracle);
+        let n = oracle.node_count();
+        let (u, _, last) = first_multi_member_span(&bytes, &oracle);
+        let radius = oracle.vicinity(u).unwrap().radius();
+        // The distance pool directly follows the member pool.
+        let last_distance = last + oracle.store().total_entries() as usize * 4;
+        let radius_pos = flags_byte_position(&bytes, &oracle) + 1 + u as usize * 4;
+        for (pos, value) in [
+            (last_distance, radius + 1),
+            (last_distance, 20_000_000),
+            (radius_pos, n as Distance),
+        ] {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
+            fix_checksum(&mut corrupt);
+            let err = decode(&corrupt).unwrap_err();
+            assert!(matches!(err, OracleError::Decode(_)), "{value}: {err}");
+        }
+    }
+
     /// Byte positions, in an encoded snapshot of `oracle`, of the first and
-    /// last member of the first span with at least two members.
-    fn first_multi_member_span(bytes: &[u8], oracle: &VicinityOracle) -> (usize, usize) {
+    /// last member of the first span with at least two members, after the
+    /// node that owns the span.
+    fn first_multi_member_span(bytes: &[u8], oracle: &VicinityOracle) -> (NodeId, usize, usize) {
         let n = oracle.node_count();
         // Section layout after the flags byte: radii (n u32), nearest
         // (n u32), offsets (n+1 u64), then the member pool.
         let members_pos = flags_byte_position(bytes, oracle) + 1 + n * 4 + n * 4 + (n + 1) * 8;
         let (_, _, offsets, members, ..) = oracle.store().raw_sections();
-        let (start, end) = (0..n)
+        let u = (0..n)
             .find(|&u| offsets[u + 1] - offsets[u] >= 2)
-            .map(|u| (offsets[u] as usize, offsets[u + 1] as usize))
             .expect("some node has at least two members");
+        let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
         let first = members_pos + start * 4;
         assert_eq!(
             u32::from_le_bytes(bytes[first..first + 4].try_into().unwrap()),
             members[start],
             "member-section offset arithmetic must line up"
         );
-        (first, members_pos + (end - 1) * 4)
+        (u as NodeId, first, members_pos + (end - 1) * 4)
     }
 
     /// Locate the v3 store-flags byte by re-encoding the shared header.
@@ -683,7 +722,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let oracle = sample_oracle(134, true, TableBackend::HashMap);
+        let oracle = sample_oracle(134, true);
         let mut bytes = encode(&oracle).to_vec();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x5A;
@@ -692,7 +731,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let oracle = sample_oracle(135, true, TableBackend::HashMap);
+        let oracle = sample_oracle(135, true);
         let bytes = encode(&oracle);
         for len in [0usize, 3, 12, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..len]).is_err(), "length {len} must fail");
@@ -709,7 +748,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        let oracle = sample_oracle(136, true, TableBackend::HashMap);
+        let oracle = sample_oracle(136, true);
         let bytes = encode(&oracle).to_vec();
 
         let mut bad_magic = bytes.clone();
@@ -717,6 +756,16 @@ mod tests {
         fix_checksum(&mut bad_magic);
         let err = decode(&bad_magic).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+
+        // The membership byte (after magic, version, alpha and sampling)
+        // accepts only 0, flat hash slots.
+        let mut bad_membership = bytes.clone();
+        assert_eq!(bad_membership[14], 0);
+        bad_membership[14] = 1;
+        fix_checksum(&mut bad_membership);
+        let err = decode(&bad_membership).unwrap_err();
+        assert!(matches!(err, OracleError::Decode(_)));
+        assert!(err.to_string().contains("membership"), "{err}");
 
         // Versions 1 and 2 (formats this build no longer reads) and an
         // unknown one alike: the rejection names the offending version and

@@ -65,7 +65,7 @@ pub struct IntersectionPoint {
 /// Figure 2 (left): answered fraction vs α.
 ///
 /// For every α in `alphas`, builds an oracle (with `base_config`'s
-/// strategy/backend and the workload's seed) and evaluates the §2.3 random
+/// sampling strategy and the workload's seed) and evaluates the §2.3 random
 /// pair workload against it.
 pub fn intersection_experiment(
     graph: &CsrGraph,

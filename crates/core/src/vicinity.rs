@@ -38,7 +38,6 @@
 use vicinity_graph::algo::bfs::BoundedBfsScratch;
 use vicinity_graph::{Adjacency, Distance, NodeId, INVALID_NODE};
 
-use crate::config::TableBackend;
 use crate::prefetch::{prefetch_read, prefetch_slice};
 
 #[inline]
@@ -72,7 +71,6 @@ pub(crate) fn slot_count(len: usize) -> usize {
 /// (never serialized — snapshot decode rebuilds them in one pass).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VicinityStore {
-    backend: TableBackend,
     node_count: usize,
     /// Ball radius `d(u, ℓ(u))` per node; `0` for landmarks.
     radii: Vec<Distance>,
@@ -100,8 +98,8 @@ pub struct VicinityStore {
     /// Member ids grouped by distance within each node span (a permutation
     /// of that span of `members`; each group sorted ascending).
     shell_data: Vec<NodeId>,
-    /// `hash_offsets[u] .. hash_offsets[u + 1]` spans `hash_slots`.
-    /// All-empty under [`TableBackend::SortedArray`].
+    /// `hash_offsets[u] .. hash_offsets[u + 1]` spans `hash_slots`; a
+    /// span is empty exactly when the node's vicinity is.
     hash_offsets: Vec<u64>,
     /// Flat open-addressing membership tables: each span is a power-of-two
     /// number of slots holding `local_index + 1` (0 = empty), probed with
@@ -113,31 +111,24 @@ pub struct VicinityStore {
 impl VicinityStore {
     /// An empty store over `node_count` nodes (every vicinity empty). Used
     /// by degenerate builds; real construction goes through chunks.
-    pub fn empty(node_count: usize, backend: TableBackend) -> Self {
-        VicinityStore {
-            backend,
-            node_count,
-            radii: vec![0; node_count],
-            nearest: vec![INVALID_NODE; node_count],
-            offsets: vec![0; node_count + 1],
-            members: Vec::new(),
-            distances: Vec::new(),
-            predecessors: Vec::new(),
-            boundary_offsets: vec![0; node_count + 1],
-            boundary: Vec::new(),
-            shell_index: vec![0; node_count + 1],
-            shell_offsets: Vec::new(),
-            shell_data: Vec::new(),
-            hash_offsets: vec![0; node_count + 1],
-            hash_slots: Vec::new(),
-        }
+    pub fn empty(node_count: usize) -> Self {
+        Self::from_raw(
+            vec![0; node_count],
+            vec![INVALID_NODE; node_count],
+            vec![0; node_count + 1],
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            vec![0; node_count + 1],
+            Vec::new(),
+        )
     }
 
     /// Splice worker-local chunk arenas (covering node ranges `0..n` in
     /// order, without gaps) into one store. Pool contents are concatenated
     /// verbatim — no per-node work, no re-hashing — and the derived shell
     /// and hash-slot sections are then built in one pass over the pools.
-    pub fn from_chunks(backend: TableBackend, chunks: Vec<VicinityChunk>) -> Self {
+    pub fn from_chunks(chunks: Vec<VicinityChunk>) -> Self {
         let node_count: usize = chunks.iter().map(|c| c.len()).sum();
         let total_members: usize = chunks.iter().map(|c| c.members.len()).sum();
         let total_boundary: usize = chunks.iter().map(|c| c.boundary.len()).sum();
@@ -180,7 +171,6 @@ impl VicinityStore {
         debug_assert_eq!(offsets.len(), node_count + 1);
 
         Self::from_raw(
-            backend,
             radii,
             nearest,
             offsets,
@@ -198,7 +188,6 @@ impl VicinityStore {
     /// this with [`spans_sorted`] before calling.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw(
-        backend: TableBackend,
         radii: Vec<Distance>,
         nearest: Vec<NodeId>,
         offsets: Vec<u64>,
@@ -213,7 +202,6 @@ impl VicinityStore {
         debug_assert_eq!(boundary_offsets.len(), node_count + 1);
         debug_assert_eq!(members.len(), distances.len());
         let mut store = VicinityStore {
-            backend,
             node_count,
             radii,
             nearest,
@@ -299,15 +287,10 @@ impl VicinityStore {
         debug_assert_eq!(self.shell_index.len(), n + 1);
     }
 
-    /// Build the flat membership slot arena (HashMap backend only), with
-    /// the same disjoint-window parallelism as [`VicinityStore::build_shells`].
+    /// Build the flat membership slot arena, with the same disjoint-window
+    /// parallelism as [`VicinityStore::build_shells`].
     fn build_hash_slots(&mut self) {
         let n = self.node_count;
-        self.hash_slots = Vec::new();
-        if !matches!(self.backend, TableBackend::HashMap) {
-            self.hash_offsets = vec![0; n + 1];
-            return;
-        }
         let mut hash_offsets = Vec::with_capacity(n + 1);
         hash_offsets.push(0u64);
         let mut running = 0u64;
@@ -379,11 +362,6 @@ impl VicinityStore {
     /// Whether shortest-path predecessors are stored.
     pub fn stores_paths(&self) -> bool {
         !self.predecessors.is_empty() || self.members.is_empty()
-    }
-
-    /// The membership-table backend the store was built with.
-    pub fn backend(&self) -> TableBackend {
-        self.backend
     }
 
     /// Borrow the vicinity view of node `u`, or `None` when out of range.
@@ -475,12 +453,10 @@ impl VicinityStore {
             self.hash_offsets[i] as usize,
             self.hash_offsets[i + 1] as usize,
         );
-        if h_end > h_start {
-            // Power-of-two slot span: hint the line the membership probe
-            // for `probe` will land on first.
-            let mask = (h_end - h_start) - 1;
-            prefetch_read(&self.hash_slots[h_start + (hash_id(probe) & mask)]);
-        }
+        // A non-empty span has a power-of-two slot span: hint the line the
+        // membership probe for `probe` will land on first.
+        let mask = (h_end - h_start) - 1;
+        prefetch_read(&self.hash_slots[h_start + (hash_id(probe) & mask)]);
         if want_paths {
             if !self.predecessors.is_empty() {
                 prefetch_slice(&self.predecessors[start..end], 2);
@@ -545,8 +521,7 @@ impl VicinityStore {
     /// Modeled footprint of the retired one-object-per-node layout for the
     /// same index: per node, six private `Vec`s (members, distances,
     /// predecessors, boundary, shell data, shell offsets), the struct
-    /// header, and — under the hash backend — a private hash map charged at
-    /// its bucket count (next power of two at ⅞ load) times twice the
+    /// header, and a private hash map charged at its bucket count (next power of two at ⅞ load) times twice the
     /// key/value payload, exactly the accounting the old
     /// `NodeVicinity::memory_bytes` used. Kept so the `store_layout`
     /// benchmark can report the flat-vs-per-node delta without rebuilding
@@ -565,12 +540,11 @@ impl VicinityStore {
                 0
             };
             let payload = (len * 2 + preds + len/* shell data */) * 4 + blen * 4 + shell_levels * 4;
-            let hash = match self.backend {
-                TableBackend::HashMap if len > 0 => {
-                    let buckets = (len * 8 / 7 + 1).next_power_of_two();
-                    buckets * 2 * std::mem::size_of::<(NodeId, u32)>()
-                }
-                _ => 0,
+            let hash = if len > 0 {
+                let buckets = (len * 8 / 7 + 1).next_power_of_two();
+                buckets * 2 * std::mem::size_of::<(NodeId, u32)>()
+            } else {
+                0
             };
             total += payload as u64 + hash as u64 + PER_NODE_STRUCT;
         }
@@ -696,7 +670,7 @@ impl<'a> VicinityRef<'a> {
         self.shell_data
     }
 
-    /// Raw membership slots (empty under the sorted-array backend).
+    /// Raw membership slots (empty exactly when the vicinity is).
     pub(crate) fn raw_hash_slots(&self) -> &'a [u32] {
         self.hash_slots
     }
@@ -785,11 +759,11 @@ impl<'a> VicinityRef<'a> {
     ///   over the two id-sorted shell slices. Linear, forward-only,
     ///   prefetch-friendly; the default.
     /// * **probe** — when one shell is at least [`PROBE_SIZE_RATIO`]×
-    ///   smaller *and* the larger side carries flat membership slots, hash
-    ///   each id of the small shell into the larger vicinity's slots and
-    ///   compare the stored distance against its level. Constant work per
-    ///   id regardless of how large the other shell is, which beats even a
-    ///   galloping merge once the slices are sufficiently lopsided.
+    ///   smaller, hash each id of the small shell into the larger
+    ///   vicinity's membership slots and compare the stored distance
+    ///   against its level. Constant work per id regardless of how large
+    ///   the other shell is, which beats even a galloping merge once the
+    ///   slices are sufficiently lopsided.
     ///
     /// Both strategies are exact over sorted pools (the build-time
     /// invariant snapshot v3 headers record); `counters` reports per-strategy
@@ -809,7 +783,7 @@ impl<'a> VicinityRef<'a> {
         }
         // Probe the smaller shell into the larger side's hash slots when
         // the imbalance pays for the random accesses.
-        if b.len() >= PROBE_SIZE_RATIO * a.len() && !other.hash_slots.is_empty() {
+        if b.len() >= PROBE_SIZE_RATIO * a.len() {
             counters.probe_calls += 1;
             for &id in a {
                 counters.steps += 1;
@@ -819,7 +793,7 @@ impl<'a> VicinityRef<'a> {
             }
             return false;
         }
-        if a.len() >= PROBE_SIZE_RATIO * b.len() && !self.hash_slots.is_empty() {
+        if a.len() >= PROBE_SIZE_RATIO * b.len() {
             counters.probe_calls += 1;
             for &id in b {
                 counters.steps += 1;
@@ -884,15 +858,11 @@ impl<'a> VicinityRef<'a> {
         (best, scanned, witnesses)
     }
 
-    /// Position of `v` in the member span, if present. One membership probe:
-    /// a flat-slot hash probe under the hash backend, a binary search under
-    /// the sorted-array backend.
+    /// Position of `v` in the member span, if present: one linear probe of
+    /// the flat membership slots. Only an empty vicinity has no slots.
     #[inline]
     fn position(&self, v: NodeId) -> Option<usize> {
-        if self.hash_slots.is_empty() {
-            return self.members.binary_search(&v).ok();
-        }
-        let mask = self.hash_slots.len() - 1;
+        let mask = self.hash_slots.len().checked_sub(1)?;
         let mut i = hash_id(v) & mask;
         loop {
             match self.hash_slots[i] {
@@ -1239,19 +1209,18 @@ fn hash_slots_for_range(
             hash_offsets[u] as usize - base,
             hash_offsets[u + 1] as usize - base,
         );
-        if slot_start == slot_end {
-            continue;
-        }
         fill_hash_slots(&members[start..end], &mut out[slot_start..slot_end]);
     }
 }
 
 /// Fill one node's power-of-two open-addressing slot span (zeroed on entry)
 /// from its member list: each slot holds `local_index + 1`, 0 meaning
-/// empty, linear probing from the FxHash mix. Shared with the overlay
-/// construction in [`crate::dynamic`].
+/// empty, linear probing from the FxHash mix. An empty vicinity has an
+/// empty span. Shared with the overlay construction in [`crate::dynamic`].
 pub(crate) fn fill_hash_slots(members: &[NodeId], span: &mut [u32]) {
-    let mask = span.len() - 1;
+    let Some(mask) = span.len().checked_sub(1) else {
+        return;
+    };
     for (local, &member) in members.iter().enumerate() {
         let mut i = hash_id(member) & mask;
         while span[i] != 0 {
@@ -1264,8 +1233,8 @@ pub(crate) fn fill_hash_slots(members: &[NodeId], span: &mut [u32]) {
 /// True when every node span of `members` is strictly ascending — the
 /// sorted-pool invariant every builder upholds and snapshot v3 headers
 /// record (see `crate::serialize`, which rejects a snapshot whose spans
-/// fail this check). Queries rely on it for the merge intersection and the
-/// sorted-array membership probes.
+/// fail this check). Queries rely on it for the galloping merges of
+/// [`sorted_ids_intersect`] and [`VicinityRef::min_boundary_sum`].
 pub(crate) fn spans_sorted(offsets: &[u64], members: &[NodeId]) -> bool {
     offsets.windows(2).all(|w| {
         members[w[0] as usize..w[1] as usize]
@@ -1316,7 +1285,6 @@ mod tests {
         graph: &CsrGraph,
         radius: Distance,
         nearest: NodeId,
-        backend: TableBackend,
         store_paths: bool,
     ) -> VicinityStore {
         let mut scratch = BoundedBfsScratch::with_node_capacity(graph.node_count());
@@ -1324,7 +1292,7 @@ mod tests {
         for _ in 0..graph.node_count() {
             chunk.push_node(graph, Some(radius), Some(nearest), &mut scratch);
         }
-        VicinityStore::from_chunks(backend, vec![chunk])
+        VicinityStore::from_chunks(vec![chunk])
     }
 
     /// Reference implementation of the merge intersection: per-boundary-node
@@ -1348,7 +1316,7 @@ mod tests {
     #[test]
     fn merge_intersection_matches_probe_loop() {
         let g = SocialGraphConfig::small_test().generate(61);
-        let store = store_with_radius(&g, 2, 0, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 2, 0, true);
         let owners: Vec<NodeId> = (0..40u32).map(|u| u * 7 % g.node_count() as u32).collect();
         let mut intersections = 0;
         for &ua in &owners {
@@ -1382,46 +1350,34 @@ mod tests {
 
     #[test]
     fn adaptive_shell_intersection_matches_naive() {
-        // Every shell pair, both backends: the adaptive kernel must agree
-        // with a naive set intersection, and under the hash backend the
-        // lopsided pairs must exercise the probe strategy.
+        // Every shell pair: the adaptive kernel must agree with a naive set
+        // intersection, and the lopsided pairs must exercise the probe
+        // strategy.
         let g = SocialGraphConfig::small_test().generate(66);
-        let mut totals = IntersectCounters::default();
-        for backend in [TableBackend::HashMap, TableBackend::SortedArray] {
-            let store = store_with_radius(&g, 3, 0, backend, false);
-            let mut counters = IntersectCounters::default();
-            for ua in (0..g.node_count() as NodeId).step_by(29) {
-                for ub in (0..g.node_count() as NodeId).step_by(31) {
-                    let a = store.get(ua).unwrap();
-                    let b = store.get(ub).unwrap();
-                    for da in 0..=a.max_shell_distance() {
-                        for db in 0..=b.max_shell_distance() {
-                            let naive = a.shell(da).iter().any(|m| b.shell(db).contains(m));
-                            assert_eq!(
-                                a.shell_intersect_adaptive(da, &b, db, &mut counters),
-                                naive,
-                                "pair ({ua},{ub}) shells ({da},{db})"
-                            );
-                        }
+        let store = store_with_radius(&g, 3, 0, false);
+        let mut counters = IntersectCounters::default();
+        for ua in (0..g.node_count() as NodeId).step_by(29) {
+            for ub in (0..g.node_count() as NodeId).step_by(31) {
+                let a = store.get(ua).unwrap();
+                let b = store.get(ub).unwrap();
+                for da in 0..=a.max_shell_distance() {
+                    for db in 0..=b.max_shell_distance() {
+                        let naive = a.shell(da).iter().any(|m| b.shell(db).contains(m));
+                        assert_eq!(
+                            a.shell_intersect_adaptive(da, &b, db, &mut counters),
+                            naive,
+                            "pair ({ua},{ub}) shells ({da},{db})"
+                        );
                     }
                 }
             }
-            assert!(counters.merge_calls > 0, "merge strategy must fire");
-            if matches!(backend, TableBackend::SortedArray) {
-                assert_eq!(
-                    counters.probe_calls, 0,
-                    "probe strategy needs membership slots"
-                );
-            }
-            totals.merge_calls += counters.merge_calls;
-            totals.probe_calls += counters.probe_calls;
-            totals.steps += counters.steps;
         }
+        assert!(counters.merge_calls > 0, "merge strategy must fire");
         assert!(
-            totals.probe_calls > 0,
-            "hash backend must dispatch some lopsided pairs to the probe strategy"
+            counters.probe_calls > 0,
+            "lopsided pairs must dispatch to the probe strategy"
         );
-        assert!(totals.steps > 0);
+        assert!(counters.steps > 0);
     }
 
     #[test]
@@ -1437,7 +1393,7 @@ mod tests {
     #[test]
     fn vicinity_on_path_graph() {
         let g = classic::path(10);
-        let store = store_with_radius(&g, 2, 0, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 2, 0, true);
         let v = store.get(5).unwrap();
         // Members: nodes at distance <= 2 from node 5.
         assert_eq!(v.members(), &[3, 4, 5, 6, 7]);
@@ -1455,7 +1411,7 @@ mod tests {
     #[test]
     fn boundary_on_path_graph() {
         let g = classic::path(10);
-        let store = store_with_radius(&g, 2, 0, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 2, 0, true);
         let v = store.get(5).unwrap();
         // Nodes 3 and 7 have neighbours (2 and 8) outside the vicinity.
         let boundary: Vec<NodeId> = v.boundary_iter().map(|(n, _)| n).collect();
@@ -1468,7 +1424,7 @@ mod tests {
     #[test]
     fn landmark_vicinity_is_empty() {
         let g = classic::path(5);
-        let store = store_with_radius(&g, 0, 2, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 0, 2, true);
         let v = store.get(2).unwrap();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
@@ -1481,7 +1437,7 @@ mod tests {
     #[test]
     fn paths_chase_predecessors_correctly() {
         let g = classic::grid(5, 5);
-        let store = store_with_radius(&g, 3, 0, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 3, 0, true);
         let v = store.get(12).unwrap();
         for (member, dist) in v.iter() {
             let path = v.path_to(member).expect("member path must exist");
@@ -1498,7 +1454,7 @@ mod tests {
     #[test]
     fn without_path_storage_no_predecessors() {
         let g = classic::grid(4, 4);
-        let store = store_with_radius(&g, 2, 0, TableBackend::SortedArray, false);
+        let store = store_with_radius(&g, 2, 0, false);
         let v = store.get(5).unwrap();
         assert!(!v.stores_paths());
         assert_eq!(v.predecessor_of(6), None);
@@ -1509,29 +1465,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree() {
-        let g = SocialGraphConfig::small_test().generate(61);
-        let hash_store = store_with_radius(&g, 3, 0, TableBackend::HashMap, true);
-        let sorted_store = store_with_radius(&g, 3, 0, TableBackend::SortedArray, true);
-        let hash = hash_store.get(10).unwrap();
-        let sorted = sorted_store.get(10).unwrap();
-        assert_eq!(hash.members(), sorted.members());
-        assert_eq!(hash.len(), sorted.len());
-        assert_eq!(hash.boundary_len(), sorted.boundary_len());
-        for (m, d) in hash.iter() {
-            assert_eq!(sorted.distance_to(m), Some(d));
-            assert_eq!(sorted.predecessor_of(m), hash.predecessor_of(m));
-        }
-        // The hash backend costs more memory (it carries the slot arena).
-        assert!(hash.memory_bytes() > sorted.memory_bytes());
-        assert!(hash_store.memory_bytes() > sorted_store.memory_bytes());
-    }
-
-    #[test]
     fn distances_match_reference_bfs() {
         let g = SocialGraphConfig::small_test().generate(62);
         let reference = bfs_distances(&g, 0);
-        let store = store_with_radius(&g, 3, 7, TableBackend::SortedArray, true);
+        let store = store_with_radius(&g, 3, 7, true);
         let v = store.get(0).unwrap();
         for (member, dist) in v.iter() {
             assert_eq!(dist, reference[member as usize], "member {member}");
@@ -1558,7 +1495,7 @@ mod tests {
         for _ in 0..6 {
             chunk.push_node(&g, None, None, &mut scratch);
         }
-        let store = VicinityStore::from_chunks(TableBackend::HashMap, vec![chunk]);
+        let store = VicinityStore::from_chunks(vec![chunk]);
         let v = store.get(0).unwrap();
         assert_eq!(v.members(), &[0, 1, 2]);
         assert_eq!(v.nearest_landmark(), None);
@@ -1569,7 +1506,7 @@ mod tests {
     #[test]
     fn entry_count_and_memory() {
         let g = classic::complete(10);
-        let store = store_with_radius(&g, 1, 0, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 1, 0, true);
         let v = store.get(0).unwrap();
         assert_eq!(v.entry_count(), 10);
         assert!(v.memory_bytes() > 0);
@@ -1583,7 +1520,7 @@ mod tests {
     fn chunk_splicing_matches_single_chunk_build() {
         let g = SocialGraphConfig::small_test().generate(63);
         let n = g.node_count();
-        let single = store_with_radius(&g, 2, 0, TableBackend::HashMap, true);
+        let single = store_with_radius(&g, 2, 0, true);
 
         // Same store assembled from three uneven worker chunks.
         let mut scratch = BoundedBfsScratch::with_node_capacity(n);
@@ -1596,7 +1533,7 @@ mod tests {
             }
             chunks.push(chunk);
         }
-        let spliced = VicinityStore::from_chunks(TableBackend::HashMap, chunks);
+        let spliced = VicinityStore::from_chunks(chunks);
         assert_eq!(single, spliced);
         for u in (0..n as NodeId).step_by(17) {
             assert_eq!(single.get(u), spliced.get(u));
@@ -1605,7 +1542,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        let store = VicinityStore::empty(4, TableBackend::HashMap);
+        let store = VicinityStore::empty(4);
         assert_eq!(store.node_count(), 4);
         assert_eq!(store.total_entries(), 0);
         let v = store.get(3).unwrap();
@@ -1618,11 +1555,10 @@ mod tests {
     #[test]
     fn raw_sections_round_trip_through_from_raw() {
         let g = classic::grid(4, 4);
-        let store = store_with_radius(&g, 2, 0, TableBackend::HashMap, true);
+        let store = store_with_radius(&g, 2, 0, true);
         let (radii, nearest, offsets, members, distances, preds, b_offsets, boundary) =
             store.raw_sections();
         let rebuilt = VicinityStore::from_raw(
-            TableBackend::HashMap,
             radii.to_vec(),
             nearest.to_vec(),
             offsets.to_vec(),
@@ -1638,7 +1574,7 @@ mod tests {
     #[test]
     fn shells_partition_members_by_distance() {
         let g = SocialGraphConfig::small_test().generate(64);
-        let store = store_with_radius(&g, 3, 0, TableBackend::SortedArray, false);
+        let store = store_with_radius(&g, 3, 0, false);
         for u in (0..g.node_count() as NodeId).step_by(13) {
             let v = store.get(u).unwrap();
             let mut from_shells: Vec<(NodeId, Distance)> = Vec::new();

@@ -1,6 +1,6 @@
 //! Overlay-correctness properties of the dynamic oracle: after an
-//! arbitrary interleaving of `insert_edge` / `remove_edge` — across
-//! backends, path storage settings, and forced compaction boundaries — the
+//! arbitrary interleaving of `insert_edge` / `remove_edge` — across path
+//! storage settings and forced compaction boundaries — the
 //! [`DynamicOracle`]'s answers (distances, paths, and the answer method the
 //! stats plane reports) must equal a from-scratch rebuild on the mutated
 //! graph with the same (pinned) landmark set, published snapshots must
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use vicinity::core::config::{Alpha, TableBackend};
+use vicinity::core::config::Alpha;
 use vicinity::core::dynamic::DynamicOracle;
 use vicinity::core::fallback::fallback_distance;
 use vicinity::core::OracleBuilder;
@@ -94,13 +94,10 @@ proptest! {
         script in update_script(36, 10),
         alpha in 0.5f64..8.0,
         seed in 0u64..1000,
-        use_hash in any::<bool>(),
         store_paths in any::<bool>(),
     ) {
-        let backend = if use_hash { TableBackend::HashMap } else { TableBackend::SortedArray };
         let oracle = OracleBuilder::new(Alpha::new(alpha).unwrap())
             .seed(seed)
-            .backend(backend)
             .store_paths(store_paths)
             .build(&graph);
         let mut dynamic = DynamicOracle::from_parts(oracle, graph).unwrap();

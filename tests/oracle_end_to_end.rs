@@ -3,7 +3,7 @@
 
 use vicinity::baselines::bfs::BfsEngine;
 use vicinity::baselines::PointToPoint;
-use vicinity::core::config::{Alpha, SamplingStrategy, TableBackend};
+use vicinity::core::config::{Alpha, SamplingStrategy};
 use vicinity::core::fallback::QueryWithFallback;
 use vicinity::core::memory::MemoryReport;
 use vicinity::core::query::{DistanceAnswer, PathAnswer};
@@ -179,25 +179,22 @@ fn memory_and_boundary_claims() {
     );
 }
 
-/// Serialisation round-trips a full oracle built over a stand-in, across
-/// both table backends, and the loaded oracle answers queries identically.
+/// Serialisation round-trips a full oracle built over a stand-in, and the
+/// loaded oracle answers queries identically.
 #[test]
 fn persistence_round_trip_on_stand_in() {
     let dataset = Dataset::generate_uncached(StandIn::Dblp, Scale::Tiny);
     let graph = &dataset.graph;
-    for backend in [TableBackend::HashMap, TableBackend::SortedArray] {
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
-            .seed(6)
-            .backend(backend)
-            .sampling(SamplingStrategy::DegreeProportional)
-            .build(graph);
-        let bytes = serialize::encode(&oracle);
-        let restored = serialize::decode(&bytes).expect("round trip");
-        assert_eq!(oracle, restored);
-        let workload = PairWorkload::uniform_random(graph, 100, 23);
-        for (s, t) in workload.iter() {
-            assert_eq!(oracle.distance(s, t), restored.distance(s, t));
-        }
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .seed(6)
+        .sampling(SamplingStrategy::DegreeProportional)
+        .build(graph);
+    let bytes = serialize::encode(&oracle);
+    let restored = serialize::decode(&bytes).expect("round trip");
+    assert_eq!(oracle, restored);
+    let workload = PairWorkload::uniform_random(graph, 100, 23);
+    for (s, t) in workload.iter() {
+        assert_eq!(oracle.distance(s, t), restored.distance(s, t));
     }
 }
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use vicinity::baselines::bfs::BfsEngine;
 use vicinity::baselines::PointToPoint;
-use vicinity::core::config::{Alpha, TableBackend};
+use vicinity::core::config::Alpha;
 use vicinity::core::{serialize, OracleBuilder};
 use vicinity::graph::algo::bfs::bfs_distances;
 use vicinity::graph::builder::GraphBuilder;
@@ -87,8 +87,7 @@ proptest! {
         }
     }
 
-    /// Snapshot format v3 round-trips on arbitrary graphs and backends,
-    /// with and without predecessor storage. The `arbitrary_graph` strategy
+    /// Snapshot format v3 round-trips on arbitrary graphs, with and without predecessor storage. The `arbitrary_graph` strategy
     /// keeps the node count fixed while edges are random, so most cases
     /// contain isolated and landmark-free nodes (empty and degenerate
     /// vicinities) alongside regular ones. (Saturated u16 landmark rows
@@ -98,13 +97,10 @@ proptest! {
     fn oracle_serialization_round_trips(
         graph in arbitrary_graph(40, 100),
         seed in 0u64..1000,
-        use_hash in any::<bool>(),
         store_paths in any::<bool>(),
     ) {
-        let backend = if use_hash { TableBackend::HashMap } else { TableBackend::SortedArray };
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(seed)
-            .backend(backend)
             .store_paths(store_paths)
             .build(&graph);
         let decoded = serialize::decode(&serialize::encode(&oracle)).unwrap();
@@ -112,18 +108,15 @@ proptest! {
     }
 
     /// A v3-decoded oracle answers every pair identically to the original
-    /// (distances and paths), for any backend and path-storage setting.
+    /// (distances and paths), with and without stored paths.
     #[test]
     fn decoded_oracle_answers_all_pairs_identically(
         graph in arbitrary_graph(30, 70),
         seed in 0u64..1000,
-        use_hash in any::<bool>(),
         store_paths in any::<bool>(),
     ) {
-        let backend = if use_hash { TableBackend::HashMap } else { TableBackend::SortedArray };
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(seed)
-            .backend(backend)
             .store_paths(store_paths)
             .build(&graph);
         let decoded = serialize::decode(&serialize::encode(&oracle)).unwrap();
@@ -240,11 +233,8 @@ fn batched_queries_match_scalar_on_saturated_path_graph() {
 
     let n: u32 = 66_000;
     let graph = classic::path(n as usize);
-    // SortedArray + no stored paths keeps the 66k-node build cheap in
-    // debug test runs; saturation behaviour is backend-independent.
     let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
         .seed(3)
-        .backend(TableBackend::SortedArray)
         .store_paths(false)
         .build(&graph);
 
