@@ -16,6 +16,9 @@
 //! * the workload did not send shell pairs through *both* intersection
 //!   strategies (galloping merge and membership-slot probe), so the
 //!   parity check above would leave one of them unexercised — every mode;
+//! * the scalar run answered no pair with the landmark walk
+//!   (`AnswerMethod::LandmarkWalk`), which would leave that branch outside
+//!   the parity check too — every mode;
 //! * in full mode, the α = 4 run shows < 1.5× batched-over-scalar
 //!   throughput at batch ≥ 64 — the headline claim this experiment
 //!   exists to defend.
@@ -34,7 +37,7 @@ use rand::SeedableRng;
 use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{percentile_ms, timed};
 use vicinity_core::config::Alpha;
-use vicinity_core::query::{DistanceAnswer, QueryStats};
+use vicinity_core::query::{AnswerMethod, DistanceAnswer, QueryStats};
 use vicinity_core::{OracleBuilder, VicinityOracle};
 use vicinity_graph::algo::sampling::random_pairs;
 use vicinity_graph::generators::social::SocialGraphConfig;
@@ -113,6 +116,15 @@ fn main() {
             eprintln!(
                 "FAIL: alpha={alpha}: a strategy never fired ({merges} merge, {probes} probe)"
             );
+            failures += 1;
+        }
+        let walks = scalar
+            .answers
+            .iter()
+            .filter(|a| a.method() == Some(AnswerMethod::LandmarkWalk))
+            .count();
+        if walks == 0 {
+            eprintln!("FAIL: alpha={alpha}: no pair was answered by the landmark walk");
             failures += 1;
         }
         json_rows.push(json_row(

@@ -13,12 +13,19 @@ use vicinity_graph::{Distance, NodeId, INFINITY, INVALID_NODE};
 use crate::landmarks::LandmarkSet;
 
 /// Per-node nearest-landmark information.
+///
+/// Ties are broken canonically: `ℓ(u)` is the smallest-id landmark at
+/// distance `d(u, L)`, so it depends only on the graph and the landmark
+/// set. The dynamic oracle's label repair keeps the same rule, which is
+/// what makes its answers — the landmark walk's included — equal a
+/// pinned-landmark rebuild's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallRadii {
     /// `radius[u] = d(u, ℓ(u))`; `INFINITY` when no landmark is reachable
     /// from `u` (disconnected graph or empty landmark set).
     pub radius: Vec<Distance>,
-    /// `nearest[u] = ℓ(u)`; `INVALID_NODE` when no landmark is reachable.
+    /// `nearest[u] = ℓ(u)`, the smallest-id landmark among the nearest;
+    /// `INVALID_NODE` when no landmark is reachable.
     pub nearest: Vec<NodeId>,
 }
 

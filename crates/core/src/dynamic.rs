@@ -638,9 +638,12 @@ pub struct DynamicOracle {
     rows: RowMap,
     /// Exact `d(u, L)` per node (`INFINITY` = no landmark reachable).
     radius: Vec<Distance>,
-    /// A landmark attaining `radius[u]`, supported by a neighbour chain
-    /// (`INVALID_NODE` when unreachable). The query pruning relies on
-    /// `d(u, nearest[u]) == radius[u]` being exact.
+    /// The smallest-id landmark attaining `radius[u]` — the builder's
+    /// canonical tie rule ([`crate::ball::BallRadii`]) — supported by a
+    /// neighbour chain (`INVALID_NODE` when unreachable). The query
+    /// bounds rely on `d(u, nearest[u]) == radius[u]` being exact, and
+    /// the canonical choice makes the landmark walk, and so every answer
+    /// method, match a pinned rebuild's.
     nearest: Vec<NodeId>,
     /// Cached `has_saturated` per landmark row, computed lazily on the
     /// first decremental repair touching the row.
@@ -991,32 +994,37 @@ impl DynamicOracle {
         self.stamp_version
     }
 
-    /// Incremental (insert-side) label repair: flood strictly-improving
-    /// `(distance, label)` pairs from whichever endpoint the new edge
-    /// shortcuts. Nodes whose header changed are appended to `changed`.
+    /// Incremental (insert-side) label repair: flood strictly smaller
+    /// `(distance, label)` pairs, compared lexicographically, from
+    /// whichever endpoint the new edge shortcuts. On insertion distances
+    /// only shrink and, at an unchanged distance, the least landmark can
+    /// only get smaller, so flooding improvements reaches the canonical
+    /// labels: an equal-length route to a smaller-id landmark changes the
+    /// label too. Nodes whose header changed are appended to `changed`.
     fn improve_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<(NodeId, bool)>) {
-        let (ra, rb) = (self.radius[a as usize], self.radius[b as usize]);
-        let (seed, from) = if ra.saturating_add(1) < rb {
+        let graph = &self.graph;
+        let radius = &mut self.radius;
+        let nearest = &mut self.nearest;
+        let label_of = |u: NodeId| (radius[u as usize], nearest[u as usize]);
+        let via = |u: NodeId| (radius[u as usize].saturating_add(1), nearest[u as usize]);
+        let (seed, from) = if via(a) < label_of(b) {
             (b, a)
-        } else if rb.saturating_add(1) < ra {
+        } else if via(b) < label_of(a) {
             (a, b)
         } else {
             return;
         };
-        let graph = &self.graph;
-        let radius = &mut self.radius;
-        let nearest = &mut self.nearest;
         let mut queue: VecDeque<(NodeId, Distance, NodeId)> = VecDeque::new();
         queue.push_back((seed, radius[from as usize] + 1, nearest[from as usize]));
         while let Some((v, d, label)) = queue.pop_front() {
-            if d >= radius[v as usize] {
+            if (d, label) >= (radius[v as usize], nearest[v as usize]) {
                 continue;
             }
             radius[v as usize] = d;
             nearest[v as usize] = label;
             changed.push((v, true));
             for &w in graph.neighbors(v) {
-                if d + 1 < radius[w as usize] {
+                if (d + 1, label) < (radius[w as usize], nearest[w as usize]) {
                     queue.push_back((w, d + 1, label));
                 }
             }
@@ -1034,6 +1042,9 @@ impl DynamicOracle {
     /// from its boundary by a unit-weight Dijkstra carrying labels. Nodes
     /// outside `A` keep valid `(distance, label)` pairs by the fixpoint
     /// argument: their support chains stay outside `A` all the way down.
+    /// They stay canonical too: on deletion distances only grow and, at
+    /// an unchanged distance, the least landmark can only get larger, so a
+    /// label that keeps its support is still the smallest.
     fn decrement_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<(NodeId, bool)>) {
         let (ra, rb) = (self.radius[a as usize], self.radius[b as usize]);
         if ra == INFINITY && rb == INFINITY {
@@ -1090,44 +1101,43 @@ impl DynamicOracle {
             return;
         }
 
-        // Phase 2: recompute the orphans from the region boundary.
-        let mut heap: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
+        // Phase 2: recompute the orphans from the region boundary, taking
+        // the lexicographically least `(distance, label)` pair, so every
+        // orphan ends with the canonical smallest-id nearest landmark.
+        let mut heap: BinaryHeap<Reverse<(Distance, NodeId, NodeId)>> = BinaryHeap::new();
         let mut new_label: FastMap<NodeId, NodeId> = FastMap::default();
         for &v in &region {
-            let mut best = INFINITY;
-            let mut label = INVALID_NODE;
+            let mut best = (INFINITY, INVALID_NODE);
             for &w in graph.neighbors(v) {
                 if stamps[w as usize] != stamp && radius[w as usize] != INFINITY {
-                    let cand = radius[w as usize] + 1;
-                    if cand < best {
-                        best = cand;
-                        label = nearest[w as usize];
-                    }
+                    best = best.min((radius[w as usize] + 1, nearest[w as usize]));
                 }
             }
-            self.stamp_dist[v as usize] = best;
-            if label != INVALID_NODE {
-                new_label.insert(v, label);
-            }
-            if best != INFINITY {
-                heap.push(Reverse((best, v)));
+            self.stamp_dist[v as usize] = best.0;
+            if best.0 != INFINITY {
+                new_label.insert(v, best.1);
+                heap.push(Reverse((best.0, best.1, v)));
             }
         }
         let mut settled: FastMap<NodeId, ()> = FastMap::default();
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if settled.contains_key(&v) || d > self.stamp_dist[v as usize] {
+        while let Some(Reverse((d, label, v))) = heap.pop() {
+            if settled.contains_key(&v) || (d, label) > (self.stamp_dist[v as usize], new_label[&v])
+            {
                 continue;
             }
             settled.insert(v, ());
-            let label = *new_label.get(&v).expect("settled node carries a label");
             for &w in graph.neighbors(v) {
-                if stamps[w as usize] == stamp
-                    && !settled.contains_key(&w)
-                    && d + 1 < self.stamp_dist[w as usize]
-                {
+                if stamps[w as usize] != stamp || settled.contains_key(&w) {
+                    continue;
+                }
+                let current = (
+                    self.stamp_dist[w as usize],
+                    new_label.get(&w).copied().unwrap_or(INVALID_NODE),
+                );
+                if (d + 1, label) < current {
                     self.stamp_dist[w as usize] = d + 1;
                     new_label.insert(w, label);
-                    heap.push(Reverse((d + 1, w)));
+                    heap.push(Reverse((d + 1, label, w)));
                 }
             }
         }
@@ -1844,5 +1854,50 @@ mod tests {
         assert_matches_rebuild(&dynamic);
         dynamic.remove_edge(3, 5).unwrap();
         assert_matches_rebuild(&dynamic);
+    }
+
+    #[test]
+    fn equal_length_route_to_smaller_landmark_relabels() {
+        // Landmarks 0 and 9. Node 5 starts three hops from 9 (5-3-8-9)
+        // with 0's component detached. Inserting 5-7 gives it an equally
+        // long route to 0 (5-7-1-0): its radius stays 3 and the canonical
+        // label becomes the smaller landmark, as a rebuild would choose.
+        // A shortcut 5-6 to 9 and its removal then exercise the repair in
+        // both directions; after the removal, the neighbour leading to 9
+        // (node 3) comes before the one leading to 0 (node 7).
+        let mut b = GraphBuilder::with_node_count(10);
+        for (u, v) in [
+            (0, 1),
+            (1, 7),
+            (1, 2),
+            (9, 8),
+            (8, 3),
+            (8, 4),
+            (3, 5),
+            (9, 6),
+        ] {
+            b.add_edge(u, v);
+        }
+        let g = b.build_undirected();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(vec![0, 9])
+            .build(&g);
+        let mut dynamic = DynamicOracle::from_parts(oracle, g).unwrap();
+        let header = |d: &DynamicOracle| (d.radius[5], d.nearest_landmark_of(5));
+        assert_eq!(header(&dynamic), (3, Some(9)));
+        for (u, v, insert, expected) in [
+            (5, 7, true, (3, Some(0))),
+            (5, 6, true, (2, Some(9))),
+            (5, 6, false, (3, Some(0))),
+        ] {
+            let applied = if insert {
+                dynamic.insert_edge(u, v).unwrap()
+            } else {
+                dynamic.remove_edge(u, v).unwrap()
+            };
+            assert!(applied);
+            assert_eq!(header(&dynamic), expected, "after ({u},{v},{insert})");
+            assert_matches_rebuild(&dynamic);
+        }
     }
 }

@@ -8,24 +8,24 @@
 //! * [`fallback_distance`] — the exact miss path: a bidirectional BFS
 //!   ([`BidirBfsScratch`], from the graph crate) seeded with both
 //!   endpoints' stored vicinities and started at the walk through either
-//!   endpoint's nearest landmark, `d(s, ℓ) + d(ℓ, t)`, read from one
-//!   exact landmark row. That walk is usually already a shortest path:
-//!   a miss proves `d(s, t) > r_s + r_t`, so when the walk has length
-//!   `r_s + r_t + 1` the search stops right after seeding, and otherwise
-//!   it never expands past the walk. It is the one place the seeding and
-//!   bounding decisions are made; the serving layer,
-//!   [`QueryWithFallback`] and the examples all resolve misses through
-//!   it.
+//!   endpoint's nearest landmark, `r_s + d(ℓ(s), t)`. The index itself
+//!   answers pairs whose walk is provably shortest
+//!   ([`crate::query::AnswerMethod::LandmarkWalk`]), so the search sees
+//!   only the residual misses: disjoint vicinities and a walk longer than
+//!   `r_s + r_t + 1`. Starting at the walk, it never expands past it. It
+//!   is the one place the seeding and bounding decisions are made; the
+//!   serving layer, [`QueryWithFallback`] and the examples all resolve
+//!   misses through it.
 //! * Landmark-estimate fallback — an *approximate* answer computed from the
 //!   landmark rows the oracle already stores: `min_{ℓ ∈ L} d(s,ℓ) + d(ℓ,t)`
 //!   is an upper bound on the true distance at the cost of |L| row probes.
 
 use vicinity_graph::algo::bfs::BidirBfsScratch;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
+use vicinity_graph::{Adjacency, Distance, NodeId};
 
 use crate::index::VicinityOracle;
-use crate::query::{DistanceAnswer, QueryIndex};
+use crate::query::{landmark_bounds, DistanceAnswer, QueryIndex};
 
 /// Exact distance between `s` and `t` — the answer to a query the index
 /// missed — or `None` when they are disconnected (or either id is out of
@@ -40,11 +40,14 @@ use crate::query::{DistanceAnswer, QueryIndex};
 /// overlay the balls consulted are the patched ones, so seeding stays
 /// exact across updates. Balls that overlap, which a pair the index could
 /// answer presents, are handled as meeting candidates. The seeded search
-/// starts with the length of the walk through `ℓ(s)` or `ℓ(t)` as its
-/// best distance, so it does no work past the radii when that walk is
-/// provably shortest; the answer is then the walk's length and
-/// `scratch.last_meeting()` is `None`. When either vicinity is empty,
-/// a plain unbounded search starts from the endpoints themselves.
+/// starts with the length of the walk through `ℓ(s)` or `ℓ(t)` (the same
+/// walk the index reads, [`crate::query`]'s `landmark_bounds`) as its
+/// best distance. The index already answers every miss whose walk has
+/// length `r_s + r_t + 1`, so a search behind a real miss starts from a
+/// longer walk and looks for a bypass; called on such a pair anyway, it
+/// does no work past the radii, answers the walk's length and leaves
+/// `scratch.last_meeting()` at `None`. When either vicinity is empty, a
+/// plain unbounded search starts from the endpoints themselves.
 pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
     index: &Q,
     graph: &G,
@@ -54,7 +57,7 @@ pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
 ) -> Option<Distance> {
     match (index.vicinity_of(s), index.vicinity_of(t)) {
         (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => {
-            let upper = landmark_walk(index, s, t).unwrap_or(INFINITY);
+            let upper = landmark_bounds(index, &vs, &vt, s, t).walk;
             scratch.distance_seeded_within(
                 graph,
                 vs.iter(),
@@ -66,23 +69,6 @@ pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
         }
         _ => scratch.distance(graph, s, t),
     }
-}
-
-/// Length of the shorter walk `s → ℓ → t` through `ℓ(s)` or `ℓ(t)`, read
-/// from the two nearest-landmark rows, or `None` when neither row holds
-/// exact entries for both endpoints (unreachable or saturated). Both
-/// terms come from one exact row, so the result is the length of a real
-/// walk — an upper bound on `d(s, t)` that needs no invariant between a
-/// node's radius and its landmark.
-fn landmark_walk<Q: QueryIndex>(index: &Q, s: NodeId, t: NodeId) -> Option<Distance> {
-    [s, t]
-        .into_iter()
-        .filter_map(|u| index.nearest_landmark_of(u))
-        .filter_map(|landmark| {
-            let row = index.landmark_row_of(landmark)?;
-            Some(row.distance_to(s)? + row.distance_to(t)?)
-        })
-        .min()
 }
 
 /// Outcome of a query answered through [`QueryWithFallback`].
@@ -195,12 +181,20 @@ mod tests {
     use super::*;
     use crate::build::OracleBuilder;
     use crate::config::Alpha;
+    use crate::query::AnswerMethod;
     use rand::SeedableRng;
     use vicinity_baselines::bfs::BfsEngine;
     use vicinity_baselines::PointToPoint;
     use vicinity_graph::algo::sampling::random_pairs;
     use vicinity_graph::builder::GraphBuilder;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
+    use vicinity_graph::INFINITY;
+
+    /// Length of the walk `fallback_distance` starts the search from.
+    fn walk(oracle: &VicinityOracle, s: NodeId, t: NodeId) -> Distance {
+        let (vs, vt) = (oracle.vicinity(s).unwrap(), oracle.vicinity(t).unwrap());
+        landmark_bounds(oracle, &vs, &vt, s, t).walk
+    }
 
     #[test]
     fn exact_fallback_matches_bfs() {
@@ -241,13 +235,21 @@ mod tests {
     #[test]
     fn tight_landmark_walk_ends_the_search_after_seeding() {
         // Path 0..=7 with landmarks 3 and 4: Γ(0) and Γ(7) are the two
-        // halves, so (0, 7) misses, and the walk 0 → 3 → 7 has length
-        // r_0 + r_7 + 1 = 7, the least a miss allows. Nothing is popped.
+        // halves, so their intersection is empty, and the walk 0 → 3 → 7
+        // has length r_0 + r_7 + 1 = 7, the least disjoint balls allow.
+        // The index answers it as a walk; called anyway, the search pops
+        // nothing.
         let g = classic::path(8);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .landmarks(vec![3, 4])
             .build(&g);
-        assert!(oracle.distance(0, 7).is_miss());
+        assert_eq!(
+            oracle.distance(0, 7),
+            DistanceAnswer::Exact {
+                distance: 7,
+                method: AnswerMethod::LandmarkWalk,
+            }
+        );
         let mut scratch = BidirBfsScratch::new();
         assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 7), Some(7));
         assert_eq!(scratch.last_operations(), 0);
@@ -279,7 +281,7 @@ mod tests {
             .landmarks(vec![7, 9])
             .build(&g);
         assert!(oracle.distance(0, 5).is_miss());
-        assert_eq!(landmark_walk(&oracle, 0, 5), Some(9));
+        assert_eq!(walk(&oracle, 0, 5), 9);
         let mut scratch = BidirBfsScratch::new();
         let mut bfs = BfsEngine::new(&g);
         assert_eq!(fallback_distance(&oracle, &g, &mut scratch, 0, 5), Some(5));
@@ -303,7 +305,7 @@ mod tests {
             .build(&g);
         let (s, t) = (0, n - 1);
         assert!(oracle.distance(s, t).is_miss());
-        assert_eq!(landmark_walk(&oracle, s, t), None);
+        assert_eq!(walk(&oracle, s, t), INFINITY);
         let mut scratch = BidirBfsScratch::new();
         assert_eq!(
             fallback_distance(&oracle, &g, &mut scratch, s, t),

@@ -10,12 +10,19 @@
 //! **Correctness** (Theorem 1 / Lemma 1 of the paper): if `Γ(s) ∩ Γ(t)` is
 //! non-empty then some node of the intersection lies on a shortest s–t
 //! path, and that node can be found among the boundary nodes of either
-//! vicinity, so the minimum found by the scan is the exact distance. If the
-//! vicinities do not intersect the oracle reports a [`DistanceAnswer::Miss`]
-//! and the caller may fall back to an exact or approximate engine
-//! ([`crate::fallback`]).
+//! vicinity, so the minimum found by the scan is the exact distance.
+//!
+//! A fifth way to answer comes from the two nearest-landmark rows the
+//! query reads anyway: the **landmark walk** `s → ℓ(s) → t` (or through
+//! `ℓ(t)`) has length `r_s + d(ℓ(s), t)`, an upper bound on `d(s, t)`.
+//! When it equals a lower bound the query has already proven — the
+//! triangle bound before the scan, or `r_s + r_t + 1` after a scan that
+//! finds the balls disjoint — the walk is a shortest path and the oracle
+//! answers [`AnswerMethod::LandmarkWalk`]. Only when no proven bound meets
+//! the walk does it report a [`DistanceAnswer::Miss`], and the caller may
+//! fall back to an exact or approximate engine ([`crate::fallback`]).
 
-use vicinity_graph::{Adjacency, Distance, NodeId};
+use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
 use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle};
 use crate::vicinity::VicinityRef;
@@ -95,6 +102,9 @@ pub enum AnswerMethod {
     SourceInTargetVicinity,
     /// Answered by scanning boundary nodes and probing the other vicinity.
     VicinityIntersection,
+    /// The walk through `ℓ(s)` or `ℓ(t)` met a proven lower bound: the
+    /// vicinities did not certify a shorter path, so the walk is exact.
+    LandmarkWalk,
 }
 
 /// Statistics of a single query — most importantly the number of membership
@@ -142,8 +152,9 @@ pub enum DistanceAnswer {
     /// landmark or contains the other's component in its vicinity, and the
     /// stored table shows no entry).
     Unreachable,
-    /// The vicinities do not intersect: the oracle cannot answer this query
-    /// from its index alone. Use a fallback (see [`crate::fallback`]).
+    /// The vicinities do not intersect and the landmark walk is not proven
+    /// shortest: the oracle cannot answer this query from its index alone.
+    /// Use a fallback (see [`crate::fallback`]).
     Miss,
 }
 
@@ -330,37 +341,26 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
         );
     }
 
-    // Exact pruning from structure already in memory, all O(1) probes:
-    //
-    // * Cases 3 and 4 failing proves `d(s,t) > max(r_s, r_t)` (for
-    //   unweighted graphs the vicinity is exactly the radius-`r` ball).
-    // * The nearest-landmark rows give the triangle bound
-    //   `|d(ℓ,s) − d(ℓ,t)| ≤ d(s,t)` — and a landmark reaching one
-    //   endpoint but not the other proves the endpoints disconnected.
-    //
-    // The resulting lower bound serves twice: when it exceeds
-    // `r_s + r_t` the balls provably do not intersect (certified miss,
-    // no scan at all), and otherwise the intersection scan can stop at
-    // the first witness attaining the bound — on social graphs most
-    // shortest paths run through early-scanned hub witnesses, so this
-    // usually ends the scan after a handful of merge steps.
-    let mut lower_bound = vs.radius().max(vt.radius()) + 1;
-    for (vicinity, other_endpoint) in [(vs, t), (vt, s)] {
-        let Some(landmark) = vicinity.nearest_landmark() else {
-            continue;
-        };
-        stats.lookups += 1;
-        if let Some(table) = index.landmark_row_of(landmark) {
-            // `None` here means unreachable from the landmark *or* a
-            // distance saturating the row's u16 storage, so it cannot
-            // be treated as a definitive "disconnected" — skip the
-            // bound and let the scan (and, on a miss, the fallback)
-            // decide.
-            if let Some(d_other) = table.distance_to(other_endpoint) {
-                // d(ℓ(u), u) is the ball radius by definition.
-                lower_bound = lower_bound.max(vicinity.radius().abs_diff(d_other));
-            }
-        }
+    // Exact pruning from structure already in memory, all O(1) probes
+    // (see `landmark_bounds`): a lower bound on `d(s,t)` from cases 3
+    // and 4 failing and the triangle inequality, and the walk through
+    // `ℓ(s)` or `ℓ(t)` as an upper bound. When the walk meets the lower
+    // bound it is a shortest path, and no scan is needed. When the lower
+    // bound exceeds `r_s + r_t` the balls provably do not intersect
+    // (certified miss, no scan at all). Otherwise the intersection scan
+    // can stop at the first witness attaining the bound — on social
+    // graphs most shortest paths run through early-scanned hub
+    // witnesses, so this usually ends the scan after a handful of merge
+    // steps — and it need not look at sums the walk already achieves.
+    let bounds = landmark_bounds(index, &vs, &vt, s, t);
+    stats.lookups += bounds.rows_read;
+    let lower_bound = bounds.lower;
+    let walk = DistanceAnswer::Exact {
+        distance: bounds.walk,
+        method: AnswerMethod::LandmarkWalk,
+    };
+    if bounds.walk == lower_bound {
+        return (walk, stats);
     }
     if lower_bound > vs.radius() + vt.radius() {
         return (DistanceAnswer::Miss, stats);
@@ -381,9 +381,10 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
     // Bound the scan by the *populated* shell extents rather than the
     // nominal radii: a landmark-free vicinity's radius degenerates to
     // the graph's hop bound, which would turn the loop below into an
-    // O(n²) sweep over empty shells.
+    // O(n²) sweep over empty shells. Sums from the walk's length up are
+    // not scanned: the walk already achieves them.
     let (vs_extent, vt_extent) = (vs.max_shell_distance(), vt.max_shell_distance());
-    let max_sum = vs_extent + vt_extent;
+    let max_sum = (vs_extent + vt_extent).min(bounds.walk - 1);
     let mut counters = crate::vicinity::IntersectCounters::default();
     let mut answer = None;
     'levels: for total in lower_bound..=max_sum {
@@ -411,8 +412,74 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
                 stats,
             )
         }
+        // An empty scan proves `d(s,t) ≥ min(walk, r_s + r_t + 1)`: any
+        // shorter distance has a witness in both balls at a scanned sum.
+        None if bounds.walk <= vs.radius() + vt.radius() + 1 => (walk, stats),
         None => (DistanceAnswer::Miss, stats),
     }
+}
+
+/// What the two nearest-landmark rows prove about `d(s, t)`; see
+/// [`landmark_bounds`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LandmarkBounds {
+    /// A lower bound on `d(s, t)`, valid once cases 3 and 4 of
+    /// Algorithm 1 have failed: `max(r_s, r_t) + 1`, raised by the
+    /// triangle bound `|d(ℓ, u) − d(ℓ, v)| ≤ d(u, v)` of either row.
+    pub(crate) lower: Distance,
+    /// Length of the shorter walk `s → ℓ → t` through `ℓ(s)` or `ℓ(t)`
+    /// (an upper bound on `d(s, t)`), or `INFINITY` when neither row
+    /// holds an exact entry for the other endpoint.
+    pub(crate) walk: Distance,
+    /// True when the walk passes through `ℓ(s)`, false for `ℓ(t)`.
+    pub(crate) via_source: bool,
+    /// Landmark rows read (one look-up each).
+    pub(crate) rows_read: u64,
+}
+
+/// Bounds on `d(s, t)` from one entry of each endpoint's nearest-landmark
+/// row: `row_ℓ(s)[t]` and `row_ℓ(t)[s]`. Each entry gives both a triangle
+/// lower bound and a walk `r_u + row_ℓ(u)[other]`, which is a real walk
+/// because `d(u, ℓ(u)) == r_u` (an index invariant: the builder and the
+/// dynamic repair keep it, and decoding checks it). The index, path
+/// splicing and the fallback search all read the walk from here.
+#[inline]
+pub(crate) fn landmark_bounds<I: QueryIndex + ?Sized>(
+    index: &I,
+    vs: &VicinityRef<'_>,
+    vt: &VicinityRef<'_>,
+    s: NodeId,
+    t: NodeId,
+) -> LandmarkBounds {
+    let mut bounds = LandmarkBounds {
+        lower: vs.radius().max(vt.radius()) + 1,
+        walk: INFINITY,
+        via_source: true,
+        rows_read: 0,
+    };
+    for (vicinity, other_endpoint, via_source) in [(vs, t, true), (vt, s, false)] {
+        let Some(landmark) = vicinity.nearest_landmark() else {
+            continue;
+        };
+        bounds.rows_read += 1;
+        // `None` here means unreachable from the landmark *or* a distance
+        // saturating the row's u16 storage, so it cannot be treated as a
+        // definitive "disconnected" — skip the bounds and let the scan
+        // (and, on a miss, the fallback) decide.
+        let Some(d_other) = index
+            .landmark_row_of(landmark)
+            .and_then(|row| row.distance_to(other_endpoint))
+        else {
+            continue;
+        };
+        let radius = vicinity.radius();
+        bounds.lower = bounds.lower.max(radius.abs_diff(d_other));
+        if radius + d_other < bounds.walk {
+            bounds.walk = radius + d_other;
+            bounds.via_source = via_source;
+        }
+    }
+    bounds
 }
 
 /// The staged software-prefetch batch pipeline over any [`QueryIndex`]:
@@ -445,8 +512,8 @@ pub(crate) fn distance_batch_accumulate_on<I: QueryIndex + ?Sized>(
 }
 
 /// Stage-2 landmark-row hints for one pair: the case-1/2 rows (when an
-/// endpoint is itself a landmark) and the nearest-landmark rows the
-/// triangle-bound pruning reads. Each entry is one random access into
+/// endpoint is itself a landmark) and the nearest-landmark rows
+/// [`landmark_bounds`] reads. Each entry is one random access into
 /// a dense row far larger than a cache line — exactly the loads worth
 /// overlapping across a batch.
 #[inline]
@@ -556,7 +623,17 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
     };
     let (best, _scanned, _witnesses) = scan.min_boundary_sum(&probe);
     let Some((distance, witness)) = best else {
-        return PathAnswer::Miss;
+        // Disjoint vicinities: the landmark walk, when it is provably
+        // shortest and the graph is at hand for its landmark half.
+        let walk = graph.and_then(|g| landmark_walk_path(index, g, &vs, &vt, s, t));
+        return match walk {
+            Some(path) => PathAnswer::Exact {
+                distance: (path.len() - 1) as Distance,
+                path,
+                method: AnswerMethod::LandmarkWalk,
+            },
+            None => PathAnswer::Miss,
+        };
     };
     let (path_from_s, path_from_t) = if scanning_source {
         (scan.path_to(witness), probe.path_to(witness))
@@ -574,6 +651,40 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
         path: path_from_s,
         method: AnswerMethod::VicinityIntersection,
     }
+}
+
+/// The walk through `ℓ(s)` or `ℓ(t)` as a path, for a pair whose
+/// vicinities are disjoint, or `None` when the walk is not provably
+/// shortest. Disjoint balls prove `d(s, t) ≥ r_s + r_t + 1`, so the walk
+/// is exact when it meets that or the rows' own lower bound — the same
+/// condition under which [`distance_with_stats_on`] answers
+/// [`AnswerMethod::LandmarkWalk`]. The vicinity's predecessors give the
+/// endpoint's half, greedy descent on the landmark's row the other.
+fn landmark_walk_path<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
+    index: &I,
+    graph: &G,
+    vs: &VicinityRef<'_>,
+    vt: &VicinityRef<'_>,
+    s: NodeId,
+    t: NodeId,
+) -> Option<Vec<NodeId>> {
+    let bounds = landmark_bounds(index, vs, vt, s, t);
+    if bounds.walk != bounds.lower.max(vs.radius() + vt.radius() + 1) {
+        return None;
+    }
+    let (near, far) = if bounds.via_source { (vs, t) } else { (vt, s) };
+    let landmark = near.nearest_landmark()?;
+    // near ..= ℓ, then ℓ ..= far without repeating ℓ.
+    let mut path = near.path_to(landmark)?;
+    path.extend(
+        landmark_path_on(index, graph, landmark, far)?
+            .into_iter()
+            .skip(1),
+    );
+    if !bounds.via_source {
+        path.reverse();
+    }
+    Some(path)
 }
 
 /// Batched path queries through the same staged prefetch pipeline as

@@ -27,10 +27,10 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use vicinity_graph::NodeId;
+use vicinity_graph::{Distance, NodeId, INVALID_NODE};
 
 use crate::config::{Alpha, OracleConfig, SamplingStrategy};
-use crate::index::{LandmarkTable, VicinityOracle};
+use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle, SATURATED_U16};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::VicinityStore;
 use crate::{OracleError, Result};
@@ -444,6 +444,25 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
                 "member distance {d} of node {u} exceeds its radius {radius}"
             )));
         }
+        // Queries answer the walk `r_u + d(ℓ(u), t)` as exact, so `ℓ(u)`
+        // must be a landmark whose row holds `u` at exactly its radius
+        // (saturated only where the radius is past the row's horizon).
+        let landmark = nearest[u];
+        if landmark != INVALID_NODE {
+            let attained = match header.landmark_tables.get(&landmark) {
+                Some(row) => match row.entry(u as NodeId) {
+                    LandmarkEntry::Exact(d) => d == radius,
+                    LandmarkEntry::Saturated => radius >= Distance::from(SATURATED_U16),
+                    LandmarkEntry::Unreachable => false,
+                },
+                None => false,
+            };
+            if !attained {
+                return Err(OracleError::Decode(format!(
+                    "nearest landmark {landmark} of node {u} is not a landmark at its radius {radius}"
+                )));
+            }
+        }
     }
     let store = VicinityStore::from_raw(
         radii,
@@ -583,13 +602,20 @@ mod tests {
     #[test]
     fn saturated_landmark_rows_round_trip() {
         // Rows containing the saturated (u16::MAX - 1) and unreachable
-        // (u16::MAX) sentinels must survive a round trip bit-for-bit.
+        // (u16::MAX) sentinels must survive a round trip bit-for-bit. The
+        // sentinels go on nodes whose nearest landmark is another one, so
+        // every node's header still names a landmark at its radius.
         let mut oracle = sample_oracle(134, true);
         let landmark = oracle.landmarks.nodes()[0];
         let n = oracle.node_count;
-        let mut saturated: Vec<Distance> = (0..n as Distance).collect();
-        saturated[1.min(n - 1)] = 70_000; // saturates the u16 row
-        saturated[2.min(n - 1)] = vicinity_graph::INFINITY; // unreachable
+        let row = oracle.landmark_table(landmark).unwrap();
+        let mut saturated: Vec<Distance> = (0..n as NodeId)
+            .map(|v| row.distance_to(v).unwrap())
+            .collect();
+        let mut others = (0..n as NodeId)
+            .filter(|&v| oracle.vicinity(v).unwrap().nearest_landmark() != Some(landmark));
+        saturated[others.next().unwrap() as usize] = 70_000; // saturates the u16 row
+        saturated[others.next().unwrap() as usize] = vicinity_graph::INFINITY; // unreachable
         oracle.landmark_tables.insert(
             landmark,
             std::sync::Arc::new(LandmarkTable::from_distances(&saturated)),
@@ -687,6 +713,50 @@ mod tests {
             fix_checksum(&mut corrupt);
             let err = decode(&corrupt).unwrap_err();
             assert!(matches!(err, OracleError::Decode(_)), "{value}: {err}");
+        }
+    }
+
+    #[test]
+    fn nearest_landmark_must_attain_the_radius() {
+        // Queries answer the walk through a node's nearest landmark as an
+        // exact distance, so a header naming a landmark at any other
+        // distance — or no landmark at all — would answer wrongly. Each
+        // such corruption keeps every other section valid and the checksum
+        // fixed, so only the nearest-landmark check can catch it.
+        let oracle = sample_oracle(139, true);
+        let bytes = encode(&oracle);
+        let n = oracle.node_count();
+        let u: NodeId = (0..n as NodeId)
+            .find(|&u| !oracle.is_landmark(u))
+            .expect("some node is not a landmark");
+        let radius = oracle.vicinity(u).unwrap().radius();
+        let nearest_pos = flags_byte_position(&bytes, &oracle) + 1 + n * 4 + u as usize * 4;
+        let original = oracle.vicinity(u).unwrap().nearest_landmark().unwrap();
+        assert_eq!(
+            u32::from_le_bytes(bytes[nearest_pos..nearest_pos + 4].try_into().unwrap()),
+            original,
+            "nearest-section offset arithmetic must line up"
+        );
+        let mut wrong: Vec<NodeId> = oracle
+            .landmarks()
+            .nodes()
+            .iter()
+            .copied()
+            .filter(|&l| oracle.landmark_table(l).unwrap().distance_to(u) != Some(radius))
+            .collect();
+        assert!(
+            !wrong.is_empty(),
+            "some landmark is farther than the radius"
+        );
+        // `u` itself is no landmark, and `n + 7` is no node at all.
+        wrong.extend([u, n as NodeId + 7]);
+        for landmark in wrong {
+            let mut corrupt = bytes.to_vec();
+            corrupt[nearest_pos..nearest_pos + 4].copy_from_slice(&landmark.to_le_bytes());
+            fix_checksum(&mut corrupt);
+            let err = decode(&corrupt).unwrap_err();
+            assert!(matches!(err, OracleError::Decode(_)), "{landmark}: {err}");
+            assert!(err.to_string().contains("nearest landmark"), "{err}");
         }
     }
 

@@ -634,7 +634,9 @@ where
 pub struct MultiSourceBfs {
     /// Distance from each node to the closest source.
     pub distances: Vec<Distance>,
-    /// The closest source for each node (`INVALID_NODE` if unreachable).
+    /// The smallest-id source among the closest ones for each node
+    /// (`INVALID_NODE` if unreachable). It depends only on the graph and
+    /// the source set, not on the order sources are listed in.
     pub nearest_source: Vec<NodeId>,
 }
 
@@ -659,6 +661,10 @@ pub fn multi_source_bfs(graph: &CsrGraph, sources: &[NodeId]) -> MultiSourceBfs 
                 distances[v as usize] = du + 1;
                 nearest_source[v as usize] = su;
                 queue.push_back(v);
+            } else if distances[v as usize] == du + 1 && su < nearest_source[v as usize] {
+                // Found again on the same level: every level-`du` node is
+                // popped before `v`, so `v` leaves with the least label.
+                nearest_source[v as usize] = su;
             }
         }
     }
@@ -875,6 +881,20 @@ mod tests {
         assert_eq!(ms.distances[5], 4);
         assert_eq!(ms.nearest_source[1], 0);
         assert_eq!(ms.nearest_source[8], 9);
+    }
+
+    #[test]
+    fn multi_source_bfs_breaks_ties_by_smallest_landmark() {
+        // Node 2 sits two hops from both ends of the path; whichever order
+        // the sources are listed in, it is labelled with the smaller one.
+        let g = path_graph(5);
+        for sources in [[4, 0], [0, 4]] {
+            let ms = multi_source_bfs(&g, &sources);
+            assert_eq!(ms.distances[2], 2);
+            assert_eq!(ms.nearest_source[2], 0, "sources {sources:?}");
+            assert_eq!(ms.nearest_source[1], 0);
+            assert_eq!(ms.nearest_source[3], 4);
+        }
     }
 
     #[test]

@@ -141,6 +141,7 @@ fn method_slot(method: ServedMethod) -> usize {
         ServedMethod::Cache => 7,
         ServedMethod::Miss => 8,
         ServedMethod::Unreachable => 9,
+        ServedMethod::Index(AnswerMethod::LandmarkWalk) => 10,
     }
 }
 
@@ -160,7 +161,7 @@ pub struct ServerStats {
     /// Queries left unanswered (miss with fallback disabled).
     pub misses: u64,
     /// Per-method counters; see [`ServerStats::METHOD_NAMES`].
-    pub method_counts: [u64; 10],
+    pub method_counts: [u64; 11],
     /// Aggregate index work (hash probes, boundary scans).
     pub index_work: QueryStats,
     /// Fallback searches run: one per unique index miss (duplicates in
@@ -185,7 +186,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Labels for [`ServerStats::method_counts`], in slot order.
-    pub const METHOD_NAMES: [&'static str; 10] = [
+    pub const METHOD_NAMES: [&'static str; 11] = [
         "same-node",
         "source-landmark",
         "target-landmark",
@@ -196,6 +197,7 @@ impl ServerStats {
         "cache",
         "miss",
         "unreachable",
+        "landmark-walk",
     ];
 
     /// Record one served query.
@@ -403,6 +405,11 @@ mod tests {
         assert_eq!(histogram.len(), 5);
         assert!(histogram.contains(&("vicinity-intersection", 1)));
         assert!(histogram.contains(&("fallback-bfs", 1)));
+
+        let mut walk = ServerStats::default();
+        walk.record(ServedMethod::Index(AnswerMethod::LandmarkWalk), None);
+        assert_eq!(walk.index_hits, 1);
+        assert_eq!(walk.method_histogram(), vec![("landmark-walk", 1)]);
     }
 
     #[test]

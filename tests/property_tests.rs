@@ -219,6 +219,51 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The index answers the landmark walk only when it is provably
+    /// shortest. On social stand-ins and grids at small alpha, where many
+    /// vicinities are disjoint, every `LandmarkWalk` distance equals BFS,
+    /// the path the oracle returns for it is a shortest path, and the walk
+    /// does fire.
+    #[test]
+    fn landmark_walk_answers_equal_bfs(
+        social_seed in 0u64..1000,
+        side in 8usize..16,
+        alpha in 1.0f64..4.0,
+        seed in 0u64..1000,
+    ) {
+        use vicinity::baselines::validate_path;
+        use vicinity::core::query::AnswerMethod;
+        use vicinity::graph::generators::{classic, social::SocialGraphConfig};
+
+        let social = SocialGraphConfig::small_test().with_nodes(300).generate(social_seed);
+        let grid = classic::grid(side, side);
+        let mut walks = 0usize;
+        for graph in [&social, &grid] {
+            let oracle = OracleBuilder::new(Alpha::new(alpha).unwrap()).seed(seed).build(graph);
+            let n = graph.node_count() as u32;
+            for s in (0..n).step_by(5) {
+                let reference = bfs_distances(graph, s);
+                for t in 0..n {
+                    let answer = oracle.distance(s, t);
+                    if answer.method() != Some(AnswerMethod::LandmarkWalk) {
+                        continue;
+                    }
+                    walks += 1;
+                    let expected = reference[t as usize];
+                    prop_assert_eq!(answer.exact_distance(), Some(expected));
+                    let path = oracle.path_with_graph(graph, s, t);
+                    let path = path.path().expect("a walk answer has a path");
+                    prop_assert_eq!(validate_path(graph, s, t, path), Some(expected));
+                }
+            }
+        }
+        prop_assert!(walks > 0, "no pair was answered by the landmark walk");
+    }
+}
+
 /// Batch-vs-scalar parity on the graph shape that saturates the compact
 /// `u16` landmark rows: a path longer than 65534 hops. The scalar path
 /// reports tri-state answers there (a saturated row entry must surface as
