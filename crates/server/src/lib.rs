@@ -15,10 +15,12 @@
 //!   `Arc`s; any number of workers query the same index concurrently with
 //!   no synchronisation on the hot path (the §5 "parallelise without
 //!   replicating" question, answered within one machine).
-//! * [`WorkerSession`] — per-worker state: a reusable, allocation-free
-//!   bidirectional-BFS scratch for index misses and private statistics.
-//!   Sessions recycle their scratch through a pool, so steady-state serving
-//!   performs no per-query allocation at all.
+//! * [`WorkerSession`] — a worker's handle on a pooled worker state: a
+//!   reusable, allocation-free bidirectional-BFS scratch for index misses,
+//!   the batch staging buffers and the worker's statistics. Sessions and
+//!   `serve_batch` workers check states out of the service's pool and
+//!   return them, so steady-state serving performs no per-query
+//!   allocation at all.
 //! * [`QueryService::serve_batch`] — sharded batch execution over scoped
 //!   threads, answers in input order.
 //! * [`QueryCache`] — a bounded, sharded LRU over normalised `(min, max)`

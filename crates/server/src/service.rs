@@ -1,7 +1,7 @@
 //! The [`QueryService`]: one oracle version shared by N workers, swapped
 //! atomically by epoch when edge updates apply.
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use vicinity_core::dynamic::{DynamicOracle, UpdateError};
@@ -13,6 +13,9 @@ use vicinity_graph::NodeId;
 use crate::cache::QueryCache;
 use crate::session::{Epoch, ServedAnswer, SharedState, WorkerSession};
 use crate::stats::{ServedMethod, ServerStats};
+
+/// Independently locked shards of the result cache.
+const CACHE_SHARDS: usize = 16;
 
 /// Errors raised when assembling a [`QueryService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,9 +53,7 @@ pub struct QueryServiceBuilder {
     graph: Arc<CsrGraph>,
     threads: usize,
     cache_capacity: usize,
-    cache_shards: usize,
     fallback: bool,
-    record_latency: bool,
 }
 
 impl QueryServiceBuilder {
@@ -62,9 +63,7 @@ impl QueryServiceBuilder {
             graph,
             threads: 0,
             cache_capacity: 0,
-            cache_shards: 16,
             fallback: true,
-            record_latency: true,
         }
     }
 
@@ -82,24 +81,10 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Number of independently locked cache shards (rounded up to a power
-    /// of two; default 16).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
     /// Enable or disable the per-worker exact fallback search for index
     /// misses (enabled by default).
     pub fn fallback(mut self, enabled: bool) -> Self {
         self.fallback = enabled;
-        self
-    }
-
-    /// Enable or disable per-query latency recording (enabled by default;
-    /// disabling shaves two clock reads off every query).
-    pub fn record_latency(mut self, enabled: bool) -> Self {
-        self.record_latency = enabled;
         self
     }
 
@@ -146,22 +131,15 @@ impl QueryServiceBuilder {
                 graph_nodes: self.graph.node_count(),
             });
         }
-        let cache = (self.cache_capacity > 0)
-            .then(|| Arc::new(QueryCache::new(self.cache_capacity, self.cache_shards)));
+        let cache =
+            (self.cache_capacity > 0).then(|| QueryCache::new(self.cache_capacity, CACHE_SHARDS));
         let initial = match dynamic {
             Some(dynamic) => Epoch::dynamic(dynamic.snapshot()),
             None => Epoch::frozen(Arc::clone(&self.oracle), Arc::clone(&self.graph)),
         };
         let epoch = Arc::new(RwLock::new(initial));
         let service = QueryService {
-            shared: SharedState {
-                epoch: Arc::clone(&epoch),
-                cache,
-                fallback: self.fallback,
-                record_latency: self.record_latency,
-                aggregate: Arc::new(Mutex::new(ServerStats::default())),
-                scratch_pool: Arc::new(Mutex::new(Vec::new())),
-            },
+            shared: Arc::new(SharedState::new(Arc::clone(&epoch), cache, self.fallback)),
             oracle: self.oracle,
             graph: self.graph,
             threads: self.threads,
@@ -250,8 +228,9 @@ impl OracleWriter {
 /// prefetch pipeline and resolves misses with its own O(n) search scratch
 /// (never a copy of the index) through
 /// [`vicinity_core::fallback::fallback_distance`]. Repeated pairs are
-/// served by a sharded LRU result cache, and every query feeds a
-/// latency/method/work statistics aggregate.
+/// served by a sharded LRU result cache, and every query feeds the
+/// latency/method/work statistics of the worker state that served it;
+/// [`QueryService::stats`] folds them.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -271,7 +250,7 @@ impl OracleWriter {
 /// assert!(answers.iter().all(|a| a.is_exact() || a.is_unreachable()));
 /// ```
 pub struct QueryService {
-    shared: SharedState,
+    shared: Arc<SharedState>,
     /// Construction-time handles, kept for [`QueryService::oracle`] /
     /// [`QueryService::graph`]. For an updatable service these are the
     /// *initial* base; the currently served version lives in the epoch
@@ -338,140 +317,139 @@ impl QueryService {
 
     /// Open a worker session. The session is `Send` and lock-free on its
     /// hot path; create one per worker thread and feed it queries with
-    /// [`WorkerSession::serve_one`]. Statistics fold back into
-    /// [`QueryService::stats`] when the session drops.
+    /// [`WorkerSession::serve_one`] or [`WorkerSession::serve_into`]. It
+    /// checks a worker state (search scratch, staging buffers, statistics)
+    /// out of the service's pool and returns it when dropped, so
+    /// [`QueryService::stats`] counts its queries from then on.
     pub fn session(&self) -> WorkerSession {
-        WorkerSession::new(self.shared.clone())
+        WorkerSession::new(Arc::clone(&self.shared))
     }
 
     /// Answer a batch of queries, sharded over the configured number of
     /// worker threads. Answers are returned in input order.
     ///
-    /// Each worker's shard runs through [`WorkerSession::serve_into`], so
-    /// the whole path is batched end to end: cache peel-off, intra-shard
-    /// duplicate collapsing, the oracle's software-prefetch pipeline, and
-    /// fallback only for true misses. Latency samples recorded by batch
-    /// serving are batch-amortised (see `crate::session`).
+    /// With one effective worker the batch goes straight to
+    /// [`WorkerSession::serve_into`] on a pooled worker state, so the whole
+    /// path is batched end to end: duplicate collapsing across the batch,
+    /// cache peel-off, the oracle's software-prefetch pipeline, and
+    /// fallback only for true misses. Once warmed, such a call allocates
+    /// only the vector it returns. With more workers, one dedup pass runs
+    /// before sharding and each worker serves its share of the unique
+    /// pairs. Latency samples recorded by batch serving are
+    /// batch-amortised (see `crate::session`); the call's wall time and
+    /// its statistics stay in the pooled states until
+    /// [`QueryService::stats`] folds them.
     pub fn serve_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
-        let wall_start = Instant::now();
-        let answers = self.serve_batch_inner(pairs);
-        if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-            aggregate.wall_time += wall_start.elapsed();
-        }
-        answers
-    }
-
-    fn serve_batch_inner(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        // Deduplicate the batch before sharding, cache or no cache: every
-        // repeated (normalised) pair resolves once, and the duplicates are
-        // filled in afterwards. With a result cache the repeats are
-        // reported as cache-served — which they are, the write-back having
-        // completed before the fill; without one they adopt the first
-        // occurrence's answer and method verbatim. Either way this makes
-        // duplicate handling a *deterministic* property of a batch instead
-        // of a cross-worker timing race, and stops two workers from
-        // redundantly resolving the same pair — cacheless services no
-        // longer pay full query cost for duplicate-heavy batches.
-        let report_cache = self.shared.cache.is_some();
+        let wall_start = Instant::now();
+        let mut lead = self.session();
+        let mut answers = Vec::new();
+        if self.effective_threads(pairs.len()) == 1 {
+            lead.serve_into(pairs, &mut answers);
+        } else {
+            answers = self.serve_sharded(&mut lead, pairs);
+        }
+        lead.stats_mut().wall_time += wall_start.elapsed();
+        answers
+    }
+
+    /// The multi-worker path of [`QueryService::serve_batch`]. The batch is
+    /// deduplicated once before sharding, cache or no cache: every
+    /// repeated (normalised) pair resolves once, and the repeats are
+    /// filled in afterwards and accounted on `lead`. With a result cache
+    /// the repeats are reported as cache-served — which they are, the
+    /// write-back having completed before the fill; without one they
+    /// adopt the first occurrence's answer and method verbatim. Either
+    /// way duplicate handling is a *deterministic* property of a batch
+    /// instead of a cross-worker timing race, and no two workers resolve
+    /// the same pair.
+    fn serve_sharded(
+        &self,
+        lead: &mut WorkerSession,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Vec<ServedAnswer> {
         let mut seen: FastMap<u64, u32> =
             FastMap::with_capacity_and_hasher(pairs.len(), Default::default());
         let mut unique: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
         let mut slots: Vec<u32> = Vec::with_capacity(pairs.len());
         for &(s, t) in pairs {
-            let slot = *seen.entry(QueryCache::key(s, t)).or_insert_with(|| {
+            let next = unique.len() as u32;
+            let slot = *seen.entry(QueryCache::key(s, t)).or_insert(next);
+            if slot == next {
                 unique.push((s, t));
-                (unique.len() - 1) as u32
-            });
+            }
             slots.push(slot);
         }
-        if unique.len() < pairs.len() {
-            let unique_answers = self.serve_shards(&unique);
-            let mut answers = Vec::with_capacity(pairs.len());
-            let mut first_seen = vec![false; unique.len()];
-            let mut duplicate_methods: Vec<ServedMethod> = Vec::new();
-            for &slot in &slots {
-                let resolved = unique_answers[slot as usize];
-                if !std::mem::replace(&mut first_seen[slot as usize], true) {
-                    answers.push(resolved);
-                    continue;
-                }
-                let answer = match resolved {
-                    ServedAnswer::Exact { distance, .. } if report_cache => ServedAnswer::Exact {
-                        distance,
-                        method: ServedMethod::Cache,
-                    },
-                    other => other,
-                };
-                duplicate_methods.push(match answer {
-                    ServedAnswer::Exact { method, .. } => method,
-                    ServedAnswer::Unreachable => ServedMethod::Unreachable,
-                    ServedAnswer::Miss => ServedMethod::Miss,
-                });
-                answers.push(answer);
-            }
-            // Account the duplicates (their uniques were recorded by
-            // the worker sessions); no latency sample — they cost
-            // only the fill-in.
-            if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-                for method in duplicate_methods {
-                    aggregate.record(method, None);
-                }
-            }
-            return answers;
-        }
-        self.serve_shards(pairs)
-    }
 
-    /// Shard `pairs` over worker sessions (no dedup — callers handle it).
-    fn serve_shards(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
-        let threads = self.effective_threads(pairs.len());
+        let mut unique_answers = Vec::with_capacity(unique.len());
+        let threads = self.effective_threads(unique.len());
         if threads == 1 {
-            let mut session = self.session();
-            let mut answers = Vec::new();
-            session.serve_into(pairs, &mut answers);
-            return answers;
+            lead.serve_unique_into(&unique, &mut unique_answers);
+        } else {
+            let chunk_size = unique.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = unique
+                    .chunks(chunk_size)
+                    .map(|chunk| {
+                        let mut session = self.session();
+                        scope.spawn(move || {
+                            let mut chunk_answers = Vec::new();
+                            session.serve_unique_into(chunk, &mut chunk_answers);
+                            chunk_answers
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    unique_answers.extend(handle.join().expect("serving worker panicked"));
+                }
+            });
+        }
+        if unique.len() == pairs.len() {
+            return unique_answers;
         }
 
-        let chunk_size = pairs.len().div_ceil(threads);
+        // Slots are handed out in order of first occurrence, so a slot
+        // below `firsts` is a repeat. Repeats cost only the fill-in: no
+        // latency sample.
+        let report_cache = self.shared.cache.is_some();
         let mut answers = Vec::with_capacity(pairs.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in pairs.chunks(chunk_size) {
-                let mut session = self.session();
-                handles.push(scope.spawn(move || {
-                    let mut chunk_answers = Vec::new();
-                    session.serve_into(chunk, &mut chunk_answers);
-                    chunk_answers
-                }));
+        let mut firsts = 0;
+        for &slot in &slots {
+            let resolved = unique_answers[slot as usize];
+            if slot == firsts {
+                firsts += 1;
+                answers.push(resolved);
+                continue;
             }
-            for handle in handles {
-                answers.extend(handle.join().expect("serving worker panicked"));
-            }
-        });
-        debug_assert_eq!(answers.len(), pairs.len());
+            let answer = match resolved {
+                ServedAnswer::Exact { distance, .. } if report_cache => ServedAnswer::Exact {
+                    distance,
+                    method: ServedMethod::Cache,
+                },
+                other => other,
+            };
+            lead.stats_mut().record(answer.served_method(), None);
+            answers.push(answer);
+        }
         answers
     }
 
-    /// Snapshot of the aggregate serving statistics (all dropped sessions
-    /// and completed batches so far).
+    /// Aggregate serving statistics, folded on read from the service's
+    /// pooled worker states: every completed `serve_batch` call and every
+    /// dropped session since the last [`QueryService::reset_stats`].
+    /// Sessions still open are not counted yet.
     pub fn stats(&self) -> ServerStats {
-        self.shared
-            .aggregate
-            .lock()
-            .expect("stats aggregate poisoned")
-            .clone()
+        self.shared.stats()
     }
 
-    /// Reset the aggregate statistics (e.g. after a warm-up phase).
+    /// Reset the aggregate statistics (e.g. after a warm-up phase): zeroes
+    /// the statistics of every pooled worker state. A session open across
+    /// the reset keeps its earlier counts and brings them back when it
+    /// drops.
     pub fn reset_stats(&self) {
-        *self
-            .shared
-            .aggregate
-            .lock()
-            .expect("stats aggregate poisoned") = ServerStats::default();
+        self.shared.reset_stats();
     }
 }
 
@@ -657,18 +635,88 @@ mod tests {
             session.serve_one(0, 500);
             session.serve_one(3, 700);
             assert_eq!(session.stats().queries, 2);
-        } // drop merges
+            // An open session's queries are not folded in yet.
+            assert_eq!(service.stats().queries, 0);
+        } // drop returns the state, statistics included
         assert_eq!(service.stats().queries, 2);
-        // The next session reuses the pooled scratch allocation.
+        // The next session reuses the pooled state: its scratch, and its
+        // statistics, which keep counting.
         {
             let mut session = service.session();
             session.serve_one(9, 100);
+            assert_eq!(session.stats().queries, 3);
         }
         let stats = service.stats();
         assert_eq!(stats.queries, 3);
         assert!(stats.latency.count() > 0);
         service.reset_stats();
         assert_eq!(service.stats().queries, 0);
+    }
+
+    #[test]
+    fn stats_count_completed_batches_while_a_session_is_open() {
+        for threads in [1, 2] {
+            let service = small_service(24, 0, threads);
+            let mut open = service.session();
+            open.serve_one(0, 500);
+            let batch = [(1, 900), (2, 800), (1, 900), (3, 700)];
+            service.serve_batch(&batch);
+            service.serve_batch(&batch[..2]);
+            let stats = service.stats();
+            assert_eq!(stats.queries, 6, "threads {threads}");
+            assert!(stats.wall_time > std::time::Duration::ZERO);
+
+            // The reset clears the pooled states: the next batch is all
+            // that counts.
+            service.reset_stats();
+            let cleared = service.stats();
+            assert_eq!(cleared.queries, 0);
+            assert_eq!(cleared.index_work, Default::default());
+            assert_eq!(cleared.wall_time, std::time::Duration::ZERO);
+            service.serve_batch(&batch[..3]);
+            assert_eq!(service.stats().queries, 3, "threads {threads}");
+
+            // The open session brings its own count back when it drops.
+            drop(open);
+            assert_eq!(service.stats().queries, 4, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn repeats_across_blocks_resolve_once() {
+        // More than one 64-pair block, and a pair of the first block
+        // repeated (reversed) in the second: the repeat must adopt the
+        // first occurrence's answer and method, and the index must see
+        // the pair once, on one worker or sharded.
+        let graph = SocialGraphConfig::small_test().generate(33);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        let mut keys = std::collections::HashSet::new();
+        let unique: Vec<(NodeId, NodeId)> = random_pairs(&graph, 120, &mut rng)
+            .into_iter()
+            .filter(|&(s, t)| keys.insert(QueryCache::key(s, t)))
+            .take(100)
+            .collect();
+        assert_eq!(unique.len(), 100);
+        let (s, t) = unique[3];
+        let mut pairs = unique.clone();
+        pairs.insert(90, (t, s));
+
+        let reference = small_service(33, 0, 1);
+        let unique_answers = reference.serve_batch(&unique);
+        for threads in [1, 2] {
+            let service = small_service(33, 0, threads);
+            let answers = service.serve_batch(&pairs);
+            assert_eq!(answers[90], answers[3], "threads {threads}");
+            assert_eq!(answers[3], unique_answers[3], "threads {threads}");
+            let stats = service.stats();
+            assert_eq!(stats.queries, 101);
+            assert_eq!(
+                stats.index_work,
+                reference.stats().index_work,
+                "threads {threads}: the repeat must not pay index work"
+            );
+            assert_eq!(stats.fallback_searches, reference.stats().fallback_searches);
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! A [`WorkerSession`] is the unit of serving concurrency. Each session
 //! shares the service's *epoch slot* — an `Arc` pointer to the current
-//! immutable oracle version — and owns everything mutable it needs: the
-//! fallback search scratch, the batched-pipeline staging buffers, and its
-//! private statistics. The query hot path takes no locks beyond one
-//! epoch-pointer read per block and performs no steady-state allocation,
-//! no matter how many sessions run in parallel. The only shared mutable
-//! structure is the (optional) result cache, which is internally sharded.
+//! immutable oracle version — and checks out of the service's pool a
+//! worker state holding everything mutable it needs: the fallback search
+//! scratch, the batched-pipeline staging buffers (the dedup map included)
+//! and its statistics. The query hot path takes no locks beyond one
+//! epoch-pointer read per block, no matter how many sessions run in
+//! parallel. The only shared mutable structure is the (optional) result
+//! cache, which is internally sharded.
 //!
 //! ## Epochs
 //!
@@ -23,23 +24,28 @@
 //!
 //! Batches go through [`WorkerSession::serve_into`], which stages the
 //! work instead of looping over [`WorkerSession::serve_one`]: bad requests
-//! and cache hits are peeled off first, duplicate pairs inside the batch
-//! collapse onto one resolution, the remaining pairs run through the
-//! oracle's software-prefetch batch engine, and only index misses fall
-//! back to the per-session bidirectional BFS (which runs on the epoch's
-//! graph view — frozen CSR or dynamic overlay — through the shared
-//! [`Adjacency`] abstraction). Latency recorded by `serve_into` is
-//! **batch-amortised** (the batch's wall time divided over its queries)
-//! rather than per-query — the honest number for a batched engine, and
-//! the one `serving_throughput` reports.
+//! are peeled off first, repeated pairs collapse onto one resolution
+//! across the whole call (a repeat adopts an answer only from a block
+//! that read the same epoch), cache hits are peeled off next, the
+//! remaining pairs run through the oracle's software-prefetch batch
+//! engine, and only index misses fall back to the per-session
+//! bidirectional BFS (which runs on the epoch's graph view — frozen CSR or
+//! dynamic overlay — through the shared [`Adjacency`] abstraction).
+//! Latency recorded by `serve_into` is **batch-amortised** (the block's
+//! wall time divided over its queries) rather than per-query — the honest
+//! number for a batched engine, and the one `serving_throughput` reports.
 //!
-//! Sessions return their scratch buffers to the service's pool and merge
-//! their statistics into the service aggregate when dropped, so repeated
-//! batches reuse allocations instead of growing new ones.
+//! Worker states outlive sessions: a dropped session, and every
+//! `serve_batch` worker at the end of its call, returns its state to the
+//! pool, and the next one reuses it. So steady-state serving allocates
+//! nothing: once warmed, a single-worker `serve_batch` call allocates only
+//! the vector it returns. Statistics stay in the pooled states;
+//! `QueryService::stats` folds them when read.
 //!
 //! [`Adjacency`]: vicinity_graph::Adjacency
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::hash_map::Entry;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 use vicinity_core::dynamic::DynamicSnapshot;
@@ -218,81 +224,128 @@ impl ServedAnswer {
             _ => None,
         }
     }
+
+    /// The slot the statistics file this answer under.
+    pub(crate) fn served_method(&self) -> ServedMethod {
+        match *self {
+            ServedAnswer::Exact { method, .. } => method,
+            ServedAnswer::Unreachable => ServedMethod::Unreachable,
+            ServedAnswer::Miss => ServedMethod::Miss,
+        }
+    }
 }
 
 /// Everything a session shares with its parent service.
-#[derive(Clone)]
 pub(crate) struct SharedState {
     /// The current oracle version. Readers clone the inner `Arc` once per
     /// block; a writer thread replaces it on every applied update.
     pub(crate) epoch: Arc<RwLock<Arc<Epoch>>>,
-    pub(crate) cache: Option<Arc<QueryCache>>,
+    pub(crate) cache: Option<QueryCache>,
     pub(crate) fallback: bool,
-    pub(crate) record_latency: bool,
-    pub(crate) aggregate: Arc<Mutex<ServerStats>>,
-    pub(crate) scratch_pool: Arc<Mutex<Vec<BidirBfsScratch>>>,
+    /// Idle worker states. Sessions and `serve_batch` workers check one
+    /// out and hand it back, statistics included. A stack, so a
+    /// single-worker service keeps reusing one warm state.
+    pool: Mutex<Vec<WorkerState>>,
 }
 
 impl SharedState {
+    pub(crate) fn new(
+        epoch: Arc<RwLock<Arc<Epoch>>>,
+        cache: Option<QueryCache>,
+        fallback: bool,
+    ) -> Self {
+        SharedState {
+            epoch,
+            cache,
+            fallback,
+            pool: Mutex::new(Vec::new()),
+        }
+    }
+
     #[inline]
     pub(crate) fn current_epoch(&self) -> Arc<Epoch> {
         self.epoch.read().expect("epoch slot poisoned").clone()
     }
-}
 
-/// Reusable staging buffers for the batched serving pipeline. Owned by the
-/// session so repeated `serve_into` calls allocate nothing once the
-/// high-water mark is reached.
-#[derive(Default)]
-struct BatchScratch {
-    /// Input positions of the pairs forwarded to the batch engine.
-    pending_pos: Vec<u32>,
-    /// The forwarded pairs themselves, parallel to `pending_pos`.
-    pending_pairs: Vec<(NodeId, NodeId)>,
-    /// `(input position, pending index)` of intra-batch duplicates: pairs
-    /// whose normalised key already appeared earlier in the same batch.
-    duplicates: Vec<(u32, u32)>,
-    /// Normalised key → pending index, for duplicate collapsing.
-    seen: FastMap<u64, u32>,
-    /// Batch-engine answers, parallel to `pending_pairs`.
-    index_answers: Vec<DistanceAnswer>,
-}
+    fn pool(&self) -> MutexGuard<'_, Vec<WorkerState>> {
+        // Only a push or a pop runs under the lock, so a poisoned pool is
+        // still a consistent one.
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-impl BatchScratch {
-    fn clear(&mut self) {
-        self.pending_pos.clear();
-        self.pending_pairs.clear();
-        self.duplicates.clear();
-        self.seen.clear();
-        self.index_answers.clear();
+    /// The statistics of every idle worker state, folded.
+    pub(crate) fn stats(&self) -> ServerStats {
+        let mut total = ServerStats::default();
+        for state in self.pool().iter() {
+            total.merge(&state.stats);
+        }
+        total
+    }
+
+    /// Zero the statistics of every idle worker state.
+    pub(crate) fn reset_stats(&self) {
+        for state in self.pool().iter_mut() {
+            state.stats = ServerStats::default();
+        }
     }
 }
 
-/// A worker's private serving state. Create one per thread with
-/// [`crate::QueryService::session`]; it is `Send`, so it can be moved into
-/// a worker thread and used for any number of queries.
-pub struct WorkerSession {
-    shared: SharedState,
+/// Everything mutable one worker needs. It lives in the service's pool
+/// between uses, so its buffers keep their capacity and its statistics
+/// keep counting across sessions and `serve_batch` calls.
+#[derive(Default)]
+struct WorkerState {
+    /// Fallback search scratch; grows to the graph size on the first miss.
     scratch: BidirBfsScratch,
     batch: BatchScratch,
     stats: ServerStats,
 }
 
+/// A `seen` map above this many slots is dropped after its call instead of
+/// kept: clearing it would cost every later call time proportional to its
+/// capacity, not to that call's size.
+const SEEN_RETAIN: usize = 4096;
+
+/// Reusable staging buffers for the batched serving pipeline. Positions
+/// are indices into the caller's output vector.
+#[derive(Default)]
+struct BatchScratch {
+    /// Output positions of the pairs forwarded to the batch engine.
+    pending_pos: Vec<usize>,
+    /// The forwarded pairs themselves, parallel to `pending_pos`.
+    pending_pairs: Vec<(NodeId, NodeId)>,
+    /// `(position, first position)` of repeats: pairs whose normalised key
+    /// already appeared earlier in the call, under the same epoch.
+    duplicates: Vec<(usize, usize)>,
+    /// Normalised key → output position of its first occurrence in the
+    /// call.
+    seen: FastMap<u64, usize>,
+    /// Batch-engine answers, parallel to `pending_pairs`.
+    index_answers: Vec<DistanceAnswer>,
+}
+
+/// The blocks of one call that read the same epoch in a row. A repeat
+/// adopts an earlier answer only from inside the run, so every answer of a
+/// block comes from the one version that block read.
+struct EpochRun {
+    id: Option<u64>,
+    /// Output position of the run's first answer.
+    start: usize,
+}
+
+/// A worker's serving handle. Create one per thread with
+/// [`crate::QueryService::session`]; it is `Send`, so it can be moved into
+/// a worker thread and used for any number of queries. It checks a worker
+/// state out of the service's pool and returns it when dropped.
+pub struct WorkerSession {
+    shared: Arc<SharedState>,
+    state: WorkerState,
+}
+
 impl WorkerSession {
-    pub(crate) fn new(shared: SharedState) -> Self {
-        let node_count = shared.current_epoch().oracle.node_count();
-        let scratch = shared
-            .scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| BidirBfsScratch::with_node_capacity(node_count));
-        WorkerSession {
-            shared,
-            scratch,
-            batch: BatchScratch::default(),
-            stats: ServerStats::default(),
-        }
+    pub(crate) fn new(shared: Arc<SharedState>) -> Self {
+        let state = shared.pool().pop().unwrap_or_default();
+        WorkerSession { shared, state }
     }
 
     /// Serve one query through the full pipeline: result cache, oracle
@@ -301,17 +354,11 @@ impl WorkerSession {
     /// the cache, stamped with the observed epoch.
     pub fn serve_one(&mut self, s: NodeId, t: NodeId) -> ServedAnswer {
         let epoch = self.shared.current_epoch();
-        let start = self.shared.record_latency.then(Instant::now);
-
+        let start = Instant::now();
         let answer = self.resolve(&epoch, s, t);
-
-        let latency = start.map(|st| st.elapsed());
-        let method = match answer {
-            ServedAnswer::Exact { method, .. } => method,
-            ServedAnswer::Unreachable => ServedMethod::Unreachable,
-            ServedAnswer::Miss => ServedMethod::Miss,
-        };
-        self.stats.record(method, latency);
+        self.state
+            .stats
+            .record(answer.served_method(), Some(start.elapsed()));
         answer
     }
 
@@ -322,27 +369,28 @@ impl WorkerSession {
         if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
             return ServedAnswer::Miss;
         }
-        if let Some(cache) = &self.shared.cache {
-            match cache.get(s, t, epoch.id) {
-                Some(CachedAnswer::Exact(d)) => {
-                    return ServedAnswer::Exact {
-                        distance: d,
-                        method: ServedMethod::Cache,
-                    }
-                }
-                // A cached "unreachable" is recorded under `unreachable`
-                // (not `cache_hits`) so the definitive-answer accounting
-                // stays exact; the internal cache counters still see the
-                // probe hit.
-                Some(CachedAnswer::Unreachable) => return ServedAnswer::Unreachable,
-                None => {}
-            }
+        if let Some(answer) = self.cache_get(epoch, s, t) {
+            return answer;
         }
-
         let answer = epoch
             .oracle
-            .distance_accumulate(s, t, &mut self.stats.index_work);
+            .distance_accumulate(s, t, &mut self.state.stats.index_work);
         self.resolve_index_answer(epoch, s, t, answer)
+    }
+
+    /// Probe the result cache under `epoch`. A cached "unreachable" is
+    /// recorded under `unreachable` (not `cache_hits`) so the
+    /// definitive-answer accounting stays exact; the cache's own counters
+    /// still see the probe hit.
+    #[inline]
+    fn cache_get(&self, epoch: &Epoch, s: NodeId, t: NodeId) -> Option<ServedAnswer> {
+        match self.shared.cache.as_ref()?.get(s, t, epoch.id)? {
+            CachedAnswer::Exact(distance) => Some(ServedAnswer::Exact {
+                distance,
+                method: ServedMethod::Cache,
+            }),
+            CachedAnswer::Unreachable => Some(ServedAnswer::Unreachable),
+        }
     }
 
     /// Turn a raw index answer into a served answer: write definitive
@@ -369,10 +417,11 @@ impl WorkerSession {
                 ServedAnswer::Unreachable
             }
             DistanceAnswer::Miss if self.shared.fallback => {
-                let found = epoch.oracle.fallback_distance(&mut self.scratch, s, t);
-                self.stats.fallback_searches += 1;
-                self.stats.fallback_pops += self.scratch.last_operations();
-                self.stats.fallback_arcs += self.scratch.last_arcs_scanned();
+                let state = &mut self.state;
+                let found = epoch.oracle.fallback_distance(&mut state.scratch, s, t);
+                state.stats.fallback_searches += 1;
+                state.stats.fallback_pops += state.scratch.last_operations();
+                state.stats.fallback_arcs += state.scratch.last_arcs_scanned();
                 match found {
                     Some(distance) => {
                         self.cache_store(epoch, s, t, CachedAnswer::Exact(distance));
@@ -399,84 +448,129 @@ impl WorkerSession {
     }
 
     /// Serve a slice of queries, appending the answers to `out` in input
-    /// order. Used by `serve_batch` workers; callers driving their own
-    /// threads can equally loop over [`WorkerSession::serve_one`].
+    /// order. Callers driving their own threads can equally loop over
+    /// [`WorkerSession::serve_one`].
     ///
-    /// This is the batched fast path: cache hits and bad requests are
-    /// peeled off up front, duplicate pairs within the batch always
-    /// collapse onto a single resolution (with a result cache the repeats
-    /// are reported as cache-served — by the time they are answered, the
-    /// answer *is* in the cache; without one they adopt the first
-    /// occurrence's answer and method verbatim), and everything else runs
+    /// This is the batched fast path: bad requests are peeled off up
+    /// front, repeated pairs collapse onto one resolution across the whole
+    /// call, cache hits are peeled off next, and everything else runs
     /// through the oracle's staged software-prefetch engine before misses
-    /// reach the fallback search. Answers and caching semantics are
-    /// identical to a [`WorkerSession::serve_one`] loop; recorded latency
-    /// is batch-amortised (batch wall time over batch size).
+    /// reach the fallback search. A repeat adopts the first occurrence's
+    /// answer when both were read under the same epoch: with a result
+    /// cache an exact repeat is reported as cache-served (by the time it
+    /// is answered, the answer *is* in the cache); without one it keeps
+    /// the first occurrence's method. Answers are identical to a
+    /// [`WorkerSession::serve_one`] loop; recorded latency is
+    /// batch-amortised (block wall time over block size).
     ///
-    /// `out` keeps its capacity across calls: feeding same-sized batches
-    /// through one session reallocates neither the output vector (when the
-    /// caller clears it between batches) nor the internal staging buffers.
+    /// Once warmed on calls of this size, a call allocates nothing but
+    /// `out`'s growth: feeding same-sized batches through one session
+    /// reallocates neither the output vector (when the caller clears it
+    /// between batches) nor the internal staging buffers.
     pub fn serve_into(&mut self, pairs: &[(NodeId, NodeId)], out: &mut Vec<ServedAnswer>) {
+        self.serve_pairs(pairs, out, true);
+    }
+
+    /// [`WorkerSession::serve_into`] for pairs the caller has already
+    /// deduplicated: no repeat detection.
+    pub(crate) fn serve_unique_into(
+        &mut self,
+        pairs: &[(NodeId, NodeId)],
+        out: &mut Vec<ServedAnswer>,
+    ) {
+        self.serve_pairs(pairs, out, false);
+    }
+
+    fn serve_pairs(
+        &mut self,
+        pairs: &[(NodeId, NodeId)],
+        out: &mut Vec<ServedAnswer>,
+        dedup: bool,
+    ) {
         if pairs.is_empty() {
             return;
         }
         out.reserve(pairs.len());
+        let mut batch = std::mem::take(&mut self.state.batch);
+        batch.seen.clear();
+        if dedup {
+            batch.seen.reserve(pairs.len());
+        }
+        let mut run = EpochRun {
+            id: None,
+            start: out.len(),
+        };
         // Blocks, not one monolithic sweep: a block's cache probes run
         // after every earlier block has resolved and written back, so a
-        // repeat later in the batch (or served concurrently by another
-        // session) still finds the cache populated — the same behaviour a
-        // serve_one loop has, at block granularity. Blocks also bound the
-        // staging buffers, keep `out` writes cache-resident, and bound how
-        // long a batch can keep answering from a superseded epoch.
+        // pair served concurrently by another session still finds the
+        // cache populated — the same behaviour a serve_one loop has, at
+        // block granularity. Blocks also bound the staging buffers, keep
+        // `out` writes cache-resident, and bound how long a call can keep
+        // answering from a superseded epoch.
         for block_pairs in pairs.chunks(SERVE_BLOCK) {
-            self.serve_block(block_pairs, out);
+            self.serve_block(&mut batch, block_pairs, out, dedup, &mut run);
         }
+        if batch.seen.capacity() > SEEN_RETAIN {
+            batch.seen = FastMap::default();
+        }
+        self.state.batch = batch;
     }
 
     /// One staged block of [`WorkerSession::serve_into`], answered against
     /// a single consistent epoch.
-    fn serve_block(&mut self, pairs: &[(NodeId, NodeId)], out: &mut Vec<ServedAnswer>) {
+    fn serve_block(
+        &mut self,
+        batch: &mut BatchScratch,
+        pairs: &[(NodeId, NodeId)],
+        out: &mut Vec<ServedAnswer>,
+        dedup: bool,
+        run: &mut EpochRun,
+    ) {
         let epoch = self.shared.current_epoch();
         let base = out.len();
         let busy_start = Instant::now();
+        if run.id != Some(epoch.id) {
+            *run = EpochRun {
+                id: Some(epoch.id),
+                start: base,
+            };
+        }
+        batch.pending_pos.clear();
+        batch.pending_pairs.clear();
+        batch.duplicates.clear();
+        batch.index_answers.clear();
 
-        // Stage 1: peel off bad requests and cache hits; collapse
-        // intra-block duplicates onto one resolution (cacheless services
-        // dedup too — the repeat adopts the first occurrence's answer, so
-        // duplicate-heavy batches never pay the index twice for the same
-        // pair); placeholder-fill `out` so later stages can write answers
-        // by input position.
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for (i, &(s, t)) in pairs.iter().enumerate() {
+        // Stage 1: peel off bad requests; collapse repeats of a pair first
+        // seen under this epoch onto that first occurrence (cacheless
+        // services dedup too, so duplicate-heavy calls never pay the index
+        // twice for one pair); peel off cache hits; placeholder-fill `out`
+        // so later stages can write answers by position.
+        for (pos, &(s, t)) in (base..).zip(pairs) {
             if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
                 out.push(ServedAnswer::Miss);
                 continue;
             }
-            if let Some(cache) = &self.shared.cache {
-                match cache.get(s, t, epoch.id) {
-                    Some(CachedAnswer::Exact(d)) => {
-                        out.push(ServedAnswer::Exact {
-                            distance: d,
-                            method: ServedMethod::Cache,
-                        });
+            if dedup {
+                match batch.seen.entry(QueryCache::key(s, t)) {
+                    Entry::Occupied(first) if *first.get() >= run.start => {
+                        batch.duplicates.push((pos, *first.get()));
+                        out.push(ServedAnswer::Miss); // placeholder, overwritten below
                         continue;
                     }
-                    Some(CachedAnswer::Unreachable) => {
-                        out.push(ServedAnswer::Unreachable);
-                        continue;
+                    // First seen under an earlier epoch: start over here.
+                    Entry::Occupied(mut first) => {
+                        first.insert(pos);
                     }
-                    None => {}
+                    Entry::Vacant(slot) => {
+                        slot.insert(pos);
+                    }
                 }
             }
-            let key = QueryCache::key(s, t);
-            if let Some(&first) = batch.seen.get(&key) {
-                batch.duplicates.push((i as u32, first));
-                out.push(ServedAnswer::Miss); // placeholder, overwritten below
+            if let Some(answer) = self.cache_get(&epoch, s, t) {
+                out.push(answer);
                 continue;
             }
-            batch.seen.insert(key, batch.pending_pos.len() as u32);
-            batch.pending_pos.push(i as u32);
+            batch.pending_pos.push(pos);
             batch.pending_pairs.push((s, t));
             out.push(ServedAnswer::Miss); // placeholder, overwritten below
         }
@@ -487,26 +581,24 @@ impl WorkerSession {
         epoch.oracle.distance_batch_accumulate(
             &batch.pending_pairs,
             &mut batch.index_answers,
-            &mut self.stats.index_work,
+            &mut self.state.stats.index_work,
         );
 
         // Stage 3: classify index answers, run the fallback for misses,
         // write definitive answers back to the cache and into `out`.
-        for idx in 0..batch.pending_pairs.len() {
-            let (s, t) = batch.pending_pairs[idx];
+        for (idx, &(s, t)) in batch.pending_pairs.iter().enumerate() {
             let answer = self.resolve_index_answer(&epoch, s, t, batch.index_answers[idx]);
-            out[base + batch.pending_pos[idx] as usize] = answer;
+            out[batch.pending_pos[idx]] = answer;
         }
 
-        // Stage 4: duplicates adopt the first occurrence's answer. With a
-        // result cache, exact answers are cache-served by now and are
-        // reported as such; without one, the duplicate is the same answer
-        // the index (or fallback) just produced, method included —
-        // exactly what a serve_one loop would have recomputed.
+        // Stage 4: repeats adopt the first occurrence's answer, which is
+        // final by now. With a result cache, exact answers are
+        // cache-served by now and are reported as such; without one, the
+        // repeat is the same answer the first occurrence got, method
+        // included — exactly what a serve_one loop would have recomputed.
         let report_cache = self.shared.cache.is_some();
         for &(pos, first) in &batch.duplicates {
-            let source = out[base + batch.pending_pos[first as usize] as usize];
-            out[base + pos as usize] = match source {
+            out[pos] = match out[first] {
                 ServedAnswer::Exact { distance, .. } if report_cache => ServedAnswer::Exact {
                     distance,
                     method: ServedMethod::Cache,
@@ -514,42 +606,83 @@ impl WorkerSession {
                 other => other,
             };
         }
-        self.batch = batch;
 
         // Stage 5: account every query, with block-amortised latency.
         let elapsed = busy_start.elapsed();
-        let per_query = self
-            .shared
-            .record_latency
-            .then(|| elapsed / pairs.len() as u32);
+        let per_query = Some(elapsed / pairs.len() as u32);
+        let stats = &mut self.state.stats;
         for answer in &out[base..] {
-            let method = match *answer {
-                ServedAnswer::Exact { method, .. } => method,
-                ServedAnswer::Unreachable => ServedMethod::Unreachable,
-                ServedAnswer::Miss => ServedMethod::Miss,
-            };
-            self.stats.record(method, per_query);
+            stats.record(answer.served_method(), per_query);
         }
-        self.stats.busy_time += elapsed;
+        stats.busy_time += elapsed;
     }
 
-    /// This session's private statistics (merged into the service aggregate
-    /// when the session drops).
+    /// The statistics of this session's worker state: every query served
+    /// through that state since the last
+    /// [`crate::QueryService::reset_stats`], including by earlier sessions
+    /// and `serve_batch` calls that checked out the same state. They count
+    /// in [`crate::QueryService::stats`] once the session drops.
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.state.stats
+    }
+
+    pub(crate) fn stats_mut(&mut self) -> &mut ServerStats {
+        &mut self.state.stats
     }
 }
 
 impl Drop for WorkerSession {
     fn drop(&mut self) {
-        // Merge the session's statistics into the service aggregate and
-        // hand the scratch buffers back for reuse by the next session.
-        if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-            aggregate.merge(&self.stats);
-        }
-        let scratch = std::mem::take(&mut self.scratch);
-        if let Ok(mut pool) = self.shared.scratch_pool.lock() {
-            pool.push(scratch);
-        }
+        // Hand the worker state, buffers and statistics, back to the pool.
+        let state = std::mem::take(&mut self.state);
+        self.shared.pool().push(state);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::QueryService;
+    use vicinity_core::config::Alpha;
+    use vicinity_core::OracleBuilder;
+    use vicinity_graph::generators::classic;
+
+    #[test]
+    fn repeats_adopt_answers_only_from_the_same_epoch() {
+        // Blocks of one call, served one at a time so the writer can
+        // publish between two of them.
+        let graph = classic::path(10);
+        let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
+            .seed(5)
+            .build(&graph);
+        let (service, mut writer) = QueryService::builder(oracle, graph)
+            .build_updatable()
+            .unwrap();
+        let mut session = service.session();
+        let mut batch = BatchScratch::default();
+        let mut out = Vec::new();
+        let mut run = EpochRun { id: None, start: 0 };
+        let mut block = |session: &mut WorkerSession, pair, out: &mut Vec<ServedAnswer>| {
+            session.serve_block(&mut batch, &[pair], out, true, &mut run);
+            out.last().copied().unwrap()
+        };
+
+        assert_eq!(block(&mut session, (0, 9), &mut out).distance(), Some(9));
+        let work = session.stats().index_work;
+        assert_eq!(block(&mut session, (9, 0), &mut out), out[0]);
+        assert_eq!(
+            session.stats().index_work,
+            work,
+            "a repeat under the same epoch adopts the earlier answer"
+        );
+
+        assert!(writer.insert_edge(0, 9).unwrap());
+        assert_eq!(
+            block(&mut session, (0, 9), &mut out).distance(),
+            Some(1),
+            "a repeat must not adopt an answer read under an earlier epoch"
+        );
+        assert_ne!(session.stats().index_work, work);
+        assert_eq!(block(&mut session, (9, 0), &mut out), out[2]);
     }
 }

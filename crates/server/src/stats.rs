@@ -1,9 +1,10 @@
 //! Serving statistics: latency histogram, answer-method histogram,
 //! throughput, cache and fallback rates.
 //!
-//! Worker sessions record into their own private `ServerStats` (no shared
-//! state on the hot path) and the service merges them after each batch, so
-//! aggregation never contends with query execution.
+//! Each pooled worker state records into its own `ServerStats` (no shared
+//! state on the hot path), and the service folds the pool's statistics
+//! only when they are read, so aggregation never contends with query
+//! execution.
 
 use std::time::Duration;
 
