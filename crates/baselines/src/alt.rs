@@ -1,7 +1,7 @@
 //! ALT: A* search with landmark-based lower bounds.
 //!
 //! Representative of the goal-directed heuristics the paper cites as prior
-//! state of the art ("A* search [3,4]"). A set of landmarks is chosen, the
+//! state of the art (\"A* search \[3,4\]\"). A set of landmarks is chosen, the
 //! exact distance from every landmark to every node is precomputed, and the
 //! triangle inequality `|d(L,t) − d(L,v)| ≤ d(v,t)` provides an admissible
 //! heuristic that steers the search towards the target.

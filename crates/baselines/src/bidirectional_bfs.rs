@@ -1,6 +1,6 @@
 //! Bidirectional breadth-first search — the "Bidirectional BFS" column of
 //! Table 3 and the paper's stand-in for the state-of-the-art point-to-point
-//! algorithm of Goldberg et al. [4].
+//! algorithm of Goldberg et al. \[4\].
 //!
 //! The search alternates between a forward frontier from `s` and a backward
 //! frontier from `t`, always expanding the smaller frontier, and terminates

@@ -1,7 +1,7 @@
 //! Landmark-based *approximate* distance estimation.
 //!
 //! Represents the approximation algorithms the paper positions itself
-//! against in §4 — Orion [19], sketch-based oracles [11, 12] and
+//! against in §4 — Orion \[19\], sketch-based oracles [11, 12] and
 //! landmark-BFS schemes [17, 20]. Each node stores its distance to a small
 //! set of landmarks; a query returns the best upper bound
 //! `min_L d(s, L) + d(L, t)` (and optionally the lower bound

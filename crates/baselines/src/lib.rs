@@ -6,12 +6,12 @@
 //! * [`bfs`] — plain breadth-first search, the "BFS" column of Table 3.
 //! * [`bidirectional_bfs`] — alternating bidirectional BFS, the
 //!   "Bidirectional BFS" column (the paper's stand-in for the
-//!   state-of-the-art point-to-point algorithm of Goldberg et al. [4]).
+//!   state-of-the-art point-to-point algorithm of Goldberg et al. \[4\]).
 //! * [`dijkstra`] / [`bidirectional_dijkstra`] — weighted exact baselines.
 //! * [`alt`] — A* with landmark lower bounds (ALT), representative of the
 //!   goal-directed heuristics in [3, 4].
 //! * [`landmark_estimate`] — landmark/sketch-based *approximate* distances,
-//!   representative of Orion [19] and related sketches [11, 12, 20].
+//!   representative of Orion \[19\] and related sketches [11, 12, 20].
 //! * [`apsp`] — all-pairs shortest paths for ground truth on small graphs
 //!   and for the §3.2 memory comparison.
 //!

@@ -4,7 +4,7 @@
 //! Builds the 100k-node social stand-in (4k with `--smoke`), wraps it in
 //! `QueryService::build_updatable`, and drives an update stream — removals
 //! of sampled real edges, re-insertions, plus insert/remove churn of novel
-//! edges — through the [`OracleWriter`] while batched queries are served
+//! edges — through the [`OracleWriter`](vicinity_server::OracleWriter) while batched queries are served
 //! between updates. Reports per-update latency percentiles (insert and
 //! remove separately), compaction counts, and post-churn batched query
 //! throughput against the frozen pre-churn baseline.

@@ -1,11 +1,11 @@
 //! Dynamic edge updates: a delta-overlay oracle over the frozen flat store.
 //!
-//! The flat [`VicinityStore`] is immutable by design — its pools are packed
-//! CSR spans, so editing one node's vicinity in place would mean splicing
-//! every pool. Instead, [`DynamicOracle`] wraps a frozen base oracle with a
-//! **delta overlay**:
+//! The flat [`VicinityStore`](crate::VicinityStore) is immutable by design
+//! — its pools are packed CSR spans, so editing one node's vicinity in
+//! place would mean splicing every pool. Instead, [`DynamicOracle`] wraps
+//! a frozen base oracle with a **delta overlay**:
 //!
-//! * **patched vicinity entries** — per-node [`OwnedVicinity`] replacements
+//! * **patched vicinity entries** — per-node owned vicinity replacements
 //!   (same sections as a store span, including the derived shells and
 //!   membership slots) for every node whose vicinity an update changed;
 //! * **tombstones** — overlay entries marking a node whose repaired
@@ -20,7 +20,10 @@
 //! through the overlay maps, and because the scalar query loop, the shell
 //! intersection, the landmark bounds and the batched prefetch pipeline are
 //! all generic over [`QueryIndex`] (see [`crate::query`]), the overlay is
-//! consulted on all of them by construction.
+//! consulted on all of them by construction. While no vicinity and no row
+//! is patched (at construction and after every compaction), distance
+//! queries skip the overlay and run on the base oracle directly, so an
+//! unpatched snapshot answers at the frozen oracle's speed.
 //!
 //! ## Incremental maintenance
 //!
@@ -489,6 +492,9 @@ macro_rules! impl_overlay_queries {
                 s: NodeId,
                 t: NodeId,
             ) -> (DistanceAnswer, QueryStats) {
+                if self.overlay_is_empty() {
+                    return self.base.distance_with_stats(s, t);
+                }
                 distance_with_stats_on(self, s, t)
             }
 
@@ -521,7 +527,20 @@ macro_rules! impl_overlay_queries {
                 out: &mut Vec<DistanceAnswer>,
                 accumulator: &mut QueryStats,
             ) {
+                if self.overlay_is_empty() {
+                    return self.base.distance_batch_accumulate(pairs, out, accumulator);
+                }
                 distance_batch_accumulate_on(self, pairs, out, accumulator);
+            }
+
+            /// True when no vicinity or landmark row is patched, so every
+            /// index read resolves to the base: distance queries then go
+            /// straight to it instead of probing empty overlay maps. The
+            /// graph may still differ from the base graph; distances read
+            /// only the index.
+            #[inline]
+            fn overlay_is_empty(&self) -> bool {
+                self.overlay.is_empty() && self.rows.is_empty()
             }
 
             /// Exact shortest path between `s` and `t` on the current

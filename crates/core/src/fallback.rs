@@ -2,7 +2,7 @@
 //!
 //! Footnote 1 of the paper: "For source-destination pairs whose vicinities
 //! do not intersect, it is possible to combine our technique with those for
-//! computing exact [3,4] or approximate [5,12,17,20] paths." This module
+//! computing exact \[3,4\] or approximate \[5,12,17,20\] paths." This module
 //! provides both combinations:
 //!
 //! * [`fallback_distance`] — the exact miss path: a bidirectional BFS

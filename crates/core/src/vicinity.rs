@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Construction is a single bounded BFS per node (the "modified shortest
-//! path algorithm [16]" of §2.2, with cost proportional to the vicinity
+//! path algorithm \[16\]\" of §2.2, with cost proportional to the vicinity
 //! size, `O(α·√n)` in expectation). Workers append their nodes into private
 //! [`VicinityChunk`] arenas which are spliced — plain `Vec` concatenations,
 //! no per-node re-hashing — into one [`VicinityStore`].
@@ -755,7 +755,7 @@ impl<'a> VicinityRef<'a> {
     ///
     /// Two strategies, chosen by size ratio:
     ///
-    /// * **merge** — the galloping sorted-merge of [`sorted_ids_intersect`]
+    /// * **merge** — the galloping sorted-merge of `sorted_ids_intersect`
     ///   over the two id-sorted shell slices. Linear, forward-only,
     ///   prefetch-friendly; the default.
     /// * **probe** — when one shell is at least [`PROBE_SIZE_RATIO`]×

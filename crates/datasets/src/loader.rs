@@ -2,8 +2,8 @@
 //!
 //! The paper's datasets are public but large (the Orkut crawl alone is
 //! several GB as an edge list) and not redistributable inside this
-//! repository. If you download them — DBLP from [18], LiveJournal from
-//! SNAP [14], Flickr/Orkut from the Mislove et al. measurement study [9] —
+//! repository. If you download them — DBLP from \[18\], LiveJournal from
+//! SNAP \[14\], Flickr/Orkut from the Mislove et al. measurement study \[9\] —
 //! place the edge lists in a directory and point `VICINITY_DATA_DIR` at it:
 //!
 //! ```text

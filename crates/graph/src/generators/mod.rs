@@ -10,7 +10,7 @@
 //! small-world rings).
 //!
 //! All generators are deterministic given an RNG, and all return clean
-//! undirected [`CsrGraph`]s (no self loops, no parallel edges).
+//! undirected [`CsrGraph`](crate::csr::CsrGraph)s (no self loops, no parallel edges).
 
 pub mod barabasi_albert;
 pub mod chung_lu;

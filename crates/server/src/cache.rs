@@ -13,7 +13,7 @@
 //! doubly-linked-list LRU over a slab, so hits and insertions are O(1) and
 //! the capacity bound is exact: the configured capacity is honoured in
 //! full, no matter how large (construction merely caps its *preallocation*
-//! at [`PREALLOC_ENTRIES`] entries per shard so absurd configurations
+//! at `PREALLOC_ENTRIES` entries per shard so absurd configurations
 //! cannot OOM up front — the slab still grows lazily to the full
 //! capacity).
 //!

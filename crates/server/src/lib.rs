@@ -11,10 +11,14 @@
 //! and operators need latency percentiles and answer-method breakdowns.
 //! This crate provides exactly that serving layer:
 //!
-//! * [`QueryService`] — wraps one immutable oracle build and its graph in
-//!   `Arc`s; any number of workers query the same index concurrently with
-//!   no synchronisation on the hot path (the §5 "parallelise without
-//!   replicating" question, answered within one machine).
+//! * [`QueryService`] — serves one `Arc`-shared oracle build and its graph
+//!   through an epoch slot holding the current `DynamicSnapshot`: the
+//!   empty-overlay snapshot of the build, which answers through the frozen
+//!   oracle directly, until an [`OracleWriter`] publishes an update. Any
+//!   number of workers query the same index concurrently with no
+//!   synchronisation on the hot path beyond one epoch read per block (the
+//!   §5 "parallelise without replicating" question, answered within one
+//!   machine).
 //! * [`WorkerSession`] — a worker's handle on a pooled worker state: a
 //!   reusable, allocation-free bidirectional-BFS scratch for index misses,
 //!   the batch staging buffers and the worker's statistics. Sessions and

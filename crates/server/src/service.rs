@@ -4,14 +4,14 @@
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use vicinity_core::dynamic::{DynamicOracle, UpdateError};
+use vicinity_core::dynamic::{DynamicOracle, DynamicSnapshot, UpdateError};
 use vicinity_core::index::VicinityOracle;
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::NodeId;
 
 use crate::cache::QueryCache;
-use crate::session::{Epoch, ServedAnswer, SharedState, WorkerSession};
+use crate::session::{ServedAnswer, SharedState, WorkerSession};
 use crate::stats::{ServedMethod, ServerStats};
 
 /// Independently locked shards of the result cache.
@@ -53,7 +53,6 @@ pub struct QueryServiceBuilder {
     graph: Arc<CsrGraph>,
     threads: usize,
     cache_capacity: usize,
-    fallback: bool,
 }
 
 impl QueryServiceBuilder {
@@ -63,7 +62,6 @@ impl QueryServiceBuilder {
             graph,
             threads: 0,
             cache_capacity: 0,
-            fallback: true,
         }
     }
 
@@ -81,18 +79,13 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Enable or disable the per-worker exact fallback search for index
-    /// misses (enabled by default).
-    pub fn fallback(mut self, enabled: bool) -> Self {
-        self.fallback = enabled;
-        self
-    }
-
-    /// Assemble the service, verifying the oracle and graph agree. The
-    /// service serves this one frozen oracle version forever (epoch 0);
-    /// use [`QueryServiceBuilder::build_updatable`] for live edge updates.
+    /// Assemble the service, verifying the oracle and graph agree: an
+    /// updatable service that hands out no writer. It serves the oracle's
+    /// empty-overlay snapshot (epoch 0) forever, which answers through the
+    /// frozen oracle directly; use
+    /// [`QueryServiceBuilder::build_updatable`] for live edge updates.
     pub fn build(self) -> Result<QueryService, ServerError> {
-        let (service, _) = self.build_inner(None)?;
+        let (service, _) = self.build_updatable()?;
         Ok(service)
     }
 
@@ -115,36 +108,17 @@ impl QueryServiceBuilder {
                 },
                 other => unreachable!("construction can only fail on mismatch: {other}"),
             })?;
-        let (service, epoch) = self.build_inner(Some(&dynamic))?;
-        let writer = OracleWriter { dynamic, epoch };
-        Ok((service, writer))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn build_inner(
-        self,
-        dynamic: Option<&DynamicOracle>,
-    ) -> Result<(QueryService, Arc<RwLock<Arc<Epoch>>>), ServerError> {
-        if self.oracle.node_count() != self.graph.node_count() {
-            return Err(ServerError::GraphMismatch {
-                oracle_nodes: self.oracle.node_count(),
-                graph_nodes: self.graph.node_count(),
-            });
-        }
+        let epoch = Arc::new(RwLock::new(Arc::new(dynamic.snapshot())));
         let cache =
             (self.cache_capacity > 0).then(|| QueryCache::new(self.cache_capacity, CACHE_SHARDS));
-        let initial = match dynamic {
-            Some(dynamic) => Epoch::dynamic(dynamic.snapshot()),
-            None => Epoch::frozen(Arc::clone(&self.oracle), Arc::clone(&self.graph)),
-        };
-        let epoch = Arc::new(RwLock::new(initial));
         let service = QueryService {
-            shared: Arc::new(SharedState::new(Arc::clone(&epoch), cache, self.fallback)),
+            shared: Arc::new(SharedState::new(Arc::clone(&epoch), cache)),
             oracle: self.oracle,
             graph: self.graph,
             threads: self.threads,
         };
-        Ok((service, epoch))
+        let writer = OracleWriter { dynamic, epoch };
+        Ok((service, writer))
     }
 }
 
@@ -160,7 +134,7 @@ impl QueryServiceBuilder {
 /// earlier epoch.
 pub struct OracleWriter {
     dynamic: DynamicOracle,
-    epoch: Arc<RwLock<Arc<Epoch>>>,
+    epoch: Arc<RwLock<Arc<DynamicSnapshot>>>,
 }
 
 impl OracleWriter {
@@ -197,7 +171,7 @@ impl OracleWriter {
     /// Publish the writer's current state as the service's epoch.
     fn publish(&mut self) {
         let snapshot = self.dynamic.snapshot();
-        *self.epoch.write().expect("epoch slot poisoned") = Epoch::dynamic(snapshot);
+        *self.epoch.write().expect("epoch slot poisoned") = Arc::new(snapshot);
     }
 
     /// The wrapped dynamic oracle (e.g. for direct queries on the writer
@@ -267,7 +241,6 @@ impl std::fmt::Debug for QueryService {
             .field("epoch", &self.epoch_id())
             .field("threads", &self.threads)
             .field("cache", &self.shared.cache.is_some())
-            .field("fallback", &self.shared.fallback)
             .finish()
     }
 }
@@ -301,7 +274,7 @@ impl QueryService {
 
     /// The epoch id (oracle update version) currently being served.
     pub fn epoch_id(&self) -> u64 {
-        self.shared.current_epoch().id
+        self.shared.current_epoch().version()
     }
 
     /// Number of answers currently held by the result cache (0 when caching
@@ -386,7 +359,7 @@ impl QueryService {
         let mut unique_answers = Vec::with_capacity(unique.len());
         let threads = self.effective_threads(unique.len());
         if threads == 1 {
-            lead.serve_unique_into(&unique, &mut unique_answers);
+            lead.serve_into(&unique, &mut unique_answers);
         } else {
             let chunk_size = unique.len().div_ceil(threads);
             std::thread::scope(|scope| {
@@ -396,7 +369,7 @@ impl QueryService {
                         let mut session = self.session();
                         scope.spawn(move || {
                             let mut chunk_answers = Vec::new();
-                            session.serve_unique_into(chunk, &mut chunk_answers);
+                            session.serve_into(chunk, &mut chunk_answers);
                             chunk_answers
                         })
                     })
@@ -564,31 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn misses_are_reported_when_fallback_disabled() {
-        // A grid at moderate alpha misses often; with fallback off, misses
-        // surface to the caller.
-        let graph = classic::grid(25, 25);
-        let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
-            .seed(3)
-            .build(&graph);
-        let service = QueryService::builder(oracle, graph)
-            .threads(2)
-            .fallback(false)
-            .build()
-            .unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let pairs = random_pairs(service.graph(), 300, &mut rng);
-        let answers = service.serve_batch(&pairs);
-        let misses = answers.iter().filter(|a| a.is_miss()).count();
-        assert!(
-            misses > 0,
-            "a sparse grid at alpha=2 must produce some misses"
-        );
-        assert_eq!(service.stats().misses, misses as u64);
-        assert_eq!(service.stats().fallback_searches, 0);
-    }
-
-    #[test]
     fn unreachable_pairs_are_definitive() {
         let mut b = GraphBuilder::with_node_count(10);
         b.add_edge(0, 1);
@@ -716,6 +664,36 @@ mod tests {
                 "threads {threads}: the repeat must not pay index work"
             );
             assert_eq!(stats.fallback_searches, reference.stats().fallback_searches);
+        }
+    }
+
+    #[test]
+    fn served_index_work_equals_the_frozen_oracles() {
+        // A build() service answers through its empty-overlay snapshot:
+        // over more than one block of unique pairs, the index work it
+        // reports must be exactly what the frozen oracle does on the same
+        // pairs, and every answer must be exact.
+        let graph = SocialGraphConfig::small_test().generate(34);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let mut keys = std::collections::HashSet::new();
+        let pairs: Vec<(NodeId, NodeId)> = random_pairs(&graph, 220, &mut rng)
+            .into_iter()
+            .filter(|&(s, t)| keys.insert(QueryCache::key(s, t)))
+            .take(200)
+            .collect();
+        assert_eq!(pairs.len(), 200);
+        for threads in [1, 2] {
+            let service = small_service(34, 0, threads);
+            let answers = service.serve_batch(&pairs);
+            let mut expected = vicinity_core::QueryStats::default();
+            service
+                .oracle()
+                .distance_batch_accumulate(&pairs, &mut Vec::new(), &mut expected);
+            assert_eq!(service.stats().index_work, expected, "threads {threads}");
+            let mut bfs = BfsEngine::new(service.graph());
+            for (&(s, t), answer) in pairs.iter().zip(&answers) {
+                assert_eq!(answer.distance(), bfs.distance(s, t), "pair ({s},{t})");
+            }
         }
     }
 

@@ -12,15 +12,19 @@
 //!
 //! ## Epochs
 //!
-//! A static service keeps one frozen [`Epoch`] forever (id 0). An
-//! updatable service (see `QueryServiceBuilder::build_updatable`) lets a
-//! writer thread apply edge updates to a `DynamicOracle` and publish a new
-//! [`DynamicSnapshot`] per applied update; sessions pick up the current
-//! epoch at the start of every served block, so each block is answered
-//! against one consistent oracle version end to end. Cache entries are
-//! stamped with the epoch that produced them and validated against the
-//! reading session's epoch, so once a session observes a post-update
-//! epoch it can never be served a pre-update cached answer.
+//! An epoch is one published [`DynamicSnapshot`], identified by its
+//! update version. Every service starts from the empty-overlay snapshot
+//! of its oracle (version 0), which answers through the frozen base
+//! directly. An updatable service (see
+//! `QueryServiceBuilder::build_updatable`) lets a writer thread apply edge
+//! updates to a `DynamicOracle` and publish a new snapshot per applied
+//! update; a service from `build()` has no writer and keeps version 0
+//! forever. Sessions pick up the current epoch at the start of every
+//! served block, so each block is answered against one consistent oracle
+//! version end to end. Cache entries are stamped with the version that
+//! produced them and validated against the reading session's epoch, so
+//! once a session observes a post-update epoch it can never be served a
+//! pre-update cached answer.
 //!
 //! Batches go through [`WorkerSession::serve_into`], which stages the
 //! work instead of looping over [`WorkerSession::serve_one`]: bad requests
@@ -29,8 +33,8 @@
 //! that read the same epoch), cache hits are peeled off next, the
 //! remaining pairs run through the oracle's software-prefetch batch
 //! engine, and only index misses fall back to the per-session
-//! bidirectional BFS (which runs on the epoch's graph view — frozen CSR or
-//! dynamic overlay — through the shared [`Adjacency`] abstraction).
+//! bidirectional BFS (which runs on the epoch's overlay graph view through
+//! the shared [`Adjacency`] abstraction).
 //! Latency recorded by `serve_into` is **batch-amortised** (the block's
 //! wall time divided over its queries) rather than per-query — the honest
 //! number for a batched engine, and the one `serving_throughput` reports.
@@ -50,10 +54,8 @@ use std::time::Instant;
 
 use vicinity_core::dynamic::DynamicSnapshot;
 use vicinity_core::fallback::fallback_distance;
-use vicinity_core::index::VicinityOracle;
-use vicinity_core::query::{DistanceAnswer, QueryStats};
+use vicinity_core::query::{DistanceAnswer, QueryIndex};
 use vicinity_graph::algo::bfs::BidirBfsScratch;
-use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Distance, NodeId};
 
@@ -67,110 +69,6 @@ use crate::stats::{ServedMethod, ServerStats};
 /// sessions) at fine granularity — and that epoch swaps published by a
 /// writer thread are observed promptly mid-batch.
 const SERVE_BLOCK: usize = 64;
-
-/// One published oracle version: everything a session needs to answer
-/// queries consistently — the index view and the matching graph for the
-/// fallback search — plus the epoch id cache entries are stamped with.
-pub(crate) struct Epoch {
-    /// Version stamp for cache validation. Static services stay at 0;
-    /// updatable services use the dynamic oracle's update version.
-    pub(crate) id: u64,
-    pub(crate) oracle: EpochOracle,
-}
-
-/// The two oracle forms an epoch can carry. Static services keep the
-/// frozen pair (zero per-query overlay overhead); updatable services
-/// publish overlay snapshots.
-pub(crate) enum EpochOracle {
-    /// An immutable oracle build and the graph it was built over.
-    Frozen {
-        /// The shared index.
-        oracle: Arc<VicinityOracle>,
-        /// The build graph (fallback search substrate).
-        graph: Arc<CsrGraph>,
-    },
-    /// A published dynamic-overlay snapshot (carries its own graph view).
-    Dynamic(DynamicSnapshot),
-}
-
-impl Epoch {
-    pub(crate) fn frozen(oracle: Arc<VicinityOracle>, graph: Arc<CsrGraph>) -> Arc<Self> {
-        Arc::new(Epoch {
-            id: 0,
-            oracle: EpochOracle::Frozen { oracle, graph },
-        })
-    }
-
-    pub(crate) fn dynamic(snapshot: DynamicSnapshot) -> Arc<Self> {
-        Arc::new(Epoch {
-            id: snapshot.version(),
-            oracle: EpochOracle::Dynamic(snapshot),
-        })
-    }
-}
-
-impl EpochOracle {
-    #[inline]
-    pub(crate) fn node_count(&self) -> usize {
-        match self {
-            EpochOracle::Frozen { oracle, .. } => oracle.node_count(),
-            EpochOracle::Dynamic(snapshot) => snapshot.node_count(),
-        }
-    }
-
-    #[inline]
-    fn contains_node(&self, u: NodeId) -> bool {
-        (u as usize) < self.node_count()
-    }
-
-    #[inline]
-    fn distance_accumulate(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        accumulator: &mut QueryStats,
-    ) -> DistanceAnswer {
-        match self {
-            EpochOracle::Frozen { oracle, .. } => oracle.distance_accumulate(s, t, accumulator),
-            EpochOracle::Dynamic(snapshot) => snapshot.distance_accumulate(s, t, accumulator),
-        }
-    }
-
-    #[inline]
-    fn distance_batch_accumulate(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        out: &mut Vec<DistanceAnswer>,
-        accumulator: &mut QueryStats,
-    ) {
-        match self {
-            EpochOracle::Frozen { oracle, .. } => {
-                oracle.distance_batch_accumulate(pairs, out, accumulator)
-            }
-            EpochOracle::Dynamic(snapshot) => {
-                snapshot.distance_batch_accumulate(pairs, out, accumulator)
-            }
-        }
-    }
-
-    /// Exact fallback for an index miss, on this epoch's graph view: the
-    /// seeded bidirectional BFS of [`fallback_distance`].
-    fn fallback_distance(
-        &self,
-        scratch: &mut BidirBfsScratch,
-        s: NodeId,
-        t: NodeId,
-    ) -> Option<Distance> {
-        match self {
-            EpochOracle::Frozen { oracle, graph } => {
-                fallback_distance(oracle.as_ref(), graph.as_ref(), scratch, s, t)
-            }
-            EpochOracle::Dynamic(snapshot) => {
-                fallback_distance(snapshot, snapshot.graph(), scratch, s, t)
-            }
-        }
-    }
-}
 
 /// Result of one served query.
 ///
@@ -188,8 +86,7 @@ pub enum ServedAnswer {
     },
     /// The endpoints are provably disconnected.
     Unreachable,
-    /// The query was not answered: an endpoint id is unknown to the index,
-    /// or the index missed and no fallback is configured.
+    /// The query was not answered: an endpoint id is unknown to the index.
     Miss,
 }
 
@@ -239,9 +136,8 @@ impl ServedAnswer {
 pub(crate) struct SharedState {
     /// The current oracle version. Readers clone the inner `Arc` once per
     /// block; a writer thread replaces it on every applied update.
-    pub(crate) epoch: Arc<RwLock<Arc<Epoch>>>,
+    pub(crate) epoch: Arc<RwLock<Arc<DynamicSnapshot>>>,
     pub(crate) cache: Option<QueryCache>,
-    pub(crate) fallback: bool,
     /// Idle worker states. Sessions and `serve_batch` workers check one
     /// out and hand it back, statistics included. A stack, so a
     /// single-worker service keeps reusing one warm state.
@@ -249,21 +145,16 @@ pub(crate) struct SharedState {
 }
 
 impl SharedState {
-    pub(crate) fn new(
-        epoch: Arc<RwLock<Arc<Epoch>>>,
-        cache: Option<QueryCache>,
-        fallback: bool,
-    ) -> Self {
+    pub(crate) fn new(epoch: Arc<RwLock<Arc<DynamicSnapshot>>>, cache: Option<QueryCache>) -> Self {
         SharedState {
             epoch,
             cache,
-            fallback,
             pool: Mutex::new(Vec::new()),
         }
     }
 
     #[inline]
-    pub(crate) fn current_epoch(&self) -> Arc<Epoch> {
+    pub(crate) fn current_epoch(&self) -> Arc<DynamicSnapshot> {
         self.epoch.read().expect("epoch slot poisoned").clone()
     }
 
@@ -362,19 +253,17 @@ impl WorkerSession {
         answer
     }
 
-    fn resolve(&mut self, epoch: &Epoch, s: NodeId, t: NodeId) -> ServedAnswer {
+    fn resolve(&mut self, epoch: &DynamicSnapshot, s: NodeId, t: NodeId) -> ServedAnswer {
         // Unknown node ids are a bad request, not a provable
         // disconnection: report a miss (never cached) instead of letting
         // the fallback's out-of-range guard masquerade as "unreachable".
-        if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
+        if !epoch.covers(s) || !epoch.covers(t) {
             return ServedAnswer::Miss;
         }
         if let Some(answer) = self.cache_get(epoch, s, t) {
             return answer;
         }
-        let answer = epoch
-            .oracle
-            .distance_accumulate(s, t, &mut self.state.stats.index_work);
+        let answer = epoch.distance_accumulate(s, t, &mut self.state.stats.index_work);
         self.resolve_index_answer(epoch, s, t, answer)
     }
 
@@ -383,8 +272,8 @@ impl WorkerSession {
     /// definitive-answer accounting stays exact; the cache's own counters
     /// still see the probe hit.
     #[inline]
-    fn cache_get(&self, epoch: &Epoch, s: NodeId, t: NodeId) -> Option<ServedAnswer> {
-        match self.shared.cache.as_ref()?.get(s, t, epoch.id)? {
+    fn cache_get(&self, epoch: &DynamicSnapshot, s: NodeId, t: NodeId) -> Option<ServedAnswer> {
+        match self.shared.cache.as_ref()?.get(s, t, epoch.version())? {
             CachedAnswer::Exact(distance) => Some(ServedAnswer::Exact {
                 distance,
                 method: ServedMethod::Cache,
@@ -395,11 +284,11 @@ impl WorkerSession {
 
     /// Turn a raw index answer into a served answer: write definitive
     /// results back to the cache and resolve misses with the fallback
-    /// search (when configured). Shared by the scalar path and the batched
-    /// pipeline so their serving semantics cannot drift apart.
+    /// search. Shared by the scalar path and the batched pipeline so their
+    /// serving semantics cannot drift apart.
     fn resolve_index_answer(
         &mut self,
-        epoch: &Epoch,
+        epoch: &DynamicSnapshot,
         s: NodeId,
         t: NodeId,
         answer: DistanceAnswer,
@@ -416,9 +305,9 @@ impl WorkerSession {
                 self.cache_store(epoch, s, t, CachedAnswer::Unreachable);
                 ServedAnswer::Unreachable
             }
-            DistanceAnswer::Miss if self.shared.fallback => {
+            DistanceAnswer::Miss => {
                 let state = &mut self.state;
-                let found = epoch.oracle.fallback_distance(&mut state.scratch, s, t);
+                let found = fallback_distance(epoch, epoch.graph(), &mut state.scratch, s, t);
                 state.stats.fallback_searches += 1;
                 state.stats.fallback_pops += state.scratch.last_operations();
                 state.stats.fallback_arcs += state.scratch.last_arcs_scanned();
@@ -436,14 +325,13 @@ impl WorkerSession {
                     }
                 }
             }
-            DistanceAnswer::Miss => ServedAnswer::Miss,
         }
     }
 
     #[inline]
-    fn cache_store(&self, epoch: &Epoch, s: NodeId, t: NodeId, answer: CachedAnswer) {
+    fn cache_store(&self, epoch: &DynamicSnapshot, s: NodeId, t: NodeId, answer: CachedAnswer) {
         if let Some(cache) = &self.shared.cache {
-            cache.insert(s, t, epoch.id, answer);
+            cache.insert(s, t, epoch.version(), answer);
         }
     }
 
@@ -468,34 +356,13 @@ impl WorkerSession {
     /// reallocates neither the output vector (when the caller clears it
     /// between batches) nor the internal staging buffers.
     pub fn serve_into(&mut self, pairs: &[(NodeId, NodeId)], out: &mut Vec<ServedAnswer>) {
-        self.serve_pairs(pairs, out, true);
-    }
-
-    /// [`WorkerSession::serve_into`] for pairs the caller has already
-    /// deduplicated: no repeat detection.
-    pub(crate) fn serve_unique_into(
-        &mut self,
-        pairs: &[(NodeId, NodeId)],
-        out: &mut Vec<ServedAnswer>,
-    ) {
-        self.serve_pairs(pairs, out, false);
-    }
-
-    fn serve_pairs(
-        &mut self,
-        pairs: &[(NodeId, NodeId)],
-        out: &mut Vec<ServedAnswer>,
-        dedup: bool,
-    ) {
         if pairs.is_empty() {
             return;
         }
         out.reserve(pairs.len());
         let mut batch = std::mem::take(&mut self.state.batch);
         batch.seen.clear();
-        if dedup {
-            batch.seen.reserve(pairs.len());
-        }
+        batch.seen.reserve(pairs.len());
         let mut run = EpochRun {
             id: None,
             start: out.len(),
@@ -508,7 +375,7 @@ impl WorkerSession {
         // `out` writes cache-resident, and bound how long a call can keep
         // answering from a superseded epoch.
         for block_pairs in pairs.chunks(SERVE_BLOCK) {
-            self.serve_block(&mut batch, block_pairs, out, dedup, &mut run);
+            self.serve_block(&mut batch, block_pairs, out, &mut run);
         }
         if batch.seen.capacity() > SEEN_RETAIN {
             batch.seen = FastMap::default();
@@ -523,15 +390,14 @@ impl WorkerSession {
         batch: &mut BatchScratch,
         pairs: &[(NodeId, NodeId)],
         out: &mut Vec<ServedAnswer>,
-        dedup: bool,
         run: &mut EpochRun,
     ) {
         let epoch = self.shared.current_epoch();
         let base = out.len();
         let busy_start = Instant::now();
-        if run.id != Some(epoch.id) {
+        if run.id != Some(epoch.version()) {
             *run = EpochRun {
-                id: Some(epoch.id),
+                id: Some(epoch.version()),
                 start: base,
             };
         }
@@ -546,24 +412,22 @@ impl WorkerSession {
         // twice for one pair); peel off cache hits; placeholder-fill `out`
         // so later stages can write answers by position.
         for (pos, &(s, t)) in (base..).zip(pairs) {
-            if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
+            if !epoch.covers(s) || !epoch.covers(t) {
                 out.push(ServedAnswer::Miss);
                 continue;
             }
-            if dedup {
-                match batch.seen.entry(QueryCache::key(s, t)) {
-                    Entry::Occupied(first) if *first.get() >= run.start => {
-                        batch.duplicates.push((pos, *first.get()));
-                        out.push(ServedAnswer::Miss); // placeholder, overwritten below
-                        continue;
-                    }
-                    // First seen under an earlier epoch: start over here.
-                    Entry::Occupied(mut first) => {
-                        first.insert(pos);
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(pos);
-                    }
+            match batch.seen.entry(QueryCache::key(s, t)) {
+                Entry::Occupied(first) if *first.get() >= run.start => {
+                    batch.duplicates.push((pos, *first.get()));
+                    out.push(ServedAnswer::Miss); // placeholder, overwritten below
+                    continue;
+                }
+                // First seen under an earlier epoch: start over here.
+                Entry::Occupied(mut first) => {
+                    first.insert(pos);
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(pos);
                 }
             }
             if let Some(answer) = self.cache_get(&epoch, s, t) {
@@ -578,7 +442,7 @@ impl WorkerSession {
         // Stage 2: resolve the unique uncached pairs of the block through
         // the staged batch engine (header prefetch → span/landmark-row
         // prefetch → warm-line resolution).
-        epoch.oracle.distance_batch_accumulate(
+        epoch.distance_batch_accumulate(
             &batch.pending_pairs,
             &mut batch.index_answers,
             &mut self.state.stats.index_work,
@@ -663,7 +527,7 @@ mod tests {
         let mut out = Vec::new();
         let mut run = EpochRun { id: None, start: 0 };
         let mut block = |session: &mut WorkerSession, pair, out: &mut Vec<ServedAnswer>| {
-            session.serve_block(&mut batch, &[pair], out, true, &mut run);
+            session.serve_block(&mut batch, &[pair], out, &mut run);
             out.last().copied().unwrap()
         };
 

@@ -122,7 +122,7 @@ pub enum ServedMethod {
     Fallback,
     /// Served from the result cache.
     Cache,
-    /// Left unanswered (index miss, fallback disabled).
+    /// Left unanswered: an endpoint id is unknown to the index.
     Miss,
     /// Proven unreachable.
     Unreachable,
@@ -159,7 +159,8 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Queries whose endpoints are provably disconnected.
     pub unreachable: u64,
-    /// Queries left unanswered (miss with fallback disabled).
+    /// Queries left unanswered because an endpoint id is unknown to the
+    /// index.
     pub misses: u64,
     /// Per-method counters; see [`ServerStats::METHOD_NAMES`].
     pub method_counts: [u64; 11],
@@ -260,8 +261,8 @@ impl ServerStats {
         self.cache_hits as f64 / self.queries as f64
     }
 
-    /// Fraction of queries that needed the fallback search (or went
-    /// unanswered when no fallback is configured).
+    /// Fraction of queries the index did not answer: resolved by the
+    /// fallback search, or left unanswered for an unknown endpoint id.
     pub fn fallback_rate(&self) -> f64 {
         if self.queries == 0 {
             return 0.0;

@@ -101,6 +101,8 @@ proptest! {
             .store_paths(store_paths)
             .build(&graph);
         let mut dynamic = DynamicOracle::from_parts(oracle, graph).unwrap();
+        // Version 0: the empty overlay answers through its base.
+        assert_matches_rebuild(&dynamic, 3);
         for (u, v, insert) in script {
             if u == v {
                 prop_assert!(dynamic.insert_edge(u, v).is_err());
