@@ -3,11 +3,12 @@
 //! algorithm of Goldberg et al. \[4\].
 //!
 //! The search alternates between a forward frontier from `s` and a backward
-//! frontier from `t`, always expanding the smaller frontier, and terminates
-//! when the sum of the two search radii can no longer improve on the best
-//! meeting distance found so far. On unweighted undirected graphs this
-//! returns exact distances while exploring O(b^(d/2)) nodes instead of
-//! O(b^d).
+//! frontier from `t`, one level at a time, always expanding the frontier
+//! whose nodes have fewer arcs in total, and stops at the first node both
+//! sides reach: while the sides are disjoint, that meeting already has the
+//! least length any undiscovered path can have. On unweighted undirected
+//! graphs this returns exact distances while exploring O(b^(d/2)) nodes
+//! instead of O(b^d).
 
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::{Distance, NodeId};

@@ -11,8 +11,8 @@
 //! `VICINITY_SERVE_QUERIES` (default 100000 queries per configuration).
 //! Every configuration's answers are checked against BFS on a seeded
 //! sample of the pairs; any mismatch fails the run (exit code 1). The
-//! fallback columns report the search's queue pops and neighbour entries
-//! read per index miss, from the service's own counters.
+//! fallback columns report the search's frontier nodes read, neighbour
+//! entries read and time per index miss, from the service's own counters.
 //! Results are also written as the `serving_throughput` section of
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
@@ -44,7 +44,7 @@ fn main() {
     let mut mismatches = 0usize;
 
     println!(
-        "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}",
+        "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "dataset",
         "threads",
         "cache",
@@ -55,6 +55,7 @@ fn main() {
         "fallback",
         "pops/miss",
         "arcs/miss",
+        "us/miss",
         "cachehit"
     );
 
@@ -107,8 +108,9 @@ fn main() {
                 }
                 let stats = service.stats();
                 let (pops, arcs) = stats.fallback_work_per_miss();
+                let fallback_us = stats.fallback_us_per_miss();
                 println!(
-                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>8.2}%",
+                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>9.2} {:>8.2}%",
                     dataset.name,
                     threads,
                     cache_capacity,
@@ -119,6 +121,7 @@ fn main() {
                     stats.fallback_rate() * 100.0,
                     pops,
                     arcs,
+                    fallback_us,
                     stats.cache_hit_rate() * 100.0,
                 );
                 json_rows.push(format!(
@@ -126,6 +129,7 @@ fn main() {
                      \"cache\": {cache_capacity}, \"queries\": {}, \"qps\": {:.0}, \
                      \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"fallback_pct\": {:.3}, \
                      \"fallback_pops_per_miss\": {pops:.3}, \"fallback_arcs_per_miss\": {arcs:.1}, \
+                     \"fallback_us_per_miss\": {fallback_us:.3}, \
                      \"cache_hit_pct\": {:.3}}}",
                     dataset.name,
                     graph.node_count(),

@@ -12,10 +12,13 @@
 //!   answers pairs whose walk is provably shortest
 //!   ([`crate::query::AnswerMethod::LandmarkWalk`]), so the search sees
 //!   only the residual misses: disjoint vicinities and a walk longer than
-//!   `r_s + r_t + 1`. Starting at the walk, it never expands past it. It
-//!   is the one place the seeding and bounding decisions are made; the
-//!   serving layer, [`QueryWithFallback`] and the examples all resolve
-//!   misses through it.
+//!   `r_s + r_t + 1`. Starting at the walk, it never expands past it, and
+//!   the level that could only match the walk is read, not expanded.
+//!   Behind almost every miss the walk is `r_s + r_t + 2` long, so the
+//!   whole search reads the neighbour lists of one boundary shell (the one
+//!   with fewer arcs) until an edge reaches the other shell. It is the one
+//!   place the seeding and bounding decisions are made; the serving layer,
+//!   [`QueryWithFallback`] and the examples all resolve misses through it.
 //! * Landmark-estimate fallback — an *approximate* answer computed from the
 //!   landmark rows the oracle already stores: `min_{ℓ ∈ L} d(s,ℓ) + d(ℓ,t)`
 //!   is an upper bound on the true distance at the cost of |L| row probes.
@@ -46,8 +49,14 @@ use crate::query::{landmark_bounds, DistanceAnswer, QueryIndex};
 /// length `r_s + r_t + 1`, so a search behind a real miss starts from a
 /// longer walk and looks for a bypass; called on such a pair anyway, it
 /// does no work past the radii, answers the walk's length and leaves
-/// `scratch.last_meeting()` at `None`. When either vicinity is empty, a
-/// plain unbounded search starts from the endpoints themselves.
+/// `scratch.last_meeting()` at `None`. A walk of `r_s + r_t + 2`, the
+/// usual case, leaves one question: does an edge join the two boundary
+/// shells? The search reads the lists of the shell with fewer arcs, stops
+/// at the first such edge with `r_s + r_t + 1`, and otherwise answers the
+/// walk, stamping nothing new. Longer walks expand full levels, still
+/// from the side with fewer arcs, until the first meeting. When either
+/// vicinity is empty, a plain unbounded search starts from the endpoints
+/// themselves.
 pub fn fallback_distance<Q: QueryIndex, G: Adjacency>(
     index: &Q,
     graph: &G,

@@ -245,23 +245,71 @@ impl BoundedBfsScratch {
 /// long-lived owner (e.g. a server worker session holding the graph behind
 /// an `Arc`) can keep one scratch allocation alive across millions of
 /// queries without a self-referential borrow. All O(n) buffers — including
-/// the two frontier queues — are allocated once and recycled, so repeated
-/// queries perform no per-query allocation.
+/// the queues of both sides — are allocated once and recycled, so
+/// repeated queries perform no per-query allocation.
 #[derive(Debug, Clone, Default)]
 pub struct BidirBfsScratch {
-    stamp_fwd: Vec<u32>,
-    stamp_bwd: Vec<u32>,
-    dist_fwd: Vec<Distance>,
-    dist_bwd: Vec<Distance>,
-    parent_fwd: Vec<NodeId>,
-    parent_bwd: Vec<NodeId>,
-    queue_fwd: VecDeque<NodeId>,
-    queue_bwd: VecDeque<NodeId>,
+    fwd: Side,
+    bwd: Side,
     current_stamp: u32,
     operations: u64,
     arcs_scanned: u64,
-    /// The node where the two searches met on the last successful query.
+    /// The node where the two searches met on the last query, if they met.
     last_meeting: Option<NodeId>,
+}
+
+/// One direction of a [`BidirBfsScratch`] search.
+#[derive(Debug, Clone, Default)]
+struct Side {
+    /// `stamp[v] == current_stamp` marks `v` as reached by this side;
+    /// `parent[v]` is meaningful for reached nodes, `dist[v]` for seeds.
+    stamp: Vec<u32>,
+    dist: Vec<Distance>,
+    parent: Vec<NodeId>,
+    /// Every node within `radius` hops is reached; `queue[level_start..]`
+    /// holds those at exactly `radius`, the frontier this side expands
+    /// next. Earlier levels stay in `queue`, so its capacity depends only
+    /// on the largest search served, not on the order of searches.
+    radius: Distance,
+    queue: Vec<NodeId>,
+    level_start: usize,
+    /// Summed degree of the frontier: the neighbour entries expanding it
+    /// reads.
+    frontier_arcs: u64,
+}
+
+impl Side {
+    /// Forget the previous search and size the buffers for `n` nodes;
+    /// seeds complete the side through `radius`.
+    fn reset(&mut self, n: usize, radius: Distance) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.dist.resize(n, 0);
+            self.parent.resize(n, 0);
+        }
+        self.radius = radius;
+        self.queue.clear();
+        self.level_start = 0;
+        self.frontier_arcs = 0;
+    }
+
+    fn frontier_is_empty(&self) -> bool {
+        self.level_start == self.queue.len()
+    }
+
+    /// Reach `node` at `distance`; a node on the boundary joins the
+    /// frontier. Interior nodes stay out of it, because all their
+    /// neighbours lie within the radius already, so expansion costs the
+    /// boundary shell only, not the whole seeded ball.
+    fn seed<G: Adjacency>(&mut self, graph: &G, stamp: u32, node: NodeId, distance: Distance) {
+        self.stamp[node as usize] = stamp;
+        self.dist[node as usize] = distance;
+        self.parent[node as usize] = node;
+        if distance == self.radius {
+            self.queue.push(node);
+            self.frontier_arcs += graph.neighbors(node).len() as u64;
+        }
+    }
 }
 
 impl BidirBfsScratch {
@@ -273,42 +321,41 @@ impl BidirBfsScratch {
     /// Scratch pre-sized for a graph with `n` nodes.
     pub fn with_node_capacity(n: usize) -> Self {
         let mut scratch = Self::default();
-        scratch.ensure_capacity(n);
+        scratch.fwd.reset(n, 0);
+        scratch.bwd.reset(n, 0);
         scratch
     }
 
-    fn ensure_capacity(&mut self, n: usize) {
-        if self.stamp_fwd.len() < n {
-            self.stamp_fwd.resize(n, 0);
-            self.stamp_bwd.resize(n, 0);
-            self.dist_fwd.resize(n, 0);
-            self.dist_bwd.resize(n, 0);
-            self.parent_fwd.resize(n, 0);
-            self.parent_bwd.resize(n, 0);
-        }
-    }
-
-    /// Graph-exploration operations (queue pops) of the most recent call.
+    /// Frontier nodes whose neighbour list the most recent call read.
     pub fn last_operations(&self) -> u64 {
         self.operations
     }
 
     /// Neighbour entries read by the most recent call: the summed degree
-    /// of the nodes it popped.
+    /// of the nodes it counted in [`BidirBfsScratch::last_operations`].
     pub fn last_arcs_scanned(&self) -> u64 {
         self.arcs_scanned
     }
 
-    /// The meeting node of the most recent successful search.
+    /// The node where the two sides of the most recent search met, or
+    /// `None` when they did not: the endpoints are disconnected, or the
+    /// answer is the caller's upper bound.
     pub fn last_meeting(&self) -> Option<NodeId> {
         self.last_meeting
     }
 
-    fn bump_stamp(&mut self) -> u32 {
+    /// Clear the previous query's results and state; returns the stamp
+    /// that marks this query's reached nodes.
+    fn begin(&mut self, n: usize, fwd_radius: Distance, bwd_radius: Distance) -> u32 {
+        self.fwd.reset(n, fwd_radius);
+        self.bwd.reset(n, bwd_radius);
+        self.operations = 0;
+        self.arcs_scanned = 0;
+        self.last_meeting = None;
         self.current_stamp = self.current_stamp.wrapping_add(1);
         if self.current_stamp == 0 {
-            self.stamp_fwd.iter_mut().for_each(|x| *x = 0);
-            self.stamp_bwd.iter_mut().for_each(|x| *x = 0);
+            self.fwd.stamp.iter_mut().for_each(|x| *x = 0);
+            self.bwd.stamp.iter_mut().for_each(|x| *x = 0);
             self.current_stamp = 1;
         }
         self.current_stamp
@@ -320,10 +367,7 @@ impl BidirBfsScratch {
     /// overlays as well as frozen CSR graphs.
     pub fn distance<G: Adjacency>(&mut self, graph: &G, s: NodeId, t: NodeId) -> Option<Distance> {
         let n = graph.node_count();
-        self.ensure_capacity(n);
-        self.operations = 0;
-        self.arcs_scanned = 0;
-        self.last_meeting = None;
+        let stamp = self.begin(n, 0, 0);
         if (s as usize) >= n || (t as usize) >= n {
             return None;
         }
@@ -331,20 +375,9 @@ impl BidirBfsScratch {
             self.last_meeting = Some(s);
             return Some(0);
         }
-        let stamp = self.bump_stamp();
-
-        self.queue_fwd.clear();
-        self.queue_bwd.clear();
-        self.stamp_fwd[s as usize] = stamp;
-        self.dist_fwd[s as usize] = 0;
-        self.parent_fwd[s as usize] = s;
-        self.queue_fwd.push_back(s);
-        self.stamp_bwd[t as usize] = stamp;
-        self.dist_bwd[t as usize] = 0;
-        self.parent_bwd[t as usize] = t;
-        self.queue_bwd.push_back(t);
-
-        self.run(graph, stamp, 0, 0, INFINITY, None)
+        self.fwd.seed(graph, stamp, s, 0);
+        self.bwd.seed(graph, stamp, t, 0);
+        self.run(graph, stamp, INFINITY)
     }
 
     /// Exact distance between two *seeded* search regions: a bidirectional
@@ -392,7 +425,9 @@ impl BidirBfsScratch {
     /// stops as soon as the two seeded radii prove nothing shorter exists
     /// (`fwd_radius + bwd_radius + 1 >= upper` stops it right after
     /// seeding) and never expands a level that could only find a longer
-    /// path.
+    /// path. The last level that could beat `upper` is only read: with
+    /// `fwd_radius + bwd_radius + 2 == upper`, as behind most oracle
+    /// misses, the search only asks whether an edge joins the two shells.
     ///
     /// `upper` must be the length of a real walk between the two
     /// endpoints (for example `d(s, ℓ) + d(ℓ, t)` read from one exact
@@ -414,137 +449,102 @@ impl BidirBfsScratch {
         B: IntoIterator<Item = (NodeId, Distance)>,
     {
         let n = graph.node_count();
-        self.ensure_capacity(n);
-        self.operations = 0;
-        self.arcs_scanned = 0;
-        self.last_meeting = None;
-        let stamp = self.bump_stamp();
-
-        self.queue_fwd.clear();
-        self.queue_bwd.clear();
-        // Stamp every seed; only the outermost shell needs to live in the
-        // queue, because an interior node's neighbours are all inside the
-        // ball already (distance <= radius - 1 implies every neighbour is
-        // within the radius). This keeps the resumed expansion's cost
-        // proportional to the boundary shell, not the whole ball.
+        let stamp = self.begin(n, fwd_radius, bwd_radius);
         for (node, distance) in fwd_seeds {
             debug_assert!((node as usize) < n && distance <= fwd_radius);
-            self.stamp_fwd[node as usize] = stamp;
-            self.dist_fwd[node as usize] = distance;
-            self.parent_fwd[node as usize] = node;
-            if distance == fwd_radius {
-                self.queue_fwd.push_back(node);
-            }
+            self.fwd.seed(graph, stamp, node, distance);
         }
-        let mut best: Distance = upper;
-        let mut meeting: Option<NodeId> = None;
+        let mut best = upper;
         for (node, distance) in bwd_seeds {
             debug_assert!((node as usize) < n && distance <= bwd_radius);
-            self.stamp_bwd[node as usize] = stamp;
-            self.dist_bwd[node as usize] = distance;
-            self.parent_bwd[node as usize] = node;
-            if distance == bwd_radius {
-                self.queue_bwd.push_back(node);
-            }
-            if self.stamp_fwd[node as usize] == stamp {
-                let total = self.dist_fwd[node as usize] + distance;
+            self.bwd.seed(graph, stamp, node, distance);
+            if self.fwd.stamp[node as usize] == stamp {
+                let total = self.fwd.dist[node as usize] + distance;
                 if total < best {
                     best = total;
-                    meeting = Some(node);
+                    self.last_meeting = Some(node);
                 }
             }
         }
-
-        self.run(graph, stamp, fwd_radius, bwd_radius, best, meeting)
+        if self.last_meeting.is_some() {
+            // Complete balls that overlap hold the shortest path: the
+            // least total over the overlap is the distance.
+            return Some(best);
+        }
+        self.run(graph, stamp, best)
     }
 
-    /// Level-synchronous bidirectional expansion over pre-seeded queues.
-    /// `radius_fwd` / `radius_bwd` are the distances through which each
-    /// side is already complete; `best` / `meeting` carry the caller's
-    /// upper bound or any shorter meeting already discovered during
-    /// seeding (`meeting` is `None` while `best` is the bound).
-    fn run<G: Adjacency>(
+    /// Level-synchronous bidirectional expansion over seeded sides that
+    /// do not overlap yet; `best` is the caller's upper bound, returned
+    /// when no shorter path exists.
+    ///
+    /// While the sides are disjoint, a meeting found while expanding one
+    /// of them has total `radius_fwd + radius_bwd + 1`, the least any
+    /// unseen path can have, so the first one ends the search. A level
+    /// after which the radii would prove `best` (when `radius_fwd +
+    /// radius_bwd + 2 >= best`) is the last one: it is only read for a
+    /// meeting, and nothing is stamped or queued. Each step expands the
+    /// side whose frontier has fewer arcs, the neighbour entries the step
+    /// reads.
+    fn run<G: Adjacency>(&mut self, graph: &G, stamp: u32, best: Distance) -> Option<Distance> {
+        while !self.fwd.frontier_is_empty() && !self.bwd.frontier_is_empty() {
+            let lower = self.fwd.radius + self.bwd.radius + 1;
+            if best != INFINITY && lower >= best {
+                break;
+            }
+            let forward = self.fwd.frontier_arcs <= self.bwd.frontier_arcs;
+            let last = best != INFINITY && lower + 1 >= best;
+            if let Some(meeting) = self.expand_level(graph, stamp, forward, last) {
+                self.last_meeting = Some(meeting);
+                return Some(lower);
+            }
+        }
+        (best != INFINITY).then_some(best)
+    }
+
+    /// Read the neighbour lists of one side's frontier until one reaches
+    /// the other side, and return that meeting node. Unless this is the
+    /// `last` level, every new node is reached and queued as the side's
+    /// next frontier. Either way the meeting node gets its parent on this
+    /// side, which is all [`BidirBfsScratch::path`] reads of it.
+    fn expand_level<G: Adjacency>(
         &mut self,
         graph: &G,
         stamp: u32,
-        mut radius_fwd: Distance,
-        mut radius_bwd: Distance,
-        mut best: Distance,
-        mut meeting: Option<NodeId>,
-    ) -> Option<Distance> {
-        while !self.queue_fwd.is_empty() && !self.queue_bwd.is_empty() {
-            // Termination: no undiscovered path can beat `best` once the
-            // frontier radii sum to at least it.
-            if best != INFINITY && radius_fwd + radius_bwd + 1 >= best {
-                break;
-            }
-            // Expand the smaller frontier by one full level.
-            let expand_forward = self.queue_fwd.len() <= self.queue_bwd.len();
-            if expand_forward {
-                let level = self.dist_fwd[*self.queue_fwd.front().expect("non-empty") as usize];
-                while let Some(&u) = self.queue_fwd.front() {
-                    if self.dist_fwd[u as usize] != level {
-                        break;
-                    }
-                    self.queue_fwd.pop_front();
-                    self.operations += 1;
-                    let du = self.dist_fwd[u as usize];
-                    let neighbors = graph.neighbors(u);
-                    self.arcs_scanned += neighbors.len() as u64;
-                    for &v in neighbors {
-                        if self.stamp_fwd[v as usize] != stamp {
-                            self.stamp_fwd[v as usize] = stamp;
-                            self.dist_fwd[v as usize] = du + 1;
-                            self.parent_fwd[v as usize] = u;
-                            self.queue_fwd.push_back(v);
-                            if self.stamp_bwd[v as usize] == stamp {
-                                let total = du + 1 + self.dist_bwd[v as usize];
-                                if total < best {
-                                    best = total;
-                                    meeting = Some(v);
-                                }
-                            }
-                        }
-                    }
-                }
-                radius_fwd = level + 1;
-            } else {
-                let level = self.dist_bwd[*self.queue_bwd.front().expect("non-empty") as usize];
-                while let Some(&u) = self.queue_bwd.front() {
-                    if self.dist_bwd[u as usize] != level {
-                        break;
-                    }
-                    self.queue_bwd.pop_front();
-                    self.operations += 1;
-                    let du = self.dist_bwd[u as usize];
-                    let neighbors = graph.neighbors(u);
-                    self.arcs_scanned += neighbors.len() as u64;
-                    for &v in neighbors {
-                        if self.stamp_bwd[v as usize] != stamp {
-                            self.stamp_bwd[v as usize] = stamp;
-                            self.dist_bwd[v as usize] = du + 1;
-                            self.parent_bwd[v as usize] = u;
-                            self.queue_bwd.push_back(v);
-                            if self.stamp_fwd[v as usize] == stamp {
-                                let total = du + 1 + self.dist_fwd[v as usize];
-                                if total < best {
-                                    best = total;
-                                    meeting = Some(v);
-                                }
-                            }
-                        }
-                    }
-                }
-                radius_bwd = level + 1;
-            }
-        }
-
-        if best == INFINITY {
-            None
+        forward: bool,
+        last: bool,
+    ) -> Option<NodeId> {
+        let (this, other) = if forward {
+            (&mut self.fwd, &self.bwd)
         } else {
-            self.last_meeting = meeting;
-            Some(best)
+            (&mut self.bwd, &self.fwd)
+        };
+        let level_end = this.queue.len();
+        let mut next_arcs = 0u64;
+        for i in this.level_start..level_end {
+            let u = this.queue[i];
+            self.operations += 1;
+            let neighbors = graph.neighbors(u);
+            self.arcs_scanned += neighbors.len() as u64;
+            for &v in neighbors {
+                // The sides are disjoint, so a node the other side reached
+                // is new to this one.
+                if other.stamp[v as usize] == stamp {
+                    this.parent[v as usize] = u;
+                    return Some(v);
+                }
+                if !last && this.stamp[v as usize] != stamp {
+                    this.stamp[v as usize] = stamp;
+                    this.parent[v as usize] = u;
+                    this.queue.push(v);
+                    next_arcs += graph.neighbors(v).len() as u64;
+                }
+            }
         }
+        this.level_start = level_end;
+        this.frontier_arcs = next_arcs;
+        this.radius += 1;
+        None
     }
 
     /// Shortest path between `s` and `t`, or `None` when unreachable. Runs
@@ -565,14 +565,14 @@ impl BidirBfsScratch {
         let mut forward = vec![meeting];
         let mut cur = meeting;
         while cur != s {
-            cur = self.parent_fwd[cur as usize];
+            cur = self.fwd.parent[cur as usize];
             forward.push(cur);
         }
         forward.reverse();
         // Backward half: meeting -> t (skip the meeting node itself).
         let mut cur = meeting;
         while cur != t {
-            cur = self.parent_bwd[cur as usize];
+            cur = self.bwd.parent[cur as usize];
             forward.push(cur);
         }
         forward
@@ -869,6 +869,89 @@ mod tests {
         assert_eq!(scratch.last_operations(), 0);
         assert_eq!(scratch.last_arcs_scanned(), 0);
         assert_eq!(scratch.last_meeting(), None);
+    }
+
+    /// Seeds for `distance_seeded*`: the complete ball of `radius` hops
+    /// around `center`.
+    fn ball(g: &CsrGraph, center: NodeId, radius: Distance) -> Vec<(NodeId, Distance)> {
+        bounded_bfs(g, center, radius)
+            .iter()
+            .map(|v| (v.node, v.distance))
+            .collect()
+    }
+
+    #[test]
+    fn first_meeting_ends_the_level() {
+        // Hub 0 with leaves 1, 2, 3 against hub 10 with leaves 11..=15;
+        // the only bridge is 1 - 11. The forward frontier {1, 2, 3} is
+        // expanded, and the first node read meets: the other two are
+        // never read.
+        let mut b = GraphBuilder::with_node_count(16);
+        for v in [1, 2, 3] {
+            b.add_edge(0, v);
+        }
+        for v in 11..=15 {
+            b.add_edge(10, v);
+        }
+        b.add_edge(1, 11);
+        let g = b.build_undirected();
+        let mut scratch = BidirBfsScratch::new();
+        let found = scratch.distance_seeded(&g, ball(&g, 0, 1), 1, ball(&g, 10, 1), 1);
+        assert_eq!(found, Some(3));
+        assert_eq!(scratch.last_meeting(), Some(11));
+        assert_eq!(scratch.last_operations(), 1);
+        assert_eq!(scratch.last_arcs_scanned(), 2);
+    }
+
+    #[test]
+    fn last_level_is_only_read() {
+        // Path 0..=6 with balls of radius 2 around both ends: the shells
+        // {2} and {4} share no edge, so with the bound 2 + 2 + 2 the one
+        // level left is read, nothing new is reached, and the bound is
+        // the answer.
+        let g = path_graph(7);
+        let (fwd, bwd) = (ball(&g, 0, 2), ball(&g, 6, 2));
+        let mut scratch = BidirBfsScratch::new();
+        assert_eq!(
+            scratch.distance_seeded_within(&g, fwd.clone(), 2, bwd.clone(), 2, 6),
+            Some(6)
+        );
+        assert_eq!(scratch.last_meeting(), None);
+        assert_eq!(scratch.last_operations(), 1);
+        assert_eq!(scratch.last_arcs_scanned(), 2);
+        let stamp = scratch.current_stamp;
+        let reached = (0..7)
+            .filter(|&v| scratch.fwd.stamp[v] == stamp || scratch.bwd.stamp[v] == stamp)
+            .count();
+        assert_eq!(reached, fwd.len() + bwd.len(), "node 3 stays unreached");
+        // The same scratch still answers exactly afterwards.
+        assert_eq!(scratch.distance_seeded(&g, fwd, 2, bwd, 2), Some(6));
+        assert_eq!(scratch.last_meeting(), Some(4));
+        assert_eq!(scratch.path(&g, 0, 6), Some((0..7).collect()));
+    }
+
+    #[test]
+    fn side_with_fewer_arcs_is_expanded() {
+        // The forward side is hub 0 alone (5 arcs); the backward side is
+        // the shell {6, 5} around 7 (2 + 2 arcs). Fewer nodes would pick
+        // the hub; fewer arcs picks the two-node shell, and both of its
+        // lists are read before 5 - 0 meets.
+        let mut b = GraphBuilder::with_node_count(9);
+        for v in 1..=5 {
+            b.add_edge(0, v);
+        }
+        for (u, v) in [(5, 7), (6, 7), (6, 8)] {
+            b.add_edge(u, v);
+        }
+        let g = b.build_undirected();
+        let bwd = [(7, 0), (6, 1), (5, 1)];
+        let mut scratch = BidirBfsScratch::new();
+        assert_eq!(scratch.distance_seeded(&g, [(0, 0)], 0, bwd, 1), Some(2));
+        assert_eq!(scratch.last_meeting(), Some(0));
+        assert_eq!(scratch.last_operations(), 2);
+        assert_eq!(scratch.last_arcs_scanned(), 4);
+        let p = scratch.path(&g, 0, 7).expect("connected");
+        assert_eq!(p.len(), 3);
     }
 
     #[test]

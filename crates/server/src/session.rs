@@ -307,7 +307,9 @@ impl WorkerSession {
             }
             DistanceAnswer::Miss => {
                 let state = &mut self.state;
+                let start = Instant::now();
                 let found = fallback_distance(epoch, epoch.graph(), &mut state.scratch, s, t);
+                state.stats.fallback_time += start.elapsed();
                 state.stats.fallback_searches += 1;
                 state.stats.fallback_pops += state.scratch.last_operations();
                 state.stats.fallback_arcs += state.scratch.last_arcs_scanned();

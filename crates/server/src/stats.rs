@@ -169,11 +169,14 @@ pub struct ServerStats {
     /// Fallback searches run: one per unique index miss (duplicates in
     /// a block and cache hits reuse an answer without a search).
     pub fallback_searches: u64,
-    /// Queue pops of the fallback search, summed over its searches.
+    /// Frontier nodes whose neighbour list the fallback search read
+    /// (`BidirBfsScratch::last_operations`), summed over its searches.
     pub fallback_pops: u64,
     /// Neighbour entries the fallback search read, summed over its
     /// searches.
     pub fallback_arcs: u64,
+    /// Time spent inside the fallback search, summed over its searches.
+    pub fallback_time: Duration,
     /// Per-query latency distribution. Queries served individually
     /// (`serve_one`) record true per-query samples; batched serving
     /// (`serve_into` / `serve_batch`) records batch-amortised samples —
@@ -238,6 +241,7 @@ impl ServerStats {
         self.fallback_searches += other.fallback_searches;
         self.fallback_pops += other.fallback_pops;
         self.fallback_arcs += other.fallback_arcs;
+        self.fallback_time += other.fallback_time;
         self.latency.merge(&other.latency);
         self.busy_time += other.busy_time;
         self.wall_time += other.wall_time;
@@ -270,7 +274,7 @@ impl ServerStats {
         (self.fallbacks + self.misses) as f64 / self.queries as f64
     }
 
-    /// Fallback queue pops and neighbour entries read per search, or
+    /// Fallback frontier nodes and neighbour entries read per search, or
     /// zeros before any search ran.
     pub fn fallback_work_per_miss(&self) -> (f64, f64) {
         if self.fallback_searches == 0 {
@@ -281,6 +285,15 @@ impl ServerStats {
             self.fallback_pops as f64 / misses,
             self.fallback_arcs as f64 / misses,
         )
+    }
+
+    /// Mean time of one fallback search in microseconds, or zero before
+    /// any search ran.
+    pub fn fallback_us_per_miss(&self) -> f64 {
+        if self.fallback_searches == 0 {
+            return 0.0;
+        }
+        self.fallback_time.as_secs_f64() * 1e6 / self.fallback_searches as f64
     }
 
     /// Method histogram as `(label, count)` pairs, skipping empty slots.
@@ -322,6 +335,11 @@ impl ServerStats {
         let _ = writeln!(
             out,
             "fallback work    {pops:.2} pops, {arcs:.1} arcs scanned per miss"
+        );
+        let _ = writeln!(
+            out,
+            "fallback time    {:.2} us per search",
+            self.fallback_us_per_miss()
         );
         let _ = writeln!(out, "index lookups    {}", self.index_work.lookups);
         let _ = writeln!(out, "answer methods:");
@@ -386,6 +404,7 @@ mod tests {
         w2.fallback_searches = 1;
         w2.fallback_pops = 3;
         w2.fallback_arcs = 40;
+        w2.fallback_time = Duration::from_micros(12);
         w2.record(ServedMethod::Unreachable, None);
         w2.record(ServedMethod::Miss, None);
 
@@ -403,6 +422,8 @@ mod tests {
         assert!((total.fallback_rate() - 0.4).abs() < 1e-12);
         assert_eq!(total.fallback_work_per_miss(), (3.0, 40.0));
         assert_eq!(ServerStats::default().fallback_work_per_miss(), (0.0, 0.0));
+        assert!((total.fallback_us_per_miss() - 12.0).abs() < 1e-9);
+        assert_eq!(ServerStats::default().fallback_us_per_miss(), 0.0);
         let histogram = total.method_histogram();
         assert_eq!(histogram.len(), 5);
         assert!(histogram.contains(&("vicinity-intersection", 1)));
@@ -435,5 +456,6 @@ mod tests {
         assert!(report.contains("cache"));
         assert!(report.contains("p99"));
         assert!(report.contains("arcs scanned per miss"));
+        assert!(report.contains("us per search"));
     }
 }

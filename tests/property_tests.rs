@@ -9,7 +9,7 @@ use vicinity::baselines::bfs::BfsEngine;
 use vicinity::baselines::PointToPoint;
 use vicinity::core::config::Alpha;
 use vicinity::core::{serialize, OracleBuilder};
-use vicinity::graph::algo::bfs::bfs_distances;
+use vicinity::graph::algo::bfs::{bfs_distances, bounded_bfs, BidirBfsScratch};
 use vicinity::graph::builder::GraphBuilder;
 use vicinity::graph::csr::CsrGraph;
 use vicinity::graph::io::{binary, edge_list};
@@ -261,6 +261,54 @@ proptest! {
             }
         }
         prop_assert!(walks > 0, "no pair was answered by the landmark walk");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bidirectional search stays exact from any complete balls around
+    /// the endpoints and any true upper bound `d`, `d + 1`, `d + 2` or
+    /// none: it returns BFS's distance, reports a meeting node on a
+    /// shortest path exactly when it found a path shorter than the bound,
+    /// and the unseeded search's parents give a shortest path.
+    #[test]
+    fn bidirectional_search_equals_bfs(
+        graph in arbitrary_graph(40, 70),
+        s in 0u32..40,
+        t in 0u32..40,
+        radius_s in 0u32..4,
+        radius_t in 0u32..4,
+        slack in 0u32..4,
+    ) {
+        use vicinity::baselines::validate_path;
+
+        let from_s = bfs_distances(&graph, s);
+        let from_t = bfs_distances(&graph, t);
+        let d = from_s[t as usize];
+        let expected = (d != INFINITY).then_some(d);
+        let upper = if d == INFINITY || slack == 3 { INFINITY } else { d + slack };
+        let ball = |center, radius| {
+            bounded_bfs(&graph, center, radius)
+                .iter()
+                .map(|v| (v.node, v.distance))
+                .collect::<Vec<_>>()
+        };
+        let mut scratch = BidirBfsScratch::new();
+        let found = scratch.distance_seeded_within(
+            &graph, ball(s, radius_s), radius_s, ball(t, radius_t), radius_t, upper,
+        );
+        prop_assert_eq!(found, expected);
+        prop_assert_eq!(scratch.last_meeting().is_some(), d < upper);
+        if let Some(v) = scratch.last_meeting() {
+            prop_assert_eq!(from_s[v as usize] + from_t[v as usize], d);
+        }
+
+        prop_assert_eq!(scratch.distance(&graph, s, t), expected);
+        match scratch.path(&graph, s, t) {
+            Some(path) => prop_assert_eq!(validate_path(&graph, s, t, &path), expected),
+            None => prop_assert_eq!(expected, None),
+        }
     }
 }
 
