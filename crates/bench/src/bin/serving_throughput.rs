@@ -13,6 +13,8 @@
 //! sample of the pairs; any mismatch fails the run (exit code 1). The
 //! fallback columns report the search's frontier nodes read, neighbour
 //! entries read and time per index miss, from the service's own counters.
+//! That time is wall clock, so it counts preemption once workers outnumber
+//! cores: such rows print `—` for it (`null` in the JSON).
 //! Results are also written as the `serving_throughput` section of
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
@@ -42,6 +44,7 @@ fn main() {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(100_000);
     let mut mismatches = 0usize;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
         "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -108,9 +111,9 @@ fn main() {
                 }
                 let stats = service.stats();
                 let (pops, arcs) = stats.fallback_work_per_miss();
-                let fallback_us = stats.fallback_us_per_miss();
+                let fallback_us = (threads <= cores).then(|| stats.fallback_us_per_miss());
                 println!(
-                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>9.2} {:>8.2}%",
+                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>9} {:>8.2}%",
                     dataset.name,
                     threads,
                     cache_capacity,
@@ -121,15 +124,16 @@ fn main() {
                     stats.fallback_rate() * 100.0,
                     pops,
                     arcs,
-                    fallback_us,
+                    fallback_us.map_or("—".to_string(), |us| format!("{us:.2}")),
                     stats.cache_hit_rate() * 100.0,
                 );
+                let fallback_us = fallback_us.map_or("null".to_string(), |us| format!("{us:.3}"));
                 json_rows.push(format!(
                     "{{\"graph\": \"{}\", \"nodes\": {}, \"alpha\": {}, \"threads\": {threads}, \
                      \"cache\": {cache_capacity}, \"queries\": {}, \"qps\": {:.0}, \
                      \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"fallback_pct\": {:.3}, \
                      \"fallback_pops_per_miss\": {pops:.3}, \"fallback_arcs_per_miss\": {arcs:.1}, \
-                     \"fallback_us_per_miss\": {fallback_us:.3}, \
+                     \"fallback_us_per_miss\": {fallback_us}, \
                      \"cache_hit_pct\": {:.3}}}",
                     dataset.name,
                     graph.node_count(),

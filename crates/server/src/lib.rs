@@ -27,8 +27,9 @@
 //!   allocation at all.
 //! * [`QueryService::serve_batch`] — sharded batch execution over scoped
 //!   threads, answers in input order.
-//! * [`QueryCache`] — a bounded, sharded LRU over normalised `(min, max)`
-//!   pairs caching definitive answers only.
+//! * [`QueryCache`] — a bounded, lock-free, set-associative table over
+//!   normalised `(min, max)` pairs caching definitive answers only: one
+//!   seqlocked cache line per operation, prefetched a block ahead.
 //! * [`ServerStats`] — throughput, latency histogram (p50/p99/max),
 //!   answer-method histogram, cache hit rate and fallback rate.
 //!

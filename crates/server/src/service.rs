@@ -1,7 +1,7 @@
 //! The [`QueryService`]: one oracle version shared by N workers, swapped
 //! atomically by epoch when edge updates apply.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use vicinity_core::dynamic::{DynamicOracle, DynamicSnapshot, UpdateError};
@@ -13,9 +13,6 @@ use vicinity_graph::NodeId;
 use crate::cache::QueryCache;
 use crate::session::{ServedAnswer, SharedState, WorkerSession};
 use crate::stats::{ServedMethod, ServerStats};
-
-/// Independently locked shards of the result cache.
-const CACHE_SHARDS: usize = 16;
 
 /// Errors raised when assembling a [`QueryService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +69,10 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Enable a bounded LRU result cache holding up to `capacity` answers
-    /// (`0` disables caching, the default).
+    /// Enable a result cache of at least `capacity` answers (`0` disables
+    /// caching, the default): a lock-free table of four-way sets, FIFO
+    /// within a set, rounded up to a power-of-two number of sets (see
+    /// [`crate::cache`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -109,8 +108,7 @@ impl QueryServiceBuilder {
                 other => unreachable!("construction can only fail on mismatch: {other}"),
             })?;
         let epoch = Arc::new(RwLock::new(Arc::new(dynamic.snapshot())));
-        let cache =
-            (self.cache_capacity > 0).then(|| QueryCache::new(self.cache_capacity, CACHE_SHARDS));
+        let cache = (self.cache_capacity > 0).then(|| QueryCache::new(self.cache_capacity, 1));
         let service = QueryService {
             shared: Arc::new(SharedState::new(Arc::clone(&epoch), cache)),
             oracle: self.oracle,
@@ -171,7 +169,9 @@ impl OracleWriter {
     /// Publish the writer's current state as the service's epoch.
     fn publish(&mut self) {
         let snapshot = self.dynamic.snapshot();
-        *self.epoch.write().expect("epoch slot poisoned") = Arc::new(snapshot);
+        // The slot only ever holds a whole `Arc`: a poisoned one is still
+        // consistent, and overwriting it is always safe.
+        *self.epoch.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(snapshot);
     }
 
     /// The wrapped dynamic oracle (e.g. for direct queries on the writer
@@ -202,9 +202,10 @@ impl OracleWriter {
 /// prefetch pipeline and resolves misses with its own O(n) search scratch
 /// (never a copy of the index) through
 /// [`vicinity_core::fallback::fallback_distance`]. Repeated pairs are
-/// served by a sharded LRU result cache, and every query feeds the
-/// latency/method/work statistics of the worker state that served it;
-/// [`QueryService::stats`] folds them.
+/// served by a lock-free set-associative result cache, one prefetched
+/// cache line per probe, and every query feeds the latency/method/work
+/// statistics of the worker state that served it; [`QueryService::stats`]
+/// folds them.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -863,6 +864,30 @@ mod tests {
         assert_eq!(service.epoch_id(), 100);
         // Final state: the shortcut is removed again.
         assert_eq!(service.serve_batch(&[(0, 63)])[0].distance(), Some(63));
+    }
+
+    #[test]
+    fn poisoned_epoch_slot_still_serves_and_publishes() {
+        let graph = classic::path(10);
+        let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
+            .seed(5)
+            .build(&graph);
+        let (service, mut writer) = QueryService::builder(oracle, graph)
+            .cache_capacity(64)
+            .build_updatable()
+            .unwrap();
+        let slot = Arc::clone(&service.shared.epoch);
+        let poisoner = std::thread::spawn(move || {
+            let _held = slot.write().unwrap();
+            panic!("a writer panics while holding the epoch slot");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(service.shared.epoch.is_poisoned());
+
+        assert_eq!(service.serve_batch(&[(0, 9)])[0].distance(), Some(9));
+        assert!(writer.insert_edge(0, 9).unwrap());
+        assert_eq!(service.epoch_id(), 1);
+        assert_eq!(service.serve_batch(&[(0, 9)])[0].distance(), Some(1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! and its statistics. The query hot path takes no locks beyond one
 //! epoch-pointer read per block, no matter how many sessions run in
 //! parallel. The only shared mutable structure is the (optional) result
-//! cache, which is internally sharded.
+//! cache, a lock-free table of seqlocked sets.
 //!
 //! ## Epochs
 //!
@@ -155,7 +155,12 @@ impl SharedState {
 
     #[inline]
     pub(crate) fn current_epoch(&self) -> Arc<DynamicSnapshot> {
-        self.epoch.read().expect("epoch slot poisoned").clone()
+        // The slot only ever holds a whole `Arc`, so a poisoned slot is
+        // still a consistent one.
+        self.epoch
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     fn pool(&self) -> MutexGuard<'_, Vec<WorkerState>> {
@@ -269,8 +274,7 @@ impl WorkerSession {
 
     /// Probe the result cache under `epoch`. A cached "unreachable" is
     /// recorded under `unreachable` (not `cache_hits`) so the
-    /// definitive-answer accounting stays exact; the cache's own counters
-    /// still see the probe hit.
+    /// definitive-answer accounting stays exact.
     #[inline]
     fn cache_get(&self, epoch: &DynamicSnapshot, s: NodeId, t: NodeId) -> Option<ServedAnswer> {
         match self.shared.cache.as_ref()?.get(s, t, epoch.version())? {
@@ -407,6 +411,14 @@ impl WorkerSession {
         batch.pending_pairs.clear();
         batch.duplicates.clear();
         batch.index_answers.clear();
+
+        // Stage 0: hint every cache set of the block, so the probes below
+        // overlap their line fetches instead of paying them one by one.
+        if let Some(cache) = &self.shared.cache {
+            for &(s, t) in pairs {
+                cache.prefetch(s, t);
+            }
+        }
 
         // Stage 1: peel off bad requests; collapse repeats of a pair first
         // seen under this epoch onto that first occurrence (cacheless

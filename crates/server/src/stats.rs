@@ -176,6 +176,9 @@ pub struct ServerStats {
     /// searches.
     pub fallback_arcs: u64,
     /// Time spent inside the fallback search, summed over its searches.
+    /// Wall clock, meaningful only while workers ≤ cores: with more
+    /// workers than cores it also counts the time a worker sat preempted
+    /// mid-search.
     pub fallback_time: Duration,
     /// Per-query latency distribution. Queries served individually
     /// (`serve_one`) record true per-query samples; batched serving
