@@ -15,6 +15,11 @@
 //! entries read and time per index miss, from the service's own counters.
 //! That time is wall clock, so it counts preemption once workers outnumber
 //! cores: such rows print `—` for it (`null` in the JSON).
+//! Each configuration runs [`REPEATS`] times, the cacheless and the cached
+//! service alternating, and the run with the median throughput is
+//! reported with the throughput of every run: one pass per configuration,
+//! always cacheless first, could not tell the few-percent cost of the
+//! cache from the drift of the machine between two passes.
 //! Results are also written as the `serving_throughput` section of
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
@@ -33,6 +38,9 @@ use vicinity_server::QueryService;
 
 /// Served answers checked against BFS per dataset and configuration.
 const CHECKED_PAIRS: usize = 1_000;
+
+/// Runs per configuration; the median one is reported.
+const REPEATS: usize = 3;
 
 fn main() {
     let env = ExperimentEnv::from_env();
@@ -91,60 +99,75 @@ fn main() {
             .collect();
 
         for threads in [1usize, 4] {
-            for cache_capacity in [0usize, 1 << 16] {
-                let service = QueryService::builder(oracle.clone(), graph.clone())
-                    .threads(threads)
-                    .cache_capacity(cache_capacity)
-                    .build()
-                    .expect("oracle and graph agree");
-                let answers = service.serve_batch(&pairs);
-                assert_eq!(answers.len(), pairs.len());
-                for &(i, expected) in &checks {
-                    if answers[i].distance() != expected {
-                        eprintln!(
-                            "FAIL: {} threads={threads} cache={cache_capacity}: served {:?} = \
-                             {:?}, BFS says {expected:?}",
-                            dataset.name, pairs[i], answers[i]
-                        );
-                        mismatches += 1;
+            // (qps, printed row, JSON row) of every run, per cache setting.
+            let mut runs: [Vec<(f64, String, String)>; 2] = [Vec::new(), Vec::new()];
+            for round in 0..REPEATS {
+                for slot in [round % 2, 1 - round % 2] {
+                    let cache_capacity = [0usize, 1 << 16][slot];
+                    let service = QueryService::builder(oracle.clone(), graph.clone())
+                        .threads(threads)
+                        .cache_capacity(cache_capacity)
+                        .build()
+                        .expect("oracle and graph agree");
+                    let answers = service.serve_batch(&pairs);
+                    assert_eq!(answers.len(), pairs.len());
+                    for &(i, expected) in &checks {
+                        if answers[i].distance() != expected {
+                            eprintln!(
+                                "FAIL: {} threads={threads} cache={cache_capacity}: served {:?} = \
+                                 {:?}, BFS says {expected:?}",
+                                dataset.name, pairs[i], answers[i]
+                            );
+                            mismatches += 1;
+                        }
                     }
+                    let stats = service.stats();
+                    let (pops, arcs) = stats.fallback_work_per_miss();
+                    let fallback_us = (threads <= cores).then(|| stats.fallback_us_per_miss());
+                    let line = format!(
+                        "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>9} {:>8.2}%",
+                        dataset.name,
+                        threads,
+                        cache_capacity,
+                        stats.queries,
+                        stats.throughput_qps(),
+                        stats.latency.percentile(50.0),
+                        stats.latency.percentile(99.0),
+                        stats.fallback_rate() * 100.0,
+                        pops,
+                        arcs,
+                        fallback_us.map_or("—".to_string(), |us| format!("{us:.2}")),
+                        stats.cache_hit_rate() * 100.0,
+                    );
+                    let fallback_us =
+                        fallback_us.map_or("null".to_string(), |us| format!("{us:.3}"));
+                    let json = format!(
+                        "{{\"graph\": \"{}\", \"nodes\": {}, \"alpha\": {}, \"threads\": {threads}, \
+                         \"cache\": {cache_capacity}, \"queries\": {}, \"qps\": {:.0}, \
+                         \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"fallback_pct\": {:.3}, \
+                         \"fallback_pops_per_miss\": {pops:.3}, \"fallback_arcs_per_miss\": {arcs:.1}, \
+                         \"fallback_us_per_miss\": {fallback_us}, \
+                         \"cache_hit_pct\": {:.3}",
+                        dataset.name,
+                        graph.node_count(),
+                        Alpha::PAPER_DEFAULT.value(),
+                        stats.queries,
+                        stats.throughput_qps(),
+                        stats.latency.percentile(50.0).as_secs_f64() * 1e6,
+                        stats.latency.percentile(99.0).as_secs_f64() * 1e6,
+                        stats.fallback_rate() * 100.0,
+                        stats.cache_hit_rate() * 100.0,
+                    );
+                    runs[slot].push((stats.throughput_qps(), line, json));
                 }
-                let stats = service.stats();
-                let (pops, arcs) = stats.fallback_work_per_miss();
-                let fallback_us = (threads <= cores).then(|| stats.fallback_us_per_miss());
-                println!(
-                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>9.2} {:>9.1} {:>9} {:>8.2}%",
-                    dataset.name,
-                    threads,
-                    cache_capacity,
-                    stats.queries,
-                    stats.throughput_qps(),
-                    stats.latency.percentile(50.0),
-                    stats.latency.percentile(99.0),
-                    stats.fallback_rate() * 100.0,
-                    pops,
-                    arcs,
-                    fallback_us.map_or("—".to_string(), |us| format!("{us:.2}")),
-                    stats.cache_hit_rate() * 100.0,
-                );
-                let fallback_us = fallback_us.map_or("null".to_string(), |us| format!("{us:.3}"));
-                json_rows.push(format!(
-                    "{{\"graph\": \"{}\", \"nodes\": {}, \"alpha\": {}, \"threads\": {threads}, \
-                     \"cache\": {cache_capacity}, \"queries\": {}, \"qps\": {:.0}, \
-                     \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"fallback_pct\": {:.3}, \
-                     \"fallback_pops_per_miss\": {pops:.3}, \"fallback_arcs_per_miss\": {arcs:.1}, \
-                     \"fallback_us_per_miss\": {fallback_us}, \
-                     \"cache_hit_pct\": {:.3}}}",
-                    dataset.name,
-                    graph.node_count(),
-                    Alpha::PAPER_DEFAULT.value(),
-                    stats.queries,
-                    stats.throughput_qps(),
-                    stats.latency.percentile(50.0).as_secs_f64() * 1e6,
-                    stats.latency.percentile(99.0).as_secs_f64() * 1e6,
-                    stats.fallback_rate() * 100.0,
-                    stats.cache_hit_rate() * 100.0,
-                ));
+            }
+            for mut config_runs in runs {
+                let all_qps: Vec<String> =
+                    config_runs.iter().map(|r| format!("{:.0}", r.0)).collect();
+                config_runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let (_, line, json) = &config_runs[config_runs.len() / 2];
+                println!("{line}   runs: {}", all_qps.join(" / "));
+                json_rows.push(format!("{json}, \"qps_runs\": [{}]}}", all_qps.join(", ")));
             }
         }
         println!();

@@ -6,8 +6,11 @@
 //! of sampled real edges, re-insertions, plus insert/remove churn of novel
 //! edges — through the [`OracleWriter`](vicinity_server::OracleWriter) while batched queries are served
 //! between updates. Reports per-update latency percentiles (insert and
-//! remove separately), compaction counts, and post-churn batched query
-//! throughput against the frozen pre-churn baseline.
+//! remove separately), the mean time per update of each writer phase
+//! (`UpdateProfile`'s labels, rows, cluster and rebuild, plus the publish
+//! remainder) with the rows repaired per update, compaction counts, and
+//! post-churn batched query throughput against the frozen pre-churn
+//! baseline.
 //!
 //! The binary doubles as a correctness gate and exits non-zero when:
 //!
@@ -100,7 +103,9 @@ fn main() {
 
     let mut insert_samples: Vec<Duration> = Vec::with_capacity(updates / 2 + 1);
     let mut remove_samples: Vec<Duration> = Vec::with_capacity(updates / 2 + 1);
-    let mut phase_totals = [0u64; 4]; // labels, rows, cluster, rebuild (ns)
+    // labels, rows, cluster, rebuild, publish (ns); publish is the writer
+    // call minus the profiled phases.
+    let mut phase_totals = [0u64; 5];
     let mut rows_repaired_total = 0u64;
     let mut vicinities_rebuilt_total = 0u64;
     let mut applied = 0usize;
@@ -154,6 +159,9 @@ fn main() {
                 phase_totals[1] += profile.rows_ns;
                 phase_totals[2] += profile.cluster_ns;
                 phase_totals[3] += profile.rebuild_ns;
+                let phases =
+                    profile.labels_ns + profile.rows_ns + profile.cluster_ns + profile.rebuild_ns;
+                phase_totals[4] += (elapsed.as_nanos() as u64).saturating_sub(phases);
                 rows_repaired_total += u64::from(profile.rows_repaired);
                 vicinities_rebuilt_total += u64::from(profile.affected_vicinities);
                 applied += 1;
@@ -197,16 +205,14 @@ fn main() {
         writer.oracle().compactions(),
         writer.oracle().overlay_len(),
     );
-    let phase_sum: u64 = phase_totals.iter().sum();
+    let per_update = |total: u64| total as f64 / applied.max(1) as f64;
+    let phase_us = phase_totals.map(|ns| per_update(ns) / 1e3);
+    let rows_repaired = per_update(rows_repaired_total);
+    let vicinities_rebuilt = per_update(vicinities_rebuilt_total);
     println!(
-        "phase split: labels {:.0}% rows {:.0}% clusters {:.0}% rebuild {:.0}% \
-         (mean {:.1} rows repaired, {:.1} vicinities rebuilt per update)",
-        phase_totals[0] as f64 / phase_sum.max(1) as f64 * 100.0,
-        phase_totals[1] as f64 / phase_sum.max(1) as f64 * 100.0,
-        phase_totals[2] as f64 / phase_sum.max(1) as f64 * 100.0,
-        phase_totals[3] as f64 / phase_sum.max(1) as f64 * 100.0,
-        rows_repaired_total as f64 / applied.max(1) as f64,
-        vicinities_rebuilt_total as f64 / applied.max(1) as f64,
+        "mean per update: labels {:.1}us rows {:.1}us clusters {:.1}us rebuild {:.1}us \
+         publish {:.1}us ({rows_repaired:.1} rows repaired, {vicinities_rebuilt:.1} vicinities rebuilt)",
+        phase_us[0], phase_us[1], phase_us[2], phase_us[3], phase_us[4],
     );
 
     // Post-churn batched throughput on the dynamic oracle (overlay
@@ -284,7 +290,10 @@ fn main() {
              \"remove_p50_us\": {:.1}, \"remove_p99_us\": {:.1}, \"update_p50_us\": {update_p50_us:.1}, \
              \"update_p99_us\": {update_p99_us:.1}, \"compactions\": {}, \
              \"frozen_qps\": {frozen_qps:.0}, \"post_churn_qps\": {dynamic_qps:.0}, \
-             \"qps_ratio\": {ratio:.3}, \"full_rebuild_s\": {:.1}}}\n  ]",
+             \"qps_ratio\": {ratio:.3}, \"full_rebuild_s\": {:.1}, \"labels_us\": {:.1}, \
+             \"rows_us\": {:.1}, \"cluster_us\": {:.1}, \"rebuild_us\": {:.1}, \"publish_us\": {:.1}, \
+             \"rows_repaired_per_update\": {rows_repaired:.3}, \
+             \"vicinities_rebuilt_per_update\": {vicinities_rebuilt:.3}}}\n  ]",
             all_samples.len(),
             percentile_ms(&insert_samples, 50.0) * 1e3,
             percentile_ms(&insert_samples, 99.0) * 1e3,
@@ -292,6 +301,11 @@ fn main() {
             percentile_ms(&remove_samples, 99.0) * 1e3,
             writer.oracle().compactions(),
             build_time.as_secs_f64(),
+            phase_us[0],
+            phase_us[1],
+            phase_us[2],
+            phase_us[3],
+            phase_us[4],
         );
         match write_bench_section(&path, "update_churn", &payload) {
             Ok(()) => println!("wrote update_churn section to {}", path.display()),

@@ -11,21 +11,20 @@
 //!    arena; the chunks are spliced into the flat [`VicinityStore`] by
 //!    plain pool concatenation, with the derived shell and hash sections
 //!    built once on the assembled store (no per-node re-hashing).
-//! 4. For every landmark, a full BFS materialises its dense distance row.
+//! 4. For every landmark, a full BFS materialises its distances to every
+//!    node, transposed in tiles into the node-major slab
+//!    ([`LandmarkDistances`]).
 //!
 //! Steps 3 and 4 are embarrassingly parallel across nodes / landmarks and
 //! are distributed over worker threads with `std::thread::scope`.
 
-use std::sync::Arc;
-
 use vicinity_graph::algo::bfs::{bfs_distances, BoundedBfsScratch};
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::NodeId;
 
 use crate::ball::BallRadii;
 use crate::config::{Alpha, OracleConfig};
-use crate::index::{LandmarkTable, VicinityOracle};
+use crate::index::{encode_row_le, LandmarkDistances, VicinityOracle};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::{VicinityChunk, VicinityStore};
 
@@ -129,8 +128,8 @@ impl OracleBuilder {
         // Step 3: vicinities, in parallel over node ranges.
         let store = build_store(graph, &config, &radii);
 
-        // Step 4: landmark rows, in parallel over landmarks.
-        let landmark_tables = build_landmark_tables(graph, &config, &landmarks);
+        // Step 4: landmark distances, in parallel over landmarks.
+        let landmark_distances = build_landmark_distances(graph, &config, &landmarks);
 
         Ok(VicinityOracle {
             config,
@@ -138,7 +137,7 @@ impl OracleBuilder {
             edge_count: graph.edge_count(),
             landmarks,
             store,
-            landmark_tables,
+            landmark_distances,
         })
     }
 }
@@ -196,41 +195,48 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> Vi
     VicinityStore::from_chunks(chunks)
 }
 
-/// Build the dense distance row of every landmark, in parallel.
-fn build_landmark_tables(
+/// Landmark rows computed per round of [`build_landmark_distances`]: each
+/// round holds this many encoded rows (`2n` bytes each) before they are
+/// transposed into the slab, which bounds the build's extra memory.
+const ROWS_PER_ROUND: usize = 256;
+
+/// Build every landmark's distances into the node-major slab. Rounds of
+/// [`ROWS_PER_ROUND`] landmarks each run one BFS per landmark, split over
+/// the worker threads, then transpose the round's rows into the columns,
+/// split over the same threads by node range.
+fn build_landmark_distances(
     graph: &CsrGraph,
     config: &OracleConfig,
     landmarks: &LandmarkSet,
-) -> FastMap<NodeId, Arc<LandmarkTable>> {
+) -> LandmarkDistances {
     let landmark_nodes = landmarks.nodes();
-    if landmark_nodes.is_empty() {
-        return FastMap::default();
+    let n = graph.node_count();
+    let mut distances = LandmarkDistances::zeroed(landmark_nodes.len(), n);
+    let threads = config.effective_threads().max(1);
+    let build_row = |&l: &NodeId| encode_row_le(&bfs_distances(graph, l));
+    for (round, round_nodes) in landmark_nodes.chunks(ROWS_PER_ROUND).enumerate() {
+        let workers = threads.min(round_nodes.len());
+        let rows: Vec<Vec<[u8; 2]>> = if workers == 1 {
+            round_nodes.iter().map(build_row).collect()
+        } else {
+            let per_worker = round_nodes.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = round_nodes
+                    .chunks(per_worker)
+                    .map(|chunk| {
+                        scope.spawn(move || chunk.iter().map(build_row).collect::<Vec<_>>())
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("landmark row thread panicked"))
+                    .collect()
+            })
+        };
+        let rows: Vec<&[[u8; 2]]> = rows.iter().map(Vec::as_slice).collect();
+        distances.fill_rows_le(round * ROWS_PER_ROUND, &rows, threads);
     }
-    let threads = config.effective_threads().clamp(1, landmark_nodes.len());
-    let chunk_size = landmark_nodes.len().div_ceil(threads);
-
-    let build_row = |&l: &NodeId| -> (NodeId, Arc<LandmarkTable>) {
-        (
-            l,
-            Arc::new(LandmarkTable::from_distances(&bfs_distances(graph, l))),
-        )
-    };
-
-    if threads == 1 {
-        return landmark_nodes.iter().map(build_row).collect();
-    }
-
-    let mut tables = FastMap::with_capacity_and_hasher(landmark_nodes.len(), Default::default());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in landmark_nodes.chunks(chunk_size) {
-            handles.push(scope.spawn(move || chunk.iter().map(build_row).collect::<Vec<_>>()));
-        }
-        for handle in handles {
-            tables.extend(handle.join().expect("landmark table thread panicked"));
-        }
-    });
-    tables
+    distances
 }
 
 #[cfg(test)]
@@ -251,11 +257,15 @@ mod tests {
             "a social graph must yield landmarks"
         );
         assert!(oracle.stores_paths());
-        // Every landmark has a table, and only landmarks do.
-        for &l in oracle.landmarks().nodes() {
-            assert!(oracle.landmark_table(l).is_some());
+        // Every landmark has a row, and only landmarks do: one column
+        // entry per landmark, each landmark at distance 0 from itself.
+        for u in g.nodes() {
+            assert_eq!(oracle.landmark_row(u).is_some(), oracle.is_landmark(u));
         }
-        assert_eq!(oracle.landmark_tables.len(), oracle.landmarks().len());
+        for &l in oracle.landmarks().nodes() {
+            assert_eq!(oracle.landmark_row(l).unwrap().distance_to(l), Some(0));
+        }
+        assert_eq!(oracle.landmark_distances.width(), oracle.landmarks().len());
         // Vicinities exist for every node and are owned correctly.
         for u in g.nodes() {
             let v = oracle.vicinity(u).unwrap();
@@ -301,7 +311,7 @@ mod tests {
         // record differs).
         assert_eq!(a.landmarks, b.landmarks);
         assert_eq!(a.store, b.store);
-        assert_eq!(a.landmark_tables, b.landmark_tables);
+        assert_eq!(a.landmark_distances, b.landmark_distances);
         let c = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(6)
             .threads(1)

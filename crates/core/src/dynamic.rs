@@ -7,13 +7,18 @@
 //!
 //! * **patched vicinity entries** — per-node owned vicinity replacements
 //!   (same sections as a store span, including the derived shells and
-//!   membership slots) for every node whose vicinity an update changed;
-//! * **tombstones** — overlay entries marking a node whose repaired
-//!   vicinity matched the frozen base again (an insert followed by the
-//!   matching remove, say), superseding an earlier patch and redirecting
-//!   reads back to the base without storing a copy;
-//! * **refreshed landmark rows** — copy-on-write replacements for the dense
-//!   distance rows of landmarks whose single-source distances changed.
+//!   membership slots) for every node whose vicinity differs from the
+//!   frozen base;
+//! * **landmark-distance patches** — per node, the `(rank, u16)` entries
+//!   of its column of the node-major landmark slab ([`LandmarkDistances`])
+//!   that differ from the base;
+//! * **patched adjacency lists** in the [`OverlayGraph`].
+//!
+//! The overlay keeps only what differs from the base: a vicinity repaired
+//! back to its base span loses its entry, an entry repaired back to its
+//! base value is dropped, and a list edited back to its base list is
+//! forgotten. An update followed by its inverse leaves an empty overlay,
+//! so snapshots stay small under churn that returns to the base graph.
 //!
 //! Every probe path consults the overlay: the [`QueryIndex`] implementation
 //! resolves `vicinity_of` / `landmark_row_of` / `nearest_landmark_of`
@@ -38,12 +43,16 @@
 //!    could have run through the edge) is recomputed from its boundary by
 //!    a unit-weight Dijkstra. The label invariant maintained is the one
 //!    the query pruning relies on: `d(u, ℓ(u)) == radius(u)` exactly.
-//! 2. **Landmark rows** — per landmark, an O(1) check (`|row[a] − row[b]|`
-//!    in the row's monotone clamped `u16` encoding) proves most rows
-//!    untouched; the rest take the same incremental/decremental repair in
-//!    the clamped domain. Rows containing saturated entries ("finite but
-//!    ≥ 2¹⁶−2") are opaque to decremental repair and are recomputed
-//!    wholesale when touched — a path that only fires on graphs whose
+//! 2. **Landmark rows** — one pass over the two endpoint columns checks
+//!    every landmark at once (`|d(ℓ, a) − d(ℓ, b)|` in the monotone
+//!    clamped `u16` encoding) and proves most rows untouched. On removal,
+//!    the remaining candidate landmarks of the deeper endpoint are tested
+//!    for support against one neighbour column at a time, stopping once
+//!    every candidate has a neighbour one level closer. Only the rows left
+//!    take the incremental/decremental repair in the clamped domain,
+//!    reading entries through the columns. Rows containing saturated
+//!    entries ("finite but ≥ 2¹⁶−2") are opaque to decremental repair and
+//!    are recomputed when touched — a path that only fires on graphs whose
 //!    diameter exceeds the 16-bit horizon. One documented divergence
 //!    remains there: deleting an edge *strictly inside* the saturated
 //!    horizon keeps entries saturated (reported as [`DistanceAnswer::Miss`],
@@ -69,8 +78,9 @@
 //!
 //! Readers never see a half-applied update: the writer owns the
 //! `DynamicOracle`, and [`DynamicOracle::snapshot`] publishes an immutable
-//! [`DynamicSnapshot`] (Arc-shared overlay entries, rows and adjacency—
-//! cloning is O(overlay size) pointer copies, independent of the graph).
+//! [`DynamicSnapshot`] (Arc-shared vicinity entries, column patches and
+//! adjacency lists — cloning is O(overlay size) pointer copies,
+//! independent of the graph).
 //! The serving layer (`vicinity-server`) swaps snapshots behind an epoch
 //! pointer so queries ride a consistent version end to end.
 //!
@@ -85,7 +95,9 @@ use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY, INVALID_NODE};
 
-use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle, SATURATED_U16, UNREACHABLE_U16};
+use crate::index::{
+    encode_distance, LandmarkDistances, VicinityOracle, SATURATED_U16, UNREACHABLE_U16,
+};
 use crate::query::{
     distance_batch_accumulate_on, distance_with_stats_on, path_batch_on, path_on, DistanceAnswer,
     PathAnswer, QueryIndex, QueryStats, RowRef,
@@ -199,6 +211,17 @@ impl OverlayGraph {
         )
     }
 
+    /// Forget `x`'s patched list once it equals the base list again.
+    fn drop_patch_if_base(&mut self, x: NodeId) {
+        if self
+            .patched
+            .get(&x)
+            .is_some_and(|adj| adj.as_slice() == self.base.neighbors(x))
+        {
+            self.patched.remove(&x);
+        }
+    }
+
     /// Insert the undirected edge `{u, v}` (both arcs). Caller guarantees
     /// absence.
     fn insert_edge(&mut self, u: NodeId, v: NodeId) {
@@ -206,6 +229,7 @@ impl OverlayGraph {
             let adj = self.adjacency_mut(x);
             let pos = adj.binary_search(&y).expect_err("edge must be absent");
             adj.insert(pos, y);
+            self.drop_patch_if_base(x);
         }
         self.edge_count += 1;
     }
@@ -217,6 +241,7 @@ impl OverlayGraph {
             let adj = self.adjacency_mut(x);
             let pos = adj.binary_search(&y).expect("edge must be present");
             adj.remove(pos);
+            self.drop_patch_if_base(x);
         }
         self.edge_count -= 1;
     }
@@ -344,7 +369,7 @@ impl OwnedVicinity {
     }
 
     /// Borrow as the standard probe view.
-    fn as_ref(&self, owner: NodeId) -> VicinityRef<'_> {
+    fn view(&self, owner: NodeId) -> VicinityRef<'_> {
         VicinityRef::from_raw_parts(
             owner,
             self.radius,
@@ -360,7 +385,7 @@ impl OwnedVicinity {
     }
 
     /// True when this rebuilt vicinity is identical to the frozen base
-    /// span (primary sections and header) — the tombstone condition.
+    /// span (primary sections and header), so it needs no overlay entry.
     fn matches_base(&self, base: &VicinityRef<'_>) -> bool {
         self.radius == base.radius()
             && self.nearest == base.raw_nearest()
@@ -376,29 +401,32 @@ impl OwnedVicinity {
     }
 }
 
-/// One overlay slot for a node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum OverlayEntry {
-    /// The node's vicinity differs from the frozen base; serve this copy.
-    Patched(OwnedVicinity),
-    /// The node was repaired and found identical to the base again; reads
-    /// fall through to the frozen store. Supersedes any earlier patch.
-    Tombstone,
+/// The repaired landmark distances of one node: the entries of its
+/// column that differ from the frozen base slab, as `(rank, value)` pairs
+/// sorted by rank (compact `u16` encoding, the slab's clamped domain).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ColumnPatch {
+    entries: Vec<(u32, u16)>,
 }
 
-/// One refreshed landmark row in the overlay.
-#[derive(Debug, Clone)]
-pub(crate) enum RowPatch {
-    /// Sparse repaired entries over the frozen base row — the normal
-    /// case: one edge update touches a handful of entries, and copying a
-    /// dense row per touched landmark would dominate update cost.
-    Delta(FastMap<NodeId, u16>),
-    /// A wholesale replacement (the saturated-row recompute path).
-    Full(LandmarkTable),
+impl ColumnPatch {
+    /// The repaired value of landmark rank `rank`, if patched.
+    #[inline]
+    pub(crate) fn get(&self, rank: usize) -> Option<u16> {
+        self.position(rank).ok().map(|i| self.entries[i].1)
+    }
+
+    #[inline]
+    fn position(&self, rank: usize) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by_key(&(rank as u32), |&(r, _)| r)
+    }
 }
 
-type OverlayMap = FastMap<NodeId, Arc<OverlayEntry>>;
-type RowMap = FastMap<NodeId, Arc<RowPatch>>;
+/// Node → its column patch; every node absent reads its base column.
+pub(crate) type RowPatches = FastMap<NodeId, Arc<ColumnPatch>>;
+
+type OverlayMap = FastMap<NodeId, Arc<OwnedVicinity>>;
 
 /// Resolve a vicinity through the overlay, falling back to the base store.
 fn view_vicinity<'a>(
@@ -406,29 +434,85 @@ fn view_vicinity<'a>(
     overlay: &'a OverlayMap,
     u: NodeId,
 ) -> Option<VicinityRef<'a>> {
-    match overlay.get(&u).map(Arc::as_ref) {
-        Some(OverlayEntry::Patched(v)) => Some(v.as_ref(u)),
-        Some(OverlayEntry::Tombstone) | None => base.vicinity(u),
+    match overlay.get(&u) {
+        Some(v) => Some(v.view(u)),
+        None => base.vicinity(u),
     }
 }
 
-/// Resolve a landmark row through the overlay, falling back to the base.
-fn view_row<'a>(base: &'a VicinityOracle, rows: &'a RowMap, u: NodeId) -> Option<RowRef<'a>> {
-    match rows.get(&u).map(Arc::as_ref) {
-        Some(RowPatch::Full(table)) => Some(RowRef::Flat(table)),
-        Some(RowPatch::Delta(delta)) => Some(RowRef::Overlay {
-            base: base.landmark_table(u)?,
-            delta,
-        }),
-        None => base.landmark_table(u).map(RowRef::Flat),
-    }
+/// Resolve a landmark row: the base slab, read through the column patches
+/// while any exist.
+fn view_row<'a>(base: &'a VicinityOracle, rows: &'a RowPatches, u: NodeId) -> Option<RowRef<'a>> {
+    let rank = base.landmarks().rank(u)?;
+    Some(RowRef::new(
+        base.landmark_distances(),
+        rank,
+        (!rows.is_empty()).then_some(rows),
+    ))
 }
 
 /// Resolve a node's nearest-landmark header through the overlay.
 fn view_nearest(base: &VicinityOracle, overlay: &OverlayMap, u: NodeId) -> Option<NodeId> {
-    match overlay.get(&u).map(Arc::as_ref) {
-        Some(OverlayEntry::Patched(v)) => (v.nearest != INVALID_NODE).then_some(v.nearest),
-        Some(OverlayEntry::Tombstone) | None => base.store().nearest_of(u),
+    match overlay.get(&u) {
+        Some(v) => (v.nearest != INVALID_NODE).then_some(v.nearest),
+        None => base.store().nearest_of(u),
+    }
+}
+
+/// The current compact distance of landmark rank `rank` to `v`: its patch
+/// entry when present, else the base slab's.
+#[inline]
+fn current_raw(base: &LandmarkDistances, rows: &RowPatches, rank: usize, v: NodeId) -> u16 {
+    match rows.get(&v).and_then(|patch| patch.get(rank)) {
+        Some(raw) => raw,
+        None => base.raw(rank, v),
+    }
+}
+
+/// A copy of `v`'s current column (base plus patch).
+fn current_column(base: &LandmarkDistances, rows: &RowPatches, v: NodeId) -> Vec<u16> {
+    let mut column = base.column(v).to_vec();
+    if let Some(patch) = rows.get(&v) {
+        for &(rank, raw) in &patch.entries {
+            column[rank as usize] = raw;
+        }
+    }
+    column
+}
+
+/// Set the current distance of landmark rank `rank` to `v`. A value equal
+/// to the base slab's drops the patch entry (and the node's patch once it
+/// is empty); `entries` tracks the total patch entries.
+fn write_raw(
+    base: &LandmarkDistances,
+    rows: &mut RowPatches,
+    entries: &mut usize,
+    rank: usize,
+    v: NodeId,
+    raw: u16,
+) {
+    if raw != base.raw(rank, v) {
+        let patch = Arc::make_mut(rows.entry(v).or_default());
+        match patch.position(rank) {
+            Ok(i) => patch.entries[i].1 = raw,
+            Err(i) => {
+                patch.entries.insert(i, (rank as u32, raw));
+                *entries += 1;
+            }
+        }
+        return;
+    }
+    let Some(patch) = rows.get_mut(&v) else {
+        return;
+    };
+    let Ok(i) = patch.position(rank) else {
+        return;
+    };
+    *entries -= 1;
+    if patch.entries.len() == 1 {
+        rows.remove(&v);
+    } else {
+        Arc::make_mut(patch).entries.remove(i);
     }
 }
 
@@ -578,22 +662,23 @@ macro_rules! impl_overlay_queries {
                 &self.graph
             }
 
-            /// Nodes currently carrying an overlay entry (patch or
-            /// tombstone).
+            /// Nodes whose vicinity currently differs from the base (one
+            /// overlay entry each).
             pub fn overlay_len(&self) -> usize {
                 self.overlay.len()
             }
 
-            /// Landmark rows currently refreshed in the overlay.
-            pub fn refreshed_rows(&self) -> usize {
-                self.rows.len()
+            /// Landmark-distance entries currently differing from the
+            /// base slab, summed over every node's column patch.
+            pub fn row_patch_entries(&self) -> usize {
+                self.rows.values().map(|patch| patch.entries.len()).sum()
             }
         }
     };
 }
 
 /// An immutable, epoch-publishable view of a [`DynamicOracle`]: shares the
-/// base oracle, overlay entries, refreshed rows and adjacency by `Arc`, so
+/// base oracle, overlay entries, column patches and adjacency by `Arc`, so
 /// producing one is O(overlay size) pointer copies. Implements the same
 /// query surface as the writer (one shared implementation — see
 /// [`QueryIndex`]).
@@ -601,7 +686,7 @@ macro_rules! impl_overlay_queries {
 pub struct DynamicSnapshot {
     base: Arc<VicinityOracle>,
     overlay: OverlayMap,
-    rows: RowMap,
+    rows: RowPatches,
     graph: OverlayGraph,
     version: u64,
 }
@@ -654,7 +739,8 @@ pub struct DynamicOracle {
     base: Arc<VicinityOracle>,
     graph: OverlayGraph,
     overlay: OverlayMap,
-    rows: RowMap,
+    /// Landmark-distance patches, keyed by node.
+    rows: RowPatches,
     /// Exact `d(u, L)` per node (`INFINITY` = no landmark reachable).
     radius: Vec<Distance>,
     /// The smallest-id landmark attaining `radius[u]` — the builder's
@@ -664,17 +750,15 @@ pub struct DynamicOracle {
     /// the canonical choice makes the landmark walk, and so every answer
     /// method, match a pinned rebuild's.
     nearest: Vec<NodeId>,
-    /// Cached `has_saturated` per landmark row, computed lazily on the
-    /// first decremental repair touching the row.
-    row_saturated: FastMap<NodeId, bool>,
-    /// The fixed landmark ids (a copy of the base's set, so repair loops
-    /// do not borrow `base` while mutating the overlay).
-    landmark_ids: Vec<NodeId>,
+    /// Per landmark rank, whether its current row may hold a saturated
+    /// entry: one pass over the base slab and the patches on first use,
+    /// then kept (conservatively) by every repair.
+    row_saturated: Option<Vec<bool>>,
     version: u64,
     compaction_limit: usize,
-    /// Σ `budget_cost` over live patches (tombstones are free).
+    /// Σ `budget_cost` over patched vicinities.
     overlay_budget: usize,
-    /// Σ delta entries over refreshed rows (counts toward compaction).
+    /// Σ entries over column patches (counts toward compaction).
     row_budget: usize,
     compactions: u64,
     last_profile: UpdateProfile,
@@ -719,7 +803,6 @@ impl DynamicOracle {
         }
         // Default budget: an eighth of the base store before folding.
         let compaction_limit = (base.store().total_entries() as usize / 8).max(4 * 1024);
-        let landmark_ids = base.landmarks().nodes().to_vec();
         Ok(DynamicOracle {
             base,
             graph: OverlayGraph::new(graph),
@@ -727,8 +810,7 @@ impl DynamicOracle {
             rows: FastMap::default(),
             radius,
             nearest,
-            row_saturated: FastMap::default(),
-            landmark_ids,
+            row_saturated: None,
             version: 0,
             compaction_limit,
             overlay_budget: 0,
@@ -889,10 +971,10 @@ impl DynamicOracle {
     }
 
     /// Fold the overlay back into a fresh frozen base: a new CSR graph, a
-    /// new flat store (patched spans spliced over base spans), and the
-    /// refreshed landmark rows adopted by Arc move. Answers are unchanged,
-    /// so the version (and any epoch-stamped cache entries keyed on it)
-    /// stays valid.
+    /// new flat store (patched spans spliced over base spans), and a copy
+    /// of the landmark slab with the column patches written in. Answers
+    /// are unchanged, so the version (and any epoch-stamped cache entries
+    /// keyed on it) stays valid.
     pub fn compact(&mut self) {
         if self.overlay.is_empty() && self.rows.is_empty() && self.graph.patched.is_empty() {
             return;
@@ -923,8 +1005,8 @@ impl DynamicOracle {
         boundary_offsets.push(0u64);
 
         for u in 0..n {
-            match self.overlay.get(&(u as NodeId)).map(Arc::as_ref) {
-                Some(OverlayEntry::Patched(v)) => {
+            match self.overlay.get(&(u as NodeId)) {
+                Some(v) => {
                     radii.push(v.radius);
                     nearest.push(v.nearest);
                     members.extend_from_slice(&v.members);
@@ -932,7 +1014,7 @@ impl DynamicOracle {
                     predecessors.extend_from_slice(&v.predecessors);
                     boundary.extend_from_slice(&v.boundary);
                 }
-                Some(OverlayEntry::Tombstone) | None => {
+                None => {
                     let (start, end) = (b_offsets[u] as usize, b_offsets[u + 1] as usize);
                     let (bs, be) = (
                         b_boundary_offsets[u] as usize,
@@ -963,27 +1045,11 @@ impl DynamicOracle {
             boundary,
         );
 
-        let mut landmark_tables = self.base.landmark_tables.clone();
-        for (l, patch) in self.rows.drain() {
-            let owned = Arc::try_unwrap(patch).unwrap_or_else(|shared| (*shared).clone());
-            let fresh = match owned {
-                RowPatch::Full(table) => table,
-                RowPatch::Delta(delta) => {
-                    // Materialise the delta over a copy of the base row —
-                    // the one place a dense row copy is paid, amortised
-                    // over the whole overlay lifetime.
-                    let mut table = landmark_tables
-                        .get(&l)
-                        .expect("patched landmark has a base row")
-                        .as_ref()
-                        .clone();
-                    for (v, value) in delta {
-                        table.raw_mut()[v as usize] = value;
-                    }
-                    table
-                }
-            };
-            landmark_tables.insert(l, Arc::new(fresh));
+        let mut landmark_distances = self.base.landmark_distances().clone();
+        for (v, patch) in self.rows.drain() {
+            for &(rank, raw) in &patch.entries {
+                landmark_distances.set(rank as usize, v, raw);
+            }
         }
         self.row_budget = 0;
 
@@ -993,7 +1059,7 @@ impl DynamicOracle {
             edge_count: csr.edge_count(),
             landmarks: self.base.landmarks().clone(),
             store,
-            landmark_tables,
+            landmark_distances,
         };
         self.base = Arc::new(oracle);
         self.graph = OverlayGraph::new(Arc::new(csr));
@@ -1290,70 +1356,48 @@ impl DynamicOracle {
     }
 
     /// Fold one rebuilt vicinity into the overlay: identical-to-base
-    /// becomes a tombstone (or no entry), anything else a patch; the
+    /// drops the node's entry, anything else becomes its patch; the
     /// overlay budget tracks live patch sizes.
     fn fold_patch(&mut self, u: NodeId, owned: OwnedVicinity) {
         let base_ref = self.base.vicinity(u).expect("in range");
-        let old_cost = match self.overlay.get(&u).map(Arc::as_ref) {
-            Some(OverlayEntry::Patched(v)) => v.budget_cost(),
-            _ => 0,
-        };
+        self.overlay_budget -= self.overlay.get(&u).map_or(0, |v| v.budget_cost());
         if owned.matches_base(&base_ref) {
-            if self.overlay.contains_key(&u) {
-                self.overlay.insert(u, Arc::new(OverlayEntry::Tombstone));
-            }
-            self.overlay_budget -= old_cost;
+            self.overlay.remove(&u);
         } else {
-            self.overlay_budget = self.overlay_budget - old_cost + owned.budget_cost();
-            self.overlay
-                .insert(u, Arc::new(OverlayEntry::Patched(owned)));
+            self.overlay_budget += owned.budget_cost();
+            self.overlay.insert(u, Arc::new(owned));
         }
     }
 
-    /// Take landmark `l`'s working row patch out of the overlay (empty
-    /// delta on first touch). `Arc::try_unwrap` avoids cloning whenever no
-    /// published snapshot still shares the patch — and the patch is a
-    /// sparse delta, so even the shared case copies entries, not rows.
-    fn take_row_patch(&mut self, l: NodeId) -> RowPatch {
-        match self.rows.remove(&l) {
-            Some(arc) => {
-                let patch = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-                if let RowPatch::Delta(delta) = &patch {
-                    self.row_budget -= delta.len();
+    /// Per landmark rank, whether the current row may hold a saturated
+    /// entry (see `row_saturated`).
+    fn saturated_ranks(&mut self) -> &mut [bool] {
+        let (base, rows) = (&self.base, &self.rows);
+        self.row_saturated.get_or_insert_with(|| {
+            let mut flags = base.landmark_distances().saturated_ranks();
+            for patch in rows.values() {
+                for &(rank, raw) in &patch.entries {
+                    flags[rank as usize] |= raw == SATURATED_U16;
                 }
-                patch
             }
-            None => RowPatch::Delta(FastMap::default()),
-        }
+            flags
+        })
     }
 
-    /// Put a working row patch back (dropping empty deltas) and account
-    /// its entries toward the compaction budget.
-    fn store_row_patch(&mut self, l: NodeId, patch: RowPatch) {
-        if let RowPatch::Delta(delta) = &patch {
-            if delta.is_empty() {
-                return;
-            }
-            self.row_budget += delta.len();
-        }
-        self.rows.insert(l, Arc::new(patch));
-    }
-
-    /// Insert-side repair of every landmark row. The row encoding is
-    /// monotone (`exact < SATURATED < UNREACHABLE`), so a clamped
-    /// improve-BFS in the raw `u16` domain is exact: improvements clamp at
-    /// the saturation sentinel exactly as a rebuild's encoder would.
-    /// Repairs write sparse delta entries — the touched region, not the
-    /// row — so a single-entry improvement costs a map insert.
+    /// Insert-side repair of every landmark row. One pass over the two
+    /// endpoint columns finds the landmarks the new edge shortcuts. The
+    /// encoding is monotone (`exact < SATURATED < UNREACHABLE`), so a
+    /// clamped improve-BFS in the raw `u16` domain is exact for each:
+    /// improvements clamp at the saturation sentinel exactly as a
+    /// rebuild's encoder would. Repairs write sparse column-patch entries
+    /// — the touched region, not the row.
     fn repair_rows_insert(&mut self, a: NodeId, b: NodeId) -> u32 {
-        let mut repaired = 0u32;
         let base = Arc::clone(&self.base);
-        let landmark_ids = std::mem::take(&mut self.landmark_ids);
-        for &l in &landmark_ids {
-            let Some(row) = view_row(&base, &self.rows, l) else {
-                continue;
-            };
-            let (raw_a, raw_b) = (row_raw(&row, a), row_raw(&row, b));
+        let slab = base.landmark_distances();
+        let column_a = current_column(slab, &self.rows, a);
+        let column_b = current_column(slab, &self.rows, b);
+        let mut repaired = 0u32;
+        for (rank, (&raw_a, &raw_b)) in column_a.iter().zip(&column_b).enumerate() {
             let (seed, seed_val, other) = if clamped_step(raw_a) < raw_b {
                 (b, clamped_step(raw_a), raw_b)
             } else if clamped_step(raw_b) < raw_a {
@@ -1369,124 +1413,114 @@ impl DynamicOracle {
                 // connected beyond the 16-bit horizon — recompute so the
                 // row does not keep claiming (definitive) unreachability.
                 if other == UNREACHABLE_U16 {
-                    self.recompute_row(l);
+                    self.recompute_row(rank);
                     repaired += 1;
                 }
                 continue;
             }
             repaired += 1;
-            let mut patch = self.take_row_patch(l);
-            let base_raw = base.landmark_table(l).expect("landmark has a row").raw();
             let mut wrote_saturated = false;
-            {
-                let graph = &self.graph;
-                let mut queue: VecDeque<(NodeId, u16)> = VecDeque::new();
-                queue.push_back((seed, seed_val));
-                while let Some((v, d)) = queue.pop_front() {
-                    if d >= patch_value(base_raw, &patch, v) {
-                        continue;
-                    }
-                    patch_write(&mut patch, v, d);
-                    if d == SATURATED_U16 {
-                        wrote_saturated = true;
-                    }
-                    let next = clamped_step(d);
-                    for &w in graph.neighbors(v) {
-                        if next < patch_value(base_raw, &patch, w) {
-                            queue.push_back((w, next));
-                        }
+            let mut queue: VecDeque<(NodeId, u16)> = VecDeque::new();
+            queue.push_back((seed, seed_val));
+            while let Some((v, d)) = queue.pop_front() {
+                if d >= current_raw(slab, &self.rows, rank, v) {
+                    continue;
+                }
+                write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, d);
+                wrote_saturated |= d == SATURATED_U16;
+                let next = clamped_step(d);
+                for &w in self.graph.neighbors(v) {
+                    if next < current_raw(slab, &self.rows, rank, w) {
+                        queue.push_back((w, next));
                     }
                 }
             }
             if wrote_saturated {
-                self.row_saturated.insert(l, true);
+                self.saturated_ranks()[rank] = true;
             }
-            self.store_row_patch(l, patch);
         }
-        self.landmark_ids = landmark_ids;
         repaired
     }
 
-    /// Remove-side repair of every landmark row: the O(1) level check
-    /// proves most rows untouched, a support probe on the deeper endpoint
-    /// dismisses nearly all of the rest, rows with saturated entries are
-    /// recomputed wholesale (clamped decremental repair cannot see through
-    /// "unknown large" values), and only genuinely orphaned regions take
-    /// the decremental recompute.
+    /// Remove-side repair of every landmark row. One pass over the two
+    /// endpoint columns finds the candidate landmarks, those for which the
+    /// edge steps one level down from the deeper endpoint `hi`. Rows with
+    /// saturated entries are recomputed (clamped decremental repair
+    /// cannot see through "unknown large" values). The rest take a support
+    /// probe: all of `hi`'s candidates are tested against one neighbour
+    /// column at a time, stopping once each has a neighbour one level
+    /// closer, and only the unsupported ones take the decremental repair.
     fn repair_rows_remove(&mut self, a: NodeId, b: NodeId) -> u32 {
-        let mut repaired = 0u32;
         let base = Arc::clone(&self.base);
-        let landmark_ids = std::mem::take(&mut self.landmark_ids);
-        for &l in &landmark_ids {
-            let Some(row) = view_row(&base, &self.rows, l) else {
-                continue;
-            };
-            let (raw_a, raw_b) = (row_raw(&row, a), row_raw(&row, b));
-            if raw_a == UNREACHABLE_U16 && raw_b == UNREACHABLE_U16 {
-                continue;
-            }
-            // Pre-removal adjacency bounds |row[a] - row[b]| by one; only
+        let slab = base.landmark_distances();
+        let column_a = current_column(slab, &self.rows, a);
+        let column_b = current_column(slab, &self.rows, b);
+        // (rank, value at `hi`) of each candidate, per deeper endpoint.
+        let mut below: [Vec<(usize, u16)>; 2] = Default::default();
+        for (rank, (&raw_a, &raw_b)) in column_a.iter().zip(&column_b).enumerate() {
+            // Pre-removal adjacency bounds |d(ℓ, a) − d(ℓ, b)| by one; only
             // a one-level edge can carry shortest paths.
-            let hi = if raw_a == clamped_step(raw_b) && raw_a != raw_b {
-                a
-            } else if raw_b == clamped_step(raw_a) && raw_a != raw_b {
-                b
-            } else {
-                continue;
-            };
-            let saturated = match self.row_saturated.get(&l) {
-                Some(&flag) => flag,
-                None => {
-                    let flag = row_has_saturated(&base, &self.rows, l);
-                    self.row_saturated.insert(l, flag);
-                    flag
-                }
-            };
-            if saturated {
-                self.recompute_row(l);
-                repaired += 1;
+            if raw_a == raw_b {
                 continue;
             }
-            if self.decrement_row(&base, l, hi) {
+            if raw_a == clamped_step(raw_b) {
+                below[0].push((rank, raw_a));
+            } else if raw_b == clamped_step(raw_a) {
+                below[1].push((rank, raw_b));
+            }
+        }
+
+        let mut repaired = 0u32;
+        for (hi, candidates) in [a, b].into_iter().zip(below) {
+            if candidates.is_empty() {
+                continue;
+            }
+            let saturated = self.saturated_ranks();
+            let (recompute, mut candidates): (Vec<_>, Vec<_>) = candidates
+                .into_iter()
+                .partition(|&(rank, _)| saturated[rank]);
+            for (rank, _) in recompute {
+                self.recompute_row(rank);
+                repaired += 1;
+            }
+            // Support probe: the deleted edge mattered to a landmark only
+            // if it was `hi`'s last neighbour one level closer to it.
+            for &x in self.graph.neighbors(hi) {
+                if candidates.is_empty() {
+                    break;
+                }
+                let column = slab.column(x);
+                let patch = self.rows.get(&x);
+                candidates.retain(|&(rank, hv)| {
+                    let raw = patch.and_then(|p| p.get(rank)).unwrap_or(column[rank]);
+                    raw != hv - 1
+                });
+            }
+            for &(rank, _) in &candidates {
+                self.decrement_row(rank, hi);
                 repaired += 1;
             }
         }
-        self.landmark_ids = landmark_ids;
         repaired
     }
 
-    /// Support-aware decremental repair of landmark `l`'s row from the
-    /// deeper endpoint `hi`, in the clamped `u16` domain (exact here: the
-    /// row carries no saturated entries). Returns whether anything
-    /// changed. The orphan set — nodes whose every supporter is itself an
-    /// orphan — is exactly the set of entries that increase, so the usual
-    /// case (`hi` still supported) costs one neighbour scan.
-    fn decrement_row(&mut self, base: &Arc<VicinityOracle>, l: NodeId, hi: NodeId) -> bool {
-        let base_raw = base.landmark_table(l).expect("landmark has a row").raw();
-        // A cheap Arc clone keeps the read closure free of `self` borrows
-        // (it is dropped before the working patch is taken out).
-        let patch_arc: Option<Arc<RowPatch>> = self.rows.get(&l).cloned();
-        let value_now = |v: NodeId| -> u16 {
-            match patch_arc.as_deref() {
-                Some(patch) => patch_value(base_raw, patch, v),
-                None => base_raw[v as usize],
-            }
-        };
-        // Phase 0: the deleted edge mattered only if it was `hi`'s last
-        // support.
-        let hv = value_now(hi);
-        debug_assert!(hv < SATURATED_U16, "flagged rows take the recompute path");
-        if self
-            .graph
-            .neighbors(hi)
-            .iter()
-            .any(|&x| value_now(x) == hv - 1)
-        {
-            return false;
-        }
+    /// Decremental repair of landmark rank `rank`'s row after `hi` lost
+    /// its last supporter, in the clamped `u16` domain (exact here: the
+    /// row carries no saturated entries). The orphan set — nodes whose
+    /// every supporter is itself an orphan — is exactly the set of entries
+    /// that increase; it is recomputed from its boundary.
+    fn decrement_row(&mut self, rank: usize, hi: NodeId) {
+        let base = Arc::clone(&self.base);
+        let slab = base.landmark_distances();
+        let stamp = self.bump_stamp();
+        let rows = &self.rows;
+        let value_now = |v: NodeId| current_raw(slab, rows, rank, v);
+        debug_assert!(
+            value_now(hi) < SATURATED_U16,
+            "flagged rows take the recompute path"
+        );
 
         // Phase 1: orphan propagation.
-        let stamp = self.bump_stamp();
         let stamps = &mut self.stamp;
         let graph = &self.graph;
         let mut region: Vec<NodeId> = Vec::new();
@@ -1547,42 +1581,39 @@ impl DynamicOracle {
                 }
             }
         }
-        drop(patch_arc);
-        let mut patch = self.take_row_patch(l);
         let mut wrote_saturated = false;
         for &v in &region {
-            let d = self.stamp_dist[v as usize];
-            let encoded = if d == INFINITY {
-                UNREACHABLE_U16
-            } else if d >= SATURATED_U16 as Distance {
-                wrote_saturated = true;
-                SATURATED_U16
-            } else {
-                d as u16
-            };
-            patch_write(&mut patch, v, encoded);
+            let encoded = encode_distance(self.stamp_dist[v as usize]);
+            wrote_saturated |= encoded == SATURATED_U16;
+            write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, encoded);
         }
         if wrote_saturated {
-            self.row_saturated.insert(l, true);
+            self.saturated_ranks()[rank] = true;
         }
-        self.store_row_patch(l, patch);
-        true
     }
 
-    /// Recompute landmark `l`'s row wholesale by one full BFS on the
-    /// current graph — the fallback for rows whose saturated entries make
-    /// incremental repair unsound. O(n + m); only reachable on graphs with
-    /// >2¹⁶−2-hop distances.
-    fn recompute_row(&mut self, l: NodeId) {
-        let visited = self.bfs.bounded_bfs(&self.graph, l, self.graph.hop_bound());
-        let mut distances = vec![INFINITY; self.graph.node_count()];
-        for v in &visited {
-            distances[v.node as usize] = v.distance;
+    /// Recompute landmark rank `rank`'s row by one full BFS on the current
+    /// graph — the fallback for rows whose saturated entries make
+    /// incremental repair unsound — writing only the entries that change.
+    /// O(n + m); only reachable on graphs with >2¹⁶−2-hop distances.
+    fn recompute_row(&mut self, rank: usize) {
+        let base = Arc::clone(&self.base);
+        let slab = base.landmark_distances();
+        let landmark = base.landmarks().nodes()[rank];
+        let mut fresh = vec![UNREACHABLE_U16; self.graph.node_count()];
+        for v in self
+            .bfs
+            .bounded_bfs(&self.graph, landmark, self.graph.hop_bound())
+        {
+            fresh[v.node as usize] = encode_distance(v.distance);
         }
-        let fresh = LandmarkTable::from_distances(&distances);
-        self.row_saturated.insert(l, fresh.has_saturated());
-        let _ = self.take_row_patch(l); // release any delta budget
-        self.rows.insert(l, Arc::new(RowPatch::Full(fresh)));
+        for (v, &raw) in fresh.iter().enumerate() {
+            let v = v as NodeId;
+            if raw != current_raw(slab, &self.rows, rank, v) {
+                write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, raw);
+            }
+        }
+        self.saturated_ranks()[rank] = fresh.contains(&SATURATED_U16);
     }
 }
 
@@ -1591,57 +1622,6 @@ impl DynamicOracle {
 fn dedup_affected(affected: &mut Vec<(NodeId, bool)>) {
     affected.sort_unstable_by_key(|&(u, full)| (u, !full));
     affected.dedup_by(|a, b| a.0 == b.0);
-}
-
-/// Whether landmark `l`'s *current* row (base plus any patch) carries a
-/// saturation sentinel.
-fn row_has_saturated(base: &VicinityOracle, rows: &RowMap, l: NodeId) -> bool {
-    match rows.get(&l).map(Arc::as_ref) {
-        Some(RowPatch::Full(table)) => table.has_saturated(),
-        Some(RowPatch::Delta(delta)) => {
-            delta.values().any(|&v| v == SATURATED_U16)
-                || base
-                    .landmark_table(l)
-                    .is_some_and(LandmarkTable::has_saturated)
-        }
-        None => base
-            .landmark_table(l)
-            .is_some_and(LandmarkTable::has_saturated),
-    }
-}
-
-/// Raw row value of `v` (monotone encoding: exact < saturated <
-/// unreachable).
-#[inline]
-fn row_raw(row: &RowRef<'_>, v: NodeId) -> u16 {
-    match row.entry(v) {
-        LandmarkEntry::Exact(d) => d as u16,
-        LandmarkEntry::Saturated => SATURATED_U16,
-        LandmarkEntry::Unreachable => UNREACHABLE_U16,
-    }
-}
-
-/// Raw row value through a working patch, falling back to the base row.
-#[inline]
-fn patch_value(base_raw: &[u16], patch: &RowPatch, v: NodeId) -> u16 {
-    match patch {
-        RowPatch::Full(table) => table.raw()[v as usize],
-        RowPatch::Delta(delta) => match delta.get(&v) {
-            Some(&raw) => raw,
-            None => base_raw[v as usize],
-        },
-    }
-}
-
-/// Write one raw row value into a working patch.
-#[inline]
-fn patch_write(patch: &mut RowPatch, v: NodeId, value: u16) {
-    match patch {
-        RowPatch::Full(table) => table.raw_mut()[v as usize] = value,
-        RowPatch::Delta(delta) => {
-            delta.insert(v, value);
-        }
-    }
 }
 
 /// `value + 1` in the clamped row domain: exact values step by one and
@@ -1773,7 +1753,7 @@ mod tests {
         let version = dynamic.version();
         dynamic.compact();
         assert_eq!(dynamic.overlay_len(), 0);
-        assert_eq!(dynamic.refreshed_rows(), 0);
+        assert_eq!(dynamic.row_patch_entries(), 0);
         assert_eq!(dynamic.version(), version, "compaction keeps the version");
         assert_eq!(dynamic.compactions(), 1);
         let after: Vec<DistanceAnswer> = (0..24)

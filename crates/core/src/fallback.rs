@@ -27,7 +27,7 @@ use vicinity_graph::algo::bfs::BidirBfsScratch;
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::{Adjacency, Distance, NodeId};
 
-use crate::index::VicinityOracle;
+use crate::index::{LandmarkEntry, VicinityOracle};
 use crate::query::{landmark_bounds, DistanceAnswer, QueryIndex};
 
 /// Exact distance between `s` and `t` — the answer to a query the index
@@ -165,23 +165,20 @@ impl<'o, 'g> QueryWithFallback<'o, 'g> {
 
 impl VicinityOracle {
     /// Approximate upper bound on `d(s, t)` from the stored landmark rows:
-    /// `min_{ℓ ∈ L} d(ℓ, s) + d(ℓ, t)`. Costs two probes per landmark.
-    /// Returns `None` when no landmark reaches both endpoints.
+    /// `min_{ℓ ∈ L} d(ℓ, s) + d(ℓ, t)`. Costs one scan of each endpoint's
+    /// column. Returns `None` when no landmark reaches both endpoints.
     pub fn landmark_estimate(&self, s: NodeId, t: NodeId) -> Option<Distance> {
         if s == t && self.contains_node(s) {
             return Some(0);
         }
-        let mut best: Option<Distance> = None;
-        for table in self.landmark_tables.values() {
-            let (Some(ds), Some(dt)) = (table.distance_to(s), table.distance_to(t)) else {
-                continue;
-            };
-            let est = ds + dt;
-            if best.is_none_or(|b| est < b) {
-                best = Some(est);
-            }
-        }
-        best
+        let distances = self.landmark_distances();
+        let exact = |raw: u16| LandmarkEntry::decode(raw).exact();
+        distances
+            .column(s)
+            .iter()
+            .zip(distances.column(t))
+            .filter_map(|(&ds, &dt)| Some(exact(ds)? + exact(dt)?))
+            .min()
     }
 }
 

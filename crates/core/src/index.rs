@@ -1,96 +1,60 @@
 //! The query-time data structure: per-node vicinities plus landmark
-//! distance tables.
+//! distances.
 //!
 //! This mirrors §3.1 of the paper: "Our data structure stores, for each node
 //! u, a hash table containing the exact distance to each node v ∈ Γ(u). In
 //! addition, if u ∈ L, the data structure stores a hash table containing the
 //! exact distance from u to each other node v ∈ V."
 //!
-//! Landmark rows are stored as dense `u16` distance arrays rather than hash
-//! tables: they are indexed by every node id anyway, and 16-bit distances
-//! are ample for social networks (diameters of tens of hops). Paths from a
-//! landmark are reconstructed by greedy descent on the distance array, so no
-//! predecessor storage is needed for landmarks.
-
-use std::sync::Arc;
+//! The landmark tables are stored **node-major** as one dense `u16` slab
+//! ([`LandmarkDistances`]) rather than one hash table per landmark: node
+//! `v`'s distances to all `|L|` landmarks, ordered by landmark rank (see
+//! [`LandmarkSet::rank`]), form one contiguous column. A query still reads
+//! one entry per landmark row it consults (one cache line), while an edge
+//! update `{a, b}` checks every landmark at once from the two contiguous
+//! columns of `a` and `b` instead of two entries in each of `|L|` rows.
+//! 16-bit distances are ample for social networks (diameters of tens of
+//! hops). Paths from a landmark are reconstructed by greedy descent on its
+//! distances, so no predecessor storage is needed for landmarks.
 
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Distance, NodeId, INFINITY};
 
 use crate::config::OracleConfig;
 use crate::landmarks::LandmarkSet;
+use crate::query::RowRef;
 use crate::vicinity::{VicinityRef, VicinityStore};
 
-/// Sentinel for "unreachable" in the compact landmark rows.
+/// Sentinel for "unreachable" in the compact landmark distances.
 pub(crate) const UNREACHABLE_U16: u16 = u16::MAX;
 
 /// Sentinel for "finite but too large for 16 bits" in the compact landmark
-/// rows. Distinguishing saturation from unreachability keeps queries from
-/// reporting connected pairs as provably disconnected on graphs with
+/// distances. Distinguishing saturation from unreachability keeps queries
+/// from reporting connected pairs as provably disconnected on graphs with
 /// diameters beyond `u16` range.
 pub(crate) const SATURATED_U16: u16 = u16::MAX - 1;
 
-/// One decoded landmark-row entry.
+/// Nodes per block of the row ↔ column transposes: one 64-byte cache
+/// line of `u16`s in each landmark-major row.
+const BLOCK: usize = 32;
+
+/// One decoded landmark distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LandmarkEntry {
     /// Exact distance from the landmark.
     Exact(Distance),
-    /// The node is reachable but the distance exceeds the row's 16-bit
-    /// storage; the exact value is unknown.
+    /// The node is reachable but the distance exceeds the 16-bit storage;
+    /// the exact value is unknown.
     Saturated,
     /// The node is not reachable from the landmark (or out of range).
     Unreachable,
 }
 
-/// Dense single-source distance table for one landmark.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LandmarkTable {
-    distances: Vec<u16>,
-}
-
-impl LandmarkTable {
-    /// Build a landmark row from a full-width distance array.
-    pub fn from_distances(distances: &[Distance]) -> Self {
-        let compact = distances
-            .iter()
-            .map(|&d| {
-                if d == INFINITY {
-                    UNREACHABLE_U16
-                } else if d >= SATURATED_U16 as Distance {
-                    SATURATED_U16
-                } else {
-                    d as u16
-                }
-            })
-            .collect();
-        LandmarkTable { distances: compact }
-    }
-
-    /// Distance from the landmark to `v`, or `None` when unreachable,
-    /// saturated, or out of range. Use [`LandmarkTable::entry`] when the
-    /// distinction between those cases matters.
+impl LandmarkEntry {
+    /// Decode one compact value. The encoding ([`encode_distance`]) is
+    /// monotone in the true distance: exact < saturated < unreachable.
     #[inline]
-    pub fn distance_to(&self, v: NodeId) -> Option<Distance> {
-        match self.entry(v) {
-            LandmarkEntry::Exact(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Full decoded entry for `v`.
-    #[inline]
-    pub fn entry(&self, v: NodeId) -> LandmarkEntry {
-        match self.distances.get(v as usize) {
-            Some(&raw) => Self::decode_entry(raw),
-            None => LandmarkEntry::Unreachable,
-        }
-    }
-
-    /// Decode one compact row value (the encoding `from_distances` uses:
-    /// exact < saturated < unreachable, monotone in the true distance).
-    #[inline]
-    pub(crate) fn decode_entry(raw: u16) -> LandmarkEntry {
+    pub(crate) fn decode(raw: u16) -> Self {
         match raw {
             UNREACHABLE_U16 => LandmarkEntry::Unreachable,
             SATURATED_U16 => LandmarkEntry::Saturated,
@@ -98,53 +62,219 @@ impl LandmarkTable {
         }
     }
 
-    /// Number of entries in the row.
-    pub fn len(&self) -> usize {
-        self.distances.len()
-    }
-
-    /// True when the row is empty.
-    pub fn is_empty(&self) -> bool {
-        self.distances.is_empty()
-    }
-
-    /// Memory used by the row, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.distances.len() * std::mem::size_of::<u16>()
-    }
-
-    /// Hint that the row entry for `v` will be read soon — stage 2 of the
-    /// batched query pipeline warms the exact `u16` the landmark-bound
-    /// pruning (or a landmark-endpoint answer) will load.
+    /// The exact distance, or `None` when saturated or unreachable.
     #[inline]
-    pub(crate) fn prefetch_entry(&self, v: NodeId) {
-        if let Some(entry) = self.distances.get(v as usize) {
+    pub fn exact(self) -> Option<Distance> {
+        match self {
+            LandmarkEntry::Exact(d) => Some(d),
+            _ => None,
+        }
+    }
+}
+
+/// Compact `u16` encoding of a full-width BFS distance: `INFINITY` maps to
+/// the unreachable sentinel, and any finite distance of `SATURATED_U16` or
+/// more to the saturation sentinel.
+#[inline]
+pub(crate) fn encode_distance(d: Distance) -> u16 {
+    if d == INFINITY {
+        UNREACHABLE_U16
+    } else if d >= SATURATED_U16 as Distance {
+        SATURATED_U16
+    } else {
+        d as u16
+    }
+}
+
+/// One landmark-major row of full-width distances in the compact
+/// encoding, little-endian — the input [`LandmarkDistances::fill_rows_le`]
+/// transposes, laid out as a snapshot stores it.
+pub(crate) fn encode_row_le(distances: &[Distance]) -> Vec<[u8; 2]> {
+    distances
+        .iter()
+        .map(|&d| encode_distance(d).to_le_bytes())
+        .collect()
+}
+
+/// Every landmark's distance to every node, node-major: the compact
+/// distances from the `width` landmarks to node `v`, ordered by landmark
+/// rank, are the contiguous column `slab[v·width .. (v+1)·width]`.
+///
+/// Landmark `ℓ`'s classic "row" is the strided sequence of entry
+/// `rank(ℓ)` across all columns; [`RowRef`] views it one entry at a time.
+/// Builds and snapshots move whole rows, so both directions of the
+/// transpose run in cache-line blocks.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LandmarkDistances {
+    /// Landmarks per column, `|L|`.
+    width: usize,
+    /// `width · n` compact distances.
+    slab: Vec<u16>,
+}
+
+impl LandmarkDistances {
+    /// A slab for `width` landmarks over `node_count` nodes, every entry
+    /// zero until [`LandmarkDistances::fill_rows_le`] writes its row. The
+    /// zeroed allocation comes from the allocator's zeroed pages, so the
+    /// transpose's workers fault them in, not a serial fill.
+    pub(crate) fn zeroed(width: usize, node_count: usize) -> Self {
+        LandmarkDistances {
+            width,
+            slab: vec![0; width * node_count],
+        }
+    }
+
+    /// Landmarks per column.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Node `v`'s compact distances to every landmark, in rank order
+    /// (empty when `v` is out of range).
+    #[inline]
+    pub fn column(&self, v: NodeId) -> &[u16] {
+        let start = v as usize * self.width;
+        self.slab.get(start..start + self.width).unwrap_or(&[])
+    }
+
+    /// The compact distance from the landmark of rank `rank` to `v`
+    /// (unreachable when out of range).
+    #[inline]
+    pub(crate) fn raw(&self, rank: usize, v: NodeId) -> u16 {
+        debug_assert!(rank < self.width);
+        self.slab
+            .get(v as usize * self.width + rank)
+            .copied()
+            .unwrap_or(UNREACHABLE_U16)
+    }
+
+    /// Decoded distance from the landmark of rank `rank` to `v`.
+    #[inline]
+    pub fn entry(&self, rank: usize, v: NodeId) -> LandmarkEntry {
+        LandmarkEntry::decode(self.raw(rank, v))
+    }
+
+    /// Hint that entry `(rank, v)` will be read soon — one cache line.
+    #[inline]
+    pub(crate) fn prefetch(&self, rank: usize, v: NodeId) {
+        if let Some(entry) = self.slab.get(v as usize * self.width + rank) {
             crate::prefetch::prefetch_read(entry);
         }
     }
 
-    /// Raw compact distances (for serialization).
-    pub(crate) fn raw(&self) -> &[u16] {
-        &self.distances
+    /// Memory used by the slab, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.slab.len() * std::mem::size_of::<u16>()
     }
 
-    /// Mutable raw compact distances — used by the dynamic overlay's
-    /// incremental row repair ([`crate::dynamic`]), which maintains the
-    /// same clamped encoding `from_distances` produces.
-    pub(crate) fn raw_mut(&mut self) -> &mut [u16] {
-        &mut self.distances
+    /// Overwrite the entry of rank `rank` for node `v` (the dynamic
+    /// overlay's compaction fold).
+    pub(crate) fn set(&mut self, rank: usize, v: NodeId, raw: u16) {
+        self.slab[v as usize * self.width + rank] = raw;
     }
 
-    /// True when any entry is the saturation sentinel — such rows carry
-    /// "unknown large" values that clamped decremental repair cannot see
-    /// through, so the dynamic overlay recomputes them wholesale.
-    pub(crate) fn has_saturated(&self) -> bool {
-        self.distances.contains(&SATURATED_U16)
+    /// Per rank, whether that landmark's row holds a saturated entry. One
+    /// sequential pass over the slab.
+    pub(crate) fn saturated_ranks(&self) -> Vec<bool> {
+        let mut flags = vec![false; self.width];
+        if self.width == 0 {
+            return flags;
+        }
+        for column in self.slab.chunks_exact(self.width) {
+            for (flag, &raw) in flags.iter_mut().zip(column) {
+                *flag |= raw == SATURATED_U16;
+            }
+        }
+        flags
     }
 
-    /// Rebuild from raw compact distances (for deserialization).
-    pub(crate) fn from_raw(distances: Vec<u16>) -> Self {
-        LandmarkTable { distances }
+    /// Write rows into their columns: `rows[i]` holds landmark rank
+    /// `first_rank + i`'s distance to every node as little-endian `u16`s
+    /// (the snapshot's layout).
+    /// The node range is split over `threads` workers, each writing a
+    /// disjoint run of columns [`BLOCK`] nodes at a time: one cache line
+    /// of every row fills `BLOCK` columns, which stay in cache while the
+    /// ranks sweep across them.
+    pub(crate) fn fill_rows_le(&mut self, first_rank: usize, rows: &[&[[u8; 2]]], threads: usize) {
+        let width = self.width;
+        if width == 0 || rows.is_empty() || self.slab.is_empty() {
+            return;
+        }
+        debug_assert!(first_rank + rows.len() <= width);
+        let n = self.slab.len() / width;
+        let nodes_per_part = n.div_ceil(threads.clamp(1, n)).next_multiple_of(BLOCK);
+        let fill = |first_node: usize, part: &mut [u16]| {
+            for (block, columns) in part.chunks_mut(BLOCK * width).enumerate() {
+                let v0 = first_node + block * BLOCK;
+                let nodes = columns.len() / width;
+                for (r, row) in rows.iter().enumerate() {
+                    for (column, &raw) in columns.chunks_exact_mut(width).zip(&row[v0..v0 + nodes])
+                    {
+                        column[first_rank + r] = u16::from_le_bytes(raw);
+                    }
+                }
+            }
+        };
+        let mut parts = self.slab.chunks_mut(nodes_per_part * width);
+        if parts.len() == 1 {
+            fill(0, parts.next().expect("one part"));
+            return;
+        }
+        std::thread::scope(|scope| {
+            for (index, part) in parts.enumerate() {
+                let fill = &fill;
+                scope.spawn(move || fill(index * nodes_per_part, part));
+            }
+        });
+    }
+
+    /// Write every row, little-endian, into `out`: row `r` occupies
+    /// `out[r·stride .. (r+1)·stride]`, its `2n` payload bytes starting
+    /// `offset` bytes in (the caller frames each row in the bytes before).
+    /// The ranks are split over `threads` workers, each writing a disjoint
+    /// run of rows; [`BLOCK`] columns at a time fill one cache line of
+    /// each of its rows.
+    pub(crate) fn write_rows_le(
+        &self,
+        out: &mut [u8],
+        stride: usize,
+        offset: usize,
+        threads: usize,
+    ) {
+        let width = self.width;
+        if width == 0 {
+            return;
+        }
+        let n = self.slab.len() / width;
+        debug_assert_eq!(out.len(), width * stride);
+        debug_assert!(offset + 2 * n <= stride);
+        let ranks_per_part = width.div_ceil(threads.clamp(1, width));
+        let write = |first_rank: usize, rows: &mut [u8]| {
+            for (block, columns) in self.slab.chunks(BLOCK * width).enumerate() {
+                let v0 = block * BLOCK;
+                let nodes = columns.len() / width;
+                for (r, row) in rows.chunks_exact_mut(stride).enumerate() {
+                    let (payload, _) = row[offset..].as_chunks_mut::<2>();
+                    for (raw, column) in payload[v0..v0 + nodes]
+                        .iter_mut()
+                        .zip(columns.chunks_exact(width))
+                    {
+                        *raw = column[first_rank + r].to_le_bytes();
+                    }
+                }
+            }
+        };
+        let mut parts = out.chunks_mut(ranks_per_part * stride);
+        if parts.len() == 1 {
+            write(0, parts.next().expect("one part"));
+            return;
+        }
+        std::thread::scope(|scope| {
+            for (index, part) in parts.enumerate() {
+                let write = &write;
+                scope.spawn(move || write(index * ranks_per_part, part));
+            }
+        });
     }
 }
 
@@ -160,10 +290,9 @@ pub struct VicinityOracle {
     pub(crate) landmarks: LandmarkSet,
     /// Arena-backed flat storage of every node's vicinity.
     pub(crate) store: VicinityStore,
-    /// Landmark id → dense distance row. Rows sit behind `Arc` so a
-    /// dynamic overlay (or a compaction fold) can share the unchanged
-    /// rows of a base oracle instead of copying hundreds of megabytes.
-    pub(crate) landmark_tables: FastMap<NodeId, Arc<LandmarkTable>>,
+    /// Every landmark's distance to every node, node-major (columns
+    /// ordered by landmark rank).
+    pub(crate) landmark_distances: LandmarkDistances,
 }
 
 impl VicinityOracle {
@@ -204,9 +333,17 @@ impl VicinityOracle {
         &self.store
     }
 
-    /// The dense distance row of landmark `u`, if `u` is a landmark.
-    pub fn landmark_table(&self, u: NodeId) -> Option<&LandmarkTable> {
-        self.landmark_tables.get(&u).map(|t| t.as_ref())
+    /// A view of landmark `u`'s distances to every node, if `u` is a
+    /// landmark.
+    pub fn landmark_row(&self, u: NodeId) -> Option<RowRef<'_>> {
+        let rank = self.landmarks.rank(u)?;
+        Some(RowRef::new(&self.landmark_distances, rank, None))
+    }
+
+    /// The node-major landmark distances (memory accounting,
+    /// serialization and the landmark estimate read them directly).
+    pub fn landmark_distances(&self) -> &LandmarkDistances {
+        &self.landmark_distances
     }
 
     /// Whether the oracle stores shortest-path predecessors (and can
@@ -260,11 +397,11 @@ impl VicinityOracle {
     }
 
     /// Greedy-descent path from landmark `landmark` to node `target`, using
-    /// the landmark's dense distance row and the graph for neighbour
-    /// enumeration: from `target`, repeatedly step to any neighbour whose
-    /// stored distance is exactly one less. Returns the path from the
-    /// landmark to the target (inclusive), or `None` if `target` is
-    /// unreachable or `landmark` has no table.
+    /// the landmark's row ([`VicinityOracle::landmark_row`]) and the graph
+    /// for neighbour enumeration: from `target`, repeatedly step to any
+    /// neighbour whose stored distance is exactly one less. Returns the
+    /// path from the landmark to the target (inclusive), or `None` if
+    /// `target` is unreachable or `landmark` is no landmark.
     pub fn landmark_path(
         &self,
         graph: &CsrGraph,
@@ -285,47 +422,95 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<VicinityOracle>();
     assert_send_sync::<VicinityStore>();
-    assert_send_sync::<LandmarkTable>();
+    assert_send_sync::<LandmarkDistances>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A slab holding `rows[r]` as the row of landmark rank `r`.
+    fn from_rows(rows: &[Vec<Distance>], node_count: usize) -> LandmarkDistances {
+        let mut table = LandmarkDistances::zeroed(rows.len(), node_count);
+        let encoded: Vec<Vec<[u8; 2]>> = rows.iter().map(|row| encode_row_le(row)).collect();
+        table.fill_rows_le(0, &encoded.iter().map(Vec::as_slice).collect::<Vec<_>>(), 1);
+        table
+    }
+
     #[test]
     fn landmark_table_round_trips_distances() {
-        let t = LandmarkTable::from_distances(&[0, 3, INFINITY, 70_000, 12]);
-        assert_eq!(t.distance_to(0), Some(0));
-        assert_eq!(t.distance_to(1), Some(3));
-        assert_eq!(t.distance_to(2), None, "INFINITY maps to unreachable");
+        let t = from_rows(&[vec![0, 3, INFINITY, 70_000, 12]], 5);
+        let entry = |v| t.entry(0, v).exact();
+        assert_eq!(entry(0), Some(0));
+        assert_eq!(entry(1), Some(3));
+        assert_eq!(entry(2), None, "INFINITY maps to unreachable");
+        assert_eq!(t.entry(0, 2), LandmarkEntry::Unreachable);
         assert_eq!(
-            t.distance_to(3),
-            None,
-            "distances beyond u16::MAX saturate to unreachable"
+            t.entry(0, 3),
+            LandmarkEntry::Saturated,
+            "distances beyond u16 range saturate"
         );
-        assert_eq!(t.distance_to(4), Some(12));
-        assert_eq!(t.distance_to(99), None);
-        assert_eq!(t.len(), 5);
-        assert!(!t.is_empty());
+        assert_eq!(entry(4), Some(12));
+        assert_eq!(entry(99), None);
+        assert_eq!(t.width(), 1);
         assert_eq!(t.memory_bytes(), 10);
     }
 
     #[test]
     fn landmark_table_raw_round_trip() {
-        let t = LandmarkTable::from_distances(&[1, 2, 3]);
-        let raw = t.raw().to_vec();
-        let rebuilt = LandmarkTable::from_raw(raw);
-        assert_eq!(t, rebuilt);
+        // Node-major: a column holds one node's distances to every
+        // landmark, in rank order, and the blocked transpose both ways
+        // round-trips rows of any shape (here, several partial blocks,
+        // filled in two batches of ranks).
+        let (width, n) = (70, 131);
+        let rows: Vec<Vec<Distance>> = (0..width)
+            .map(|r| {
+                (0..n)
+                    .map(|v| ((r * 7 + v * 3) % 500) as Distance)
+                    .collect()
+            })
+            .collect();
+        let t = from_rows(&rows, n);
+        assert_eq!(t.column(5)[..3], [15, 22, 29]);
+        assert!(t.column(n as NodeId).is_empty());
+        let encoded: Vec<Vec<[u8; 2]>> = rows.iter().map(|row| encode_row_le(row)).collect();
+        for threads in [1, 2, 3] {
+            let mut filled = LandmarkDistances::zeroed(width, n);
+            let (low, high) = encoded.split_at(40);
+            filled.fill_rows_le(
+                0,
+                &low.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                threads,
+            );
+            filled.fill_rows_le(
+                40,
+                &high.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                threads,
+            );
+            assert_eq!(filled, t, "fill_rows_le on {threads} threads");
+            let (offset, stride) = (3, 3 + 2 * n + 1);
+            let mut out = vec![0u8; width * stride];
+            t.write_rows_le(&mut out, stride, offset, threads);
+            for (r, row) in out.chunks_exact(stride).enumerate() {
+                let decoded: Vec<Distance> = row[offset..offset + 2 * n]
+                    .chunks_exact(2)
+                    .map(|b| u16::from_le_bytes([b[0], b[1]]) as Distance)
+                    .collect();
+                assert_eq!(decoded, rows[r], "row {r} on {threads} threads");
+                assert_eq!(row[..offset], [0; 3], "framing bytes untouched");
+            }
+        }
     }
 
     #[test]
     fn empty_landmark_table() {
-        let t = LandmarkTable::from_distances(&[]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.distance_to(0), None);
+        let t = from_rows(&[], 4);
+        assert_eq!(t.width(), 0);
+        assert!(t.column(0).is_empty());
+        assert_eq!(t.memory_bytes(), 0);
+        assert!(t.saturated_ranks().is_empty());
     }
 
     // Oracle-level behaviour is exercised in `build.rs`, `query.rs` and the
-    // integration tests; this module only tests the landmark rows directly.
+    // integration tests; this module only tests the landmark slab directly.
 }

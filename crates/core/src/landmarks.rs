@@ -20,13 +20,20 @@ use vicinity_graph::NodeId;
 
 use crate::config::{OracleConfig, SamplingStrategy};
 
-/// The selected landmark set, with O(1) membership testing.
+/// Marks a node that is not a landmark in [`LandmarkSet`]'s rank map.
+const NO_RANK: u32 = u32::MAX;
+
+/// The selected landmark set, with O(1) membership and rank lookups.
+///
+/// A landmark's **rank** is its position in ascending id order; it is the
+/// landmark's offset inside every node's column of the node-major distance
+/// slab ([`crate::index::LandmarkDistances`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LandmarkSet {
-    /// Landmark node ids in ascending order.
+    /// Landmark node ids in ascending order (rank order).
     nodes: Vec<NodeId>,
-    /// Dense membership bitmap (`membership[u]` ⇔ `u` is a landmark).
-    membership: Vec<bool>,
+    /// Dense id → rank map (`NO_RANK` for non-landmarks).
+    ranks: Vec<u32>,
 }
 
 impl LandmarkSet {
@@ -35,11 +42,11 @@ impl LandmarkSet {
         nodes.sort_unstable();
         nodes.dedup();
         nodes.retain(|&u| (u as usize) < node_count);
-        let mut membership = vec![false; node_count];
-        for &u in &nodes {
-            membership[u as usize] = true;
+        let mut ranks = vec![NO_RANK; node_count];
+        for (rank, &u) in nodes.iter().enumerate() {
+            ranks[u as usize] = rank as u32;
         }
-        LandmarkSet { nodes, membership }
+        LandmarkSet { nodes, ranks }
     }
 
     /// Select landmarks for `graph` according to `config`.
@@ -72,7 +79,17 @@ impl LandmarkSet {
     /// Whether `u` is a landmark.
     #[inline]
     pub fn contains(&self, u: NodeId) -> bool {
-        self.membership.get(u as usize).copied().unwrap_or(false)
+        self.rank(u).is_some()
+    }
+
+    /// The rank of landmark `u` (its position in [`LandmarkSet::nodes`]),
+    /// or `None` when `u` is not a landmark.
+    #[inline]
+    pub fn rank(&self, u: NodeId) -> Option<usize> {
+        match self.ranks.get(u as usize) {
+            Some(&rank) if rank != NO_RANK => Some(rank as usize),
+            _ => None,
+        }
     }
 
     /// The landmark nodes in ascending order.
@@ -90,14 +107,14 @@ impl LandmarkSet {
         self.nodes.is_empty()
     }
 
-    /// Number of nodes in the underlying graph (size of the membership map).
+    /// Number of nodes in the underlying graph (size of the rank map).
     pub fn node_count(&self) -> usize {
-        self.membership.len()
+        self.ranks.len()
     }
 
-    /// Estimated memory use of the landmark set itself, in bytes.
+    /// Memory use of the landmark set itself (ids and rank map), in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<NodeId>() + self.membership.len()
+        (self.nodes.len() + self.ranks.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -125,6 +142,10 @@ mod tests {
         assert!(set.contains(3));
         assert!(!set.contains(0));
         assert!(!set.contains(99));
+        assert_eq!(
+            (set.rank(1), set.rank(3), set.rank(0)),
+            (Some(0), Some(1), None)
+        );
         assert_eq!(set.node_count(), 5);
         assert!(set.memory_bytes() > 0);
     }

@@ -53,11 +53,7 @@ impl MemoryReport {
         let vicinity_entries = oracle.total_vicinity_entries();
         let vicinity_bytes = oracle.store.memory_bytes() as u64;
         let per_node_layout_bytes = oracle.store.per_node_layout_bytes();
-        let landmark_bytes: u64 = oracle
-            .landmark_tables
-            .values()
-            .map(|t| t.memory_bytes() as u64)
-            .sum();
+        let landmark_bytes = oracle.landmark_distances.memory_bytes() as u64;
         let total_bytes =
             vicinity_bytes + landmark_bytes + oracle.landmarks().memory_bytes() as u64;
         let apsp_entries = (nodes as u128) * (nodes.saturating_sub(1) as u128);
@@ -74,7 +70,7 @@ impl MemoryReport {
             predicted_entries_per_node: alpha * sqrt_n,
             vicinity_bytes,
             per_node_layout_bytes,
-            landmark_rows: oracle.landmark_tables.len(),
+            landmark_rows: oracle.landmarks().len(),
             landmark_bytes,
             total_bytes,
             apsp_entries,

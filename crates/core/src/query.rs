@@ -24,60 +24,62 @@
 
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
-use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle};
+use crate::dynamic::RowPatches;
+use crate::index::{LandmarkDistances, LandmarkEntry, VicinityOracle};
 use crate::vicinity::VicinityRef;
-use vicinity_graph::fast_hash::FastMap;
 
-/// A borrowed view of one landmark's dense distance row: either the flat
-/// frozen row, or a frozen base overlaid with a sparse delta of repaired
-/// entries (the dynamic oracle's representation — an edge update touching
-/// a handful of entries must not copy a whole row). All query-time row
-/// reads go through this enum, so both representations serve identical
-/// answers.
+/// A borrowed view of one landmark's row: entry `rank` of every node's
+/// column in the node-major slab ([`LandmarkDistances`]), optionally
+/// overlaid with the dynamic oracle's node-keyed patches of repaired
+/// `(rank, u16)` entries (an edge update touching a handful of entries
+/// must not copy a slab). Reading an entry costs one patch-map probe when
+/// patches are present and one slab cache line otherwise. All query-time
+/// row reads go through this view, so frozen and dynamic indexes serve
+/// identical answers.
 #[derive(Debug, Clone, Copy)]
-pub enum RowRef<'a> {
-    /// A plain frozen row.
-    Flat(&'a LandmarkTable),
-    /// A frozen base plus sparse repaired entries (compact `u16` encoding,
-    /// same clamped domain as the base row).
-    Overlay {
-        /// The frozen base row.
-        base: &'a LandmarkTable,
-        /// Repaired entries overriding the base.
-        delta: &'a FastMap<vicinity_graph::NodeId, u16>,
-    },
+pub struct RowRef<'a> {
+    distances: &'a LandmarkDistances,
+    rank: usize,
+    patches: Option<&'a RowPatches>,
 }
 
 impl<'a> RowRef<'a> {
+    /// The row of landmark rank `rank`, read through `patches` when given.
+    #[inline]
+    pub(crate) fn new(
+        distances: &'a LandmarkDistances,
+        rank: usize,
+        patches: Option<&'a RowPatches>,
+    ) -> Self {
+        RowRef {
+            distances,
+            rank,
+            patches,
+        }
+    }
+
     /// Full decoded entry for `v`.
     #[inline]
     pub fn entry(&self, v: NodeId) -> LandmarkEntry {
-        match self {
-            RowRef::Flat(table) => table.entry(v),
-            RowRef::Overlay { base, delta } => match delta.get(&v) {
-                Some(&raw) => LandmarkTable::decode_entry(raw),
-                None => base.entry(v),
-            },
-        }
+        let patched = self
+            .patches
+            .and_then(|patches| patches.get(&v))
+            .and_then(|column| column.get(self.rank));
+        LandmarkEntry::decode(patched.unwrap_or_else(|| self.distances.raw(self.rank, v)))
     }
 
     /// Distance from the landmark to `v`, or `None` when unreachable,
     /// saturated, or out of range.
     #[inline]
     pub fn distance_to(&self, v: NodeId) -> Option<Distance> {
-        match self.entry(v) {
-            LandmarkEntry::Exact(d) => Some(d),
-            _ => None,
-        }
+        self.entry(v).exact()
     }
 
-    /// Stage-2 prefetch hint for the entry of `v` (base line only — delta
-    /// maps are small and hot).
+    /// Stage-2 prefetch hint for the entry of `v`: the one slab line
+    /// holding it (patches are small and hot).
     #[inline]
     pub(crate) fn prefetch_entry(&self, v: NodeId) {
-        match self {
-            RowRef::Flat(table) | RowRef::Overlay { base: table, .. } => table.prefetch_entry(v),
-        }
+        self.distances.prefetch(self.rank, v);
     }
 }
 
@@ -253,7 +255,8 @@ pub trait QueryIndex {
     /// Borrowed view of `Γ(u)`, or `None` when `u` is out of range.
     fn vicinity_of(&self, u: NodeId) -> Option<VicinityRef<'_>>;
 
-    /// The dense distance row of `u`, if `u` is a landmark.
+    /// A view of landmark `u`'s distances to every node (its row), if `u`
+    /// is a landmark.
     fn landmark_row_of(&self, u: NodeId) -> Option<RowRef<'_>>;
 
     /// Nearest landmark of `u` from its header data, if any is reachable.
@@ -513,9 +516,9 @@ pub(crate) fn distance_batch_accumulate_on<I: QueryIndex + ?Sized>(
 
 /// Stage-2 landmark-row hints for one pair: the case-1/2 rows (when an
 /// endpoint is itself a landmark) and the nearest-landmark rows
-/// [`landmark_bounds`] reads. Each entry is one random access into
-/// a dense row far larger than a cache line — exactly the loads worth
-/// overlapping across a batch.
+/// [`landmark_bounds`] reads. Each entry is one random access into the
+/// node-major slab (one line of the other endpoint's column) — exactly
+/// the loads worth overlapping across a batch.
 #[inline]
 fn hint_landmark_rows<I: QueryIndex + ?Sized>(index: &I, s: NodeId, t: NodeId) {
     if let Some(table) = index.landmark_row_of(s) {
@@ -755,7 +758,7 @@ impl QueryIndex for VicinityOracle {
 
     #[inline]
     fn landmark_row_of(&self, u: NodeId) -> Option<RowRef<'_>> {
-        self.landmark_table(u).map(RowRef::Flat)
+        self.landmark_row(u)
     }
 
     #[inline]

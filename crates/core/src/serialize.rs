@@ -30,7 +30,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vicinity_graph::{Distance, NodeId, INVALID_NODE};
 
 use crate::config::{Alpha, OracleConfig, SamplingStrategy};
-use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle, SATURATED_U16};
+use crate::index::{LandmarkDistances, LandmarkEntry, VicinityOracle, SATURATED_U16};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::VicinityStore;
 use crate::{OracleError, Result};
@@ -94,17 +94,6 @@ fn byte_sum_serial(data: &[u8]) -> u64 {
 /// staging) that a multi-MiB section never needs a second full-size copy
 /// in flight.
 const PUT_BLOCK: usize = 8 << 10;
-
-fn put_u16s(buf: &mut BytesMut, values: &[u16]) {
-    let mut raw = [0u8; PUT_BLOCK * 2];
-    for block in values.chunks(PUT_BLOCK) {
-        let staged = &mut raw[..block.len() * 2];
-        for (chunk, v) in staged.chunks_exact_mut(2).zip(block) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-        buf.put_slice(staged);
-    }
-}
 
 fn put_u32s(buf: &mut BytesMut, values: &[u32]) {
     let mut raw = [0u8; PUT_BLOCK * 4];
@@ -178,6 +167,13 @@ fn get_u32s_parallel(cur: &mut &[u8], len: usize) -> Result<Vec<u32>> {
 // ---------------------------------------------------------------------------
 // Header: config, graph summary, landmark set and landmark rows.
 
+/// Framing bytes before each landmark row's payload: its landmark id (u32)
+/// and its length (u64).
+const ROW_FRAMING: usize = 12;
+
+/// Landmark-row payload bytes per worker thread of the blocked transposes.
+const ROW_BYTES_PER_THREAD: usize = 4 << 20;
+
 fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
     buf.put_slice(MAGIC);
     buf.put_u8(FORMAT_VERSION);
@@ -204,16 +200,34 @@ fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
     buf.put_u64_le(landmark_nodes.len() as u64);
     put_u32s(buf, landmark_nodes);
 
-    // Landmark tables, ordered by landmark id for determinism.
-    let mut table_ids: Vec<NodeId> = oracle.landmark_tables.keys().copied().collect();
-    table_ids.sort_unstable();
-    buf.put_u64_le(table_ids.len() as u64);
-    for l in table_ids {
-        let table = &oracle.landmark_tables[&l];
-        buf.put_u32_le(l);
-        buf.put_u64_le(table.raw().len() as u64);
-        put_u16s(buf, table.raw());
+    // Landmark rows follow (see `encode_landmark_rows`), in rank order.
+    buf.put_u64_le(landmark_nodes.len() as u64);
+}
+
+/// Bytes the landmark rows take in a snapshot of `oracle`.
+fn landmark_rows_len(oracle: &VicinityOracle) -> usize {
+    oracle.landmarks.len() * (ROW_FRAMING + 2 * oracle.node_count)
+}
+
+/// Write the landmark rows into `section` (zeroed, exactly
+/// [`landmark_rows_len`] bytes), in rank order (ascending id): each is
+/// framed by its id and length, then holds the landmark's distance to
+/// every node. The node-major slab is transposed in blocks straight into
+/// the section.
+fn encode_landmark_rows(section: &mut [u8], oracle: &VicinityOracle) {
+    let n = oracle.node_count;
+    let stride = ROW_FRAMING + 2 * n;
+    for (row, &l) in section
+        .chunks_exact_mut(stride)
+        .zip(oracle.landmarks.nodes())
+    {
+        row[..4].copy_from_slice(&l.to_le_bytes());
+        row[4..ROW_FRAMING].copy_from_slice(&(n as u64).to_le_bytes());
     }
+    let threads = crate::parallel::resolve_worker_threads(0, section.len() / ROW_BYTES_PER_THREAD);
+    oracle
+        .landmark_distances
+        .write_rows_le(section, stride, ROW_FRAMING, threads);
 }
 
 /// Everything the header carries, short of the vicinity sections.
@@ -222,7 +236,7 @@ struct DecodedHeader {
     node_count: usize,
     edge_count: usize,
     landmarks: LandmarkSet,
-    landmark_tables: vicinity_graph::fast_hash::FastMap<NodeId, std::sync::Arc<LandmarkTable>>,
+    landmark_distances: LandmarkDistances,
 }
 
 /// Decode the header.
@@ -250,6 +264,14 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
     let store_paths = cur.get_u8() != 0;
     let node_count = cur.get_u64_le() as usize;
     let edge_count = cur.get_u64_le() as usize;
+    // Radii and nearest landmarks alone take 8 bytes per node, so a node
+    // count the input cannot hold is refused before anything is sized by it.
+    if node_count > cur.remaining() / 8 {
+        return Err(OracleError::Decode(format!(
+            "node count {node_count} exceeds what the {} remaining bytes can hold",
+            cur.remaining()
+        )));
+    }
 
     // Landmark set.
     ensure(cur, 8)?;
@@ -257,57 +279,41 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
     let landmark_nodes = get_u32s(cur, landmark_count)?;
     let landmarks = LandmarkSet::from_nodes(landmark_nodes, node_count);
 
-    // Landmark tables — the bulk of a snapshot's bytes (each row is 2n
-    // bytes of dense u16 distances).
+    // Landmark rows — the bulk of a snapshot's bytes: one row of n
+    // distances per landmark, in rank order. The framing is checked first
+    // (every row present, in order, n entries long), so the slab is only
+    // allocated for rows the input really holds; the payloads are then
+    // transposed in blocks into the node-major slab.
     ensure(cur, 8)?;
-    let table_count = cur.get_u64_le() as usize;
-    let mut landmark_tables = vicinity_graph::fast_hash::FastMap::with_capacity_and_hasher(
-        table_count,
-        Default::default(),
-    );
-    // First pass collects (id, payload) descriptors — the row sizes are in
-    // the framing, so the payloads can be converted in parallel, one worker
-    // per group of rows.
-    let mut rows: Vec<(NodeId, &[u8])> = Vec::with_capacity(table_count);
-    let mut payload_bytes = 0usize;
-    for _ in 0..table_count {
-        ensure(cur, 12)?;
-        let l = cur.get_u32_le();
+    let row_count = cur.get_u64_le() as usize;
+    if row_count != landmarks.len() {
+        return Err(OracleError::Decode(format!(
+            "snapshot holds {row_count} landmark rows for {} landmarks",
+            landmarks.len()
+        )));
+    }
+    let mut rows: Vec<&[[u8; 2]]> = Vec::with_capacity(row_count);
+    for &l in landmarks.nodes() {
+        ensure(cur, ROW_FRAMING)?;
+        let id = cur.get_u32_le();
         let len = cur.get_u64_le() as usize;
-        ensure(cur, len * 2)?;
+        if id != l || len != node_count {
+            return Err(OracleError::Decode(format!(
+                "landmark row {id} of {len} entries where landmark {l}'s row of \
+                 {node_count} entries belongs"
+            )));
+        }
+        ensure(cur, len.saturating_mul(2))?;
         let (payload, tail) = cur.split_at(len * 2);
-        rows.push((l, payload));
-        payload_bytes += len * 2;
+        rows.push(payload.as_chunks::<2>().0);
         *cur = tail;
     }
-    const PARALLEL_MIN: usize = 4 << 20;
-    let threads = crate::parallel::resolve_worker_threads(0, payload_bytes / PARALLEL_MIN);
-    let convert = |group: &[(NodeId, &[u8])]| -> Vec<(NodeId, std::sync::Arc<LandmarkTable>)> {
-        group
-            .iter()
-            .map(|&(l, payload)| {
-                let row = payload
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
-                    .collect();
-                (l, std::sync::Arc::new(LandmarkTable::from_raw(row)))
-            })
-            .collect()
-    };
-    if threads <= 1 {
-        landmark_tables.extend(convert(&rows));
-    } else {
-        let group_size = rows.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(group_size)
-                .map(|group| scope.spawn(move || convert(group)))
-                .collect();
-            for handle in handles {
-                landmark_tables.extend(handle.join().expect("landmark decode worker panicked"));
-            }
-        });
-    }
+    let threads = crate::parallel::resolve_worker_threads(
+        0,
+        2 * row_count * node_count / ROW_BYTES_PER_THREAD,
+    );
+    let mut landmark_distances = LandmarkDistances::zeroed(row_count, node_count);
+    landmark_distances.fill_rows_le(0, &rows, threads);
 
     Ok(DecodedHeader {
         config: OracleConfig {
@@ -320,7 +326,7 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
         node_count,
         edge_count,
         landmarks,
-        landmark_tables,
+        landmark_distances,
     })
 }
 
@@ -331,15 +337,20 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
 pub fn encode(oracle: &VicinityOracle) -> Bytes {
     let (radii, nearest, offsets, members, distances, predecessors, boundary_offsets, boundary) =
         oracle.store.raw_sections();
-    // Section payload is dominated by the pools; reserving up front keeps
-    // the encoder to a single allocation.
-    let estimate = 256
-        + oracle.landmark_tables.len() * (12 + oracle.node_count * 2)
-        + (radii.len() + nearest.len()) * 4
-        + (offsets.len() + boundary_offsets.len()) * 8
-        + (members.len() + distances.len() + predecessors.len() + boundary.len()) * 4;
-    let mut buf = BytesMut::with_capacity(estimate);
-    encode_header(&mut buf, oracle);
+    let mut header = BytesMut::new();
+    encode_header(&mut header, oracle);
+    // The landmark rows are the bulk of a snapshot: they go into zeroed
+    // memory whose pages the transpose's workers fault in, rather than
+    // behind a serial fill; the store sections are appended after.
+    let mut buf = BytesMut::zeroed(header.len() + landmark_rows_len(oracle));
+    buf[..header.len()].copy_from_slice(&header);
+    encode_landmark_rows(&mut buf[header.len()..], oracle);
+    buf.reserve(
+        2 + 8
+            + (radii.len() + nearest.len()) * 4
+            + (offsets.len() + boundary_offsets.len()) * 8
+            + (members.len() + distances.len() + predecessors.len() + boundary.len()) * 4,
+    );
 
     // Store-flags byte: every builder sorts member spans by node id, so
     // every snapshot records the invariant.
@@ -449,8 +460,8 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
         // (saturated only where the radius is past the row's horizon).
         let landmark = nearest[u];
         if landmark != INVALID_NODE {
-            let attained = match header.landmark_tables.get(&landmark) {
-                Some(row) => match row.entry(u as NodeId) {
+            let attained = match header.landmarks.rank(landmark) {
+                Some(rank) => match header.landmark_distances.entry(rank, u as NodeId) {
                     LandmarkEntry::Exact(d) => d == radius,
                     LandmarkEntry::Saturated => radius >= Distance::from(SATURATED_U16),
                     LandmarkEntry::Unreachable => false,
@@ -480,7 +491,7 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
         edge_count: header.edge_count,
         landmarks: header.landmarks,
         store,
-        landmark_tables: header.landmark_tables,
+        landmark_distances: header.landmark_distances,
     })
 }
 
@@ -556,7 +567,7 @@ mod tests {
     use crate::build::OracleBuilder;
     use crate::query::DistanceAnswer;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
-    use vicinity_graph::Distance;
+    use vicinity_graph::{Distance, INFINITY};
 
     fn sample_oracle(seed: u64, store_paths: bool) -> VicinityOracle {
         let g = SocialGraphConfig::small_test()
@@ -607,25 +618,92 @@ mod tests {
         // every node's header still names a landmark at its radius.
         let mut oracle = sample_oracle(134, true);
         let landmark = oracle.landmarks.nodes()[0];
-        let n = oracle.node_count;
-        let row = oracle.landmark_table(landmark).unwrap();
-        let mut saturated: Vec<Distance> = (0..n as NodeId)
-            .map(|v| row.distance_to(v).unwrap())
+        let rank = oracle.landmarks.rank(landmark).unwrap();
+        let others: Vec<NodeId> = (0..oracle.node_count as NodeId)
+            .filter(|&v| oracle.vicinity(v).unwrap().nearest_landmark() != Some(landmark))
+            .take(2)
             .collect();
-        let mut others = (0..n as NodeId)
-            .filter(|&v| oracle.vicinity(v).unwrap().nearest_landmark() != Some(landmark));
-        saturated[others.next().unwrap() as usize] = 70_000; // saturates the u16 row
-        saturated[others.next().unwrap() as usize] = vicinity_graph::INFINITY; // unreachable
-        oracle.landmark_tables.insert(
-            landmark,
-            std::sync::Arc::new(LandmarkTable::from_distances(&saturated)),
-        );
+        let (far, cut) = (others[0], others[1]);
+        let distances = &mut oracle.landmark_distances;
+        distances.set(rank, far, crate::index::encode_distance(70_000));
+        distances.set(rank, cut, crate::index::encode_distance(INFINITY));
         let decoded = decode(&encode(&oracle)).unwrap();
         assert_eq!(oracle, decoded);
+        let row = decoded.landmark_row(landmark).unwrap();
+        assert_eq!(row.entry(far), LandmarkEntry::Saturated);
+        assert_eq!(row.entry(cut), LandmarkEntry::Unreachable);
+    }
+
+    #[test]
+    fn landmark_rows_keep_the_row_major_v3_layout() {
+        // The slab is node-major in memory, but a snapshot stores one row
+        // per landmark in ascending id order: id, length n, then the
+        // landmark's distance to nodes 0..n as little-endian u16s.
+        let oracle = sample_oracle(138, false);
+        let bytes = encode(&oracle);
+        let n = oracle.node_count();
+        let landmarks = oracle.landmarks().nodes();
+        let mut pos = 4 + 1 + 8 + 1 + 1 + 8 + 1 + 16 + 8 + landmarks.len() * 4;
         assert_eq!(
-            decoded.landmark_table(landmark).unwrap().raw(),
-            oracle.landmark_table(landmark).unwrap().raw()
+            u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()),
+            landmarks.len() as u64
         );
+        pos += 8;
+        for &l in landmarks {
+            assert_eq!(
+                u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()),
+                l
+            );
+            assert_eq!(
+                u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()),
+                n as u64
+            );
+            pos += ROW_FRAMING;
+            let row = oracle.landmark_row(l).unwrap();
+            for v in 0..n {
+                let raw = u16::from_le_bytes([bytes[pos + 2 * v], bytes[pos + 2 * v + 1]]);
+                assert_eq!(LandmarkEntry::decode(raw), row.entry(v as NodeId));
+            }
+            pos += 2 * n;
+        }
+        assert_eq!(bytes[pos], STORE_FLAG_SORTED_MEMBERS);
+    }
+
+    #[test]
+    fn landmark_rows_must_match_the_landmark_set() {
+        // Rows are decoded by rank, so a snapshot whose rows do not line up
+        // with its landmark set — a wrong id, a wrong length, one row too
+        // few — is refused rather than served with shifted columns.
+        let oracle = sample_oracle(140, false);
+        let bytes = encode(&oracle);
+        let landmarks = oracle.landmarks().nodes();
+        let count_pos = 4 + 1 + 8 + 1 + 1 + 8 + 1 + 16 + 8 + landmarks.len() * 4;
+        let first_row = count_pos + 8;
+        let non_landmark = (0..oracle.node_count() as NodeId)
+            .find(|&u| !oracle.is_landmark(u))
+            .unwrap();
+        let rows = oracle.landmarks().len() as u64;
+        let n = oracle.node_count() as u64;
+        // The node count sits after magic, version, alpha, sampling,
+        // membership, seed and the paths flag; one the input cannot hold
+        // must not size the rank map or the slab.
+        let corruptions: [(usize, u64, &str); 3] = [
+            (count_pos, rows - 1, "landmark rows"),
+            (first_row + 4, n + 1, "landmark row"),
+            (24, 1 << 40, "node count"),
+        ];
+        for (pos, value, expected) in corruptions {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+            fix_checksum(&mut corrupt);
+            let err = decode(&corrupt).unwrap_err();
+            assert!(err.to_string().contains(expected), "{err}");
+        }
+        let mut wrong_id = bytes.to_vec();
+        wrong_id[first_row..first_row + 4].copy_from_slice(&non_landmark.to_le_bytes());
+        fix_checksum(&mut wrong_id);
+        let err = decode(&wrong_id).unwrap_err();
+        assert!(err.to_string().contains("landmark row"), "{err}");
     }
 
     #[test]
@@ -742,7 +820,7 @@ mod tests {
             .nodes()
             .iter()
             .copied()
-            .filter(|&l| oracle.landmark_table(l).unwrap().distance_to(u) != Some(radius))
+            .filter(|&l| oracle.landmark_row(l).unwrap().distance_to(u) != Some(radius))
             .collect();
         assert!(
             !wrong.is_empty(),
@@ -787,7 +865,7 @@ mod tests {
         let mut header = BytesMut::new();
         encode_header(&mut header, oracle);
         assert_eq!(&bytes[..header.len()], &header[..], "header mismatch");
-        header.len()
+        header.len() + landmark_rows_len(oracle)
     }
 
     #[test]

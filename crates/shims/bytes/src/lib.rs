@@ -7,7 +7,7 @@
 //! then consume front-to-back. Like the real crate, the readers panic when
 //! the buffer underflows.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 
 /// Immutable byte buffer.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
@@ -69,12 +69,28 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes { data: self.data }
     }
+
+    /// A buffer of `len` zero bytes, from zeroed memory (no fill pass).
+    pub fn zeroed(len: usize) -> Self {
+        BytesMut { data: vec![0; len] }
+    }
+
+    /// Reserve room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -226,5 +242,10 @@ mod tests {
         assert_eq!(&b[1..], &[2, 3]);
         assert!(Bytes::new().is_empty());
         assert!(BytesMut::new().is_empty());
+        let mut grown = BytesMut::zeroed(3);
+        grown[0] = 7;
+        grown.reserve(16);
+        grown.put_u8(9);
+        assert_eq!(&grown[..], &[7, 0, 0, 9]);
     }
 }

@@ -160,3 +160,148 @@ proptest! {
         let _ = applied_any;
     }
 }
+
+/// An update followed by its inverse leaves nothing in the overlay — no
+/// vicinity entry, no landmark-distance patch, no adjacency patch — so the
+/// next snapshot clones empty maps. Checked for a remove/re-insert pair and
+/// an insert/remove pair, on a grid and on a small social graph.
+#[test]
+fn inverse_updates_leave_an_empty_overlay() {
+    use vicinity::graph::generators::{classic, social::SocialGraphConfig};
+
+    for (graph, stride) in [
+        (classic::grid(8, 8), 1),
+        (SocialGraphConfig::small_test().generate(21), 37),
+    ] {
+        let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
+            .seed(5)
+            .build(&graph);
+        // A real edge, and a friend-of-friend pair that is not one.
+        let a = (0..graph.node_count() as NodeId)
+            .find(|&u| graph.degree(u) >= 2)
+            .unwrap();
+        let b = graph.neighbors(a)[0];
+        let c = graph
+            .neighbors(b)
+            .iter()
+            .copied()
+            .find(|&w| w != a && !graph.neighbors(a).contains(&w))
+            .unwrap();
+        let mut dynamic = DynamicOracle::from_parts(oracle, graph).unwrap();
+        for (x, y, remove_first) in [(a, b, true), (a, c, false)] {
+            for remove in [remove_first, !remove_first] {
+                let applied = if remove {
+                    dynamic.remove_edge(x, y).unwrap()
+                } else {
+                    dynamic.insert_edge(x, y).unwrap()
+                };
+                assert!(applied, "({x},{y}) remove={remove}");
+                assert_matches_rebuild(&dynamic, stride);
+            }
+            assert_eq!(dynamic.overlay_len(), 0, "({x},{y})");
+            assert_eq!(dynamic.row_patch_entries(), 0, "({x},{y})");
+            assert_eq!(dynamic.graph().patched_nodes(), 0, "({x},{y})");
+        }
+        assert_eq!(dynamic.compactions(), 0);
+    }
+}
+
+/// The saturated dynamic path on the 66,000-node path graph, whose
+/// landmark rows saturate the 16-bit storage. Landmarks are pinned: 2 and
+/// n − 3 near the ends (each sees the other end past the 2¹⁶−2 horizon),
+/// plus one every 200 hops. After each update, sampled pairs are compared
+/// against a pinned-landmark rebuild and BFS:
+///
+/// 1. removing `(65800, 65801)`, an edge beyond landmark 2's horizon,
+///    recomputes the saturated rows it is inside the horizon of (landmark
+///    400, n − 3) and pins the one documented divergence: rows for which
+///    both endpoints were already saturated (landmarks 2 and 200) keep the
+///    cut-off side saturated, answering `Miss` where the rebuild answers
+///    `Unreachable`;
+/// 2. re-inserting it restores exact agreement;
+/// 3. removing `(1, 2)` cuts nodes 0–1 off landmark 2, whose recomputed
+///    row then holds both sentinels;
+/// 4. inserting the shortcut `(0, n − 1)` reconnects them beyond the
+///    horizon: saturated over unreachable, so the row is recomputed.
+#[test]
+fn saturated_rows_follow_updates_on_a_long_path() {
+    use vicinity::core::DistanceAnswer;
+    use vicinity::graph::algo::bfs::bfs_distances;
+    use vicinity::graph::generators::classic;
+    use vicinity::graph::INFINITY;
+
+    let n: NodeId = 66_000;
+    let mut landmarks = vec![2, n - 3];
+    landmarks.extend((200..n - 200).step_by(200));
+    let build = |graph: &CsrGraph| {
+        OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(landmarks.clone())
+            .store_paths(false)
+            .build(graph)
+    };
+    let path = classic::path(n as usize);
+    let mut dynamic = DynamicOracle::from_parts(build(&path), path).unwrap();
+
+    let ends: [NodeId; 7] = [0, 1, 3, 5_000, 65_790, 65_900, n - 1];
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    for s in [2, 200, 400, n - 3].into_iter().chain(ends) {
+        for t in ends.into_iter().chain([2, 200, n - 3]) {
+            pairs.push((s, t));
+        }
+    }
+    // Pairs allowed to diverge after a cut: a landmark whose row saw both
+    // endpoints of the removed edge saturated, answering from that row for
+    // a node it lost.
+    let check = |dynamic: &DynamicOracle, divergent: &dyn Fn(NodeId, NodeId) -> bool| {
+        let graph = dynamic.graph().to_csr();
+        let rebuilt = build(&graph);
+        let mut sources: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
+        sources.dedup();
+        for s in sources {
+            let bfs = bfs_distances(&graph, s);
+            for &(_, t) in pairs.iter().filter(|&&(x, _)| x == s) {
+                let (got, want) = (dynamic.distance(s, t), rebuilt.distance(s, t));
+                let truth = bfs[t as usize];
+                // A landmark endpoint answers from its own row, the
+                // source's first.
+                let (l, other) = if landmarks.contains(&s) {
+                    (s, t)
+                } else {
+                    (t, s)
+                };
+                if divergent(l, other) {
+                    assert!(got.is_miss(), "({s},{t}) must stay saturated: {got:?}");
+                    assert!(want.is_unreachable(), "({s},{t}) rebuild: {want:?}");
+                    assert_eq!(truth, INFINITY);
+                    continue;
+                }
+                assert_eq!(got, want, "({s},{t})");
+                match got {
+                    DistanceAnswer::Exact { distance, .. } => assert_eq!(distance, truth),
+                    DistanceAnswer::Unreachable => assert_eq!(truth, INFINITY),
+                    DistanceAnswer::Miss => {}
+                }
+            }
+        }
+    };
+    let none = |_: NodeId, _: NodeId| false;
+    check(&dynamic, &none);
+
+    assert!(dynamic.remove_edge(65_800, 65_801).unwrap());
+    check(&dynamic, &|l, t| (l == 2 || l == 200) && t > 65_800);
+    // The divergence, pinned explicitly.
+    assert!(dynamic.distance(2, 65_900).is_miss());
+    let cut = dynamic.graph().to_csr();
+    assert!(build(&cut).distance(2, 65_900).is_unreachable());
+
+    assert!(dynamic.insert_edge(65_800, 65_801).unwrap());
+    check(&dynamic, &none);
+
+    assert!(dynamic.remove_edge(1, 2).unwrap());
+    check(&dynamic, &|l, t| (l == n - 3 || l == 65_600) && t < 2);
+    assert_eq!(dynamic.distance(2, 0), DistanceAnswer::Unreachable);
+
+    assert!(dynamic.insert_edge(0, n - 1).unwrap());
+    check(&dynamic, &none);
+    assert!(dynamic.distance(2, 0).is_miss(), "0 is 65,998 hops from 2");
+}
