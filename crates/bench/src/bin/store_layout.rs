@@ -12,19 +12,26 @@
 //!
 //! The binary doubles as a correctness gate: it exits non-zero if decoding
 //! a freshly encoded snapshot does not reproduce the oracle, or if the flat
-//! store costs more memory than the per-node model. CI runs
-//! `store_layout -- --smoke` so neither the binary nor the snapshot decode
-//! path can bit-rot.
+//! store costs more memory than the per-node model. With `--smoke` it also
+//! builds the index on one and on two workers and checks every landmark's
+//! full row against a plain BFS from that landmark, an independent
+//! reference for the builder's bit-parallel searches. CI runs
+//! `store_layout -- --smoke` so neither the binary, the snapshot decode
+//! path nor the landmark rows can bit-rot.
 
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use vicinity_bench::{percentile_ms, timed};
 use vicinity_core::config::Alpha;
+use vicinity_core::index::LandmarkEntry;
 use vicinity_core::memory::MemoryReport;
 use vicinity_core::{serialize, OracleBuilder, VicinityOracle};
+use vicinity_graph::algo::bfs::bfs_distances;
 use vicinity_graph::algo::sampling::random_pairs;
+use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::generators::social::SocialGraphConfig;
+use vicinity_graph::{Distance, NodeId, INFINITY};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -64,6 +71,27 @@ fn main() {
     );
 
     let mut failures = 0u32;
+
+    // ------------------------------------------------------------------
+    // Landmark rows against an independent BFS (smoke only: one BFS per
+    // landmark over the whole graph).
+    if smoke {
+        println!("-- landmark rows vs BFS --");
+        for threads in [1, 2] {
+            let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+                .seed(2012)
+                .threads(threads)
+                .build(&graph);
+            let mismatches = check_landmark_rows(&graph, &oracle);
+            println!(
+                "threads={threads}  {} landmarks x {} nodes, {mismatches} mismatched rows",
+                oracle.landmarks().len(),
+                graph.node_count()
+            );
+            failures += mismatches;
+        }
+        println!();
+    }
 
     // ------------------------------------------------------------------
     // Memory: flat store (exact) vs per-node layout (model).
@@ -191,6 +219,35 @@ fn cold_decode_time(path: &std::path::Path, rounds: usize) -> Duration {
         best = Some(best.map_or(elapsed, |b| b.min(elapsed)));
     }
     best.expect("at least one round")
+}
+
+/// The number of landmark rows that differ from a single-source BFS from
+/// their landmark, entry by entry in the compact encoding (exact below
+/// 2¹⁶−2 hops, saturated from there, unreachable where BFS never arrives).
+fn check_landmark_rows(graph: &CsrGraph, oracle: &VicinityOracle) -> u32 {
+    let mut mismatches = 0;
+    for &l in oracle.landmarks().nodes() {
+        let row = oracle.landmark_row(l).expect("a landmark has a row");
+        let wrong = bfs_distances(graph, l)
+            .into_iter()
+            .enumerate()
+            .find(|&(v, d)| {
+                let want = match d {
+                    INFINITY => LandmarkEntry::Unreachable,
+                    d if d >= u16::MAX as Distance - 1 => LandmarkEntry::Saturated,
+                    d => LandmarkEntry::Exact(d),
+                };
+                row.entry(v as NodeId) != want
+            });
+        if let Some((v, d)) = wrong {
+            eprintln!(
+                "FAIL: landmark {l}'s row holds {:?} for node {v}, BFS says {d}",
+                row.entry(v as NodeId)
+            );
+            mismatches += 1;
+        }
+    }
+    mismatches
 }
 
 /// Exact-equality gate between the in-memory oracle and a decoded snapshot,

@@ -11,20 +11,25 @@
 //!    arena; the chunks are spliced into the flat [`VicinityStore`] by
 //!    plain pool concatenation, with the derived shell and hash sections
 //!    built once on the assembled store (no per-node re-hashing).
-//! 4. For every landmark, a full BFS materialises its distances to every
-//!    node, transposed in tiles into the node-major slab
-//!    ([`LandmarkDistances`]).
+//! 4. The landmarks, in rank order, are cut into batches of 64; one
+//!    bit-parallel multi-source BFS per batch (one `u64` lane per
+//!    landmark) materialises the batch's distances to every node in a
+//!    node-major buffer, whose 64-entry column slices are then copied
+//!    into the slab ([`LandmarkDistances`]).
 //!
-//! Steps 3 and 4 are embarrassingly parallel across nodes / landmarks and
-//! are distributed over worker threads with `std::thread::scope`.
+//! Step 3 is split over worker threads by node range, step 4 by batch (one
+//! batch per worker per round, then the copy by node range); both use
+//! `std::thread::scope`, and neither result depends on the thread count.
 
-use vicinity_graph::algo::bfs::{bfs_distances, BoundedBfsScratch};
+use vicinity_graph::algo::bfs::BoundedBfsScratch;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::NodeId;
+use vicinity_graph::{Distance, NodeId};
 
 use crate::ball::BallRadii;
 use crate::config::{Alpha, OracleConfig};
-use crate::index::{encode_row_le, LandmarkDistances, VicinityOracle};
+use crate::index::{
+    encode_distance, LandmarkDistances, VicinityOracle, SATURATED_U16, UNREACHABLE_U16,
+};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::{VicinityChunk, VicinityStore};
 
@@ -128,7 +133,8 @@ impl OracleBuilder {
         // Step 3: vicinities, in parallel over node ranges.
         let store = build_store(graph, &config, &radii);
 
-        // Step 4: landmark distances, in parallel over landmarks.
+        // Step 4: landmark distances, 64 landmarks per search, in
+        // parallel over batches.
         let landmark_distances = build_landmark_distances(graph, &config, &landmarks);
 
         Ok(VicinityOracle {
@@ -195,54 +201,167 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> Vi
     VicinityStore::from_chunks(chunks)
 }
 
-/// Landmark rows computed per round of [`build_landmark_distances`]: each
-/// round holds this many encoded rows (`2n` bytes each) before they are
-/// transposed into the slab, which bounds the build's extra memory.
-const ROWS_PER_ROUND: usize = 256;
+/// Landmarks per bit-parallel search: one lane per bit of a `u64`.
+const LANES: usize = 64;
 
-/// Build every landmark's distances into the node-major slab. Rounds of
-/// [`ROWS_PER_ROUND`] landmarks each run one BFS per landmark, split over
-/// the worker threads, then transpose the round's rows into the columns,
-/// split over the same threads by node range.
+/// Build every landmark's distances into the node-major slab with one
+/// bit-parallel multi-source BFS per batch of [`LANES`] landmarks (MS-BFS,
+/// Then et al., "The More the Merrier", VLDB 2014). The batches are cut
+/// in rank order and run in rounds, one batch per worker; each worker
+/// fills a private node-major buffer, and the round's buffers are then
+/// copied into their columns, split over the same workers by node range.
 fn build_landmark_distances(
     graph: &CsrGraph,
     config: &OracleConfig,
     landmarks: &LandmarkSet,
 ) -> LandmarkDistances {
-    let landmark_nodes = landmarks.nodes();
     let n = graph.node_count();
-    let mut distances = LandmarkDistances::zeroed(landmark_nodes.len(), n);
+    let mut distances = LandmarkDistances::zeroed(landmarks.len(), n);
+    let batches: Vec<&[NodeId]> = landmarks.nodes().chunks(LANES).collect();
+    if batches.is_empty() {
+        return distances;
+    }
     let threads = config.effective_threads().max(1);
-    let build_row = |&l: &NodeId| encode_row_le(&bfs_distances(graph, l));
-    for (round, round_nodes) in landmark_nodes.chunks(ROWS_PER_ROUND).enumerate() {
-        let workers = threads.min(round_nodes.len());
-        let rows: Vec<Vec<[u8; 2]>> = if workers == 1 {
-            round_nodes.iter().map(build_row).collect()
+    let mut searches: Vec<LaneSearch> = (0..threads.min(batches.len()))
+        .map(|_| LaneSearch::new(n))
+        .collect();
+    let per_round = searches.len();
+    for (round, round_batches) in batches.chunks(per_round).enumerate() {
+        let searches = &mut searches[..round_batches.len()];
+        if let [search] = searches {
+            search.run(graph, round_batches[0]);
         } else {
-            let per_worker = round_nodes.len().div_ceil(workers);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = round_nodes
-                    .chunks(per_worker)
-                    .map(|chunk| {
-                        scope.spawn(move || chunk.iter().map(build_row).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("landmark row thread panicked"))
-                    .collect()
-            })
-        };
-        let rows: Vec<&[[u8; 2]]> = rows.iter().map(Vec::as_slice).collect();
-        distances.fill_rows_le(round * ROWS_PER_ROUND, &rows, threads);
+                for (search, &batch) in searches.iter_mut().zip(round_batches) {
+                    scope.spawn(move || search.run(graph, batch));
+                }
+            });
+        }
+        let first_rank = round * per_round * LANES;
+        for (index, search) in searches.iter().enumerate() {
+            for lane in lanes(search.saturated) {
+                distances.mark_saturated(first_rank + index * LANES + lane);
+            }
+        }
+        let blocks: Vec<&[u16]> = searches.iter().map(|s| s.columns.as_slice()).collect();
+        distances.fill_column_blocks(first_rank, &blocks, threads);
     }
     distances
+}
+
+/// The lanes set in `mask`, lowest first.
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        lane
+    })
+}
+
+/// One worker's bit-parallel BFS from a batch of up to [`LANES`]
+/// landmarks. Bit `i` of a node's masks is lane `i`, the batch's `i`-th
+/// landmark; one pass over a frontier node's arcs advances every lane
+/// that reached it at the current level.
+struct LaneSearch {
+    /// Per node, the lanes that have reached it.
+    seen: Vec<u64>,
+    /// Per frontier node, the lanes that reached it at the current level
+    /// (all zero between searches).
+    visit: Vec<u64>,
+    /// Per node, the lanes that reach it at the next level (all zero
+    /// between searches).
+    next: Vec<u64>,
+    frontier: Vec<NodeId>,
+    next_frontier: Vec<NodeId>,
+    /// Node-major compact distances, one entry per lane for each node.
+    columns: Vec<u16>,
+    /// Lanes that reached a node at a saturating level.
+    saturated: u64,
+}
+
+impl LaneSearch {
+    fn new(n: usize) -> Self {
+        LaneSearch {
+            seen: vec![0; n],
+            visit: vec![0; n],
+            next: vec![0; n],
+            frontier: Vec::new(),
+            next_frontier: Vec::new(),
+            columns: Vec::with_capacity(n * LANES),
+            saturated: 0,
+        }
+    }
+
+    /// Search from `batch` (distinct landmarks), leaving every node's
+    /// distances to them in `columns`: `encode_distance(level)` where a
+    /// lane reaches it, `UNREACHABLE_U16` where none does.
+    fn run(&mut self, graph: &CsrGraph, batch: &[NodeId]) {
+        let LaneSearch {
+            seen,
+            visit,
+            next,
+            frontier,
+            next_frontier,
+            columns,
+            saturated,
+        } = self;
+        let k = batch.len();
+        debug_assert!((1..=LANES).contains(&k));
+        seen.fill(0);
+        columns.clear();
+        columns.resize(graph.node_count() * k, UNREACHABLE_U16);
+        *saturated = 0;
+        frontier.clear();
+        for (lane, &l) in batch.iter().enumerate() {
+            let l = l as usize;
+            seen[l] |= 1 << lane;
+            visit[l] |= 1 << lane;
+            columns[l * k + lane] = 0;
+            frontier.push(l as NodeId);
+        }
+        let mut level: Distance = 0;
+        while !frontier.is_empty() {
+            level += 1;
+            let raw = encode_distance(level);
+            for &v in frontier.iter() {
+                let reach = visit[v as usize];
+                for &w in graph.neighbors(v) {
+                    let w = w as usize;
+                    let fresh = reach & !seen[w];
+                    if fresh == 0 {
+                        continue;
+                    }
+                    if next[w] == 0 {
+                        next_frontier.push(w as NodeId);
+                    }
+                    next[w] |= fresh;
+                    seen[w] |= fresh;
+                    let column = &mut columns[w * k..(w + 1) * k];
+                    for lane in lanes(fresh) {
+                        column[lane] = raw;
+                    }
+                }
+            }
+            if raw == SATURATED_U16 {
+                *saturated |= next_frontier
+                    .iter()
+                    .fold(0, |acc, &w| acc | next[w as usize]);
+            }
+            for &v in frontier.iter() {
+                visit[v as usize] = 0;
+            }
+            std::mem::swap(visit, next);
+            std::mem::swap(frontier, next_frontier);
+            next_frontier.clear();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SamplingStrategy;
+    use vicinity_graph::algo::bfs::bfs_distances;
     use vicinity_graph::builder::GraphBuilder;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
 
@@ -367,6 +486,96 @@ mod tests {
         assert!((oracle.average_vicinity_size() - total / n).abs() < 1e-9);
         assert!(oracle.average_boundary_size() <= oracle.average_vicinity_size());
         assert!(oracle.average_vicinity_radius() >= 1.0);
+    }
+
+    /// Every slab entry equals the encoded distance of an independent
+    /// single-source BFS from its landmark, and a rank is flagged exactly
+    /// when its row holds a saturated entry.
+    fn assert_rows_match_bfs(graph: &CsrGraph, oracle: &VicinityOracle) {
+        let slab = oracle.landmark_distances();
+        for (rank, &l) in oracle.landmarks().nodes().iter().enumerate() {
+            let mut saturated = false;
+            for (v, d) in bfs_distances(graph, l).into_iter().enumerate() {
+                let want = encode_distance(d);
+                assert_eq!(slab.raw(rank, v as NodeId), want, "landmark {l}, node {v}");
+                saturated |= want == SATURATED_U16;
+            }
+            assert_eq!(slab.saturated_ranks()[rank], saturated, "landmark {l}");
+        }
+    }
+
+    #[test]
+    fn landmark_rows_match_bfs_across_lane_batches() {
+        // 1 lane, one short of a full batch, exactly one, one over, and
+        // two full batches plus a partial one; on 1–3 workers, so rounds
+        // hold one batch, several, or end short.
+        let g = SocialGraphConfig::small_test().with_nodes(600).generate(75);
+        for count in [1, 63, 64, 65, 130] {
+            let n = g.node_count();
+            let nodes: Vec<NodeId> = (0..count).map(|i| (i * n / count) as NodeId).collect();
+            for threads in [1, 2, 3] {
+                let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+                    .landmarks(nodes.clone())
+                    .threads(threads)
+                    .build(&g);
+                assert_eq!(oracle.landmarks().len(), count);
+                assert_rows_match_bfs(&g, &oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn landmark_rows_match_bfs_with_unreachable_lanes() {
+        // A 5×5 grid (nodes 0–24), a path 25–34 and isolated nodes 35–39;
+        // landmarks in both components and on an isolated node.
+        let mut b = GraphBuilder::with_node_count(40);
+        for r in 0..5u32 {
+            for c in 0..5u32 {
+                if c < 4 {
+                    b.add_edge(r * 5 + c, r * 5 + c + 1);
+                }
+                if r < 4 {
+                    b.add_edge(r * 5 + c, (r + 1) * 5 + c);
+                }
+            }
+        }
+        for v in 25..34 {
+            b.add_edge(v, v + 1);
+        }
+        let g = b.build_undirected();
+        for threads in [1, 2, 3] {
+            let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+                .landmarks(vec![0, 12, 30, 37])
+                .threads(threads)
+                .build(&g);
+            assert_rows_match_bfs(&g, &oracle);
+            let isolated = oracle.landmark_row(37).unwrap();
+            assert_eq!(isolated.distance_to(37), Some(0));
+            assert_eq!(isolated.entry(0), crate::index::LandmarkEntry::Unreachable);
+        }
+    }
+
+    #[test]
+    fn landmark_rows_match_bfs_past_the_saturation_horizon() {
+        // The 66,000-node path of the dynamic saturation test: landmark 2
+        // sees the far end beyond 2¹⁶−2 hops, so its row and those of the
+        // other near-end landmarks saturate, in several lane batches.
+        let n: NodeId = 66_000;
+        let mut landmarks = vec![2, n - 3];
+        landmarks.extend((200..n - 200).step_by(200));
+        let g = classic::path(n as usize);
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(landmarks)
+            .store_paths(false)
+            .build(&g);
+        assert!(oracle.landmarks().len() > 2 * LANES);
+        assert_rows_match_bfs(&g, &oracle);
+        let flags = oracle.landmark_distances().saturated_ranks();
+        // Ranks follow ids: both end landmarks saturate, the middle one
+        // sees every node within 33,000 hops.
+        assert!(flags[0] && flags[flags.len() - 1] && !flags[flags.len() / 2]);
+        let decoded = crate::serialize::decode(&crate::serialize::encode(&oracle)).unwrap();
+        assert_eq!(decoded.landmark_distances, oracle.landmark_distances);
     }
 
     #[test]

@@ -751,9 +751,9 @@ pub struct DynamicOracle {
     /// method, match a pinned rebuild's.
     nearest: Vec<NodeId>,
     /// Per landmark rank, whether its current row may hold a saturated
-    /// entry: one pass over the base slab and the patches on first use,
-    /// then kept (conservatively) by every repair.
-    row_saturated: Option<Vec<bool>>,
+    /// entry: the base slab's flags at construction, then kept
+    /// (conservatively) by every repair.
+    row_saturated: Vec<bool>,
     version: u64,
     compaction_limit: usize,
     /// Σ `budget_cost` over patched vicinities.
@@ -801,6 +801,7 @@ impl DynamicOracle {
                 nearest.push(nearest_raw[u]);
             }
         }
+        let row_saturated = base.landmark_distances().saturated_ranks().to_vec();
         // Default budget: an eighth of the base store before folding.
         let compaction_limit = (base.store().total_entries() as usize / 8).max(4 * 1024);
         Ok(DynamicOracle {
@@ -810,7 +811,7 @@ impl DynamicOracle {
             rows: FastMap::default(),
             radius,
             nearest,
-            row_saturated: None,
+            row_saturated,
             version: 0,
             compaction_limit,
             overlay_budget: 0,
@@ -1369,21 +1370,6 @@ impl DynamicOracle {
         }
     }
 
-    /// Per landmark rank, whether the current row may hold a saturated
-    /// entry (see `row_saturated`).
-    fn saturated_ranks(&mut self) -> &mut [bool] {
-        let (base, rows) = (&self.base, &self.rows);
-        self.row_saturated.get_or_insert_with(|| {
-            let mut flags = base.landmark_distances().saturated_ranks();
-            for patch in rows.values() {
-                for &(rank, raw) in &patch.entries {
-                    flags[rank as usize] |= raw == SATURATED_U16;
-                }
-            }
-            flags
-        })
-    }
-
     /// Insert-side repair of every landmark row. One pass over the two
     /// endpoint columns finds the landmarks the new edge shortcuts. The
     /// encoding is monotone (`exact < SATURATED < UNREACHABLE`), so a
@@ -1436,7 +1422,7 @@ impl DynamicOracle {
                 }
             }
             if wrote_saturated {
-                self.saturated_ranks()[rank] = true;
+                self.row_saturated[rank] = true;
             }
         }
         repaired
@@ -1475,10 +1461,9 @@ impl DynamicOracle {
             if candidates.is_empty() {
                 continue;
             }
-            let saturated = self.saturated_ranks();
             let (recompute, mut candidates): (Vec<_>, Vec<_>) = candidates
                 .into_iter()
-                .partition(|&(rank, _)| saturated[rank]);
+                .partition(|&(rank, _)| self.row_saturated[rank]);
             for (rank, _) in recompute {
                 self.recompute_row(rank);
                 repaired += 1;
@@ -1588,7 +1573,7 @@ impl DynamicOracle {
             write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, encoded);
         }
         if wrote_saturated {
-            self.saturated_ranks()[rank] = true;
+            self.row_saturated[rank] = true;
         }
     }
 
@@ -1613,7 +1598,7 @@ impl DynamicOracle {
                 write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, raw);
             }
         }
-        self.saturated_ranks()[rank] = fresh.contains(&SATURATED_U16);
+        self.row_saturated[rank] = fresh.contains(&SATURATED_U16);
     }
 }
 

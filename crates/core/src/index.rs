@@ -22,6 +22,7 @@ use vicinity_graph::{Distance, NodeId, INFINITY};
 
 use crate::config::OracleConfig;
 use crate::landmarks::LandmarkSet;
+use crate::prefetch::prefetch_read;
 use crate::query::RowRef;
 use crate::vicinity::{VicinityRef, VicinityStore};
 
@@ -37,6 +38,9 @@ pub(crate) const SATURATED_U16: u16 = u16::MAX - 1;
 /// Nodes per block of the row ↔ column transposes: one 64-byte cache
 /// line of `u16`s in each landmark-major row.
 const BLOCK: usize = 32;
+
+/// How many rows ahead the row → column transpose prefetches.
+const PREFETCH_ROWS: usize = 16;
 
 /// One decoded landmark distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,41 +90,41 @@ pub(crate) fn encode_distance(d: Distance) -> u16 {
     }
 }
 
-/// One landmark-major row of full-width distances in the compact
-/// encoding, little-endian — the input [`LandmarkDistances::fill_rows_le`]
-/// transposes, laid out as a snapshot stores it.
-pub(crate) fn encode_row_le(distances: &[Distance]) -> Vec<[u8; 2]> {
-    distances
-        .iter()
-        .map(|&d| encode_distance(d).to_le_bytes())
-        .collect()
-}
-
 /// Every landmark's distance to every node, node-major: the compact
 /// distances from the `width` landmarks to node `v`, ordered by landmark
 /// rank, are the contiguous column `slab[v·width .. (v+1)·width]`.
 ///
 /// Landmark `ℓ`'s classic "row" is the strided sequence of entry
 /// `rank(ℓ)` across all columns; [`RowRef`] views it one entry at a time.
-/// Builds and snapshots move whole rows, so both directions of the
-/// transpose run in cache-line blocks.
+/// The builder writes blocks of whole columns; snapshots move whole rows,
+/// so both directions of that transpose run in cache-line blocks.
+///
+/// Beside the slab it keeps one flag per rank: whether that landmark's row
+/// may hold a saturated entry. Every writer records it on the entries it
+/// already touches, so the flags are exact after a build or a decode and
+/// conservative (never cleared) after a compaction's `set`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LandmarkDistances {
     /// Landmarks per column, `|L|`.
     width: usize,
     /// `width · n` compact distances.
     slab: Vec<u16>,
+    /// Per rank, whether the row may hold a saturated entry.
+    saturated: Vec<bool>,
 }
 
 impl LandmarkDistances {
     /// A slab for `width` landmarks over `node_count` nodes, every entry
-    /// zero until [`LandmarkDistances::fill_rows_le`] writes its row. The
-    /// zeroed allocation comes from the allocator's zeroed pages, so the
-    /// transpose's workers fault them in, not a serial fill.
+    /// zero and every saturation flag clear until a writer fills it: the
+    /// builder's [`LandmarkDistances::fill_column_blocks`] or a snapshot
+    /// decode's [`LandmarkDistances::fill_rows_le`]. The zeroed allocation
+    /// comes from the allocator's zeroed pages, so the writers' workers
+    /// fault them in, not a serial fill.
     pub(crate) fn zeroed(width: usize, node_count: usize) -> Self {
         LandmarkDistances {
             width,
             slab: vec![0; width * node_count],
+            saturated: vec![false; width],
         }
     }
 
@@ -158,43 +162,80 @@ impl LandmarkDistances {
     #[inline]
     pub(crate) fn prefetch(&self, rank: usize, v: NodeId) {
         if let Some(entry) = self.slab.get(v as usize * self.width + rank) {
-            crate::prefetch::prefetch_read(entry);
+            prefetch_read(entry);
         }
     }
 
-    /// Memory used by the slab, in bytes.
+    /// Memory used by the slab and its saturation flags, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.slab.len() * std::mem::size_of::<u16>()
+        self.slab.len() * std::mem::size_of::<u16>() + self.saturated.len()
     }
 
     /// Overwrite the entry of rank `rank` for node `v` (the dynamic
-    /// overlay's compaction fold).
+    /// overlay's compaction fold). A saturated entry flags its rank.
     pub(crate) fn set(&mut self, rank: usize, v: NodeId, raw: u16) {
         self.slab[v as usize * self.width + rank] = raw;
+        self.saturated[rank] |= raw == SATURATED_U16;
     }
 
-    /// Per rank, whether that landmark's row holds a saturated entry. One
-    /// sequential pass over the slab.
-    pub(crate) fn saturated_ranks(&self) -> Vec<bool> {
-        let mut flags = vec![false; self.width];
-        if self.width == 0 {
-            return flags;
+    /// Per rank, whether that landmark's row may hold a saturated entry.
+    pub(crate) fn saturated_ranks(&self) -> &[bool] {
+        &self.saturated
+    }
+
+    /// Flag rank `rank`'s row as holding a saturated entry (the builder,
+    /// whose searches know the level at which a lane saturates).
+    pub(crate) fn mark_saturated(&mut self, rank: usize) {
+        self.saturated[rank] = true;
+    }
+
+    /// Write blocks of whole columns: block `i` is node-major over every
+    /// node, `k_i = blocks[i].len() / n` entries per node, and fills ranks
+    /// `first_rank + k_0 + … + k_{i−1}` onward of each column. The node
+    /// range is split over `threads` workers, each copying a disjoint run
+    /// of columns. The caller flags the saturated ranks it wrote
+    /// ([`LandmarkDistances::mark_saturated`]).
+    pub(crate) fn fill_column_blocks(
+        &mut self,
+        first_rank: usize,
+        blocks: &[&[u16]],
+        threads: usize,
+    ) {
+        let width = self.width;
+        if width == 0 || blocks.is_empty() || self.slab.is_empty() {
+            return;
         }
-        for column in self.slab.chunks_exact(self.width) {
-            for (flag, &raw) in flags.iter_mut().zip(column) {
-                *flag |= raw == SATURATED_U16;
-            }
-        }
-        flags
+        let n = self.slab.len() / width;
+        debug_assert!(first_rank + blocks.iter().map(|b| b.len() / n).sum::<usize>() <= width);
+        let nodes_per_part = n.div_ceil(threads.clamp(1, n));
+        map_parts(
+            self.slab.chunks_mut(nodes_per_part * width),
+            |index, part| {
+                let first_node = index * nodes_per_part;
+                for (i, column) in part.chunks_exact_mut(width).enumerate() {
+                    let v = first_node + i;
+                    let mut rank = first_rank;
+                    for block in blocks {
+                        let k = block.len() / n;
+                        column[rank..rank + k].copy_from_slice(&block[v * k..(v + 1) * k]);
+                        rank += k;
+                    }
+                }
+            },
+        );
     }
 
     /// Write rows into their columns: `rows[i]` holds landmark rank
     /// `first_rank + i`'s distance to every node as little-endian `u16`s
-    /// (the snapshot's layout).
+    /// (the snapshot's layout), and flags the rank if any entry is
+    /// saturated.
     /// The node range is split over `threads` workers, each writing a
     /// disjoint run of columns [`BLOCK`] nodes at a time: one cache line
     /// of every row fills `BLOCK` columns, which stay in cache while the
-    /// ranks sweep across them.
+    /// ranks sweep across them. Each row is its own stream through
+    /// memory, so a later row's line is prefetched, and the sentinel check
+    /// runs a word at a time outside the store loop: a per-entry compare
+    /// inside it slowed the transpose by about a third.
     pub(crate) fn fill_rows_le(&mut self, first_rank: usize, rows: &[&[[u8; 2]]], threads: usize) {
         let width = self.width;
         if width == 0 || rows.is_empty() || self.slab.is_empty() {
@@ -203,29 +244,36 @@ impl LandmarkDistances {
         debug_assert!(first_rank + rows.len() <= width);
         let n = self.slab.len() / width;
         let nodes_per_part = n.div_ceil(threads.clamp(1, n)).next_multiple_of(BLOCK);
-        let fill = |first_node: usize, part: &mut [u16]| {
-            for (block, columns) in part.chunks_mut(BLOCK * width).enumerate() {
-                let v0 = first_node + block * BLOCK;
-                let nodes = columns.len() / width;
-                for (r, row) in rows.iter().enumerate() {
-                    for (column, &raw) in columns.chunks_exact_mut(width).zip(&row[v0..v0 + nodes])
-                    {
-                        column[first_rank + r] = u16::from_le_bytes(raw);
+        let flags = map_parts(
+            self.slab.chunks_mut(nodes_per_part * width),
+            |index, part| {
+                let first_node = index * nodes_per_part;
+                let mut saturated = vec![false; rows.len()];
+                for (block, columns) in part.chunks_mut(BLOCK * width).enumerate() {
+                    let v0 = first_node + block * BLOCK;
+                    let nodes = columns.len() / width;
+                    for (r, (row, flag)) in rows.iter().zip(&mut saturated).enumerate() {
+                        // Each row is its own stream through memory; ask
+                        // for a later row's block early.
+                        if let Some(ahead) = rows.get(r + PREFETCH_ROWS) {
+                            prefetch_read(&ahead[v0]);
+                            prefetch_read(&ahead[v0 + nodes - 1]);
+                        }
+                        let payload = &row[v0..v0 + nodes];
+                        *flag |= holds_saturated(payload);
+                        for (column, &raw) in columns.chunks_exact_mut(width).zip(payload) {
+                            column[first_rank + r] = u16::from_le_bytes(raw);
+                        }
                     }
                 }
+                saturated
+            },
+        );
+        for part in flags {
+            for (flag, saturated) in self.saturated[first_rank..].iter_mut().zip(part) {
+                *flag |= saturated;
             }
-        };
-        let mut parts = self.slab.chunks_mut(nodes_per_part * width);
-        if parts.len() == 1 {
-            fill(0, parts.next().expect("one part"));
-            return;
         }
-        std::thread::scope(|scope| {
-            for (index, part) in parts.enumerate() {
-                let fill = &fill;
-                scope.spawn(move || fill(index * nodes_per_part, part));
-            }
-        });
     }
 
     /// Write every row, little-endian, into `out`: row `r` occupies
@@ -249,7 +297,8 @@ impl LandmarkDistances {
         debug_assert_eq!(out.len(), width * stride);
         debug_assert!(offset + 2 * n <= stride);
         let ranks_per_part = width.div_ceil(threads.clamp(1, width));
-        let write = |first_rank: usize, rows: &mut [u8]| {
+        map_parts(out.chunks_mut(ranks_per_part * stride), |index, rows| {
+            let first_rank = index * ranks_per_part;
             for (block, columns) in self.slab.chunks(BLOCK * width).enumerate() {
                 let v0 = block * BLOCK;
                 let nodes = columns.len() / width;
@@ -263,19 +312,50 @@ impl LandmarkDistances {
                     }
                 }
             }
-        };
-        let mut parts = out.chunks_mut(ranks_per_part * stride);
-        if parts.len() == 1 {
-            write(0, parts.next().expect("one part"));
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (index, part) in parts.enumerate() {
-                let write = &write;
-                scope.spawn(move || write(index * ranks_per_part, part));
-            }
         });
     }
+}
+
+/// Whether any of the little-endian entries is the saturation sentinel,
+/// four entries per 64-bit word: a 16-bit lane of `x = word ^ SAT` is
+/// zero exactly where an entry is saturated, and
+/// `(x − 0x0001…) & !x & 0x8000…` is non-zero iff some lane of `x` is.
+fn holds_saturated(raw: &[[u8; 2]]) -> bool {
+    const LOW: u64 = 0x0001_0001_0001_0001;
+    const HIGH: u64 = 0x8000_8000_8000_8000;
+    const SAT: u64 = SATURATED_U16 as u64 * LOW;
+    let (words, _) = raw.as_flattened().as_chunks::<8>();
+    let lanes = words.iter().fold(0, |any, word| {
+        let x = u64::from_le_bytes(*word) ^ SAT;
+        any | (x.wrapping_sub(LOW) & !x & HIGH)
+    });
+    lanes != 0 || raw[4 * words.len()..].contains(&SATURATED_U16.to_le_bytes())
+}
+
+/// Run `work(index, part)` on every part, each on a scoped thread of its
+/// own (inline when there is only one part), and collect the results in
+/// part order.
+fn map_parts<T: Send, R: Send>(
+    parts: std::slice::ChunksMut<'_, T>,
+    work: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    if parts.len() <= 1 {
+        return parts
+            .enumerate()
+            .map(|(index, part)| work(index, part))
+            .collect();
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = parts
+            .enumerate()
+            .map(|(index, part)| scope.spawn(move || work(index, part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("slab worker panicked"))
+            .collect()
+    })
 }
 
 /// The vicinity-intersection shortest-path oracle.
@@ -429,6 +509,15 @@ const _: () = {
 mod tests {
     use super::*;
 
+    /// One landmark-major row of full-width distances in the compact
+    /// encoding, little-endian, as a snapshot stores it.
+    fn encode_row_le(distances: &[Distance]) -> Vec<[u8; 2]> {
+        distances
+            .iter()
+            .map(|&d| encode_distance(d).to_le_bytes())
+            .collect()
+    }
+
     /// A slab holding `rows[r]` as the row of landmark rank `r`.
     fn from_rows(rows: &[Vec<Distance>], node_count: usize) -> LandmarkDistances {
         let mut table = LandmarkDistances::zeroed(rows.len(), node_count);
@@ -453,7 +542,8 @@ mod tests {
         assert_eq!(entry(4), Some(12));
         assert_eq!(entry(99), None);
         assert_eq!(t.width(), 1);
-        assert_eq!(t.memory_bytes(), 10);
+        assert_eq!(t.memory_bytes(), 10 + 1, "five entries and one flag");
+        assert_eq!(t.saturated_ranks(), [true]);
     }
 
     #[test]
@@ -488,6 +578,24 @@ mod tests {
                 threads,
             );
             assert_eq!(filled, t, "fill_rows_le on {threads} threads");
+            // The same columns from node-major blocks of 64 and 6 ranks,
+            // as the builder writes them.
+            let mut from_blocks = LandmarkDistances::zeroed(width, n);
+            let (low, high) = rows.split_at(64);
+            let blocks: Vec<Vec<u16>> = [low, high]
+                .iter()
+                .map(|block| {
+                    (0..n)
+                        .flat_map(|v| block.iter().map(move |row| encode_distance(row[v])))
+                        .collect()
+                })
+                .collect();
+            let blocks: Vec<&[u16]> = blocks.iter().map(Vec::as_slice).collect();
+            from_blocks.fill_column_blocks(0, &blocks[..1], threads);
+            from_blocks.fill_column_blocks(64, &blocks[1..], threads);
+            assert_eq!(from_blocks, t, "fill_column_blocks on {threads} threads");
+            from_blocks.fill_column_blocks(0, &blocks, threads);
+            assert_eq!(from_blocks, t, "two blocks in one call");
             let (offset, stride) = (3, 3 + 2 * n + 1);
             let mut out = vec![0u8; width * stride];
             t.write_rows_le(&mut out, stride, offset, threads);
@@ -509,6 +617,55 @@ mod tests {
         assert!(t.column(0).is_empty());
         assert_eq!(t.memory_bytes(), 0);
         assert!(t.saturated_ranks().is_empty());
+    }
+
+    #[test]
+    fn saturation_flags_follow_the_writers() {
+        // Decode's transpose flags exactly the rows holding a saturated
+        // entry, on any split of the node range.
+        let far = SATURATED_U16 as Distance;
+        let rows = vec![
+            vec![0, 1, 2, 3],
+            vec![1, far, INFINITY, 2],
+            vec![INFINITY; 4],
+            vec![3, 2, 1, far + 9],
+        ];
+        for threads in [1, 2, 3] {
+            let mut t = LandmarkDistances::zeroed(4, 4);
+            let encoded: Vec<Vec<[u8; 2]>> = rows.iter().map(|row| encode_row_le(row)).collect();
+            let encoded: Vec<&[[u8; 2]]> = encoded.iter().map(Vec::as_slice).collect();
+            t.fill_rows_le(0, &encoded[..2], threads);
+            t.fill_rows_le(2, &encoded[2..], threads);
+            assert_eq!(t.saturated_ranks(), [false, true, false, true]);
+        }
+        // A fold ORs its entry in and never clears a flag.
+        let mut t = from_rows(&rows, 4);
+        t.set(0, 3, SATURATED_U16);
+        t.set(1, 1, 5);
+        t.set(2, 0, UNREACHABLE_U16);
+        assert_eq!(t.saturated_ranks(), [true, true, false, true]);
+        t.mark_saturated(2);
+        assert_eq!(t.saturated_ranks(), [true; 4]);
+    }
+
+    #[test]
+    fn saturation_check_sees_every_position() {
+        // Word-at-a-time: one sentinel in any lane of any word, or in the
+        // tail, is found; values one bit away from it are not.
+        let le = |v: u16| v.to_le_bytes();
+        for len in [0, 1, 3, 4, 5, 9, 32] {
+            let mut raw = vec![le(7); len];
+            assert!(!holds_saturated(&raw), "len {len}");
+            for near in [0xFFFF, 0xFFFC, 0x7FFE, 0xFEFF, 0] {
+                raw.fill(le(near));
+                assert!(!holds_saturated(&raw), "len {len}, {near:#x}");
+            }
+            for at in 0..len {
+                raw.fill(le(UNREACHABLE_U16));
+                raw[at] = le(SATURATED_U16);
+                assert!(holds_saturated(&raw), "len {len}, at {at}");
+            }
+        }
     }
 
     // Oracle-level behaviour is exercised in `build.rs`, `query.rs` and the

@@ -52,9 +52,31 @@ impl BfsTree {
     }
 }
 
-/// Full single-source BFS returning only the distance array.
+/// Full single-source BFS returning only the distance array
+/// (`INFINITY` where unreachable; all `INFINITY` for an out-of-range
+/// source). Keeps no parents: the distance array marks visited nodes and
+/// the queue is a plain vector read from its head.
 pub fn bfs_distances(graph: &CsrGraph, source: NodeId) -> Vec<Distance> {
-    bfs_tree(graph, source).distances
+    let n = graph.node_count();
+    let mut distances = vec![INFINITY; n];
+    if (source as usize) >= n {
+        return distances;
+    }
+    distances[source as usize] = 0;
+    let mut queue = Vec::with_capacity(n);
+    queue.push(source);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let next = distances[u as usize] + 1;
+        for &v in graph.neighbors(u) {
+            if distances[v as usize] == INFINITY {
+                distances[v as usize] = next;
+                queue.push(v);
+            }
+        }
+    }
+    distances
 }
 
 /// Full single-source BFS returning distances and parents.
@@ -709,6 +731,8 @@ mod tests {
         let g = b.build_undirected();
         let t = bfs_tree(&g, 0);
         assert_eq!(t.reached, 2);
+        assert_eq!(bfs_distances(&g, 0), t.distances);
+        assert_eq!(bfs_distances(&g, 3), vec![INFINITY, INFINITY, 1, 0]);
         assert_eq!(t.distance_to(2), None);
         assert_eq!(t.path_to(3), None);
         assert_eq!(bfs_distance_between(&g, 0, 3), None);
@@ -736,6 +760,7 @@ mod tests {
         assert_eq!(bfs_distance_between(&g, 0, 7), None);
         let t = bfs_tree(&g, 9);
         assert_eq!(t.reached, 0);
+        assert_eq!(bfs_distances(&g, 9), vec![INFINITY; 3]);
         assert!(bounded_bfs(&g, 9, 2).is_empty());
     }
 
