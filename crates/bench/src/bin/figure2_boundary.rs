@@ -3,7 +3,7 @@
 
 use vicinity_bench::{print_header, timed, ExperimentEnv};
 use vicinity_core::config::Alpha;
-use vicinity_core::stats::boundary_cdf;
+use vicinity_core::stats::{average_boundary_size, boundary_cdf};
 use vicinity_core::OracleBuilder;
 
 fn main() {
@@ -17,7 +17,8 @@ fn main() {
                 .seed(2012)
                 .build(&dataset.graph)
         });
-        let cdf = boundary_cdf(&oracle, CDF_POINTS);
+        let cdf = boundary_cdf(&oracle, &dataset.graph, CDF_POINTS);
+        let average = average_boundary_size(&oracle, &dataset.graph);
         println!(
             "{} (n = {}, built in {:.1?})",
             dataset.name,
@@ -30,8 +31,8 @@ fn main() {
         }
         println!(
             "  average boundary size: {:.1} nodes ({:.4}% of n)\n",
-            oracle.average_boundary_size(),
-            100.0 * oracle.average_boundary_size() / dataset.node_count() as f64
+            average,
+            100.0 * average / dataset.node_count() as f64
         );
     }
     println!("paper: worst-case boundary size is below 0.4% of the nodes for every dataset.");

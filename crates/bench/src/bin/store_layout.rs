@@ -7,7 +7,7 @@
 //! * index memory — the flat store's exact bytes (`memory.rs` accounting)
 //!   against the modeled cost of the retired one-`NodeVicinity`-per-node
 //!   layout;
-//! * snapshot (format v3) size, encode time and cold-process load time;
+//! * snapshot (format v4) size, encode time and cold-process load time;
 //! * p50/p99 single-thread query latency over random pairs.
 //!
 //! The binary doubles as a correctness gate: it exits non-zero if decoding
@@ -119,7 +119,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Snapshot encode/decode (format v3). The measured encode runs on a
+    // Snapshot encode/decode (format v4). The measured encode runs on a
     // warm heap (one unmeasured pass first, result dropped), so it captures
     // the codec rather than first-touch page faults on fresh allocations.
     println!();
@@ -140,7 +140,7 @@ fn main() {
     let load_time = cold_decode_time(&path, rounds);
     std::fs::remove_file(&path).ok();
     println!(
-        "v3 (flat sections) {:>10.1} MiB  encode {encode_time:>9.1?}  cold load {load_time:>9.1?}",
+        "v4 (flat sections) {:>10.1} MiB  encode {encode_time:>9.1?}  cold load {load_time:>9.1?}",
         bytes.len() as f64 / (1 << 20) as f64
     );
 
@@ -254,14 +254,14 @@ fn check_landmark_rows(graph: &CsrGraph, oracle: &VicinityOracle) -> u32 {
 /// plus a spot check that both answer identically.
 fn check_roundtrip(original: &VicinityOracle, decoded: &VicinityOracle) -> u32 {
     if original != decoded {
-        eprintln!("FAIL: v3 decode does not reproduce the oracle");
+        eprintln!("FAIL: v4 decode does not reproduce the oracle");
         return 1;
     }
     let n = original.node_count() as u32;
     for probe in 0..200u32 {
         let (s, t) = (probe * 131 % n, probe * 977 % n);
         if original.distance(s, t) != decoded.distance(s, t) {
-            eprintln!("FAIL: v3 decoded oracle answers ({s},{t}) differently");
+            eprintln!("FAIL: v4 decoded oracle answers ({s},{t}) differently");
             return 1;
         }
     }

@@ -58,11 +58,15 @@
 //!    horizon keeps entries saturated (reported as [`DistanceAnswer::Miss`],
 //!    resolved by any exact fallback) where a from-scratch rebuild of a
 //!    now-disconnected row would report unreachable.
-//! 3. **Vicinities** — the affected set is `R ∪ C̄(a) ∪ C̄(b)`: nodes whose
-//!    `(radius, ℓ)` header changed, plus the *closed clusters*
-//!    `C̄(x) = { u : d(u, x) ≤ radius(u) }` of both endpoints (computed on
-//!    the post-update state for insertions, pre-update for deletions).
-//!    Clusters admit pruned-BFS enumeration in output-sensitive time — a
+//! 3. **Vicinities** — the affected set is `R ∪ C(a) ∪ C(b)`: nodes whose
+//!    `(radius, ℓ)` header changed, plus the *open clusters*
+//!    `C(x) = { u : d(u, x) < radius(u) }` of both endpoints (computed on
+//!    the post-update state for insertions, pre-update for deletions). A
+//!    vicinity's bounded BFS expands only nodes closer than the radius, so
+//!    an edge whose endpoints both sit at or beyond `u`'s radius is never
+//!    read by it: members, distances and predecessors of every other node
+//!    stay as they were. A landmark's open cluster is empty. Clusters
+//!    admit pruned-BFS enumeration in output-sensitive time — a
 //!    Thorup–Zwick argument: any node on a shortest `x`–`u` path of a
 //!    cluster member is itself a member. Each affected vicinity is rebuilt
 //!    by the same bounded truncated BFS the offline builder runs
@@ -290,7 +294,6 @@ pub(crate) struct OwnedVicinity {
     members: Vec<NodeId>,
     distances: Vec<Distance>,
     predecessors: Vec<NodeId>,
-    boundary: Vec<u32>,
     shell_offsets: Vec<u32>,
     shell_data: Vec<NodeId>,
     hash_slots: Vec<u32>,
@@ -298,9 +301,9 @@ pub(crate) struct OwnedVicinity {
 
 impl OwnedVicinity {
     /// Build `owner`'s vicinity on `graph` exactly as the offline builder
-    /// would: one bounded BFS, id-sorted entries, boundary by escape
-    /// probes, then the derived shell and membership-slot sections through
-    /// the same helpers the store-wide rebuild uses.
+    /// would: one bounded BFS, id-sorted entries, then the derived shell
+    /// and membership-slot sections through the same helpers the
+    /// store-wide rebuild uses.
     fn build<G: Adjacency>(
         graph: &G,
         owner: NodeId,
@@ -318,7 +321,6 @@ impl OwnedVicinity {
                 members: Vec::new(),
                 distances: Vec::new(),
                 predecessors: Vec::new(),
-                boundary: Vec::new(),
                 shell_offsets: Vec::new(),
                 shell_data: Vec::new(),
                 hash_slots: Vec::new(),
@@ -329,15 +331,12 @@ impl OwnedVicinity {
         let mut members = Vec::with_capacity(visited.len());
         let mut distances = Vec::with_capacity(visited.len());
         let mut predecessors = Vec::with_capacity(if store_paths { visited.len() } else { 0 });
-        let mut boundary = Vec::new();
         crate::vicinity::append_vicinity_sections(
-            graph,
             &visited,
             store_paths,
             &mut members,
             &mut distances,
             &mut predecessors,
-            &mut boundary,
         );
 
         let mut shell_offsets = Vec::new();
@@ -361,7 +360,6 @@ impl OwnedVicinity {
             members,
             distances,
             predecessors,
-            boundary,
             shell_offsets,
             shell_data,
             hash_slots,
@@ -377,7 +375,6 @@ impl OwnedVicinity {
             &self.members,
             &self.distances,
             &self.predecessors,
-            &self.boundary,
             &self.shell_offsets,
             &self.shell_data,
             &self.hash_slots,
@@ -392,7 +389,6 @@ impl OwnedVicinity {
             && self.members == base.members()
             && self.distances == base.raw_distances()
             && self.predecessors == base.raw_predecessors()
-            && self.boundary == base.raw_boundary()
     }
 
     /// Overlay budget charge: one entry plus its members.
@@ -712,7 +708,7 @@ pub struct UpdateProfile {
     pub labels_ns: u64,
     /// Nanoseconds spent repairing landmark rows.
     pub rows_ns: u64,
-    /// Nanoseconds spent enumerating the affected-vicinity clusters.
+    /// Nanoseconds spent enumerating the endpoints' open clusters.
     pub cluster_ns: u64,
     /// Nanoseconds spent rebuilding and folding affected vicinities.
     pub rebuild_ns: u64,
@@ -720,7 +716,8 @@ pub struct UpdateProfile {
     pub rows_repaired: u32,
     /// Nodes whose `(radius, nearest)` header changed.
     pub header_changes: u32,
-    /// Vicinities rebuilt (header changes plus endpoint clusters).
+    /// Vicinities rebuilt: the union of the header changes and both
+    /// endpoints' open clusters.
     pub affected_vicinities: u32,
 }
 
@@ -892,7 +889,7 @@ impl DynamicOracle {
 
         // 1. Nearest-landmark labels: distances only improve; flood the
         //    improvement from the side the new edge shortcuts.
-        let mut affected: Vec<(NodeId, bool)> = Vec::new();
+        let mut affected: Vec<NodeId> = Vec::new();
         let phase = std::time::Instant::now();
         self.improve_labels(a, b, &mut affected);
         profile.labels_ns = phase.elapsed().as_nanos() as u64;
@@ -903,16 +900,17 @@ impl DynamicOracle {
         profile.rows_repaired = self.repair_rows_insert(a, b);
         profile.rows_ns = phase.elapsed().as_nanos() as u64;
 
-        // 3. Vicinities: header changes plus both endpoint clusters on the
-        //    new state.
+        // 3. Vicinities: header changes plus both endpoints' open clusters
+        //    on the new state.
         let phase = std::time::Instant::now();
-        self.collect_cluster(a, &mut affected);
-        self.collect_cluster(b, &mut affected);
-        dedup_affected(&mut affected);
+        self.collect_open_cluster(a, &mut affected);
+        self.collect_open_cluster(b, &mut affected);
+        affected.sort_unstable();
+        affected.dedup();
         profile.cluster_ns = phase.elapsed().as_nanos() as u64;
         profile.affected_vicinities = affected.len() as u32;
         let phase = std::time::Instant::now();
-        self.rebuild_vicinities(&affected, a, b);
+        self.rebuild_vicinities(&affected);
         profile.rebuild_ns = phase.elapsed().as_nanos() as u64;
         self.last_profile = profile;
 
@@ -933,13 +931,12 @@ impl DynamicOracle {
         }
         let mut profile = UpdateProfile::default();
         // Pre-update clusters: the affected-vicinity argument runs on the
-        // state in which the edge still exists (post-update distances only
-        // grow, so post-update clusters are subsets of these plus the
-        // header-changed set).
-        let mut affected: Vec<(NodeId, bool)> = Vec::new();
+        // state in which the edge still exists (a vicinity whose BFS never
+        // expanded an endpoint there did not read the edge).
+        let mut affected: Vec<NodeId> = Vec::new();
         let phase = std::time::Instant::now();
-        self.collect_cluster(a, &mut affected);
-        self.collect_cluster(b, &mut affected);
+        self.collect_open_cluster(a, &mut affected);
+        self.collect_open_cluster(b, &mut affected);
         profile.cluster_ns = phase.elapsed().as_nanos() as u64;
 
         self.graph.remove_edge(a, b);
@@ -958,9 +955,10 @@ impl DynamicOracle {
 
         // 3. Vicinities.
         let phase = std::time::Instant::now();
-        dedup_affected(&mut affected);
+        affected.sort_unstable();
+        affected.dedup();
         profile.affected_vicinities = affected.len() as u32;
-        self.rebuild_vicinities(&affected, a, b);
+        self.rebuild_vicinities(&affected);
         profile.rebuild_ns = phase.elapsed().as_nanos() as u64;
         self.last_profile = profile;
 
@@ -983,16 +981,8 @@ impl DynamicOracle {
         let csr = self.graph.to_csr();
         let n = self.base.node_count();
         let store_paths = self.base.stores_paths();
-        let (
-            b_radii,
-            b_nearest,
-            b_offsets,
-            b_members,
-            b_distances,
-            b_preds,
-            b_boundary_offsets,
-            b_boundary,
-        ) = self.base.store().raw_sections();
+        let (b_radii, b_nearest, b_offsets, b_members, b_distances, b_preds) =
+            self.base.store().raw_sections();
 
         let mut radii = Vec::with_capacity(n);
         let mut nearest = Vec::with_capacity(n);
@@ -1000,10 +990,7 @@ impl DynamicOracle {
         let mut members: Vec<NodeId> = Vec::with_capacity(b_members.len());
         let mut distances: Vec<Distance> = Vec::with_capacity(b_distances.len());
         let mut predecessors: Vec<NodeId> = Vec::with_capacity(b_preds.len());
-        let mut boundary_offsets = Vec::with_capacity(n + 1);
-        let mut boundary: Vec<u32> = Vec::with_capacity(b_boundary.len());
         offsets.push(0u64);
-        boundary_offsets.push(0u64);
 
         for u in 0..n {
             match self.overlay.get(&(u as NodeId)) {
@@ -1013,14 +1000,9 @@ impl DynamicOracle {
                     members.extend_from_slice(&v.members);
                     distances.extend_from_slice(&v.distances);
                     predecessors.extend_from_slice(&v.predecessors);
-                    boundary.extend_from_slice(&v.boundary);
                 }
                 None => {
                     let (start, end) = (b_offsets[u] as usize, b_offsets[u + 1] as usize);
-                    let (bs, be) = (
-                        b_boundary_offsets[u] as usize,
-                        b_boundary_offsets[u + 1] as usize,
-                    );
                     radii.push(b_radii[u]);
                     nearest.push(b_nearest[u]);
                     members.extend_from_slice(&b_members[start..end]);
@@ -1028,11 +1010,9 @@ impl DynamicOracle {
                     if store_paths && !b_preds.is_empty() {
                         predecessors.extend_from_slice(&b_preds[start..end]);
                     }
-                    boundary.extend_from_slice(&b_boundary[bs..be]);
                 }
             }
             offsets.push(members.len() as u64);
-            boundary_offsets.push(boundary.len() as u64);
         }
 
         let store = crate::vicinity::VicinityStore::from_raw(
@@ -1042,8 +1022,6 @@ impl DynamicOracle {
             members,
             distances,
             predecessors,
-            boundary_offsets,
-            boundary,
         );
 
         let mut landmark_distances = self.base.landmark_distances().clone();
@@ -1087,7 +1065,7 @@ impl DynamicOracle {
     /// only get smaller, so flooding improvements reaches the canonical
     /// labels: an equal-length route to a smaller-id landmark changes the
     /// label too. Nodes whose header changed are appended to `changed`.
-    fn improve_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<(NodeId, bool)>) {
+    fn improve_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<NodeId>) {
         let graph = &self.graph;
         let radius = &mut self.radius;
         let nearest = &mut self.nearest;
@@ -1108,7 +1086,7 @@ impl DynamicOracle {
             }
             radius[v as usize] = d;
             nearest[v as usize] = label;
-            changed.push((v, true));
+            changed.push(v);
             for &w in graph.neighbors(v) {
                 if (d + 1, label) < (radius[w as usize], nearest[w as usize]) {
                     queue.push_back((w, d + 1, label));
@@ -1131,7 +1109,7 @@ impl DynamicOracle {
     /// They stay canonical too: on deletion distances only grow and, at
     /// an unchanged distance, the least landmark can only get larger, so a
     /// label that keeps its support is still the smallest.
-    fn decrement_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<(NodeId, bool)>) {
+    fn decrement_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<NodeId>) {
         let (ra, rb) = (self.radius[a as usize], self.radius[b as usize]);
         if ra == INFINITY && rb == INFINITY {
             return;
@@ -1237,56 +1215,48 @@ impl DynamicOracle {
             if new_radius != self.radius[v as usize] || new_nearest != self.nearest[v as usize] {
                 self.radius[v as usize] = new_radius;
                 self.nearest[v as usize] = new_nearest;
-                changed.push((v, true));
+                changed.push(v);
             }
         }
     }
 
-    /// Enumerate the closed cluster `C̄(x) = { u : d(u, x) ≤ radius(u) }`
-    /// by pruned BFS (nodes on shortest `x`–`u` paths of members are
-    /// members, so pruning non-members is exact), classifying each member:
-    /// `true` when `d(u, x) < radius(u)` — the open-cluster members whose
-    /// vicinity *content* the edge can change — and `false` for the
-    /// closed-shell members (`d(u, x) == radius(u)` exactly), where the
-    /// only possible change is the endpoint's own boundary bit.
+    /// Enumerate the open cluster `C(x) = { u : d(u, x) < radius(u) }` by
+    /// pruned BFS. `radius` drops by at most one per hop, so every node on
+    /// a shortest `x`–`u` path of a member is a member and pruning
+    /// non-members is exact; in particular the cluster is empty unless `x`
+    /// is its own member, which a landmark (radius 0) never is.
     /// Landmark-free nodes (`radius == INFINITY`) admit everything in
-    /// their component, matching their degenerate whole-component
-    /// vicinities.
-    fn collect_cluster(&mut self, x: NodeId, out: &mut Vec<(NodeId, bool)>) {
+    /// their component, matching their whole-component vicinities.
+    fn collect_open_cluster(&mut self, x: NodeId, out: &mut Vec<NodeId>) {
+        if self.radius[x as usize] == 0 {
+            return;
+        }
         let stamp = self.bump_stamp();
         let graph = &self.graph;
         let radius = &self.radius;
         let mut queue: VecDeque<(NodeId, Distance)> = VecDeque::new();
         self.stamp[x as usize] = stamp;
         queue.push_back((x, 0));
-        out.push((x, radius[x as usize] > 0));
+        out.push(x);
         while let Some((v, d)) = queue.pop_front() {
             for &w in graph.neighbors(v) {
-                if self.stamp[w as usize] != stamp && d < radius[w as usize] {
+                if self.stamp[w as usize] != stamp && d + 1 < radius[w as usize] {
                     self.stamp[w as usize] = stamp;
                     queue.push_back((w, d + 1));
-                    out.push((w, d + 1 < radius[w as usize]));
+                    out.push(w);
                 }
             }
         }
     }
 
-    /// Rebuild the vicinities of `affected` (sorted, deduplicated, each
-    /// tagged full vs shell) on the current graph and fold the results
-    /// into the overlay. Full entries take the bounded truncated-BFS
-    /// rebuild; shell entries — nodes holding an update endpoint at
-    /// exactly their ball radius — can only have that endpoint's boundary
-    /// bit change, so they take a probe-and-copy fast path that usually
-    /// turns out to be a no-op.
-    fn rebuild_vicinities(&mut self, affected: &[(NodeId, bool)], a: NodeId, b: NodeId) {
+    /// Rebuild the vicinities of `affected` (sorted, deduplicated) on the
+    /// current graph by the bounded truncated BFS and fold the results into
+    /// the overlay.
+    fn rebuild_vicinities(&mut self, affected: &[NodeId]) {
         let store_paths = self.base.stores_paths();
-        for &(u, full) in affected {
+        for &u in affected {
             if self.base.is_landmark(u) {
                 // Landmarks keep their empty vicinity (radius 0) forever.
-                continue;
-            }
-            if !full {
-                self.patch_boundary_bits(u, a, b);
                 continue;
             }
             let radius_opt =
@@ -1303,57 +1273,6 @@ impl DynamicOracle {
             );
             self.fold_patch(u, owned);
         }
-    }
-
-    /// Shell fast path: `u` holds an update endpoint at exactly its ball
-    /// radius, so no distance or membership changed — only the escape bit
-    /// of the endpoint member(s) can have flipped. Recompute those bits by
-    /// membership probes; patch only when a bit actually flipped.
-    fn patch_boundary_bits(&mut self, u: NodeId, a: NodeId, b: NodeId) {
-        let current =
-            view_vicinity(&self.base, &self.overlay, u).expect("affected nodes are in range");
-        let mut flips: Vec<(u32, bool)> = Vec::new();
-        for endpoint in [a, b] {
-            let Ok(idx) = current.members().binary_search(&endpoint) else {
-                continue;
-            };
-            let stored = current.raw_boundary().binary_search(&(idx as u32)).is_ok();
-            let escapes = self
-                .graph
-                .neighbors(endpoint)
-                .iter()
-                .any(|&w| !current.contains(w));
-            if stored != escapes {
-                flips.push((idx as u32, escapes));
-            }
-        }
-        if flips.is_empty() {
-            return;
-        }
-        let mut boundary = current.raw_boundary().to_vec();
-        for (idx, escapes) in flips {
-            match boundary.binary_search(&idx) {
-                Ok(pos) if !escapes => {
-                    boundary.remove(pos);
-                }
-                Err(pos) if escapes => {
-                    boundary.insert(pos, idx);
-                }
-                _ => {}
-            }
-        }
-        let owned = OwnedVicinity {
-            radius: current.radius(),
-            nearest: current.raw_nearest(),
-            members: current.members().to_vec(),
-            distances: current.raw_distances().to_vec(),
-            predecessors: current.raw_predecessors().to_vec(),
-            boundary,
-            shell_offsets: current.raw_shell_offsets().to_vec(),
-            shell_data: current.raw_shell_data().to_vec(),
-            hash_slots: current.raw_hash_slots().to_vec(),
-        };
-        self.fold_patch(u, owned);
     }
 
     /// Fold one rebuilt vicinity into the overlay: identical-to-base
@@ -1600,13 +1519,6 @@ impl DynamicOracle {
         }
         self.row_saturated[rank] = fresh.contains(&SATURATED_U16);
     }
-}
-
-/// Sort-and-dedup a classified affected set: per node, a full-rebuild tag
-/// wins over a shell (boundary-bit) tag.
-fn dedup_affected(affected: &mut Vec<(NodeId, bool)>) {
-    affected.sort_unstable_by_key(|&(u, full)| (u, !full));
-    affected.dedup_by(|a, b| a.0 == b.0);
 }
 
 /// `value + 1` in the clamped row domain: exact values step by one and

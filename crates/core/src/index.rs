@@ -35,13 +35,6 @@ pub(crate) const UNREACHABLE_U16: u16 = u16::MAX;
 /// diameters beyond `u16` range.
 pub(crate) const SATURATED_U16: u16 = u16::MAX - 1;
 
-/// Nodes per block of the row ↔ column transposes: one 64-byte cache
-/// line of `u16`s in each landmark-major row.
-const BLOCK: usize = 32;
-
-/// How many rows ahead the row → column transpose prefetches.
-const PREFETCH_ROWS: usize = 16;
-
 /// One decoded landmark distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LandmarkEntry {
@@ -96,8 +89,8 @@ pub(crate) fn encode_distance(d: Distance) -> u16 {
 ///
 /// Landmark `ℓ`'s classic "row" is the strided sequence of entry
 /// `rank(ℓ)` across all columns; [`RowRef`] views it one entry at a time.
-/// The builder writes blocks of whole columns; snapshots move whole rows,
-/// so both directions of that transpose run in cache-line blocks.
+/// The builder writes blocks of whole columns, and snapshots store the
+/// slab in this same layout, so encode and decode are straight copies.
 ///
 /// Beside the slab it keeps one flag per rank: whether that landmark's row
 /// may hold a saturated entry. Every writer records it on the entries it
@@ -117,7 +110,7 @@ impl LandmarkDistances {
     /// A slab for `width` landmarks over `node_count` nodes, every entry
     /// zero and every saturation flag clear until a writer fills it: the
     /// builder's [`LandmarkDistances::fill_column_blocks`] or a snapshot
-    /// decode's [`LandmarkDistances::fill_rows_le`]. The zeroed allocation
+    /// decode's [`LandmarkDistances::from_le`]. The zeroed allocation
     /// comes from the allocator's zeroed pages, so the writers' workers
     /// fault them in, not a serial fill.
     pub(crate) fn zeroed(width: usize, node_count: usize) -> Self {
@@ -225,92 +218,62 @@ impl LandmarkDistances {
         );
     }
 
-    /// Write rows into their columns: `rows[i]` holds landmark rank
-    /// `first_rank + i`'s distance to every node as little-endian `u16`s
-    /// (the snapshot's layout), and flags the rank if any entry is
-    /// saturated.
-    /// The node range is split over `threads` workers, each writing a
-    /// disjoint run of columns [`BLOCK`] nodes at a time: one cache line
-    /// of every row fills `BLOCK` columns, which stay in cache while the
-    /// ranks sweep across them. Each row is its own stream through
-    /// memory, so a later row's line is prefetched, and the sentinel check
-    /// runs a word at a time outside the store loop: a per-entry compare
-    /// inside it slowed the transpose by about a third.
-    pub(crate) fn fill_rows_le(&mut self, first_rank: usize, rows: &[&[[u8; 2]]], threads: usize) {
-        let width = self.width;
-        if width == 0 || rows.is_empty() || self.slab.is_empty() {
-            return;
+    /// The slab held in `raw`: `width · node_count` little-endian entries,
+    /// node-major as [`LandmarkDistances::write_le`] writes them (the
+    /// snapshot layout). The node range is split over `threads` workers,
+    /// each converting a disjoint run of columns. Each column passes a
+    /// word-at-a-time sentinel check, and only a column holding a
+    /// saturated entry is searched for the ranks to flag, so the flags
+    /// come out exact.
+    pub(crate) fn from_le(
+        width: usize,
+        node_count: usize,
+        raw: &[[u8; 2]],
+        threads: usize,
+    ) -> Self {
+        let mut table = Self::zeroed(width, node_count);
+        if table.slab.is_empty() {
+            return table;
         }
-        debug_assert!(first_rank + rows.len() <= width);
-        let n = self.slab.len() / width;
-        let nodes_per_part = n.div_ceil(threads.clamp(1, n)).next_multiple_of(BLOCK);
-        let flags = map_parts(
-            self.slab.chunks_mut(nodes_per_part * width),
-            |index, part| {
-                let first_node = index * nodes_per_part;
-                let mut saturated = vec![false; rows.len()];
-                for (block, columns) in part.chunks_mut(BLOCK * width).enumerate() {
-                    let v0 = first_node + block * BLOCK;
-                    let nodes = columns.len() / width;
-                    for (r, (row, flag)) in rows.iter().zip(&mut saturated).enumerate() {
-                        // Each row is its own stream through memory; ask
-                        // for a later row's block early.
-                        if let Some(ahead) = rows.get(r + PREFETCH_ROWS) {
-                            prefetch_read(&ahead[v0]);
-                            prefetch_read(&ahead[v0 + nodes - 1]);
-                        }
-                        let payload = &row[v0..v0 + nodes];
-                        *flag |= holds_saturated(payload);
-                        for (column, &raw) in columns.chunks_exact_mut(width).zip(payload) {
-                            column[first_rank + r] = u16::from_le_bytes(raw);
-                        }
+        debug_assert_eq!(raw.len(), table.slab.len());
+        let part_len = node_count.div_ceil(threads.clamp(1, node_count)) * width;
+        let flags = map_parts(table.slab.chunks_mut(part_len), |index, part| {
+            let source = &raw[index * part_len..][..part.len()];
+            let mut saturated = vec![false; width];
+            for (column, raw_column) in part.chunks_exact_mut(width).zip(source.chunks_exact(width))
+            {
+                for (entry, &bytes) in column.iter_mut().zip(raw_column) {
+                    *entry = u16::from_le_bytes(bytes);
+                }
+                if holds_saturated(raw_column) {
+                    for (flag, &entry) in saturated.iter_mut().zip(&*column) {
+                        *flag |= entry == SATURATED_U16;
                     }
                 }
-                saturated
-            },
-        );
+            }
+            saturated
+        });
         for part in flags {
-            for (flag, saturated) in self.saturated[first_rank..].iter_mut().zip(part) {
+            for (flag, saturated) in table.saturated.iter_mut().zip(part) {
                 *flag |= saturated;
             }
         }
+        table
     }
 
-    /// Write every row, little-endian, into `out`: row `r` occupies
-    /// `out[r·stride .. (r+1)·stride]`, its `2n` payload bytes starting
-    /// `offset` bytes in (the caller frames each row in the bytes before).
-    /// The ranks are split over `threads` workers, each writing a disjoint
-    /// run of rows; [`BLOCK`] columns at a time fill one cache line of
-    /// each of its rows.
-    pub(crate) fn write_rows_le(
-        &self,
-        out: &mut [u8],
-        stride: usize,
-        offset: usize,
-        threads: usize,
-    ) {
-        let width = self.width;
-        if width == 0 {
+    /// Write the slab into `out` (exactly two bytes per entry) as it is
+    /// held, node-major, each entry little-endian. The entries are split
+    /// over `threads` workers, each writing a disjoint run.
+    pub(crate) fn write_le(&self, out: &mut [u8], threads: usize) {
+        debug_assert_eq!(out.len(), 2 * self.slab.len());
+        if self.slab.is_empty() {
             return;
         }
-        let n = self.slab.len() / width;
-        debug_assert_eq!(out.len(), width * stride);
-        debug_assert!(offset + 2 * n <= stride);
-        let ranks_per_part = width.div_ceil(threads.clamp(1, width));
-        map_parts(out.chunks_mut(ranks_per_part * stride), |index, rows| {
-            let first_rank = index * ranks_per_part;
-            for (block, columns) in self.slab.chunks(BLOCK * width).enumerate() {
-                let v0 = block * BLOCK;
-                let nodes = columns.len() / width;
-                for (r, row) in rows.chunks_exact_mut(stride).enumerate() {
-                    let (payload, _) = row[offset..].as_chunks_mut::<2>();
-                    for (raw, column) in payload[v0..v0 + nodes]
-                        .iter_mut()
-                        .zip(columns.chunks_exact(width))
-                    {
-                        *raw = column[first_rank + r].to_le_bytes();
-                    }
-                }
+        let part_len = self.slab.len().div_ceil(threads.clamp(1, self.slab.len()));
+        map_parts(out.chunks_mut(2 * part_len), |index, part| {
+            let entries = &self.slab[index * part_len..];
+            for (bytes, &entry) in part.as_chunks_mut::<2>().0.iter_mut().zip(entries) {
+                *bytes = entry.to_le_bytes();
             }
         });
     }
@@ -446,14 +409,6 @@ impl VicinityOracle {
         self.store.total_entries() as f64 / self.store.node_count() as f64
     }
 
-    /// Average boundary size `|∂Γ(u)|` over all nodes.
-    pub fn average_boundary_size(&self) -> f64 {
-        if self.store.node_count() == 0 {
-            return 0.0;
-        }
-        self.store.total_boundary_entries() as f64 / self.store.node_count() as f64
-    }
-
     /// Average vicinity radius `d(u, ℓ(u))` over non-landmark nodes — the
     /// quantity of Figure 2 (right).
     pub fn average_vicinity_radius(&self) -> f64 {
@@ -509,21 +464,20 @@ const _: () = {
 mod tests {
     use super::*;
 
-    /// One landmark-major row of full-width distances in the compact
-    /// encoding, little-endian, as a snapshot stores it.
-    fn encode_row_le(distances: &[Distance]) -> Vec<[u8; 2]> {
-        distances
-            .iter()
-            .map(|&d| encode_distance(d).to_le_bytes())
+    /// The node-major little-endian image of `rows[r]` as the row of
+    /// landmark rank `r`, as a snapshot stores it.
+    fn node_major_le(rows: &[Vec<Distance>], node_count: usize) -> Vec<[u8; 2]> {
+        (0..node_count)
+            .flat_map(|v| {
+                rows.iter()
+                    .map(move |row| encode_distance(row[v]).to_le_bytes())
+            })
             .collect()
     }
 
     /// A slab holding `rows[r]` as the row of landmark rank `r`.
     fn from_rows(rows: &[Vec<Distance>], node_count: usize) -> LandmarkDistances {
-        let mut table = LandmarkDistances::zeroed(rows.len(), node_count);
-        let encoded: Vec<Vec<[u8; 2]>> = rows.iter().map(|row| encode_row_le(row)).collect();
-        table.fill_rows_le(0, &encoded.iter().map(Vec::as_slice).collect::<Vec<_>>(), 1);
-        table
+        LandmarkDistances::from_le(rows.len(), node_count, &node_major_le(rows, node_count), 1)
     }
 
     #[test]
@@ -549,9 +503,9 @@ mod tests {
     #[test]
     fn landmark_table_raw_round_trip() {
         // Node-major: a column holds one node's distances to every
-        // landmark, in rank order, and the blocked transpose both ways
-        // round-trips rows of any shape (here, several partial blocks,
-        // filled in two batches of ranks).
+        // landmark, in rank order. The little-endian image round-trips on
+        // any split of the work, and the builder's column blocks write the
+        // same slab (here, batches of 64 and 6 ranks).
         let (width, n) = (70, 131);
         let rows: Vec<Vec<Distance>> = (0..width)
             .map(|r| {
@@ -563,23 +517,16 @@ mod tests {
         let t = from_rows(&rows, n);
         assert_eq!(t.column(5)[..3], [15, 22, 29]);
         assert!(t.column(n as NodeId).is_empty());
-        let encoded: Vec<Vec<[u8; 2]>> = rows.iter().map(|row| encode_row_le(row)).collect();
+        let image = node_major_le(&rows, n);
         for threads in [1, 2, 3] {
-            let mut filled = LandmarkDistances::zeroed(width, n);
-            let (low, high) = encoded.split_at(40);
-            filled.fill_rows_le(
-                0,
-                &low.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-                threads,
+            assert_eq!(
+                LandmarkDistances::from_le(width, n, &image, threads),
+                t,
+                "from_le on {threads} threads"
             );
-            filled.fill_rows_le(
-                40,
-                &high.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-                threads,
-            );
-            assert_eq!(filled, t, "fill_rows_le on {threads} threads");
-            // The same columns from node-major blocks of 64 and 6 ranks,
-            // as the builder writes them.
+            let mut out = vec![0u8; 2 * width * n];
+            t.write_le(&mut out, threads);
+            assert_eq!(out, image.as_flattened(), "write_le on {threads} threads");
             let mut from_blocks = LandmarkDistances::zeroed(width, n);
             let (low, high) = rows.split_at(64);
             let blocks: Vec<Vec<u16>> = [low, high]
@@ -596,17 +543,6 @@ mod tests {
             assert_eq!(from_blocks, t, "fill_column_blocks on {threads} threads");
             from_blocks.fill_column_blocks(0, &blocks, threads);
             assert_eq!(from_blocks, t, "two blocks in one call");
-            let (offset, stride) = (3, 3 + 2 * n + 1);
-            let mut out = vec![0u8; width * stride];
-            t.write_rows_le(&mut out, stride, offset, threads);
-            for (r, row) in out.chunks_exact(stride).enumerate() {
-                let decoded: Vec<Distance> = row[offset..offset + 2 * n]
-                    .chunks_exact(2)
-                    .map(|b| u16::from_le_bytes([b[0], b[1]]) as Distance)
-                    .collect();
-                assert_eq!(decoded, rows[r], "row {r} on {threads} threads");
-                assert_eq!(row[..offset], [0; 3], "framing bytes untouched");
-            }
         }
     }
 
@@ -621,8 +557,8 @@ mod tests {
 
     #[test]
     fn saturation_flags_follow_the_writers() {
-        // Decode's transpose flags exactly the rows holding a saturated
-        // entry, on any split of the node range.
+        // Decode flags exactly the rows holding a saturated entry, on any
+        // split of the node range.
         let far = SATURATED_U16 as Distance;
         let rows = vec![
             vec![0, 1, 2, 3],
@@ -630,12 +566,9 @@ mod tests {
             vec![INFINITY; 4],
             vec![3, 2, 1, far + 9],
         ];
+        let image = node_major_le(&rows, 4);
         for threads in [1, 2, 3] {
-            let mut t = LandmarkDistances::zeroed(4, 4);
-            let encoded: Vec<Vec<[u8; 2]>> = rows.iter().map(|row| encode_row_le(row)).collect();
-            let encoded: Vec<&[[u8; 2]]> = encoded.iter().map(Vec::as_slice).collect();
-            t.fill_rows_le(0, &encoded[..2], threads);
-            t.fill_rows_le(2, &encoded[2..], threads);
+            let t = LandmarkDistances::from_le(4, 4, &image, threads);
             assert_eq!(t.saturated_ranks(), [false, true, false, true]);
         }
         // A fold ORs its entry in and never clears a flag.

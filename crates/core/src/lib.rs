@@ -20,11 +20,14 @@
 //!    distance tables for the landmarks themselves.
 //! 2. **Online**, for a query `(s, t)`: answer directly from a stored table
 //!    when `s` or `t` is a landmark or one lies in the other's vicinity;
-//!    otherwise intersect the *boundary* of `Γ(s)` with `Γ(t)` using hash
-//!    probes. Whenever the vicinities intersect, the minimum of
-//!    `d(s,w) + d(w,t)` over the intersection is the exact shortest
-//!    distance (Theorem 1 + Lemma 1 of the paper, re-proved in the
-//!    documentation of [`query`]).
+//!    otherwise intersect `Γ(s)` with `Γ(t)`. The paper scans the
+//!    *boundary* of `Γ(s)` with hash probes into `Γ(t)`; this crate stores
+//!    no boundary — distance queries intersect per-distance shells in
+//!    order of increasing sum, and path queries scan the outermost shell,
+//!    which contains the boundary. Whenever the vicinities intersect, the
+//!    minimum of `d(s,w) + d(w,t)` over the intersection is the exact
+//!    shortest distance (Theorem 1 + Lemma 1 of the paper, re-proved in
+//!    the documentation of [`query`]).
 //!
 //! Empirically (reproduced by the experiments in `vicinity-bench`), for
 //! `α = 4` the vicinities of >99.9 % of random pairs intersect, so nearly

@@ -3,8 +3,9 @@
 //! §3.2 of the paper: "our technique requires √n/4 factor less memory when
 //! compared to storing all-pair shortest paths" (≥550× for LiveJournal).
 //! This module measures the oracle's actual storage — vicinity entries,
-//! boundary lists, landmark rows — and compares it with the cost of an
-//! all-pairs table over the same graph, reproducing that claim.
+//! derived shell and membership sections, landmark rows — and compares it
+//! with the cost of an all-pairs table over the same graph, reproducing
+//! that claim.
 
 use crate::index::VicinityOracle;
 
@@ -21,11 +22,11 @@ pub struct MemoryReport {
     /// Expected entries per node predicted by the model `α·√n`.
     pub predicted_entries_per_node: f64,
     /// Exact bytes used by the flat vicinity store (header rows, CSR
-    /// offsets, member/distance/predecessor/boundary pools, derived shell
+    /// offsets, member/distance/predecessor pools, derived shell
     /// and hash-slot arenas).
     pub vicinity_bytes: u64,
     /// Modeled bytes the retired one-`NodeVicinity`-per-node layout would
-    /// need for the same index (six private `Vec`s, a per-node struct
+    /// need for the same index (five private `Vec`s, a per-node struct
     /// header and a per-node hash map). See
     /// [`crate::vicinity::VicinityStore::per_node_layout_bytes`].
     pub per_node_layout_bytes: u64,

@@ -2,15 +2,23 @@
 //!
 //! For a query `(s, t)` the oracle answers from stored tables whenever one
 //! of the four shortcut conditions holds — `s ∈ L`, `t ∈ L`, `t ∈ Γ(s)` or
-//! `s ∈ Γ(t)` — and otherwise performs **vicinity intersection**: it
-//! iterates over the boundary nodes of one endpoint's vicinity, probes each
-//! against the other endpoint's vicinity table, and keeps the minimum of
-//! `d(s,w) + d(w,t)`.
+//! `s ∈ Γ(t)` — and otherwise performs **vicinity intersection**, the
+//! minimum of `d(s,w) + d(w,t)` over common members `w`. The paper scans
+//! the boundary `∂Γ(s)` and probes each node against `Γ(t)`; this
+//! implementation stores each vicinity grouped into per-distance shells
+//! and, for distances, intersects shell `a` of `Γ(s)` with shell
+//! `total − a` of `Γ(t)` for increasing `total`, so the first non-empty
+//! pair is the answer. Path queries need the witness as well: they scan
+//! the outermost shell of one vicinity against the other's members.
 //!
 //! **Correctness** (Theorem 1 / Lemma 1 of the paper): if `Γ(s) ∩ Γ(t)` is
 //! non-empty then some node of the intersection lies on a shortest s–t
-//! path, and that node can be found among the boundary nodes of either
-//! vicinity, so the minimum found by the scan is the exact distance.
+//! path, so the minimum sum over the intersection is the exact distance.
+//! For the path scan: `t ∉ Γ(s)`, so a shortest s–t path passes a node `w`
+//! at distance exactly `r_s` from `s`, which lies in the outermost shell;
+//! when the balls meet, `d(s,t) ≤ r_s + r_t`, so `d(w,t) ≤ r_t` and `w` is
+//! in `Γ(t)` too. The outer shell contains `∂Γ(s)` (every escaping member
+//! sits at the radius), so Lemma 1's argument carries over unchanged.
 //!
 //! A fifth way to answer comes from the two nearest-landmark rows the
 //! query reads anyway: the **landmark walk** `s → ℓ(s) → t` (or through
@@ -102,7 +110,7 @@ pub enum AnswerMethod {
     TargetInSourceVicinity,
     /// `s ∈ Γ(t)`: answered from the target's vicinity table.
     SourceInTargetVicinity,
-    /// Answered by scanning boundary nodes and probing the other vicinity.
+    /// Answered by intersecting the two vicinities.
     VicinityIntersection,
     /// The walk through `ℓ(s)` or `ℓ(t)` met a proven lower bound: the
     /// vicinities did not certify a shorter path, so the walk is exact.
@@ -115,7 +123,9 @@ pub enum AnswerMethod {
 pub struct QueryStats {
     /// Membership / distance probes against stored tables.
     pub lookups: u64,
-    /// Boundary nodes scanned during vicinity intersection.
+    /// Intersection steps (merge iterations and shell-member probes) spent
+    /// during vicinity intersection; the name is the paper's, whose scan
+    /// walks the boundary.
     pub boundary_scanned: u64,
     /// Number of intersection witnesses found (nodes in both vicinities).
     pub intersection_size: u64,
@@ -617,15 +627,14 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
         };
     }
 
-    // Vicinity intersection: find the witness minimising the sum, then
-    // splice the two half-paths at the witness.
-    let (scan, probe, scanning_source) = if vs.boundary_len() <= vt.boundary_len() {
+    // Vicinity intersection: scan the smaller outer shell for the witness
+    // minimising the sum, then splice the two half-paths at the witness.
+    let (scan, probe, scanning_source) = if vs.outer_shell().len() <= vt.outer_shell().len() {
         (vs, vt, true)
     } else {
         (vt, vs, false)
     };
-    let (best, _scanned, _witnesses) = scan.min_boundary_sum(&probe);
-    let Some((distance, witness)) = best else {
+    let Some((distance, witness)) = scan.min_outer_shell_sum(&probe) else {
         // Disjoint vicinities: the landmark walk, when it is provably
         // shortest and the graph is at hand for its landmark half.
         let walk = graph.and_then(|g| landmark_walk_path(index, g, &vs, &vt, s, t));
@@ -691,8 +700,8 @@ fn landmark_walk_path<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
 }
 
 /// Batched path queries through the same staged prefetch pipeline as
-/// [`distance_batch_accumulate_on`] (additionally warming predecessor and
-/// boundary segments).
+/// [`distance_batch_accumulate_on`] (additionally warming the predecessor
+/// segments).
 pub(crate) fn path_batch_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
     index: &I,
     graph: Option<&G>,
@@ -842,8 +851,8 @@ impl VicinityOracle {
 
     /// Answer a batch of path queries, in input order, through the same
     /// staged prefetch pipeline as [`VicinityOracle::distance_batch`]
-    /// (additionally warming the predecessor and boundary segments the
-    /// path-splicing walk reads). Identical answers to per-pair
+    /// (additionally warming the predecessor segments the path-splicing
+    /// walk reads). Identical answers to per-pair
     /// [`VicinityOracle::path`] calls.
     pub fn path_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<PathAnswer> {
         path_batch_on::<_, vicinity_graph::csr::CsrGraph>(self, None, pairs)

@@ -7,23 +7,30 @@
 //! little-endian sections and a trailing byte-sum checksum so corrupt
 //! snapshots are rejected rather than silently producing wrong answers.
 //!
-//! ## Format v3
+//! ## Format v4
 //!
-//! Sectioned raw-array dumps of the flat [`VicinityStore`]: after the
-//! header (config, graph summary, landmark set, landmark rows) the
-//! vicinity index is a store-flags byte followed by exactly eight
-//! contiguous little-endian arrays — per-node radii and nearest landmarks,
-//! CSR offsets, and the member / distance / predecessor / boundary pools.
+//! Sectioned raw-array dumps, in the layout the program holds them:
+//!
+//! * the header: config (α, sampling, seed, paths flag), graph summary
+//!   (node and edge counts) and the landmark set (count, ascending ids);
+//! * the landmark slab ([`LandmarkDistances`]), node-major: node `v`'s
+//!   little-endian `u16` distances to every landmark in rank order, for
+//!   `v = 0..n`;
+//! * the vicinity store: a store-flags byte followed by the contiguous
+//!   little-endian arrays of the flat [`VicinityStore`] — per-node radii
+//!   and nearest landmarks, CSR offsets, the member and distance pools, a
+//!   byte saying whether predecessors follow, and the predecessor pool.
+//!
 //! Bit 0 of the flags byte ([`STORE_FLAG_SORTED_MEMBERS`]) records the
 //! build-time invariant that member pools are sorted by node id within
-//! each span. [`decode`] reads only v3 snapshots that carry the flag, and
+//! each span. [`decode`] reads only v4 snapshots that carry the flag, and
 //! checks that every span is strictly ascending and that every
 //! member is a node of the graph, so queries can rely on both
 //! unconditionally. Any other version byte is rejected with an error
-//! naming v3. Encode and decode move whole sections with bulk
-//! `put_slice` / `copy_to_slice` conversions instead of per-node loops,
-//! so load time is O(bytes); the derived shell indexes and membership
-//! hash slots are rebuilt at load, never stored.
+//! naming v4. Encode and decode move whole sections with bulk conversions
+//! instead of per-node loops (the slab as a parallel straight copy), so
+//! load time is O(bytes); the derived shell indexes and membership hash
+//! slots are rebuilt at load, never stored.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -37,10 +44,11 @@ use crate::{OracleError, Result};
 
 const MAGIC: &[u8; 4] = b"VOR1";
 /// The snapshot format version [`encode`] writes and [`decode`] reads:
-/// flat-store sections with a store-flags byte.
-pub const FORMAT_VERSION: u8 = 3;
+/// a node-major landmark slab and flat-store sections with a store-flags
+/// byte.
+pub const FORMAT_VERSION: u8 = 4;
 
-/// Bit 0 of the v3 store-flags byte: member pools are sorted by node id
+/// Bit 0 of the v4 store-flags byte: member pools are sorted by node id
 /// within each node span (the build-time invariant the galloping merge
 /// intersections rely on).
 /// [`decode`] rejects a snapshot without this bit.
@@ -165,14 +173,10 @@ fn get_u32s_parallel(cur: &mut &[u8], len: usize) -> Result<Vec<u32>> {
 }
 
 // ---------------------------------------------------------------------------
-// Header: config, graph summary, landmark set and landmark rows.
+// Header: config, graph summary, landmark set and landmark slab.
 
-/// Framing bytes before each landmark row's payload: its landmark id (u32)
-/// and its length (u64).
-const ROW_FRAMING: usize = 12;
-
-/// Landmark-row payload bytes per worker thread of the blocked transposes.
-const ROW_BYTES_PER_THREAD: usize = 4 << 20;
+/// Landmark-slab bytes per worker thread of the parallel copies.
+const SLAB_BYTES_PER_THREAD: usize = 4 << 20;
 
 fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
     buf.put_slice(MAGIC);
@@ -185,9 +189,6 @@ fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
         SamplingStrategy::Uniform => 1,
         SamplingStrategy::TopDegree => 2,
     });
-    // Membership byte, kept so the v3 layout stays fixed: 0 = flat hash
-    // slots, the only membership structure.
-    buf.put_u8(0);
     buf.put_u64_le(oracle.config.seed);
     buf.put_u8(u8::from(oracle.config.store_paths));
 
@@ -195,39 +196,15 @@ fn encode_header(buf: &mut BytesMut, oracle: &VicinityOracle) {
     buf.put_u64_le(oracle.node_count as u64);
     buf.put_u64_le(oracle.edge_count as u64);
 
-    // Landmark set.
+    // Landmark set; the node-major slab follows.
     let landmark_nodes = oracle.landmarks.nodes();
     buf.put_u64_le(landmark_nodes.len() as u64);
     put_u32s(buf, landmark_nodes);
-
-    // Landmark rows follow (see `encode_landmark_rows`), in rank order.
-    buf.put_u64_le(landmark_nodes.len() as u64);
 }
 
-/// Bytes the landmark rows take in a snapshot of `oracle`.
-fn landmark_rows_len(oracle: &VicinityOracle) -> usize {
-    oracle.landmarks.len() * (ROW_FRAMING + 2 * oracle.node_count)
-}
-
-/// Write the landmark rows into `section` (zeroed, exactly
-/// [`landmark_rows_len`] bytes), in rank order (ascending id): each is
-/// framed by its id and length, then holds the landmark's distance to
-/// every node. The node-major slab is transposed in blocks straight into
-/// the section.
-fn encode_landmark_rows(section: &mut [u8], oracle: &VicinityOracle) {
-    let n = oracle.node_count;
-    let stride = ROW_FRAMING + 2 * n;
-    for (row, &l) in section
-        .chunks_exact_mut(stride)
-        .zip(oracle.landmarks.nodes())
-    {
-        row[..4].copy_from_slice(&l.to_le_bytes());
-        row[4..ROW_FRAMING].copy_from_slice(&(n as u64).to_le_bytes());
-    }
-    let threads = crate::parallel::resolve_worker_threads(0, section.len() / ROW_BYTES_PER_THREAD);
-    oracle
-        .landmark_distances
-        .write_rows_le(section, stride, ROW_FRAMING, threads);
+/// Bytes the landmark slab takes in a snapshot of `oracle`.
+fn landmark_slab_len(oracle: &VicinityOracle) -> usize {
+    2 * oracle.landmarks.len() * oracle.node_count
 }
 
 /// Everything the header carries, short of the vicinity sections.
@@ -241,7 +218,7 @@ struct DecodedHeader {
 
 /// Decode the header.
 fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
-    ensure(cur, 8 + 1 + 1 + 8 + 1 + 16)?;
+    ensure(cur, 8 + 1 + 8 + 1 + 16)?;
     let alpha =
         Alpha::new(cur.get_f64_le()).map_err(|e| OracleError::Decode(format!("bad alpha: {e}")))?;
     let sampling = match cur.get_u8() {
@@ -254,12 +231,6 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
             )))
         }
     };
-    let membership = cur.get_u8();
-    if membership != 0 {
-        return Err(OracleError::Decode(format!(
-            "unknown membership structure {membership}: only flat hash slots (0) are supported"
-        )));
-    }
     let seed = cur.get_u64_le();
     let store_paths = cur.get_u8() != 0;
     let node_count = cur.get_u64_le() as usize;
@@ -273,47 +244,45 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
         )));
     }
 
-    // Landmark set.
+    // Landmark set: strictly ascending ids of nodes of the graph, so rank
+    // order is id order, as in every built oracle.
     ensure(cur, 8)?;
     let landmark_count = cur.get_u64_le() as usize;
-    let landmark_nodes = get_u32s(cur, landmark_count)?;
-    let landmarks = LandmarkSet::from_nodes(landmark_nodes, node_count);
-
-    // Landmark rows — the bulk of a snapshot's bytes: one row of n
-    // distances per landmark, in rank order. The framing is checked first
-    // (every row present, in order, n entries long), so the slab is only
-    // allocated for rows the input really holds; the payloads are then
-    // transposed in blocks into the node-major slab.
-    ensure(cur, 8)?;
-    let row_count = cur.get_u64_le() as usize;
-    if row_count != landmarks.len() {
+    if landmark_count > node_count {
         return Err(OracleError::Decode(format!(
-            "snapshot holds {row_count} landmark rows for {} landmarks",
-            landmarks.len()
+            "landmark count {landmark_count} exceeds the node count {node_count}"
         )));
     }
-    let mut rows: Vec<&[[u8; 2]]> = Vec::with_capacity(row_count);
-    for &l in landmarks.nodes() {
-        ensure(cur, ROW_FRAMING)?;
-        let id = cur.get_u32_le();
-        let len = cur.get_u64_le() as usize;
-        if id != l || len != node_count {
+    let landmark_nodes = get_u32s(cur, landmark_count)?;
+    if landmark_nodes.windows(2).any(|w| w[0] >= w[1])
+        || landmark_nodes
+            .last()
+            .is_some_and(|&l| l as usize >= node_count)
+    {
+        return Err(OracleError::Decode(
+            "landmark set is not strictly ascending node ids".into(),
+        ));
+    }
+    let landmarks = LandmarkSet::from_nodes(landmark_nodes, node_count);
+
+    // The landmark slab — the bulk of a snapshot's bytes — node-major, as
+    // the program holds it: one straight parallel copy.
+    let slab_len = landmark_count.saturating_mul(node_count).saturating_mul(2);
+    ensure(cur, slab_len)?;
+    let (slab, tail) = cur.split_at(slab_len);
+    *cur = tail;
+    let threads = crate::parallel::resolve_worker_threads(0, slab_len / SLAB_BYTES_PER_THREAD);
+    let landmark_distances =
+        LandmarkDistances::from_le(landmark_count, node_count, slab.as_chunks::<2>().0, threads);
+    // Each landmark is at distance 0 from itself: a column that does not
+    // say so belongs to another landmark set.
+    for (rank, &l) in landmarks.nodes().iter().enumerate() {
+        if landmark_distances.raw(rank, l) != 0 {
             return Err(OracleError::Decode(format!(
-                "landmark row {id} of {len} entries where landmark {l}'s row of \
-                 {node_count} entries belongs"
+                "landmark slab does not hold landmark {l} at distance 0 from itself"
             )));
         }
-        ensure(cur, len.saturating_mul(2))?;
-        let (payload, tail) = cur.split_at(len * 2);
-        rows.push(payload.as_chunks::<2>().0);
-        *cur = tail;
     }
-    let threads = crate::parallel::resolve_worker_threads(
-        0,
-        2 * row_count * node_count / ROW_BYTES_PER_THREAD,
-    );
-    let mut landmark_distances = LandmarkDistances::zeroed(row_count, node_count);
-    landmark_distances.fill_rows_le(0, &rows, threads);
 
     Ok(DecodedHeader {
         config: OracleConfig {
@@ -333,23 +302,26 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
 // ---------------------------------------------------------------------------
 // Vicinity sections.
 
-/// Serialize an oracle to bytes (format v3, the flat-store sections).
+/// Serialize an oracle to bytes (format v4).
 pub fn encode(oracle: &VicinityOracle) -> Bytes {
-    let (radii, nearest, offsets, members, distances, predecessors, boundary_offsets, boundary) =
-        oracle.store.raw_sections();
+    let (radii, nearest, offsets, members, distances, predecessors) = oracle.store.raw_sections();
     let mut header = BytesMut::new();
     encode_header(&mut header, oracle);
-    // The landmark rows are the bulk of a snapshot: they go into zeroed
-    // memory whose pages the transpose's workers fault in, rather than
-    // behind a serial fill; the store sections are appended after.
-    let mut buf = BytesMut::zeroed(header.len() + landmark_rows_len(oracle));
+    // The landmark slab is the bulk of a snapshot: it goes into zeroed
+    // memory whose pages the copy's workers fault in, rather than behind
+    // a serial fill; the store sections are appended after.
+    let slab_len = landmark_slab_len(oracle);
+    let mut buf = BytesMut::zeroed(header.len() + slab_len);
     buf[..header.len()].copy_from_slice(&header);
-    encode_landmark_rows(&mut buf[header.len()..], oracle);
+    let threads = crate::parallel::resolve_worker_threads(0, slab_len / SLAB_BYTES_PER_THREAD);
+    oracle
+        .landmark_distances
+        .write_le(&mut buf[header.len()..], threads);
     buf.reserve(
         2 + 8
             + (radii.len() + nearest.len()) * 4
-            + (offsets.len() + boundary_offsets.len()) * 8
-            + (members.len() + distances.len() + predecessors.len() + boundary.len()) * 4,
+            + offsets.len() * 8
+            + (members.len() + distances.len() + predecessors.len()) * 4,
     );
 
     // Store-flags byte: every builder sorts member spans by node id, so
@@ -362,8 +334,6 @@ pub fn encode(oracle: &VicinityOracle) -> Bytes {
     put_u32s(&mut buf, distances);
     buf.put_u8(u8::from(!predecessors.is_empty()));
     put_u32s(&mut buf, predecessors);
-    put_u64s(&mut buf, boundary_offsets);
-    put_u32s(&mut buf, boundary);
 
     let checksum = byte_sum(&buf);
     buf.put_u64_le(checksum);
@@ -376,7 +346,7 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
     if cur.get_u8() & STORE_FLAG_SORTED_MEMBERS == 0 {
         return Err(OracleError::Decode(
             "snapshot does not record sorted member spans (store flag bit 0 clear); \
-             only v3 snapshots carrying the flag are supported"
+             only v4 snapshots carrying the flag are supported"
                 .into(),
         ));
     }
@@ -398,27 +368,6 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
     } else {
         Vec::new()
     };
-    let boundary_offsets = get_u64s(cur, n + 1)?;
-    if boundary_offsets.first() != Some(&0) || boundary_offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(OracleError::Decode(
-            "boundary offsets are not monotonically non-decreasing from 0".into(),
-        ));
-    }
-    let boundary_total = boundary_offsets[n] as usize;
-    let boundary = get_u32s(cur, boundary_total)?;
-    for u in 0..n {
-        let span = (offsets[u + 1] - offsets[u]) as u32;
-        let (b_start, b_end) = (
-            boundary_offsets[u] as usize,
-            boundary_offsets[u + 1] as usize,
-        );
-        if let Some(&bad) = boundary[b_start..b_end].iter().find(|&&idx| idx >= span) {
-            return Err(OracleError::Decode(format!(
-                "boundary index {bad} out of range for {span} members of node {u}"
-            )));
-        }
-    }
-
     // The flag is never trusted blindly: the trailing byte-sum checksum is
     // order-invariant, so a transposed (or duplicated) member span can reach
     // this point checksum-valid, and a store built from it would make merges
@@ -475,16 +424,7 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
             }
         }
     }
-    let store = VicinityStore::from_raw(
-        radii,
-        nearest,
-        offsets,
-        members,
-        distances,
-        predecessors,
-        boundary_offsets,
-        boundary,
-    );
+    let store = VicinityStore::from_raw(radii, nearest, offsets, members, distances, predecessors);
     Ok(VicinityOracle {
         config: header.config,
         node_count: header.node_count,
@@ -498,7 +438,7 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
 // ---------------------------------------------------------------------------
 // Entry points.
 
-/// Deserialize an oracle from bytes produced by [`encode`]. Only format v3
+/// Deserialize an oracle from bytes produced by [`encode`]. Only format v4
 /// with [`STORE_FLAG_SORTED_MEMBERS`] set is accepted; any other version,
 /// a cleared flag, a failed checksum or a structurally invalid section is
 /// an [`OracleError::Decode`].
@@ -538,7 +478,7 @@ pub fn decode(data: &[u8]) -> Result<VicinityOracle> {
     decode_sections(&mut cur, header)
 }
 
-/// Write an oracle to a file (format v3).
+/// Write an oracle to a file (format v4).
 pub fn save<P: AsRef<std::path::Path>>(oracle: &VicinityOracle, path: P) -> Result<()> {
     std::fs::write(path, encode(oracle))?;
     Ok(())
@@ -568,6 +508,10 @@ mod tests {
     use crate::query::DistanceAnswer;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
     use vicinity_graph::{Distance, INFINITY};
+
+    /// Bytes from the magic number to the node count: magic, version, α,
+    /// sampling byte, seed and paths flag.
+    const NODE_COUNT_POS: usize = 4 + 1 + 8 + 1 + 8 + 1;
 
     fn sample_oracle(seed: u64, store_paths: bool) -> VicinityOracle {
         let g = SocialGraphConfig::small_test()
@@ -635,15 +579,15 @@ mod tests {
     }
 
     #[test]
-    fn landmark_rows_keep_the_row_major_v3_layout() {
-        // The slab is node-major in memory, but a snapshot stores one row
-        // per landmark in ascending id order: id, length n, then the
-        // landmark's distance to nodes 0..n as little-endian u16s.
+    fn landmark_slab_keeps_the_node_major_v4_layout() {
+        // After the ascending landmark ids, a snapshot stores the slab as
+        // the program holds it: node by node, each node's distances to
+        // every landmark in rank order as little-endian u16s.
         let oracle = sample_oracle(138, false);
         let bytes = encode(&oracle);
         let n = oracle.node_count();
         let landmarks = oracle.landmarks().nodes();
-        let mut pos = 4 + 1 + 8 + 1 + 1 + 8 + 1 + 16 + 8 + landmarks.len() * 4;
+        let mut pos = NODE_COUNT_POS + 16;
         assert_eq!(
             u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()),
             landmarks.len() as u64
@@ -654,43 +598,38 @@ mod tests {
                 u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()),
                 l
             );
-            assert_eq!(
-                u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()),
-                n as u64
-            );
-            pos += ROW_FRAMING;
-            let row = oracle.landmark_row(l).unwrap();
-            for v in 0..n {
-                let raw = u16::from_le_bytes([bytes[pos + 2 * v], bytes[pos + 2 * v + 1]]);
-                assert_eq!(LandmarkEntry::decode(raw), row.entry(v as NodeId));
-            }
-            pos += 2 * n;
+            pos += 4;
         }
+        for v in 0..n as NodeId {
+            for &l in landmarks {
+                let raw = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
+                assert_eq!(
+                    LandmarkEntry::decode(raw),
+                    oracle.landmark_row(l).unwrap().entry(v)
+                );
+                pos += 2;
+            }
+        }
+        assert_eq!(pos, flags_byte_position(&bytes, &oracle));
         assert_eq!(bytes[pos], STORE_FLAG_SORTED_MEMBERS);
     }
 
     #[test]
     fn landmark_rows_must_match_the_landmark_set() {
-        // Rows are decoded by rank, so a snapshot whose rows do not line up
-        // with its landmark set — a wrong id, a wrong length, one row too
-        // few — is refused rather than served with shifted columns.
+        // Slab columns are read by rank, so a snapshot whose landmark set
+        // does not match its slab — an id out of order, an id whose
+        // column entry is not 0, more landmarks than nodes — is refused
+        // rather than served with shifted rows.
         let oracle = sample_oracle(140, false);
         let bytes = encode(&oracle);
-        let landmarks = oracle.landmarks().nodes();
-        let count_pos = 4 + 1 + 8 + 1 + 1 + 8 + 1 + 16 + 8 + landmarks.len() * 4;
-        let first_row = count_pos + 8;
-        let non_landmark = (0..oracle.node_count() as NodeId)
-            .find(|&u| !oracle.is_landmark(u))
-            .unwrap();
-        let rows = oracle.landmarks().len() as u64;
         let n = oracle.node_count() as u64;
-        // The node count sits after magic, version, alpha, sampling,
-        // membership, seed and the paths flag; one the input cannot hold
-        // must not size the rank map or the slab.
-        let corruptions: [(usize, u64, &str); 3] = [
-            (count_pos, rows - 1, "landmark rows"),
-            (first_row + 4, n + 1, "landmark row"),
-            (24, 1 << 40, "node count"),
+        let count_pos = NODE_COUNT_POS + 16;
+        let first_id = count_pos + 8;
+        // A node count the input cannot hold must not size the rank map
+        // or the slab.
+        let corruptions: [(usize, u64, &str); 2] = [
+            (count_pos, n + 1, "landmark count"),
+            (NODE_COUNT_POS, 1 << 40, "node count"),
         ];
         for (pos, value, expected) in corruptions {
             let mut corrupt = bytes.to_vec();
@@ -699,18 +638,29 @@ mod tests {
             let err = decode(&corrupt).unwrap_err();
             assert!(err.to_string().contains(expected), "{err}");
         }
-        let mut wrong_id = bytes.to_vec();
-        wrong_id[first_row..first_row + 4].copy_from_slice(&non_landmark.to_le_bytes());
-        fix_checksum(&mut wrong_id);
-        let err = decode(&wrong_id).unwrap_err();
-        assert!(err.to_string().contains("landmark row"), "{err}");
+        let landmarks = oracle.landmarks().nodes();
+        let non_landmark = (0..landmarks[1])
+            .find(|&u| !oracle.is_landmark(u))
+            .expect("a non-landmark below the second landmark");
+        for (id, expected) in [
+            (non_landmark, "distance 0 from itself"),
+            (landmarks[1], "strictly ascending"),
+            (n as NodeId + 5, "strictly ascending"),
+        ] {
+            let mut wrong_id = bytes.to_vec();
+            wrong_id[first_id..first_id + 4].copy_from_slice(&id.to_le_bytes());
+            fix_checksum(&mut wrong_id);
+            let err = decode(&wrong_id).unwrap_err();
+            assert!(err.to_string().contains(expected), "{id}: {err}");
+        }
     }
 
     #[test]
-    fn v3_snapshots_record_the_sorted_invariant() {
+    fn v4_snapshots_record_the_sorted_invariant() {
         let oracle = sample_oracle(137, true);
         let bytes = encode(&oracle);
         assert_eq!(bytes[4], FORMAT_VERSION);
+        assert_eq!(FORMAT_VERSION, 4);
         // A snapshot without the flag is refused, even though its spans
         // are in fact sorted and its checksum is valid.
         let mut unflagged = bytes.to_vec();
@@ -860,12 +810,12 @@ mod tests {
         (u as NodeId, first, members_pos + (end - 1) * 4)
     }
 
-    /// Locate the v3 store-flags byte by re-encoding the shared header.
+    /// Locate the v4 store-flags byte by re-encoding the shared header.
     fn flags_byte_position(bytes: &[u8], oracle: &VicinityOracle) -> usize {
         let mut header = BytesMut::new();
         encode_header(&mut header, oracle);
         assert_eq!(&bytes[..header.len()], &header[..], "header mismatch");
-        header.len() + landmark_rows_len(oracle)
+        header.len() + landmark_slab_len(oracle)
     }
 
     #[test]
@@ -905,20 +855,18 @@ mod tests {
         let err = decode(&bad_magic).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
-        // The membership byte (after magic, version, alpha and sampling)
-        // accepts only 0, flat hash slots.
-        let mut bad_membership = bytes.clone();
-        assert_eq!(bad_membership[14], 0);
-        bad_membership[14] = 1;
-        fix_checksum(&mut bad_membership);
-        let err = decode(&bad_membership).unwrap_err();
-        assert!(matches!(err, OracleError::Decode(_)));
-        assert!(err.to_string().contains("membership"), "{err}");
+        // The sampling byte (after magic, version and alpha) names one of
+        // three strategies.
+        let mut bad_sampling = bytes.clone();
+        bad_sampling[13] = 7;
+        fix_checksum(&mut bad_sampling);
+        let err = decode(&bad_sampling).unwrap_err();
+        assert!(err.to_string().contains("sampling strategy 7"), "{err}");
 
-        // Versions 1 and 2 (formats this build no longer reads) and an
+        // Versions 1 to 3 (formats this build no longer reads) and an
         // unknown one alike: the rejection names the offending version and
-        // v3, the only format read — no silent checksum-style failure.
-        for version in [1u8, 2, 99] {
+        // v4, the only format read — no silent checksum-style failure.
+        for version in [1u8, 2, 3, 99] {
             let mut bad_version = bytes.clone();
             bad_version[4] = version;
             fix_checksum(&mut bad_version);
@@ -929,7 +877,7 @@ mod tests {
                 message.contains(&format!("version {version}:")),
                 "{message}"
             );
-            assert!(message.contains("v3"), "{message}");
+            assert!(message.contains("v4"), "{message}");
         }
     }
 

@@ -5,7 +5,8 @@
 //!   source–destination pairs whose queries are answered by the index (the
 //!   four shortcut cases or a non-empty vicinity intersection) as α varies.
 //! * [`boundary_cdf`] — Figure 2 (center): CDF of boundary size as a
-//!   fraction of the network size, at a fixed α.
+//!   fraction of the network size, at a fixed α. The index stores no
+//!   boundary, so [`boundary_size`] computes `∂Γ(u)` from the graph.
 //! * [`radius_experiment`] — Figure 2 (right): average vicinity radius as α
 //!   varies.
 //!
@@ -21,6 +22,7 @@ use vicinity_graph::csr::CsrGraph;
 use crate::build::OracleBuilder;
 use crate::config::{Alpha, OracleConfig};
 use crate::index::VicinityOracle;
+use crate::vicinity::VicinityRef;
 
 /// Workload parameters for the §2.3 experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,11 +122,40 @@ pub fn evaluate_workload(
     (answered, by_intersection, pairs)
 }
 
+/// The boundary size `|∂Γ(u)|` by its definition: the members of
+/// `vicinity` with a neighbour in `graph` outside the vicinity. Only the
+/// outer shell can hold one — a member closer than the radius has every
+/// neighbour inside the ball — so only it is scanned.
+pub fn boundary_size(vicinity: &VicinityRef<'_>, graph: &CsrGraph) -> usize {
+    vicinity
+        .outer_shell()
+        .iter()
+        .filter(|&&w| graph.neighbors(w).iter().any(|&x| !vicinity.contains(x)))
+        .count()
+}
+
+/// Average boundary size `|∂Γ(u)|` over all nodes of `oracle` (landmarks
+/// included, with their empty vicinities), computed from `graph`, the
+/// graph the oracle indexes.
+pub fn average_boundary_size(oracle: &VicinityOracle, graph: &CsrGraph) -> f64 {
+    let n = oracle.node_count();
+    if n == 0 {
+        return 0.0;
+    }
+    let total: usize = oracle
+        .store()
+        .iter()
+        .map(|v| boundary_size(&v, graph))
+        .sum();
+    total as f64 / n as f64
+}
+
 /// Figure 2 (center): the CDF of boundary size as a fraction of the number
-/// of nodes, over all non-landmark nodes of an oracle. Returns `(x, y)`
-/// pairs where `y` is the fraction of nodes whose boundary is at most `x`
-/// (as a fraction of `n`), sampled at `points` evenly spaced quantiles.
-pub fn boundary_cdf(oracle: &VicinityOracle, points: usize) -> Vec<(f64, f64)> {
+/// of nodes, over all non-landmark nodes of an oracle built over `graph`.
+/// Returns `(x, y)` pairs where `y` is the fraction of nodes whose
+/// boundary is at most `x` (as a fraction of `n`), sampled at `points`
+/// evenly spaced quantiles.
+pub fn boundary_cdf(oracle: &VicinityOracle, graph: &CsrGraph, points: usize) -> Vec<(f64, f64)> {
     let n = oracle.node_count();
     if n == 0 || points == 0 {
         return Vec::new();
@@ -132,7 +163,7 @@ pub fn boundary_cdf(oracle: &VicinityOracle, points: usize) -> Vec<(f64, f64)> {
     let mut sizes: Vec<f64> = (0..n as u32)
         .filter(|&u| !oracle.is_landmark(u))
         .filter_map(|u| oracle.vicinity(u))
-        .map(|v| v.boundary_len() as f64 / n as f64)
+        .map(|v| boundary_size(&v, graph) as f64 / n as f64)
         .collect();
     if sizes.is_empty() {
         return Vec::new();
@@ -246,7 +277,7 @@ mod tests {
     fn boundary_cdf_is_monotone_and_bounded() {
         let g = SocialGraphConfig::small_test().generate(122);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(1).build(&g);
-        let cdf = boundary_cdf(&oracle, 20);
+        let cdf = boundary_cdf(&oracle, &g, 20);
         assert_eq!(cdf.len(), 20);
         for window in cdf.windows(2) {
             assert!(window[0].0 <= window[1].0, "x must be non-decreasing");
@@ -266,10 +297,53 @@ mod tests {
     fn boundary_cdf_degenerate_inputs() {
         let g = vicinity_graph::builder::GraphBuilder::new().build_undirected();
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).build(&g);
-        assert!(boundary_cdf(&oracle, 10).is_empty());
+        assert!(boundary_cdf(&oracle, &g, 10).is_empty());
+        assert_eq!(average_boundary_size(&oracle, &g), 0.0);
         let g = SocialGraphConfig::small_test().generate(123);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(2).build(&g);
-        assert!(boundary_cdf(&oracle, 0).is_empty());
+        assert!(boundary_cdf(&oracle, &g, 0).is_empty());
+    }
+
+    #[test]
+    fn boundary_size_matches_brute_force() {
+        // ∂Γ(u) from a full BFS per node: the nodes within the radius with
+        // a neighbour beyond it; a landmark's vicinity is empty.
+        // Landmark-free nodes (an extra component without a landmark)
+        // hold their whole component, so they have none.
+        let mut builder = vicinity_graph::builder::GraphBuilder::new();
+        let g = SocialGraphConfig::small_test()
+            .with_nodes(400)
+            .generate(125);
+        for (u, v) in g.edges() {
+            builder.add_edge(u, v);
+        }
+        builder.add_edge(400, 401);
+        builder.add_edge(401, 402);
+        let g = builder.build_undirected();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .seed(3)
+            .sampling(crate::config::SamplingStrategy::TopDegree)
+            .build(&g);
+        let mut total = 0usize;
+        for v in oracle.store().iter() {
+            let reference = vicinity_graph::algo::bfs::bfs_distances(&g, v.owner());
+            let within = |x: u32| reference[x as usize] <= v.radius();
+            let expected = if oracle.is_landmark(v.owner()) {
+                0
+            } else {
+                g.nodes()
+                    .filter(|&x| within(x) && g.neighbors(x).iter().any(|&w| !within(w)))
+                    .count()
+            };
+            assert_eq!(boundary_size(&v, &g), expected, "node {}", v.owner());
+            total += expected;
+        }
+        assert!(total > 0);
+        assert!(oracle.vicinity(401).unwrap().nearest_landmark().is_none());
+        assert_eq!(boundary_size(&oracle.vicinity(401).unwrap(), &g), 0);
+        let average = average_boundary_size(&oracle, &g);
+        assert!((average - total as f64 / g.node_count() as f64).abs() < 1e-12);
+        assert!(average <= oracle.average_vicinity_size());
     }
 
     #[test]

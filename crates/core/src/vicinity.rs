@@ -1,6 +1,6 @@
 //! The flat, arena-backed vicinity store: `Γ(u) = B(u) ∪ N(B(u))` for every
-//! node, with distances, shortest-path predecessors and boundary marking,
-//! laid out as struct-of-arrays pools instead of one heap object per node.
+//! node, with distances and shortest-path predecessors, laid out as
+//! struct-of-arrays pools instead of one heap object per node.
 //!
 //! For unweighted graphs (the paper's evaluation setting) the vicinity has a
 //! convenient closed form: every node in `N(B(u))` is at distance exactly
@@ -23,17 +23,23 @@
 //! `Vec`s each: millions of small allocations that queries chased pointers
 //! through and snapshots re-decoded node by node. The store keeps a single
 //! CSR-style `offsets` array into shared `members` / `distances` /
-//! `predecessors` / `boundary` / shell pools, so
+//! `predecessors` / shell pools, so
 //!
 //! * a query touches contiguous, prefetchable cache lines,
 //! * the whole index serializes as a handful of raw-array sections
-//!   (snapshot format v3 in [`crate::serialize`]), and
+//!   (snapshot format v4 in [`crate::serialize`]), and
 //! * derived structures (per-distance shells, membership hash slots) are
 //!   rebuilt in one pass at load instead of being stored.
 //!
+//! The boundary `∂Γ(u)` (members with a neighbour outside the ball) is not
+//! stored. Every member that escapes sits in the outermost shell, so path
+//! splicing scans that shell instead, and distance queries intersect shells
+//! level by level; [`crate::stats`] computes `∂Γ(u)` from the graph where
+//! the paper's Figure 2 needs it.
+//!
 //! Queries never touch the store directly; they borrow a [`VicinityRef`]
 //! view with the same probe API (`contains` / `distance_to` / shells /
-//! `min_boundary_sum`) the per-node objects used to expose.
+//! `min_outer_shell_sum`) the per-node objects used to expose.
 
 use vicinity_graph::algo::bfs::BoundedBfsScratch;
 use vicinity_graph::{Adjacency, Distance, NodeId, INVALID_NODE};
@@ -85,11 +91,6 @@ pub struct VicinityStore {
     distances: Vec<Distance>,
     /// BFS parents parallel to `members`; empty when paths are not stored.
     predecessors: Vec<NodeId>,
-    /// `boundary_offsets[u] .. boundary_offsets[u + 1]` spans `boundary`.
-    boundary_offsets: Vec<u64>,
-    /// Span-local member indices of boundary nodes (members with at least
-    /// one neighbour outside the vicinity).
-    boundary: Vec<u32>,
     /// `shell_index[u] .. shell_index[u + 1]` spans `shell_offsets`.
     shell_index: Vec<u64>,
     /// Per-node level offsets (span-local, one per populated distance level
@@ -119,8 +120,6 @@ impl VicinityStore {
             Vec::new(),
             Vec::new(),
             Vec::new(),
-            vec![0; node_count + 1],
-            Vec::new(),
         )
     }
 
@@ -131,7 +130,6 @@ impl VicinityStore {
     pub fn from_chunks(chunks: Vec<VicinityChunk>) -> Self {
         let node_count: usize = chunks.iter().map(|c| c.len()).sum();
         let total_members: usize = chunks.iter().map(|c| c.members.len()).sum();
-        let total_boundary: usize = chunks.iter().map(|c| c.boundary.len()).sum();
         let store_paths = chunks.iter().any(|c| !c.predecessors.is_empty());
 
         let mut radii = Vec::with_capacity(node_count);
@@ -140,10 +138,7 @@ impl VicinityStore {
         let mut members = Vec::with_capacity(total_members);
         let mut distances = Vec::with_capacity(total_members);
         let mut predecessors = Vec::with_capacity(if store_paths { total_members } else { 0 });
-        let mut boundary_offsets = Vec::with_capacity(node_count + 1);
-        let mut boundary = Vec::with_capacity(total_boundary);
         offsets.push(0u64);
-        boundary_offsets.push(0u64);
 
         for chunk in chunks {
             assert_eq!(
@@ -152,41 +147,22 @@ impl VicinityStore {
                 "vicinity chunks must be spliced in contiguous node order"
             );
             let member_base = members.len() as u64;
-            let boundary_base = boundary.len() as u64;
             radii.extend_from_slice(&chunk.radii);
             nearest.extend_from_slice(&chunk.nearest);
             offsets.extend(chunk.offsets.iter().skip(1).map(|&o| o + member_base));
             members.extend_from_slice(&chunk.members);
             distances.extend_from_slice(&chunk.distances);
             predecessors.extend_from_slice(&chunk.predecessors);
-            boundary_offsets.extend(
-                chunk
-                    .boundary_offsets
-                    .iter()
-                    .skip(1)
-                    .map(|&o| o + boundary_base),
-            );
-            boundary.extend_from_slice(&chunk.boundary);
         }
         debug_assert_eq!(offsets.len(), node_count + 1);
 
-        Self::from_raw(
-            radii,
-            nearest,
-            offsets,
-            members,
-            distances,
-            predecessors,
-            boundary_offsets,
-            boundary,
-        )
+        Self::from_raw(radii, nearest, offsets, members, distances, predecessors)
     }
 
     /// Assemble a store from its primary pools (the exact sections snapshot
-    /// format v3 persists), rebuilding the derived shell and hash sections.
+    /// format v4 persists), rebuilding the derived shell and hash sections.
     /// Member spans must already be sorted by node id; the decoder checks
     /// this with [`spans_sorted`] before calling.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw(
         radii: Vec<Distance>,
         nearest: Vec<NodeId>,
@@ -194,12 +170,9 @@ impl VicinityStore {
         members: Vec<NodeId>,
         distances: Vec<Distance>,
         predecessors: Vec<NodeId>,
-        boundary_offsets: Vec<u64>,
-        boundary: Vec<u32>,
     ) -> Self {
         let node_count = radii.len();
         debug_assert_eq!(offsets.len(), node_count + 1);
-        debug_assert_eq!(boundary_offsets.len(), node_count + 1);
         debug_assert_eq!(members.len(), distances.len());
         let mut store = VicinityStore {
             node_count,
@@ -209,8 +182,6 @@ impl VicinityStore {
             members,
             distances,
             predecessors,
-            boundary_offsets,
-            boundary,
             shell_index: Vec::new(),
             shell_offsets: Vec::new(),
             shell_data: Vec::new(),
@@ -354,11 +325,6 @@ impl VicinityStore {
         self.members.len() as u64
     }
 
-    /// Total boundary entries, `Σ_u |∂Γ(u)|`.
-    pub fn total_boundary_entries(&self) -> u64 {
-        self.boundary.len() as u64
-    }
-
     /// Whether shortest-path predecessors are stored.
     pub fn stores_paths(&self) -> bool {
         !self.predecessors.is_empty() || self.members.is_empty()
@@ -372,10 +338,6 @@ impl VicinityStore {
             return None;
         }
         let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        let (b_start, b_end) = (
-            self.boundary_offsets[i] as usize,
-            self.boundary_offsets[i + 1] as usize,
-        );
         let (s_start, s_end) = (
             self.shell_index[i] as usize,
             self.shell_index[i + 1] as usize,
@@ -395,7 +357,6 @@ impl VicinityStore {
             } else {
                 &self.predecessors[start..end]
             },
-            boundary: &self.boundary[b_start..b_end],
             shell_offsets: &self.shell_offsets[s_start..s_end],
             shell_data: &self.shell_data[start..end],
             hash_slots: &self.hash_slots[h_start..h_end],
@@ -420,7 +381,6 @@ impl VicinityStore {
         prefetch_read(&self.radii[i]);
         prefetch_read(&self.nearest[i]);
         prefetch_read(&self.offsets[i]);
-        prefetch_read(&self.boundary_offsets[i]);
         prefetch_read(&self.shell_index[i]);
         prefetch_read(&self.hash_offsets[i]);
     }
@@ -429,8 +389,8 @@ impl VicinityStore {
     /// distance query over `(u, probe)` dereferences — the opening lines
     /// of the member/distance/shell pools, the span's level offsets, and
     /// the *exact* membership slot the `distance_to(probe)` shortcut will
-    /// hash to. `want_paths` additionally warms the predecessor and
-    /// boundary segments the path-splicing walk reads.
+    /// hash to. `want_paths` additionally warms the predecessor segment
+    /// the path-splicing walk reads.
     #[inline]
     pub(crate) fn prefetch_query_spans(&self, u: NodeId, probe: NodeId, want_paths: bool) {
         let i = u as usize;
@@ -457,22 +417,14 @@ impl VicinityStore {
         // membership probe for `probe` will land on first.
         let mask = (h_end - h_start) - 1;
         prefetch_read(&self.hash_slots[h_start + (hash_id(probe) & mask)]);
-        if want_paths {
-            if !self.predecessors.is_empty() {
-                prefetch_slice(&self.predecessors[start..end], 2);
-            }
-            let (b_start, b_end) = (
-                self.boundary_offsets[i] as usize,
-                self.boundary_offsets[i + 1] as usize,
-            );
-            prefetch_slice(&self.boundary[b_start..b_end], 2);
+        if want_paths && !self.predecessors.is_empty() {
+            prefetch_slice(&self.predecessors[start..end], 2);
         }
     }
 
     /// Raw primary sections, in snapshot order: `(radii, nearest, offsets,
-    /// members, distances, predecessors, boundary_offsets, boundary)`. The
-    /// derived shell/hash sections are intentionally absent — they are
-    /// rebuilt, never persisted.
+    /// members, distances, predecessors)`. The derived shell/hash sections
+    /// are intentionally absent — they are rebuilt, never persisted.
     #[allow(clippy::type_complexity)]
     pub(crate) fn raw_sections(
         &self,
@@ -483,8 +435,6 @@ impl VicinityStore {
         &[NodeId],
         &[Distance],
         &[NodeId],
-        &[u64],
-        &[u32],
     ) {
         (
             &self.radii,
@@ -493,8 +443,6 @@ impl VicinityStore {
             &self.members,
             &self.distances,
             &self.predecessors,
-            &self.boundary_offsets,
-            &self.boundary,
         )
     }
 
@@ -508,8 +456,6 @@ impl VicinityStore {
             + self.members.len() * std::mem::size_of::<NodeId>()
             + self.distances.len() * std::mem::size_of::<Distance>()
             + self.predecessors.len() * std::mem::size_of::<NodeId>()
-            + self.boundary_offsets.len() * std::mem::size_of::<u64>()
-            + self.boundary.len() * std::mem::size_of::<u32>()
             + self.shell_index.len() * std::mem::size_of::<u64>()
             + self.shell_offsets.len() * std::mem::size_of::<u32>()
             + self.shell_data.len() * std::mem::size_of::<NodeId>()
@@ -519,27 +465,26 @@ impl VicinityStore {
     }
 
     /// Modeled footprint of the retired one-object-per-node layout for the
-    /// same index: per node, six private `Vec`s (members, distances,
-    /// predecessors, boundary, shell data, shell offsets), the struct
+    /// same index: per node, five private `Vec`s (members, distances,
+    /// predecessors, shell data, shell offsets), the struct
     /// header, and a private hash map charged at its bucket count (next power of two at ⅞ load) times twice the
     /// key/value payload, exactly the accounting the old
     /// `NodeVicinity::memory_bytes` used. Kept so the `store_layout`
     /// benchmark can report the flat-vs-per-node delta without rebuilding
     /// the old representation.
     pub fn per_node_layout_bytes(&self) -> u64 {
-        // 3 header fields + 6 Vec headers (24 bytes each) + Option<FastMap>.
-        const PER_NODE_STRUCT: u64 = 208;
+        // 3 header fields + 5 Vec headers (24 bytes each) + Option<FastMap>.
+        const PER_NODE_STRUCT: u64 = 184;
         let mut total = 0u64;
         for u in 0..self.node_count {
             let len = (self.offsets[u + 1] - self.offsets[u]) as usize;
-            let blen = (self.boundary_offsets[u + 1] - self.boundary_offsets[u]) as usize;
             let shell_levels = (self.shell_index[u + 1] - self.shell_index[u]) as usize;
             let preds = if self.stores_paths() && len > 0 {
                 len
             } else {
                 0
             };
-            let payload = (len * 2 + preds + len/* shell data */) * 4 + blen * 4 + shell_levels * 4;
+            let payload = (len * 2 + preds + len/* shell data */) * 4 + shell_levels * 4;
             let hash = if len > 0 {
                 let buckets = (len * 8 / 7 + 1).next_power_of_two();
                 buckets * 2 * std::mem::size_of::<(NodeId, u32)>()
@@ -588,7 +533,6 @@ pub struct VicinityRef<'a> {
     members: &'a [NodeId],
     distances: &'a [Distance],
     predecessors: &'a [NodeId],
-    boundary: &'a [u32],
     shell_offsets: &'a [u32],
     shell_data: &'a [NodeId],
     hash_slots: &'a [u32],
@@ -604,7 +548,6 @@ impl PartialEq for VicinityRef<'_> {
             && self.members == other.members
             && self.distances == other.distances
             && self.predecessors == other.predecessors
-            && self.boundary == other.boundary
     }
 }
 
@@ -621,7 +564,6 @@ impl<'a> VicinityRef<'a> {
         members: &'a [NodeId],
         distances: &'a [Distance],
         predecessors: &'a [NodeId],
-        boundary: &'a [u32],
         shell_offsets: &'a [u32],
         shell_data: &'a [NodeId],
         hash_slots: &'a [u32],
@@ -633,7 +575,6 @@ impl<'a> VicinityRef<'a> {
             members,
             distances,
             predecessors,
-            boundary,
             shell_offsets,
             shell_data,
             hash_slots,
@@ -653,26 +594,6 @@ impl<'a> VicinityRef<'a> {
     /// Raw predecessor span (empty when paths are not stored).
     pub(crate) fn raw_predecessors(&self) -> &'a [NodeId] {
         self.predecessors
-    }
-
-    /// Raw span-local boundary indices.
-    pub(crate) fn raw_boundary(&self) -> &'a [u32] {
-        self.boundary
-    }
-
-    /// Raw per-level shell offsets.
-    pub(crate) fn raw_shell_offsets(&self) -> &'a [u32] {
-        self.shell_offsets
-    }
-
-    /// Raw shell-grouped member ids.
-    pub(crate) fn raw_shell_data(&self) -> &'a [NodeId] {
-        self.shell_data
-    }
-
-    /// Raw membership slots (empty exactly when the vicinity is).
-    pub(crate) fn raw_hash_slots(&self) -> &'a [u32] {
-        self.hash_slots
     }
 
     /// The node this vicinity belongs to.
@@ -698,11 +619,6 @@ impl<'a> VicinityRef<'a> {
     /// True when the vicinity is empty (the owner is a landmark).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Number of boundary nodes (|∂Γ(u)|).
-    pub fn boundary_len(&self) -> usize {
-        self.boundary.len()
     }
 
     /// Vicinity members, sorted by node id.
@@ -740,13 +656,12 @@ impl<'a> VicinityRef<'a> {
         (self.shell_offsets.len().saturating_sub(2)) as Distance
     }
 
-    /// Iterator over boundary `(member, distance)` pairs.
-    pub fn boundary_iter(&self) -> impl Iterator<Item = (NodeId, Distance)> + 'a {
-        let members = self.members;
-        let distances = self.distances;
-        self.boundary
-            .iter()
-            .map(move |&i| (members[i as usize], distances[i as usize]))
+    /// The outermost non-empty shell, `shell(max_shell_distance())`. It
+    /// holds every member with a neighbour outside the ball (`∂Γ(u)`): a
+    /// member closer than the radius has all its neighbours inside.
+    #[inline]
+    pub fn outer_shell(&self) -> &'a [NodeId] {
+        self.shell(self.max_shell_distance())
     }
 
     /// Adaptive intersection of this vicinity's shell at `d_self` with
@@ -766,7 +681,7 @@ impl<'a> VicinityRef<'a> {
     ///   slices are sufficiently lopsided.
     ///
     /// Both strategies are exact over sorted pools (the build-time
-    /// invariant snapshot v3 headers record); `counters` reports per-strategy
+    /// invariant snapshot v4 headers record); `counters` reports per-strategy
     /// dispatch counts and total per-element steps so callers can fold the
     /// work into [`crate::query::QueryStats`].
     pub fn shell_intersect_adaptive(
@@ -807,35 +722,26 @@ impl<'a> VicinityRef<'a> {
         sorted_ids_intersect(a, b, &mut counters.steps)
     }
 
-    /// Minimum of `d(scan_owner, w) + d(probe_owner, w)` over all witnesses
-    /// `w ∈ ∂Γ(self) ∩ Γ(probe)`, together with the minimising witness.
+    /// Minimum of `d(owner, w) + d(probe_owner, w)` over the witnesses
+    /// `w` of this vicinity's outer shell that `probe` also holds, with the
+    /// minimising witness (the smallest id among ties). Every shortest
+    /// path from the owner to a node outside the ball crosses the outer
+    /// shell, so when the balls meet this is `d(owner, probe_owner)`
+    /// (Lemma 1 of the paper, with the outer shell standing in for the
+    /// boundary it contains).
     ///
-    /// Because members (and therefore boundary ids) are stored sorted by
-    /// node id, the intersection is computed as a sequential two-pointer
-    /// merge over the two id arrays rather than per-node hash probes. On
-    /// large vicinities this is the query hot loop, and the merge's linear,
-    /// prefetchable scans are several times faster than pointer-chasing a
-    /// hash table per boundary node — doubly so now that both sides are
-    /// single contiguous pool spans.
-    ///
-    /// `scanned` and `witnesses` report the same work counters the probe
-    /// loop used to: boundary nodes considered and intersection size.
-    pub fn min_boundary_sum(
-        &self,
-        probe: &VicinityRef<'_>,
-    ) -> (Option<(Distance, NodeId)>, u64, u64) {
+    /// Shells and members are both id-sorted, so the intersection is a
+    /// sequential merge that gallops through the probe's members rather
+    /// than a hash probe per shell node.
+    pub fn min_outer_shell_sum(&self, probe: &VicinityRef<'_>) -> Option<(Distance, NodeId)> {
+        let d_self = self.max_shell_distance();
         let probe_members = probe.members;
-        let probe_distances = probe.distances;
         let mut best: Option<(Distance, NodeId)> = None;
-        let mut scanned = 0u64;
-        let mut witnesses = 0u64;
         let mut j = 0usize;
-        for &idx in self.boundary {
-            let w = self.members[idx as usize];
-            scanned += 1;
+        for &w in self.outer_shell() {
             // Advance the probe cursor to the first member >= w. Galloping
-            // (doubling) hops keep the merge near O(|∂Γ| · log gap) when the
-            // probe side is much larger than the boundary.
+            // (doubling) hops keep the merge near O(|shell| · log gap) when
+            // the probe side is much larger than the shell.
             let mut step = 1usize;
             while j + step < probe_members.len() && probe_members[j + step] < w {
                 j += step;
@@ -848,14 +754,13 @@ impl<'a> VicinityRef<'a> {
                 break;
             }
             if probe_members[j] == w {
-                witnesses += 1;
-                let total = self.distances[idx as usize] + probe_distances[j];
+                let total = d_self + probe.distances[j];
                 if best.is_none_or(|(b, _)| total < b) {
                     best = Some((total, w));
                 }
             }
         }
-        (best, scanned, witnesses)
+        best
     }
 
     /// Position of `v` in the member span, if present: one linear probe of
@@ -933,7 +838,6 @@ impl<'a> VicinityRef<'a> {
         std::mem::size_of_val(self.members)
             + std::mem::size_of_val(self.distances)
             + std::mem::size_of_val(self.predecessors)
-            + std::mem::size_of_val(self.boundary)
             + std::mem::size_of_val(self.shell_data)
             + std::mem::size_of_val(self.shell_offsets)
             + std::mem::size_of_val(self.hash_slots)
@@ -964,8 +868,6 @@ pub struct VicinityChunk {
     members: Vec<NodeId>,
     distances: Vec<Distance>,
     predecessors: Vec<NodeId>,
-    boundary_offsets: Vec<u64>,
-    boundary: Vec<u32>,
 }
 
 impl VicinityChunk {
@@ -980,8 +882,6 @@ impl VicinityChunk {
             members: Vec::new(),
             distances: Vec::new(),
             predecessors: Vec::new(),
-            boundary_offsets: vec![0],
-            boundary: Vec::new(),
         }
     }
 
@@ -1003,9 +903,7 @@ impl VicinityChunk {
     /// Build and append the vicinity of the chunk's next node, given its
     /// ball radius (`None` when no landmark is reachable — the vicinity then
     /// covers the node's whole connected component, which only happens in
-    /// degenerate inputs). One bounded BFS through the shared scratch; the
-    /// boundary is computed by binary searches over the freshly appended,
-    /// id-sorted member span.
+    /// degenerate inputs). One bounded BFS through the shared scratch.
     pub fn push_node<G: Adjacency>(
         &mut self,
         graph: &G,
@@ -1020,7 +918,6 @@ impl VicinityChunk {
             self.radii.push(0);
             self.nearest.push(nearest);
             self.offsets.push(self.members.len() as u64);
-            self.boundary_offsets.push(self.boundary.len() as u64);
             return;
         }
         // No reachable landmark: explore the entire component (bounded by
@@ -1028,59 +925,41 @@ impl VicinityChunk {
         let effective_radius = radius.unwrap_or_else(|| graph.hop_bound());
         let visited = scratch.bounded_bfs(graph, owner, effective_radius);
         append_vicinity_sections(
-            graph,
             &visited,
             self.store_paths,
             &mut self.members,
             &mut self.distances,
             &mut self.predecessors,
-            &mut self.boundary,
         );
         self.radii.push(effective_radius);
         self.nearest.push(nearest);
         self.offsets.push(self.members.len() as u64);
-        self.boundary_offsets.push(self.boundary.len() as u64);
     }
 }
 
 /// Assemble one vicinity's primary sections from its bounded-BFS visit
-/// list, appending to the given pools: id-sorted members and distances
-/// (plus BFS parents when `store_paths`), and span-local boundary indices
-/// (members with at least one neighbour outside the span). Shared by the
-/// offline chunk builder ([`VicinityChunk::push_node`]) and the dynamic
-/// overlay's per-node rebuild ([`crate::dynamic`]), so a patched span is
-/// assembled by the same code path — bit for bit — as a rebuilt one.
-pub(crate) fn append_vicinity_sections<G: Adjacency>(
-    graph: &G,
+/// list, appending to the given pools: id-sorted members and distances,
+/// plus BFS parents when `store_paths`. Shared by the offline chunk
+/// builder ([`VicinityChunk::push_node`]) and the dynamic overlay's
+/// per-node rebuild ([`crate::dynamic`]), so a patched span is assembled
+/// by the same code path — bit for bit — as a rebuilt one.
+pub(crate) fn append_vicinity_sections(
     visited: &[vicinity_graph::algo::bfs::VisitedNode],
     store_paths: bool,
     members: &mut Vec<NodeId>,
     distances: &mut Vec<Distance>,
     predecessors: &mut Vec<NodeId>,
-    boundary: &mut Vec<u32>,
 ) {
     let mut entries: Vec<(NodeId, Distance, NodeId)> = visited
         .iter()
         .map(|v| (v.node, v.distance, v.parent))
         .collect();
     entries.sort_unstable_by_key(|&(node, _, _)| node);
-
-    let base = members.len();
-    for &(node, distance, parent) in &entries {
+    for (node, distance, parent) in entries {
         members.push(node);
         distances.push(distance);
         if store_paths {
             predecessors.push(parent);
-        }
-    }
-    let span = &members[base..];
-    for (local, &(member, _, _)) in entries.iter().enumerate() {
-        let escapes = graph
-            .neighbors(member)
-            .iter()
-            .any(|&w| span.binary_search(&w).is_err());
-        if escapes {
-            boundary.push(local as u32);
         }
     }
 }
@@ -1231,10 +1110,10 @@ pub(crate) fn fill_hash_slots(members: &[NodeId], span: &mut [u32]) {
 }
 
 /// True when every node span of `members` is strictly ascending — the
-/// sorted-pool invariant every builder upholds and snapshot v3 headers
+/// sorted-pool invariant every builder upholds and snapshot v4 headers
 /// record (see `crate::serialize`, which rejects a snapshot whose spans
 /// fail this check). Queries rely on it for the galloping merges of
-/// [`sorted_ids_intersect`] and [`VicinityRef::min_boundary_sum`].
+/// [`sorted_ids_intersect`] and [`VicinityRef::min_outer_shell_sum`].
 pub(crate) fn spans_sorted(offsets: &[u64], members: &[NodeId]) -> bool {
     offsets.windows(2).all(|w| {
         members[w[0] as usize..w[1] as usize]
@@ -1295,16 +1174,16 @@ mod tests {
         VicinityStore::from_chunks(vec![chunk])
     }
 
-    /// Reference implementation of the merge intersection: per-boundary-node
-    /// membership probes, exactly what the query loop did before the merge.
-    fn probe_min_boundary_sum(
+    /// Reference implementation of the merge intersection: one membership
+    /// probe per outer-shell node.
+    fn probe_min_outer_shell_sum(
         scan: &VicinityRef<'_>,
         probe: &VicinityRef<'_>,
     ) -> Option<(Distance, NodeId)> {
         let mut best: Option<(Distance, NodeId)> = None;
-        for (w, d_scan) in scan.boundary_iter() {
+        for &w in scan.outer_shell() {
             if let Some(d_probe) = probe.distance_to(w) {
-                let total = d_scan + d_probe;
+                let total = scan.distance_to(w).unwrap() + d_probe;
                 if best.is_none_or(|(b, _)| total < b) {
                     best = Some((total, w));
                 }
@@ -1326,19 +1205,15 @@ mod tests {
                 }
                 let a = store.get(ua).unwrap();
                 let b = store.get(ub).unwrap();
-                let (merged, scanned, witnesses) = a.min_boundary_sum(&b);
-                let probed = probe_min_boundary_sum(&a, &b);
-                // The minimising witness can differ when several achieve the
-                // minimum; the distance must match exactly.
+                let merged = a.min_outer_shell_sum(&b);
+                // Both keep the smallest-id witness among ties.
                 assert_eq!(
-                    merged.map(|(d, _)| d),
-                    probed.map(|(d, _)| d),
+                    merged,
+                    probe_min_outer_shell_sum(&a, &b),
                     "pair ({ua}, {ub})"
                 );
-                assert!(scanned <= a.boundary_len() as u64);
                 if merged.is_some() {
                     intersections += 1;
-                    assert!(witnesses > 0);
                 }
             }
         }
@@ -1413,12 +1288,16 @@ mod tests {
         let g = classic::path(10);
         let store = store_with_radius(&g, 2, 0, true);
         let v = store.get(5).unwrap();
-        // Nodes 3 and 7 have neighbours (2 and 8) outside the vicinity.
-        let boundary: Vec<NodeId> = v.boundary_iter().map(|(n, _)| n).collect();
-        assert_eq!(boundary, vec![3, 7]);
-        assert_eq!(v.boundary_len(), 2);
-        // Boundary distances are the full radius here.
-        assert!(v.boundary_iter().all(|(_, d)| d == 2));
+        // Nodes 3 and 7 have neighbours (2 and 8) outside the vicinity;
+        // they are the outer shell, at the full radius.
+        assert_eq!(v.outer_shell(), &[3, 7]);
+        assert_eq!(v.max_shell_distance(), 2);
+        assert_eq!(crate::stats::boundary_size(&v, &g), 2);
+        // At node 2 the shell also holds node 0, the path's end, whose one
+        // neighbour is inside the ball: the shell is a superset.
+        let v = store.get(2).unwrap();
+        assert_eq!(v.outer_shell(), &[0, 4]);
+        assert_eq!(crate::stats::boundary_size(&v, &g), 1);
     }
 
     #[test]
@@ -1428,7 +1307,7 @@ mod tests {
         let v = store.get(2).unwrap();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
-        assert_eq!(v.boundary_len(), 0);
+        assert!(v.outer_shell().is_empty());
         assert!(!v.contains(2));
         assert_eq!(v.distance_to(2), None);
         assert_eq!(v.path_to(2), None);
@@ -1500,7 +1379,8 @@ mod tests {
         assert_eq!(v.members(), &[0, 1, 2]);
         assert_eq!(v.nearest_landmark(), None);
         // The whole component is inside, so there is no boundary.
-        assert_eq!(v.boundary_len(), 0);
+        assert_eq!(v.outer_shell(), &[2]);
+        assert_eq!(crate::stats::boundary_size(&v, &g), 0);
     }
 
     #[test]
@@ -1556,8 +1436,7 @@ mod tests {
     fn raw_sections_round_trip_through_from_raw() {
         let g = classic::grid(4, 4);
         let store = store_with_radius(&g, 2, 0, true);
-        let (radii, nearest, offsets, members, distances, preds, b_offsets, boundary) =
-            store.raw_sections();
+        let (radii, nearest, offsets, members, distances, preds) = store.raw_sections();
         let rebuilt = VicinityStore::from_raw(
             radii.to_vec(),
             nearest.to_vec(),
@@ -1565,8 +1444,6 @@ mod tests {
             members.to_vec(),
             distances.to_vec(),
             preds.to_vec(),
-            b_offsets.to_vec(),
-            boundary.to_vec(),
         );
         assert_eq!(store, rebuilt);
     }

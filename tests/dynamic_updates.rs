@@ -2,16 +2,19 @@
 //! arbitrary interleaving of `insert_edge` / `remove_edge` — across path
 //! storage settings and forced compaction boundaries — the
 //! [`DynamicOracle`]'s answers (distances, paths, and the answer method the
-//! stats plane reports) must equal a from-scratch rebuild on the mutated
-//! graph with the same (pinned) landmark set, published snapshots must
-//! answer identically to the writer, and every miss must be resolved
-//! exactly by the seeded fallback search over the patched vicinities.
+//! stats plane reports) and every node's vicinity (radius, nearest
+//! landmark, members, distances, predecessors) must equal a from-scratch
+//! rebuild on the mutated graph with the same (pinned) landmark set,
+//! published snapshots must answer identically to the writer, and every
+//! miss must be resolved exactly by the seeded fallback search over the
+//! patched vicinities.
 
 use proptest::prelude::*;
 
 use vicinity::core::config::Alpha;
 use vicinity::core::dynamic::DynamicOracle;
 use vicinity::core::fallback::fallback_distance;
+use vicinity::core::query::QueryIndex;
 use vicinity::core::OracleBuilder;
 use vicinity::graph::algo::bfs::{bfs_distance_between, BidirBfsScratch};
 use vicinity::graph::builder::GraphBuilder;
@@ -37,7 +40,10 @@ fn update_script(max_nodes: u32, max_len: usize) -> impl Strategy<Value = Vec<(u
 }
 
 /// All-pairs (strided) comparison of the dynamic oracle and its snapshot
-/// against a pinned-landmark rebuild on the current graph.
+/// against a pinned-landmark rebuild on the current graph, after every
+/// node's vicinity is compared section by section: the updates rebuild
+/// only header changes and open clusters, so this pins that every other
+/// vicinity is left exactly as a rebuild would store it.
 fn assert_matches_rebuild(dynamic: &DynamicOracle, stride: usize) {
     let graph = dynamic.graph().to_csr();
     let rebuilt = OracleBuilder::from_config(dynamic.base().config().clone())
@@ -47,6 +53,11 @@ fn assert_matches_rebuild(dynamic: &DynamicOracle, stride: usize) {
     let snapshot_csr = snapshot.graph().to_csr();
     let mut scratch = BidirBfsScratch::new();
     let n = graph.node_count() as NodeId;
+    for u in 0..n {
+        let expected = rebuilt.vicinity(u);
+        prop_assert_eq!(dynamic.vicinity_of(u), expected, "vicinity {}", u);
+        prop_assert_eq!(snapshot.vicinity_of(u), expected, "snapshot vicinity {}", u);
+    }
     for s in (0..n).step_by(stride) {
         for t in (0..n).step_by(stride) {
             let expected = rebuilt.distance(s, t);
@@ -204,6 +215,92 @@ fn inverse_updates_leave_an_empty_overlay() {
         }
         assert_eq!(dynamic.compactions(), 0);
     }
+}
+
+/// An edge at a landmark hub rebuilds no vicinity on the hub's side. A
+/// landmark's open cluster is empty, so the update rebuilds exactly the
+/// other endpoint's open cluster `{u : d(u, b) < r_u}`, taken on the graph
+/// holding the edge (after an insertion, before a removal), plus the nodes
+/// whose `(radius, nearest)` header changed. The hub's closed shell — the
+/// nodes holding the hub at exactly their radius, whose vicinities the
+/// edge cannot change — stays out of the count.
+#[test]
+fn landmark_hub_edges_rebuild_only_the_far_endpoint_cluster() {
+    use std::collections::BTreeSet;
+    use vicinity::graph::algo::bfs::bfs_distances;
+    use vicinity::graph::generators::social::SocialGraphConfig;
+    use vicinity::graph::{Distance, INFINITY};
+
+    let graph = SocialGraphConfig::small_test().generate(31);
+    let n = graph.node_count() as NodeId;
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .seed(8)
+        .build(&graph);
+    let hub = *oracle
+        .landmarks()
+        .nodes()
+        .iter()
+        .max_by_key(|&&l| graph.degree(l))
+        .unwrap();
+    let hub_distances = bfs_distances(&graph, hub);
+    let radius = |u: NodeId| oracle.vicinity(u).unwrap().radius();
+    let closed_shell: BTreeSet<NodeId> = (0..n)
+        .filter(|&u| !oracle.is_landmark(u) && hub_distances[u as usize] == radius(u))
+        .collect();
+    // The far endpoint: the non-landmark farthest from the hub.
+    let b = (0..n)
+        .filter(|&u| !oracle.is_landmark(u) && hub_distances[u as usize] != INFINITY)
+        .max_by_key(|&u| hub_distances[u as usize])
+        .unwrap();
+    assert!(hub_distances[b as usize] >= 3);
+    let mut dynamic = DynamicOracle::from_parts(oracle, graph).unwrap();
+
+    type Header = (Distance, Option<NodeId>);
+    let headers = |d: &DynamicOracle| -> Vec<Header> {
+        (0..n)
+            .map(|u| {
+                let v = d.vicinity_of(u).unwrap();
+                (v.radius(), v.nearest_landmark())
+            })
+            .collect()
+    };
+    let open_cluster = |d: &DynamicOracle| -> BTreeSet<NodeId> {
+        let from_b = bfs_distances(&d.graph().to_csr(), b);
+        (0..n)
+            .filter(|&u| from_b[u as usize] < d.vicinity_of(u).unwrap().radius())
+            .collect()
+    };
+    let rebuilt = |cluster: BTreeSet<NodeId>, before: &[Header], after: &[Header]| {
+        let mut expected = cluster;
+        expected.extend((0..n).filter(|&u| before[u as usize] != after[u as usize]));
+        expected
+    };
+
+    let before = headers(&dynamic);
+    assert!(dynamic.insert_edge(hub, b).unwrap());
+    let after = headers(&dynamic);
+    let expected = rebuilt(open_cluster(&dynamic), &before, &after);
+    let profile = dynamic.last_update_profile();
+    assert_eq!(profile.affected_vicinities as usize, expected.len());
+    assert!(
+        closed_shell.difference(&expected).count() > 100,
+        "the hub's closed shell ({} nodes) must reach beyond the rebuilt set ({} nodes)",
+        closed_shell.len(),
+        expected.len()
+    );
+    assert_matches_rebuild(&dynamic, 41);
+
+    let cluster = open_cluster(&dynamic);
+    let before = after;
+    assert!(dynamic.remove_edge(hub, b).unwrap());
+    let after = headers(&dynamic);
+    let expected = rebuilt(cluster, &before, &after);
+    assert_eq!(
+        dynamic.last_update_profile().affected_vicinities as usize,
+        expected.len()
+    );
+    assert_matches_rebuild(&dynamic, 41);
+    assert_eq!(dynamic.overlay_len(), 0);
 }
 
 /// The saturated dynamic path on the 66,000-node path graph, whose

@@ -7,6 +7,7 @@ use vicinity::core::config::{Alpha, SamplingStrategy};
 use vicinity::core::fallback::QueryWithFallback;
 use vicinity::core::memory::MemoryReport;
 use vicinity::core::query::{DistanceAnswer, PathAnswer};
+use vicinity::core::stats::average_boundary_size;
 use vicinity::core::{serialize, OracleBuilder};
 use vicinity::datasets::registry::{Dataset, Scale, StandIn};
 use vicinity::datasets::workload::PairWorkload;
@@ -172,7 +173,7 @@ fn memory_and_boundary_claims() {
     assert!(report_large.entry_savings_factor > 1.0);
 
     let n = graph.node_count() as f64;
-    let boundary_fraction = large.average_boundary_size() / n;
+    let boundary_fraction = average_boundary_size(&large, graph) / n;
     assert!(
         boundary_fraction < 0.2,
         "average boundary should be a small fraction of n, got {boundary_fraction}"

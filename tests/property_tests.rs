@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use vicinity::baselines::bfs::BfsEngine;
 use vicinity::baselines::PointToPoint;
 use vicinity::core::config::Alpha;
+use vicinity::core::stats::boundary_size;
 use vicinity::core::{serialize, OracleBuilder};
 use vicinity::graph::algo::bfs::{bfs_distances, bounded_bfs, BidirBfsScratch};
 use vicinity::graph::builder::GraphBuilder;
@@ -57,8 +58,8 @@ proptest! {
     }
 
     /// Vicinity structure matches Definition 1: members are exactly the
-    /// nodes within the ball radius, the boundary is the subset with an
-    /// escaping edge, and stored distances are exact.
+    /// nodes within the ball radius, the boundary computed from the graph
+    /// is the subset with an escaping edge, and stored distances are exact.
     #[test]
     fn vicinity_matches_definition(
         graph in arbitrary_graph(50, 120),
@@ -81,13 +82,18 @@ proptest! {
                     prop_assert_eq!(vicinity.distance_to(v), Some(reference[v as usize]));
                 }
             }
-            for (member, _) in vicinity.boundary_iter() {
-                prop_assert!(graph.neighbors(member).iter().any(|&w| !vicinity.contains(w)));
-            }
+            // The boundary, computed from the graph, is exactly the
+            // members with an escaping edge.
+            let escaping = (0..graph.node_count() as u32)
+                .filter(|&v| {
+                    vicinity.contains(v) && graph.neighbors(v).iter().any(|&w| !vicinity.contains(w))
+                })
+                .count();
+            prop_assert_eq!(boundary_size(&vicinity, &graph), escaping);
         }
     }
 
-    /// Snapshot format v3 round-trips on arbitrary graphs, with and without predecessor storage. The `arbitrary_graph` strategy
+    /// Snapshot format v4 round-trips on arbitrary graphs, with and without predecessor storage. The `arbitrary_graph` strategy
     /// keeps the node count fixed while edges are random, so most cases
     /// contain isolated and landmark-free nodes (empty and degenerate
     /// vicinities) alongside regular ones. (Saturated u16 landmark rows
@@ -107,7 +113,7 @@ proptest! {
         prop_assert_eq!(oracle, decoded);
     }
 
-    /// A v3-decoded oracle answers every pair identically to the original
+    /// A v4-decoded oracle answers every pair identically to the original
     /// (distances and paths), with and without stored paths.
     #[test]
     fn decoded_oracle_answers_all_pairs_identically(
