@@ -24,14 +24,13 @@ use std::time::{Duration, Instant};
 use rand::SeedableRng;
 use vicinity_bench::{percentile_ms, timed};
 use vicinity_core::config::Alpha;
-use vicinity_core::index::LandmarkEntry;
 use vicinity_core::memory::MemoryReport;
 use vicinity_core::{serialize, OracleBuilder, VicinityOracle};
 use vicinity_graph::algo::bfs::bfs_distances;
 use vicinity_graph::algo::sampling::random_pairs;
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::generators::social::SocialGraphConfig;
-use vicinity_graph::{Distance, NodeId, INFINITY};
+use vicinity_graph::{NodeId, INFINITY};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -222,8 +221,7 @@ fn cold_decode_time(path: &std::path::Path, rounds: usize) -> Duration {
 }
 
 /// The number of landmark rows that differ from a single-source BFS from
-/// their landmark, entry by entry in the compact encoding (exact below
-/// 2¹⁶−2 hops, saturated from there, unreachable where BFS never arrives).
+/// their landmark, entry by entry (`None` where BFS never arrives).
 fn check_landmark_rows(graph: &CsrGraph, oracle: &VicinityOracle) -> u32 {
     let mut mismatches = 0;
     for &l in oracle.landmarks().nodes() {
@@ -231,18 +229,11 @@ fn check_landmark_rows(graph: &CsrGraph, oracle: &VicinityOracle) -> u32 {
         let wrong = bfs_distances(graph, l)
             .into_iter()
             .enumerate()
-            .find(|&(v, d)| {
-                let want = match d {
-                    INFINITY => LandmarkEntry::Unreachable,
-                    d if d >= u16::MAX as Distance - 1 => LandmarkEntry::Saturated,
-                    d => LandmarkEntry::Exact(d),
-                };
-                row.entry(v as NodeId) != want
-            });
+            .find(|&(v, d)| row.distance_to(v as NodeId) != (d != INFINITY).then_some(d));
         if let Some((v, d)) = wrong {
             eprintln!(
                 "FAIL: landmark {l}'s row holds {:?} for node {v}, BFS says {d}",
-                row.entry(v as NodeId)
+                row.distance_to(v as NodeId)
             );
             mismatches += 1;
         }

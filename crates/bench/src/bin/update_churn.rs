@@ -8,7 +8,8 @@
 //! between updates. Reports per-update latency percentiles (insert and
 //! remove separately), the mean time per update of each writer phase
 //! (`UpdateProfile`'s labels, rows, cluster and rebuild, plus the publish
-//! remainder) with the rows repaired per update, compaction counts, and
+//! remainder), over all updates and split by operation (insert, remove),
+//! with the rows repaired per update, compaction counts, and
 //! post-churn batched query throughput against the frozen pre-churn
 //! oracle, the two timed alternately ([`QPS_PASSES`] passes each).
 //!
@@ -103,9 +104,9 @@ fn main() {
 
     let mut insert_samples: Vec<Duration> = Vec::with_capacity(updates / 2 + 1);
     let mut remove_samples: Vec<Duration> = Vec::with_capacity(updates / 2 + 1);
-    // labels, rows, cluster, rebuild, publish (ns); publish is the writer
-    // call minus the profiled phases.
-    let mut phase_totals = [0u64; 5];
+    // labels, rows, cluster, rebuild, publish (ns), per operation (insert,
+    // remove); publish is the writer call minus the profiled phases.
+    let mut phase_totals = [[0u64; 5]; 2];
     let mut rows_repaired_total = 0u64;
     let mut vicinities_rebuilt_total = 0u64;
     let mut applied = 0usize;
@@ -155,13 +156,17 @@ fn main() {
                     remove_samples.push(elapsed);
                 }
                 let profile = writer.oracle().last_update_profile();
-                phase_totals[0] += profile.labels_ns;
-                phase_totals[1] += profile.rows_ns;
-                phase_totals[2] += profile.cluster_ns;
-                phase_totals[3] += profile.rebuild_ns;
-                let phases =
-                    profile.labels_ns + profile.rows_ns + profile.cluster_ns + profile.rebuild_ns;
-                phase_totals[4] += (elapsed.as_nanos() as u64).saturating_sub(phases);
+                let phases = [
+                    profile.labels_ns,
+                    profile.rows_ns,
+                    profile.cluster_ns,
+                    profile.rebuild_ns,
+                ];
+                let publish = (elapsed.as_nanos() as u64).saturating_sub(phases.iter().sum());
+                let totals = &mut phase_totals[usize::from(!insert)];
+                for (total, ns) in totals.iter_mut().zip(phases.into_iter().chain([publish])) {
+                    *total += ns;
+                }
                 rows_repaired_total += u64::from(profile.rows_repaired);
                 vicinities_rebuilt_total += u64::from(profile.affected_vicinities);
                 applied += 1;
@@ -206,13 +211,31 @@ fn main() {
         writer.oracle().overlay_len(),
     );
     let per_update = |total: u64| total as f64 / applied.max(1) as f64;
-    let phase_us = phase_totals.map(|ns| per_update(ns) / 1e3);
     let rows_repaired = per_update(rows_repaired_total);
     let vicinities_rebuilt = per_update(vicinities_rebuilt_total);
+    // Mean µs per update of each phase: over all updates, then over each
+    // operation's own updates.
+    let mean_us =
+        |totals: [u64; 5], count: usize| totals.map(|ns| ns as f64 / count.max(1) as f64 / 1e3);
+    let phase_us = mean_us(
+        std::array::from_fn(|i| phase_totals[0][i] + phase_totals[1][i]),
+        applied,
+    );
+    let insert_phase_us = mean_us(phase_totals[0], insert_samples.len());
+    let remove_phase_us = mean_us(phase_totals[1], remove_samples.len());
+    for (label, us) in [
+        ("all", phase_us),
+        ("insert", insert_phase_us),
+        ("remove", remove_phase_us),
+    ] {
+        println!(
+            "mean per update ({label}): labels {:.1}us rows {:.1}us clusters {:.1}us \
+             rebuild {:.1}us publish {:.1}us",
+            us[0], us[1], us[2], us[3], us[4]
+        );
+    }
     println!(
-        "mean per update: labels {:.1}us rows {:.1}us clusters {:.1}us rebuild {:.1}us \
-         publish {:.1}us ({rows_repaired:.1} rows repaired, {vicinities_rebuilt:.1} vicinities rebuilt)",
-        phase_us[0], phase_us[1], phase_us[2], phase_us[3], phase_us[4],
+        "({rows_repaired:.1} rows repaired, {vicinities_rebuilt:.1} vicinities rebuilt per update)"
     );
 
     // Batched throughput: the frozen pre-churn oracle against the
@@ -311,7 +334,8 @@ fn main() {
              \"qps_ratio\": {ratio:.3}, \"full_rebuild_s\": {:.1}, \"labels_us\": {:.1}, \
              \"rows_us\": {:.1}, \"cluster_us\": {:.1}, \"rebuild_us\": {:.1}, \"publish_us\": {:.1}, \
              \"rows_repaired_per_update\": {rows_repaired:.3}, \
-             \"vicinities_rebuilt_per_update\": {vicinities_rebuilt:.3}}}\n  ]",
+             \"vicinities_rebuilt_per_update\": {vicinities_rebuilt:.3}, \
+             \"insert_phase_us\": {}, \"remove_phase_us\": {}}}\n  ]",
             all_samples.len(),
             percentile_ms(&insert_samples, 50.0) * 1e3,
             percentile_ms(&insert_samples, 99.0) * 1e3,
@@ -324,6 +348,8 @@ fn main() {
             phase_us[2],
             phase_us[3],
             phase_us[4],
+            phase_json(&insert_phase_us),
+            phase_json(&remove_phase_us),
         );
         match write_bench_section(&path, "update_churn", &payload) {
             Ok(()) => println!("wrote update_churn section to {}", path.display()),
@@ -339,6 +365,15 @@ fn main() {
         std::process::exit(1);
     }
     println!("update_churn: all checks passed");
+}
+
+/// Mean µs per phase as a JSON object, keyed as in the flat fields.
+fn phase_json(us: &[f64; 5]) -> String {
+    format!(
+        "{{\"labels_us\": {:.1}, \"rows_us\": {:.1}, \"cluster_us\": {:.1}, \
+         \"rebuild_us\": {:.1}, \"publish_us\": {:.1}}}",
+        us[0], us[1], us[2], us[3], us[4]
+    )
 }
 
 /// The median of `values` (the upper one of an even count).

@@ -5,33 +5,34 @@
 //! 1. Sample the landmark set `L` (degree-proportional by default).
 //! 2. One multi-source BFS from `L` gives every node its nearest landmark
 //!    and ball radius `d(u, ℓ(u))`.
-//! 3. For every node, a bounded BFS up to that radius materialises the
+//! 3. The landmarks, in rank order, are cut into batches of 64; one
+//!    bit-parallel multi-source BFS per batch (one `u64` lane per
+//!    landmark) materialises the batch's distances to every node in a
+//!    node-major buffer, whose 64-entry column slices are then copied
+//!    into the slab ([`LandmarkDistances`]). A search that reaches
+//!    [`HOP_HORIZON`] hops refuses the graph, before any vicinity is
+//!    built.
+//! 4. For every node, a bounded BFS up to that radius materialises the
 //!    vicinity `Γ(u)` (members, distances, predecessors). Each
 //!    worker appends its node range into a private [`VicinityChunk`]
 //!    arena; the chunks are spliced into the flat [`VicinityStore`] by
 //!    plain pool concatenation, with the derived shell and hash sections
 //!    built once on the assembled store (no per-node re-hashing).
-//! 4. The landmarks, in rank order, are cut into batches of 64; one
-//!    bit-parallel multi-source BFS per batch (one `u64` lane per
-//!    landmark) materialises the batch's distances to every node in a
-//!    node-major buffer, whose 64-entry column slices are then copied
-//!    into the slab ([`LandmarkDistances`]).
 //!
-//! Step 3 is split over worker threads by node range, step 4 by batch (one
-//! batch per worker per round, then the copy by node range); both use
+//! Step 3 is split over worker threads by batch (one batch per worker per
+//! round, then the copy by node range), step 4 by node range; both use
 //! `std::thread::scope`, and neither result depends on the thread count.
 
 use vicinity_graph::algo::bfs::BoundedBfsScratch;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::{Distance, NodeId};
+use vicinity_graph::NodeId;
 
 use crate::ball::BallRadii;
 use crate::config::{Alpha, OracleConfig};
-use crate::index::{
-    encode_distance, LandmarkDistances, VicinityOracle, SATURATED_U16, UNREACHABLE_U16,
-};
+use crate::index::{LandmarkDistances, VicinityOracle, HOP_HORIZON, UNREACHABLE_U16};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::{VicinityChunk, VicinityStore};
+use crate::OracleError;
 
 /// Builder for [`VicinityOracle`].
 ///
@@ -110,13 +111,17 @@ impl OracleBuilder {
         &self.config
     }
 
-    /// Build the oracle. Panics only if the configuration is invalid
-    /// (use [`OracleBuilder::try_build`] for a fallible version).
+    /// Build the oracle. Panics if the configuration is invalid or a
+    /// landmark distance reaches [`HOP_HORIZON`] hops (use
+    /// [`OracleBuilder::try_build`] for a fallible version).
     pub fn build(&self, graph: &CsrGraph) -> VicinityOracle {
         self.try_build(graph).expect("oracle construction failed")
     }
 
-    /// Build the oracle, reporting configuration errors instead of panicking.
+    /// Build the oracle, reporting errors instead of panicking: an invalid
+    /// configuration, or [`OracleError::InvalidGraph`] when a landmark
+    /// distance reaches [`HOP_HORIZON`] hops, past what the 16-bit rows
+    /// hold.
     pub fn try_build(&self, graph: &CsrGraph) -> crate::Result<VicinityOracle> {
         self.config.validate()?;
         let config = self.config.clone();
@@ -130,12 +135,18 @@ impl OracleBuilder {
         // Step 2: ball radii via one multi-source BFS.
         let radii = BallRadii::compute(graph, &landmarks);
 
-        // Step 3: vicinities, in parallel over node ranges.
-        let store = build_store(graph, &config, &radii);
-
-        // Step 4: landmark distances, 64 landmarks per search, in
+        // Step 3: landmark distances, 64 landmarks per search, in
         // parallel over batches.
-        let landmark_distances = build_landmark_distances(graph, &config, &landmarks);
+        let landmark_distances =
+            build_landmark_distances(graph, &config, &landmarks).ok_or_else(|| {
+                OracleError::InvalidGraph(format!(
+                    "a landmark distance reaches {HOP_HORIZON} hops, \
+                     past what the 16-bit landmark rows hold"
+                ))
+            })?;
+
+        // Step 4: vicinities, in parallel over node ranges.
+        let store = build_store(graph, &config, &radii);
 
         Ok(VicinityOracle {
             config,
@@ -210,16 +221,17 @@ const LANES: usize = 64;
 /// in rank order and run in rounds, one batch per worker; each worker
 /// fills a private node-major buffer, and the round's buffers are then
 /// copied into their columns, split over the same workers by node range.
+/// `None` when a search reaches [`HOP_HORIZON`] hops.
 fn build_landmark_distances(
     graph: &CsrGraph,
     config: &OracleConfig,
     landmarks: &LandmarkSet,
-) -> LandmarkDistances {
+) -> Option<LandmarkDistances> {
     let n = graph.node_count();
     let mut distances = LandmarkDistances::zeroed(landmarks.len(), n);
     let batches: Vec<&[NodeId]> = landmarks.nodes().chunks(LANES).collect();
     if batches.is_empty() {
-        return distances;
+        return Some(distances);
     }
     let threads = config.effective_threads().max(1);
     let mut searches: Vec<LaneSearch> = (0..threads.min(batches.len()))
@@ -228,25 +240,27 @@ fn build_landmark_distances(
     let per_round = searches.len();
     for (round, round_batches) in batches.chunks(per_round).enumerate() {
         let searches = &mut searches[..round_batches.len()];
-        if let [search] = searches {
-            search.run(graph, round_batches[0]);
+        let within_horizon = if let [search] = searches {
+            search.run(graph, round_batches[0])
         } else {
             std::thread::scope(|scope| {
-                for (search, &batch) in searches.iter_mut().zip(round_batches) {
-                    scope.spawn(move || search.run(graph, batch));
-                }
-            });
-        }
-        let first_rank = round * per_round * LANES;
-        for (index, search) in searches.iter().enumerate() {
-            for lane in lanes(search.saturated) {
-                distances.mark_saturated(first_rank + index * LANES + lane);
-            }
+                let handles: Vec<_> = searches
+                    .iter_mut()
+                    .zip(round_batches)
+                    .map(|(search, &batch)| scope.spawn(move || search.run(graph, batch)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .all(|handle| handle.join().expect("landmark search panicked"))
+            })
+        };
+        if !within_horizon {
+            return None;
         }
         let blocks: Vec<&[u16]> = searches.iter().map(|s| s.columns.as_slice()).collect();
-        distances.fill_column_blocks(first_rank, &blocks, threads);
+        distances.fill_column_blocks(round * per_round * LANES, &blocks, threads);
     }
-    distances
+    Some(distances)
 }
 
 /// The lanes set in `mask`, lowest first.
@@ -275,8 +289,6 @@ struct LaneSearch {
     next_frontier: Vec<NodeId>,
     /// Node-major compact distances, one entry per lane for each node.
     columns: Vec<u16>,
-    /// Lanes that reached a node at a saturating level.
-    saturated: u64,
 }
 
 impl LaneSearch {
@@ -288,14 +300,15 @@ impl LaneSearch {
             frontier: Vec::new(),
             next_frontier: Vec::new(),
             columns: Vec::with_capacity(n * LANES),
-            saturated: 0,
         }
     }
 
     /// Search from `batch` (distinct landmarks), leaving every node's
-    /// distances to them in `columns`: `encode_distance(level)` where a
-    /// lane reaches it, `UNREACHABLE_U16` where none does.
-    fn run(&mut self, graph: &CsrGraph, batch: &[NodeId]) {
+    /// distances to them in `columns`: the level where a lane reaches it,
+    /// `UNREACHABLE_U16` where none does. Returns `false`, leaving the
+    /// search to be dropped, as soon as a lane reaches a node at
+    /// [`HOP_HORIZON`] hops.
+    fn run(&mut self, graph: &CsrGraph, batch: &[NodeId]) -> bool {
         let LaneSearch {
             seen,
             visit,
@@ -303,14 +316,12 @@ impl LaneSearch {
             frontier,
             next_frontier,
             columns,
-            saturated,
         } = self;
         let k = batch.len();
         debug_assert!((1..=LANES).contains(&k));
         seen.fill(0);
         columns.clear();
         columns.resize(graph.node_count() * k, UNREACHABLE_U16);
-        *saturated = 0;
         frontier.clear();
         for (lane, &l) in batch.iter().enumerate() {
             let l = l as usize;
@@ -319,10 +330,9 @@ impl LaneSearch {
             columns[l * k + lane] = 0;
             frontier.push(l as NodeId);
         }
-        let mut level: Distance = 0;
+        let mut level: u16 = 0;
         while !frontier.is_empty() {
             level += 1;
-            let raw = encode_distance(level);
             for &v in frontier.iter() {
                 let reach = visit[v as usize];
                 for &w in graph.neighbors(v) {
@@ -338,14 +348,12 @@ impl LaneSearch {
                     seen[w] |= fresh;
                     let column = &mut columns[w * k..(w + 1) * k];
                     for lane in lanes(fresh) {
-                        column[lane] = raw;
+                        column[lane] = level;
                     }
                 }
             }
-            if raw == SATURATED_U16 {
-                *saturated |= next_frontier
-                    .iter()
-                    .fold(0, |acc, &w| acc | next[w as usize]);
+            if level == HOP_HORIZON && !next_frontier.is_empty() {
+                return false;
             }
             for &v in frontier.iter() {
                 visit[v as usize] = 0;
@@ -354,6 +362,7 @@ impl LaneSearch {
             std::mem::swap(frontier, next_frontier);
             next_frontier.clear();
         }
+        true
     }
 }
 
@@ -489,18 +498,18 @@ mod tests {
     }
 
     /// Every slab entry equals the encoded distance of an independent
-    /// single-source BFS from its landmark, and a rank is flagged exactly
-    /// when its row holds a saturated entry.
+    /// single-source BFS from its landmark.
     fn assert_rows_match_bfs(graph: &CsrGraph, oracle: &VicinityOracle) {
         let slab = oracle.landmark_distances();
         for (rank, &l) in oracle.landmarks().nodes().iter().enumerate() {
-            let mut saturated = false;
             for (v, d) in bfs_distances(graph, l).into_iter().enumerate() {
-                let want = encode_distance(d);
-                assert_eq!(slab.raw(rank, v as NodeId), want, "landmark {l}, node {v}");
-                saturated |= want == SATURATED_U16;
+                let want = crate::index::encode_distance(d);
+                assert_eq!(
+                    Some(slab.raw(rank, v as NodeId)),
+                    want,
+                    "landmark {l}, node {v}"
+                );
             }
-            assert_eq!(slab.saturated_ranks()[rank], saturated, "landmark {l}");
         }
     }
 
@@ -551,31 +560,38 @@ mod tests {
             assert_rows_match_bfs(&g, &oracle);
             let isolated = oracle.landmark_row(37).unwrap();
             assert_eq!(isolated.distance_to(37), Some(0));
-            assert_eq!(isolated.entry(0), crate::index::LandmarkEntry::Unreachable);
+            assert_eq!(isolated.distance_to(0), None);
         }
     }
 
     #[test]
-    fn landmark_rows_match_bfs_past_the_saturation_horizon() {
-        // The 66,000-node path of the dynamic saturation test: landmark 2
-        // sees the far end beyond 2¹⁶−2 hops, so its row and those of the
-        // other near-end landmarks saturate, in several lane batches.
+    fn try_build_refuses_landmark_distances_at_the_horizon() {
+        // A 66,000-node path with landmarks 2, n − 3 and one every 200
+        // hops, in several lane batches: landmark 2 is 65,994 hops from
+        // the far end, so the build is refused on any thread count.
         let n: NodeId = 66_000;
         let mut landmarks = vec![2, n - 3];
         landmarks.extend((200..n - 200).step_by(200));
         let g = classic::path(n as usize);
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
-            .landmarks(landmarks)
-            .store_paths(false)
-            .build(&g);
-        assert!(oracle.landmarks().len() > 2 * LANES);
-        assert_rows_match_bfs(&g, &oracle);
-        let flags = oracle.landmark_distances().saturated_ranks();
-        // Ranks follow ids: both end landmarks saturate, the middle one
-        // sees every node within 33,000 hops.
-        assert!(flags[0] && flags[flags.len() - 1] && !flags[flags.len() / 2]);
-        let decoded = crate::serialize::decode(&crate::serialize::encode(&oracle)).unwrap();
-        assert_eq!(decoded.landmark_distances, oracle.landmark_distances);
+        for threads in [1, 2] {
+            let err = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+                .landmarks(landmarks.clone())
+                .store_paths(false)
+                .threads(threads)
+                .try_build(&g)
+                .unwrap_err();
+            assert!(matches!(err, OracleError::InvalidGraph(_)), "{err}");
+            assert!(err.to_string().contains("65534 hops"), "{err}");
+        }
+        // The boundary: a lane holds 65,533 hops and refuses one more.
+        for (nodes, within) in [(HOP_HORIZON, true), (HOP_HORIZON + 1, false)] {
+            let path = classic::path(nodes as usize);
+            let mut search = LaneSearch::new(path.node_count());
+            assert_eq!(search.run(&path, &[0]), within, "{nodes} nodes");
+            if within {
+                assert_eq!(search.columns.last(), Some(&(HOP_HORIZON - 1)));
+            }
+        }
     }
 
     #[test]

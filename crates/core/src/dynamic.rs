@@ -36,7 +36,8 @@
 //! three structures exact, each by a bounded repair proportional to the
 //! affected region rather than the graph:
 //!
-//! 1. **Nearest-landmark labels** `(d(u, L), ℓ(u))` — an incremental
+//! 1. **Nearest-landmark labels** `(d(u, L), ℓ(u))`, repaired once the
+//!    rows (item 2) have accepted the update — an incremental
 //!    improve-BFS on insertion; on deletion, the affected region `D`
 //!    (nodes reachable from the deeper endpoint along `+1`-level edges —
 //!    an overapproximation of every node whose distance *or* label support
@@ -44,20 +45,19 @@
 //!    a unit-weight Dijkstra. The label invariant maintained is the one
 //!    the query pruning relies on: `d(u, ℓ(u)) == radius(u)` exactly.
 //! 2. **Landmark rows** — one pass over the two endpoint columns checks
-//!    every landmark at once (`|d(ℓ, a) − d(ℓ, b)|` in the monotone
-//!    clamped `u16` encoding) and proves most rows untouched. On removal,
-//!    the remaining candidate landmarks of the deeper endpoint are tested
-//!    for support against one neighbour column at a time, stopping once
-//!    every candidate has a neighbour one level closer. Only the rows left
-//!    take the incremental/decremental repair in the clamped domain,
-//!    reading entries through the columns. Rows containing saturated
-//!    entries ("finite but ≥ 2¹⁶−2") are opaque to decremental repair and
-//!    are recomputed when touched — a path that only fires on graphs whose
-//!    diameter exceeds the 16-bit horizon. One documented divergence
-//!    remains there: deleting an edge *strictly inside* the saturated
-//!    horizon keeps entries saturated (reported as [`DistanceAnswer::Miss`],
-//!    resolved by any exact fallback) where a from-scratch rebuild of a
-//!    now-disconnected row would report unreachable.
+//!    every landmark at once (`|d(ℓ, a) − d(ℓ, b)|` in the `u16`
+//!    encoding, where unreachable sorts above every distance) and proves
+//!    most rows untouched. On removal, the remaining candidate landmarks
+//!    of the deeper endpoint are tested for support against one neighbour
+//!    column at a time, stopping once every candidate has a neighbour one
+//!    level closer. Only the rows left take the incremental/decremental
+//!    repair, reading entries through the columns. A rank never reads
+//!    another rank's entries, so every repair reads the pre-update rows
+//!    and its writes are collected first and committed together — or, if
+//!    one would be a distance of [`HOP_HORIZON`] hops or more, none is:
+//!    the update is refused with [`UpdateError::PastHorizon`] and the
+//!    graph edit reverted. Rows are repaired before labels, so a refused
+//!    update leaves the oracle exactly as it was.
 //! 3. **Vicinities** — the affected set is `R ∪ C(a) ∪ C(b)`: nodes whose
 //!    `(radius, ℓ)` header changed, plus the *open clusters*
 //!    `C(x) = { u : d(u, x) < radius(u) }` of both endpoints (computed on
@@ -100,7 +100,7 @@ use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY, INVALID_NODE};
 
 use crate::index::{
-    encode_distance, LandmarkDistances, VicinityOracle, SATURATED_U16, UNREACHABLE_U16,
+    decode_distance, encode_distance, LandmarkDistances, VicinityOracle, HOP_HORIZON,
 };
 use crate::query::{
     distance_batch_accumulate_on, distance_with_stats_on, path_batch_on, path_on, DistanceAnswer,
@@ -133,6 +133,14 @@ pub enum UpdateError {
         /// Nodes in the provided graph.
         graph_nodes: usize,
     },
+    /// The update would put a node [`HOP_HORIZON`] hops or more from a
+    /// landmark, past what the 16-bit landmark rows hold. It was not
+    /// applied: the graph and the index are as they were.
+    PastHorizon {
+        /// The landmark whose row the update would have pushed past the
+        /// horizon.
+        landmark: NodeId,
+    },
 }
 
 impl std::fmt::Display for UpdateError {
@@ -152,6 +160,11 @@ impl std::fmt::Display for UpdateError {
             } => write!(
                 f,
                 "oracle indexes {oracle_nodes} nodes but the graph has {graph_nodes}"
+            ),
+            UpdateError::PastHorizon { landmark } => write!(
+                f,
+                "update refused: a node would be {HOP_HORIZON} or more hops from \
+                 landmark {landmark}, past what the 16-bit landmark rows hold"
             ),
         }
     }
@@ -747,10 +760,6 @@ pub struct DynamicOracle {
     /// the canonical choice makes the landmark walk, and so every answer
     /// method, match a pinned rebuild's.
     nearest: Vec<NodeId>,
-    /// Per landmark rank, whether its current row may hold a saturated
-    /// entry: the base slab's flags at construction, then kept
-    /// (conservatively) by every repair.
-    row_saturated: Vec<bool>,
     version: u64,
     compaction_limit: usize,
     /// Σ `budget_cost` over patched vicinities.
@@ -765,6 +774,9 @@ pub struct DynamicOracle {
     stamp_version: u32,
     /// Per-node distances for the stamped traversals, valid where stamped.
     stamp_dist: Vec<Distance>,
+    /// The current update's landmark-distance writes, `(rank, node,
+    /// value)`, collected before any is committed.
+    row_writes: Vec<(u32, NodeId, u16)>,
 }
 
 impl_overlay_queries!(DynamicOracle);
@@ -798,7 +810,6 @@ impl DynamicOracle {
                 nearest.push(nearest_raw[u]);
             }
         }
-        let row_saturated = base.landmark_distances().saturated_ranks().to_vec();
         // Default budget: an eighth of the base store before folding.
         let compaction_limit = (base.store().total_entries() as usize / 8).max(4 * 1024);
         Ok(DynamicOracle {
@@ -808,7 +819,6 @@ impl DynamicOracle {
             rows: FastMap::default(),
             radius,
             nearest,
-            row_saturated,
             version: 0,
             compaction_limit,
             overlay_budget: 0,
@@ -819,6 +829,7 @@ impl DynamicOracle {
             stamp: vec![0; n],
             stamp_version: 0,
             stamp_dist: vec![0; n],
+            row_writes: Vec::new(),
         })
     }
 
@@ -878,7 +889,9 @@ impl DynamicOracle {
 
     /// Insert the undirected edge `{a, b}`. Returns `Ok(false)` (a no-op)
     /// when the edge already exists. On success the index is exact for the
-    /// new graph before the call returns.
+    /// new graph before the call returns. An edge that would bring a node
+    /// into a landmark's reach at [`HOP_HORIZON`] hops or more is refused
+    /// with [`UpdateError::PastHorizon`], leaving the oracle unchanged.
     pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, UpdateError> {
         self.check_ids(a, b)?;
         if self.graph.has_edge(a, b) {
@@ -887,18 +900,20 @@ impl DynamicOracle {
         self.graph.insert_edge(a, b);
         let mut profile = UpdateProfile::default();
 
-        // 1. Nearest-landmark labels: distances only improve; flood the
+        // 1. Landmark rows, first: the one phase that can refuse.
+        let phase = std::time::Instant::now();
+        profile.rows_repaired = self
+            .repair_rows_insert(a, b)
+            .inspect_err(|_| self.graph.remove_edge(a, b))?;
+        profile.rows_ns = phase.elapsed().as_nanos() as u64;
+
+        // 2. Nearest-landmark labels: distances only improve; flood the
         //    improvement from the side the new edge shortcuts.
         let mut affected: Vec<NodeId> = Vec::new();
         let phase = std::time::Instant::now();
         self.improve_labels(a, b, &mut affected);
         profile.labels_ns = phase.elapsed().as_nanos() as u64;
         profile.header_changes = affected.len() as u32;
-
-        // 2. Landmark rows, each in its clamped u16 domain.
-        let phase = std::time::Instant::now();
-        profile.rows_repaired = self.repair_rows_insert(a, b);
-        profile.rows_ns = phase.elapsed().as_nanos() as u64;
 
         // 3. Vicinities: header changes plus both endpoints' open clusters
         //    on the new state.
@@ -923,7 +938,9 @@ impl DynamicOracle {
 
     /// Remove the undirected edge `{a, b}`. Returns `Ok(false)` (a no-op)
     /// when the edge is not present. On success the index is exact for the
-    /// new graph before the call returns.
+    /// new graph before the call returns. A removal that would leave a
+    /// node [`HOP_HORIZON`] hops or more from a landmark is refused with
+    /// [`UpdateError::PastHorizon`], leaving the oracle unchanged.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, UpdateError> {
         self.check_ids(a, b)?;
         if !self.graph.has_edge(a, b) {
@@ -941,17 +958,19 @@ impl DynamicOracle {
 
         self.graph.remove_edge(a, b);
 
-        // 1. Nearest-landmark labels (decremental, label-aware).
+        // 1. Landmark rows, first: the one phase that can refuse.
+        let phase = std::time::Instant::now();
+        profile.rows_repaired = self
+            .repair_rows_remove(a, b)
+            .inspect_err(|_| self.graph.insert_edge(a, b))?;
+        profile.rows_ns = phase.elapsed().as_nanos() as u64;
+
+        // 2. Nearest-landmark labels (decremental, label-aware).
         let phase = std::time::Instant::now();
         let cluster_nodes = affected.len();
         self.decrement_labels(a, b, &mut affected);
         profile.labels_ns = phase.elapsed().as_nanos() as u64;
         profile.header_changes = (affected.len() - cluster_nodes) as u32;
-
-        // 2. Landmark rows.
-        let phase = std::time::Instant::now();
-        profile.rows_repaired = self.repair_rows_remove(a, b);
-        profile.rows_ns = phase.elapsed().as_nanos() as u64;
 
         // 3. Vicinities.
         let phase = std::time::Instant::now();
@@ -1290,72 +1309,67 @@ impl DynamicOracle {
     }
 
     /// Insert-side repair of every landmark row. One pass over the two
-    /// endpoint columns finds the landmarks the new edge shortcuts. The
-    /// encoding is monotone (`exact < SATURATED < UNREACHABLE`), so a
-    /// clamped improve-BFS in the raw `u16` domain is exact for each:
-    /// improvements clamp at the saturation sentinel exactly as a
-    /// rebuild's encoder would. Repairs write sparse column-patch entries
-    /// — the touched region, not the row.
-    fn repair_rows_insert(&mut self, a: NodeId, b: NodeId) -> u32 {
+    /// endpoint columns finds the landmarks the new edge shortcuts; for
+    /// each, an improve-BFS from the shortcut endpoint collects the
+    /// entries that drop. It marks the nodes it reaches with a stamp
+    /// rather than reading back its writes, which
+    /// [`DynamicOracle::commit_row_writes`] makes only once every row has
+    /// been repaired within the horizon. Returns the rows repaired.
+    fn repair_rows_insert(&mut self, a: NodeId, b: NodeId) -> Result<u32, UpdateError> {
         let base = Arc::clone(&self.base);
         let slab = base.landmark_distances();
         let column_a = current_column(slab, &self.rows, a);
         let column_b = current_column(slab, &self.rows, b);
+        self.row_writes.clear();
+        let mut queue: VecDeque<(NodeId, u16)> = VecDeque::new();
         let mut repaired = 0u32;
+        // One hop past an entry; unreachable stays unreachable.
+        let step = |raw: u16| raw.saturating_add(1);
         for (rank, (&raw_a, &raw_b)) in column_a.iter().zip(&column_b).enumerate() {
-            let (seed, seed_val, other) = if clamped_step(raw_a) < raw_b {
-                (b, clamped_step(raw_a), raw_b)
-            } else if clamped_step(raw_b) < raw_a {
-                (a, clamped_step(raw_b), raw_a)
+            let (seed, seed_val) = if step(raw_a) < raw_b {
+                (b, step(raw_a))
+            } else if step(raw_b) < raw_a {
+                (a, step(raw_b))
             } else {
                 continue;
             };
-            if seed_val >= SATURATED_U16 {
-                // The improvement is not representable below the
-                // saturation sentinel. Saturated-over-saturated stays
-                // saturated (sound to skip), but saturated-over-
-                // unreachable means a previously disconnected region just
-                // connected beyond the 16-bit horizon — recompute so the
-                // row does not keep claiming (definitive) unreachability.
-                if other == UNREACHABLE_U16 {
-                    self.recompute_row(rank);
-                    repaired += 1;
-                }
-                continue;
-            }
             repaired += 1;
-            let mut wrote_saturated = false;
-            let mut queue: VecDeque<(NodeId, u16)> = VecDeque::new();
+            let stamp = self.bump_stamp();
+            self.stamp[seed as usize] = stamp;
+            queue.clear();
             queue.push_back((seed, seed_val));
+            self.row_writes.push((rank as u32, seed, seed_val));
             while let Some((v, d)) = queue.pop_front() {
-                if d >= current_raw(slab, &self.rows, rank, v) {
-                    continue;
+                if d >= HOP_HORIZON {
+                    return Err(UpdateError::PastHorizon {
+                        landmark: base.landmarks().nodes()[rank],
+                    });
                 }
-                write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, d);
-                wrote_saturated |= d == SATURATED_U16;
-                let next = clamped_step(d);
+                let next = d + 1;
                 for &w in self.graph.neighbors(v) {
-                    if next < current_raw(slab, &self.rows, rank, w) {
+                    if self.stamp[w as usize] != stamp
+                        && next < current_raw(slab, &self.rows, rank, w)
+                    {
+                        self.stamp[w as usize] = stamp;
+                        self.row_writes.push((rank as u32, w, next));
                         queue.push_back((w, next));
                     }
                 }
             }
-            if wrote_saturated {
-                self.row_saturated[rank] = true;
-            }
         }
-        repaired
+        self.commit_row_writes();
+        Ok(repaired)
     }
 
     /// Remove-side repair of every landmark row. One pass over the two
     /// endpoint columns finds the candidate landmarks, those for which the
-    /// edge steps one level down from the deeper endpoint `hi`. Rows with
-    /// saturated entries are recomputed (clamped decremental repair
-    /// cannot see through "unknown large" values). The rest take a support
-    /// probe: all of `hi`'s candidates are tested against one neighbour
-    /// column at a time, stopping once each has a neighbour one level
-    /// closer, and only the unsupported ones take the decremental repair.
-    fn repair_rows_remove(&mut self, a: NodeId, b: NodeId) -> u32 {
+    /// edge steps one level down from the deeper endpoint `hi`. A support
+    /// probe tests all of `hi`'s candidates against one neighbour column
+    /// at a time, stopping once each has a neighbour one level closer, and
+    /// only the unsupported ones take the decremental repair. Its writes
+    /// are committed only once every row has been repaired within the
+    /// horizon. Returns the rows repaired.
+    fn repair_rows_remove(&mut self, a: NodeId, b: NodeId) -> Result<u32, UpdateError> {
         let base = Arc::clone(&self.base);
         let slab = base.landmark_distances();
         let column_a = current_column(slab, &self.rows, a);
@@ -1365,28 +1379,16 @@ impl DynamicOracle {
         for (rank, (&raw_a, &raw_b)) in column_a.iter().zip(&column_b).enumerate() {
             // Pre-removal adjacency bounds |d(ℓ, a) − d(ℓ, b)| by one; only
             // a one-level edge can carry shortest paths.
-            if raw_a == raw_b {
-                continue;
-            }
-            if raw_a == clamped_step(raw_b) {
+            if raw_b.checked_add(1) == Some(raw_a) {
                 below[0].push((rank, raw_a));
-            } else if raw_b == clamped_step(raw_a) {
+            } else if raw_a.checked_add(1) == Some(raw_b) {
                 below[1].push((rank, raw_b));
             }
         }
 
+        self.row_writes.clear();
         let mut repaired = 0u32;
-        for (hi, candidates) in [a, b].into_iter().zip(below) {
-            if candidates.is_empty() {
-                continue;
-            }
-            let (recompute, mut candidates): (Vec<_>, Vec<_>) = candidates
-                .into_iter()
-                .partition(|&(rank, _)| self.row_saturated[rank]);
-            for (rank, _) in recompute {
-                self.recompute_row(rank);
-                repaired += 1;
-            }
+        for (hi, mut candidates) in [a, b].into_iter().zip(below) {
             // Support probe: the deleted edge mattered to a landmark only
             // if it was `hi`'s last neighbour one level closer to it.
             for &x in self.graph.neighbors(hi) {
@@ -1401,28 +1403,26 @@ impl DynamicOracle {
                 });
             }
             for &(rank, _) in &candidates {
-                self.decrement_row(rank, hi);
+                self.decrement_row(rank, hi)?;
                 repaired += 1;
             }
         }
-        repaired
+        self.commit_row_writes();
+        Ok(repaired)
     }
 
     /// Decremental repair of landmark rank `rank`'s row after `hi` lost
-    /// its last supporter, in the clamped `u16` domain (exact here: the
-    /// row carries no saturated entries). The orphan set — nodes whose
-    /// every supporter is itself an orphan — is exactly the set of entries
-    /// that increase; it is recomputed from its boundary.
-    fn decrement_row(&mut self, rank: usize, hi: NodeId) {
+    /// its last supporter. The orphan set — nodes whose every supporter is
+    /// itself an orphan — is exactly the set of entries that increase; it
+    /// is recomputed from its boundary, and the new values are appended to
+    /// the update's writes. Fails when a new value would be a distance of
+    /// [`HOP_HORIZON`] hops or more.
+    fn decrement_row(&mut self, rank: usize, hi: NodeId) -> Result<(), UpdateError> {
         let base = Arc::clone(&self.base);
         let slab = base.landmark_distances();
         let stamp = self.bump_stamp();
         let rows = &self.rows;
         let value_now = |v: NodeId| current_raw(slab, rows, rank, v);
-        debug_assert!(
-            value_now(hi) < SATURATED_U16,
-            "flagged rows take the recompute path"
-        );
 
         // Phase 1: orphan propagation.
         let stamps = &mut self.stamp;
@@ -1451,16 +1451,15 @@ impl DynamicOracle {
             }
         }
 
-        // Phase 2: boundary-seeded unit Dijkstra over the orphans (u32
-        // domain, encoded back clamped).
+        // Phase 2: boundary-seeded unit Dijkstra over the orphans, in full
+        // width.
         let mut heap: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
         for &v in &region {
             let mut best = INFINITY;
             for &w in graph.neighbors(v) {
                 if stamps[w as usize] != stamp {
-                    let raw = value_now(w);
-                    if raw != UNREACHABLE_U16 {
-                        best = best.min(raw as Distance + 1);
+                    if let Some(d) = decode_distance(value_now(w)) {
+                        best = best.min(d + 1);
                     }
                 }
             }
@@ -1485,53 +1484,31 @@ impl DynamicOracle {
                 }
             }
         }
-        let mut wrote_saturated = false;
         for &v in &region {
-            let encoded = encode_distance(self.stamp_dist[v as usize]);
-            wrote_saturated |= encoded == SATURATED_U16;
-            write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, encoded);
+            let Some(raw) = encode_distance(self.stamp_dist[v as usize]) else {
+                return Err(UpdateError::PastHorizon {
+                    landmark: base.landmarks().nodes()[rank],
+                });
+            };
+            self.row_writes.push((rank as u32, v, raw));
         }
-        if wrote_saturated {
-            self.row_saturated[rank] = true;
-        }
+        Ok(())
     }
 
-    /// Recompute landmark rank `rank`'s row by one full BFS on the current
-    /// graph — the fallback for rows whose saturated entries make
-    /// incremental repair unsound — writing only the entries that change.
-    /// O(n + m); only reachable on graphs with >2¹⁶−2-hop distances.
-    fn recompute_row(&mut self, rank: usize) {
-        let base = Arc::clone(&self.base);
-        let slab = base.landmark_distances();
-        let landmark = base.landmarks().nodes()[rank];
-        let mut fresh = vec![UNREACHABLE_U16; self.graph.node_count()];
-        for v in self
-            .bfs
-            .bounded_bfs(&self.graph, landmark, self.graph.hop_bound())
-        {
-            fresh[v.node as usize] = encode_distance(v.distance);
+    /// Write the update's collected landmark-distance writes into the
+    /// column patches.
+    fn commit_row_writes(&mut self) {
+        let slab = self.base.landmark_distances();
+        for &(rank, v, raw) in &self.row_writes {
+            write_raw(
+                slab,
+                &mut self.rows,
+                &mut self.row_budget,
+                rank as usize,
+                v,
+                raw,
+            );
         }
-        for (v, &raw) in fresh.iter().enumerate() {
-            let v = v as NodeId;
-            if raw != current_raw(slab, &self.rows, rank, v) {
-                write_raw(slab, &mut self.rows, &mut self.row_budget, rank, v, raw);
-            }
-        }
-        self.row_saturated[rank] = fresh.contains(&SATURATED_U16);
-    }
-}
-
-/// `value + 1` in the clamped row domain: exact values step by one and
-/// clamp into the saturation sentinel; saturated and unreachable values
-/// propagate as saturated (a hop beyond an "unknown large" distance is
-/// still unknown large; a hop beyond unreachable never occurs — callers
-/// skip unreachable seeds).
-#[inline]
-fn clamped_step(value: u16) -> u16 {
-    if value >= SATURATED_U16 {
-        SATURATED_U16
-    } else {
-        (value + 1).min(SATURATED_U16)
     }
 }
 

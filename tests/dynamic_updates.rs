@@ -12,10 +12,10 @@
 use proptest::prelude::*;
 
 use vicinity::core::config::Alpha;
-use vicinity::core::dynamic::DynamicOracle;
+use vicinity::core::dynamic::{DynamicOracle, UpdateError};
 use vicinity::core::fallback::fallback_distance;
 use vicinity::core::query::QueryIndex;
-use vicinity::core::OracleBuilder;
+use vicinity::core::{OracleBuilder, VicinityOracle};
 use vicinity::graph::algo::bfs::{bfs_distance_between, BidirBfsScratch};
 use vicinity::graph::builder::GraphBuilder;
 use vicinity::graph::csr::CsrGraph;
@@ -303,102 +303,139 @@ fn landmark_hub_edges_rebuild_only_the_far_endpoint_cluster() {
     assert_eq!(dynamic.overlay_len(), 0);
 }
 
-/// The saturated dynamic path on the 66,000-node path graph, whose
-/// landmark rows saturate the 16-bit storage. Landmarks are pinned: 2 and
-/// n − 3 near the ends (each sees the other end past the 2¹⁶−2 horizon),
-/// plus one every 200 hops. After each update, sampled pairs are compared
-/// against a pinned-landmark rebuild and BFS:
-///
-/// 1. removing `(65800, 65801)`, an edge beyond landmark 2's horizon,
-///    recomputes the saturated rows it is inside the horizon of (landmark
-///    400, n − 3) and pins the one documented divergence: rows for which
-///    both endpoints were already saturated (landmarks 2 and 200) keep the
-///    cut-off side saturated, answering `Miss` where the rebuild answers
-///    `Unreachable`;
-/// 2. re-inserting it restores exact agreement;
-/// 3. removing `(1, 2)` cuts nodes 0–1 off landmark 2, whose recomputed
-///    row then holds both sentinels;
-/// 4. inserting the shortcut `(0, n − 1)` reconnects them beyond the
-///    horizon: saturated over unreachable, so the row is recomputed.
-#[test]
-fn saturated_rows_follow_updates_on_a_long_path() {
-    use vicinity::core::DistanceAnswer;
-    use vicinity::graph::algo::bfs::bfs_distances;
-    use vicinity::graph::generators::classic;
-    use vicinity::graph::INFINITY;
+/// Nodes of the long paths the horizon tests run on. Their graphs hold
+/// one node more, `LONG` itself, isolated until an update attaches it.
+const LONG: NodeId = 66_000;
 
-    let n: NodeId = 66_000;
-    let mut landmarks = vec![2, n - 3];
-    landmarks.extend((200..n - 200).step_by(200));
-    let build = |graph: &CsrGraph| {
-        OracleBuilder::new(Alpha::PAPER_DEFAULT)
-            .landmarks(landmarks.clone())
-            .store_paths(false)
-            .build(graph)
+/// A pinned-landmark build for the long-path graphs: landmarks 2, n − 3
+/// and one every 200 hops, so vicinities stay small while the end
+/// landmarks can be pushed past the 65,534-hop horizon of the rows.
+fn long_path_build(graph: &CsrGraph) -> VicinityOracle {
+    let mut landmarks = vec![2, LONG - 3];
+    landmarks.extend((200..LONG - 200).step_by(200));
+    OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .landmarks(landmarks)
+        .store_paths(false)
+        .build(graph)
+}
+
+/// Pairs between landmark, end, middle and spare nodes of a long-path
+/// graph, both orders.
+fn long_path_pairs() -> Vec<(NodeId, NodeId)> {
+    let nodes = [
+        0,
+        1,
+        2,
+        200,
+        5_000,
+        32_999,
+        33_000,
+        65_900,
+        LONG - 3,
+        LONG - 1,
+        LONG,
+    ];
+    nodes
+        .iter()
+        .flat_map(|&s| nodes.iter().map(move |&t| (s, t)))
+        .collect()
+}
+
+/// Attach the spare node `LONG` to node 5, so a refusal that follows
+/// meets a non-empty overlay: a patched vicinity, a patched adjacency
+/// list and one row patch per landmark.
+fn attach_spare(dynamic: &mut DynamicOracle) {
+    assert!(dynamic.insert_edge(LONG, 5).unwrap());
+    assert!(dynamic.overlay_len() > 0 && dynamic.row_patch_entries() > 0);
+}
+
+/// Detach the spare node again, an update within the horizon: it applies
+/// as the second version and leaves the oracle as `built`.
+fn assert_detaches_spare(dynamic: &mut DynamicOracle, built: &VicinityOracle) {
+    assert!(dynamic.remove_edge(LONG, 5).unwrap());
+    assert_eq!(dynamic.version(), 2);
+    assert_eq!(dynamic.overlay_len() + dynamic.row_patch_entries(), 0);
+    assert_answers_match(dynamic, built);
+}
+
+/// Apply `update`, which must be refused past the horizon, and check that
+/// nothing changed: version, patched vicinities, row patches, patched
+/// adjacency and edges, and the answers, which equal `reference`'s.
+fn assert_refused(
+    dynamic: &mut DynamicOracle,
+    (a, b, insert): (NodeId, NodeId, bool),
+    reference: &VicinityOracle,
+) {
+    let state = |d: &DynamicOracle| {
+        (
+            d.version(),
+            d.overlay_len(),
+            d.row_patch_entries(),
+            d.graph().patched_nodes(),
+            d.edge_count(),
+        )
     };
-    let path = classic::path(n as usize);
-    let mut dynamic = DynamicOracle::from_parts(build(&path), path).unwrap();
+    let before = state(dynamic);
+    let result = if insert {
+        dynamic.insert_edge(a, b)
+    } else {
+        dynamic.remove_edge(a, b)
+    };
+    assert!(
+        matches!(result, Err(UpdateError::PastHorizon { .. })),
+        "({a},{b}): {result:?}"
+    );
+    assert_eq!(state(dynamic), before, "({a},{b}) changed the oracle");
+    assert_eq!(dynamic.graph().has_edge(a, b), !insert);
+    assert_answers_match(dynamic, reference);
+}
 
-    let ends: [NodeId; 7] = [0, 1, 3, 5_000, 65_790, 65_900, n - 1];
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    for s in [2, 200, 400, n - 3].into_iter().chain(ends) {
-        for t in ends.into_iter().chain([2, 200, n - 3]) {
-            pairs.push((s, t));
-        }
+/// Answers on the sampled pairs equal `reference`'s.
+fn assert_answers_match(dynamic: &DynamicOracle, reference: &VicinityOracle) {
+    for (s, t) in long_path_pairs() {
+        assert_eq!(
+            dynamic.distance(s, t),
+            reference.distance(s, t),
+            "({s},{t})"
+        );
     }
-    // Pairs allowed to diverge after a cut: a landmark whose row saw both
-    // endpoints of the removed edge saturated, answering from that row for
-    // a node it lost.
-    let check = |dynamic: &DynamicOracle, divergent: &dyn Fn(NodeId, NodeId) -> bool| {
-        let graph = dynamic.graph().to_csr();
-        let rebuilt = build(&graph);
-        let mut sources: Vec<NodeId> = pairs.iter().map(|&(s, _)| s).collect();
-        sources.dedup();
-        for s in sources {
-            let bfs = bfs_distances(&graph, s);
-            for &(_, t) in pairs.iter().filter(|&&(x, _)| x == s) {
-                let (got, want) = (dynamic.distance(s, t), rebuilt.distance(s, t));
-                let truth = bfs[t as usize];
-                // A landmark endpoint answers from its own row, the
-                // source's first.
-                let (l, other) = if landmarks.contains(&s) {
-                    (s, t)
-                } else {
-                    (t, s)
-                };
-                if divergent(l, other) {
-                    assert!(got.is_miss(), "({s},{t}) must stay saturated: {got:?}");
-                    assert!(want.is_unreachable(), "({s},{t}) rebuild: {want:?}");
-                    assert_eq!(truth, INFINITY);
-                    continue;
-                }
-                assert_eq!(got, want, "({s},{t})");
-                match got {
-                    DistanceAnswer::Exact { distance, .. } => assert_eq!(distance, truth),
-                    DistanceAnswer::Unreachable => assert_eq!(truth, INFINITY),
-                    DistanceAnswer::Miss => {}
-                }
-            }
-        }
-    };
-    let none = |_: NodeId, _: NodeId| false;
-    check(&dynamic, &none);
+}
 
-    assert!(dynamic.remove_edge(65_800, 65_801).unwrap());
-    check(&dynamic, &|l, t| (l == 2 || l == 200) && t > 65_800);
-    // The divergence, pinned explicitly.
-    assert!(dynamic.distance(2, 65_900).is_miss());
-    let cut = dynamic.graph().to_csr();
-    assert!(build(&cut).distance(2, 65_900).is_unreachable());
+/// The 66,000-node path closed into a cycle: removing the closing edge
+/// would put the far end 65,997 hops from landmark 2, so the removal is
+/// refused and the oracle is unchanged; the next removal, detaching the
+/// spare node again, applies and leaves the oracle as it was built.
+#[test]
+fn removal_past_the_horizon_is_refused() {
+    let mut builder = GraphBuilder::with_node_count(LONG as usize + 1);
+    for v in 0..LONG {
+        builder.add_edge(v, (v + 1) % LONG);
+    }
+    let cycle = builder.build_undirected();
+    let built = long_path_build(&cycle);
+    let mut dynamic = DynamicOracle::from_parts(built.clone(), cycle).unwrap();
+    attach_spare(&mut dynamic);
+    let reference = long_path_build(&dynamic.graph().to_csr());
+    assert_refused(&mut dynamic, (0, LONG - 1, false), &reference);
+    assert_detaches_spare(&mut dynamic, &built);
+}
 
-    assert!(dynamic.insert_edge(65_800, 65_801).unwrap());
-    check(&dynamic, &none);
-
-    assert!(dynamic.remove_edge(1, 2).unwrap());
-    check(&dynamic, &|l, t| (l == n - 3 || l == 65_600) && t < 2);
-    assert_eq!(dynamic.distance(2, 0), DistanceAnswer::Unreachable);
-
-    assert!(dynamic.insert_edge(0, n - 1).unwrap());
-    check(&dynamic, &none);
-    assert!(dynamic.distance(2, 0).is_miss(), "0 is 65,998 hops from 2");
+/// Two 33,000-node paths: joining their ends would put the far end
+/// 65,997 hops from landmark 2, so the insert is refused and the oracle
+/// is unchanged; the next update, detaching the spare node again,
+/// applies.
+#[test]
+fn insert_past_the_horizon_is_refused() {
+    let half = LONG / 2;
+    let mut builder = GraphBuilder::with_node_count(LONG as usize + 1);
+    for v in (0..LONG - 1).filter(|&v| v != half - 1) {
+        builder.add_edge(v, v + 1);
+    }
+    let paths = builder.build_undirected();
+    let built = long_path_build(&paths);
+    let mut dynamic = DynamicOracle::from_parts(built.clone(), paths).unwrap();
+    attach_spare(&mut dynamic);
+    let reference = long_path_build(&dynamic.graph().to_csr());
+    assert_refused(&mut dynamic, (half - 1, half, true), &reference);
+    assert_detaches_spare(&mut dynamic, &built);
 }

@@ -96,9 +96,7 @@ proptest! {
     /// Snapshot format v4 round-trips on arbitrary graphs, with and without predecessor storage. The `arbitrary_graph` strategy
     /// keeps the node count fixed while edges are random, so most cases
     /// contain isolated and landmark-free nodes (empty and degenerate
-    /// vicinities) alongside regular ones. (Saturated u16 landmark rows
-    /// cannot arise at this scale; their round-trip is covered by a
-    /// dedicated unit test in `vicinity-core::serialize`.)
+    /// vicinities) alongside regular ones.
     #[test]
     fn oracle_serialization_round_trips(
         graph in arbitrary_graph(40, 100),
@@ -316,79 +314,6 @@ proptest! {
             None => prop_assert_eq!(expected, None),
         }
     }
-}
-
-/// Batch-vs-scalar parity on the graph shape that saturates the compact
-/// `u16` landmark rows: a path longer than 65534 hops. The scalar path
-/// reports tri-state answers there (a saturated row entry must surface as
-/// `Miss`, never a wrong `Unreachable`), and the batched prefetch
-/// pipeline's bound pruning must reproduce every one of those answers and
-/// work counters bit for bit — including for pairs whose endpoint *is* a
-/// landmark with a saturated row.
-#[test]
-fn batched_queries_match_scalar_on_saturated_path_graph() {
-    use vicinity::core::query::QueryStats;
-    use vicinity::graph::generators::classic;
-
-    let n: u32 = 66_000;
-    let graph = classic::path(n as usize);
-    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
-        .seed(3)
-        .store_paths(false)
-        .build(&graph);
-
-    let landmarks = oracle.landmarks().nodes();
-    let first_landmark = *landmarks.iter().min().expect("path graph has landmarks");
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for s in (0..n).step_by(7919) {
-        for t in (0..n).step_by(9973) {
-            pairs.push((s, t));
-        }
-    }
-    // Pairs that cross the 16-bit horizon from a landmark endpoint (both
-    // orders), plus far non-landmark pairs whose nearest-landmark bound
-    // reads saturated entries.
-    pairs.push((first_landmark, n - 1));
-    pairs.push((n - 1, first_landmark));
-    pairs.push((0, n - 1));
-    pairs.push((n - 1, 0));
-
-    let mut scalar_stats = QueryStats::default();
-    let scalar: Vec<_> = pairs
-        .iter()
-        .map(|&(s, t)| oracle.distance_accumulate(s, t, &mut scalar_stats))
-        .collect();
-    let mut batch_stats = QueryStats::default();
-    let mut batched = Vec::new();
-    oracle.distance_batch_accumulate(&pairs, &mut batched, &mut batch_stats);
-    assert_eq!(scalar, batched, "batch/scalar divergence on saturated rows");
-    assert_eq!(scalar_stats, batch_stats);
-
-    // The path graph is connected: no answer may claim unreachability,
-    // and the landmark pair beyond the horizon must be a (tri-state)
-    // miss — resolvable by a fallback, never a definitive wrong answer.
-    assert!(scalar.iter().all(|a| !a.is_unreachable()));
-    if u64::from(n - 1 - first_landmark) >= 65_534 {
-        let horizon = scalar[scalar.len() - 4];
-        assert!(
-            horizon.is_miss(),
-            "saturated row entry must miss: {horizon:?}"
-        );
-    }
-
-    // Path queries through the batched pipeline obey the same tri-state.
-    let path_pairs = [(first_landmark, n - 1), (n - 1, first_landmark)];
-    let scalar_paths: Vec<_> = path_pairs
-        .iter()
-        .map(|&(s, t)| oracle.path_with_graph(&graph, s, t))
-        .collect();
-    assert_eq!(
-        oracle.path_batch_with_graph(&graph, &path_pairs),
-        scalar_paths
-    );
-    assert!(scalar_paths
-        .iter()
-        .all(|p| !matches!(p, vicinity::core::query::PathAnswer::Unreachable)));
 }
 
 /// Batch-vs-scalar parity on the structured workloads the proptest
