@@ -1,11 +1,15 @@
 //! Serving-throughput experiment: `QueryService` batch throughput and
-//! latency percentiles across thread counts and cache configurations, on
-//! each stand-in dataset.
+//! latency percentiles across client-thread counts and cache
+//! configurations, on each stand-in dataset.
 //!
 //! This is the serving-layer companion of `table3_query_time`: instead of
 //! single-threaded per-query latency, it measures what one machine
 //! sustains when the immutable index is shared by several workers
-//! (ROADMAP: "serves heavy traffic from millions of users").
+//! (ROADMAP: "serves heavy traffic from millions of users"). A row with
+//! N threads runs N scoped client threads, each holding one
+//! `WorkerSession` and serving a contiguous share of the pairs through
+//! `serve_into`; its throughput is the queries served over the wall time
+//! of the whole scope, spawns and joins included.
 //!
 //! Honours `VICINITY_SCALE`, `VICINITY_DATASETS` and
 //! `VICINITY_SERVE_QUERIES` (default 100000 queries per configuration).
@@ -13,7 +17,7 @@
 //! sample of the pairs; any mismatch fails the run (exit code 1). The
 //! fallback columns report the search's frontier nodes read, neighbour
 //! entries read and time per index miss, from the service's own counters.
-//! That time is wall clock, so it counts preemption once workers outnumber
+//! That time is wall clock, so it counts preemption once threads outnumber
 //! cores: such rows print `—` for it (`null` in the JSON).
 //! Each configuration runs [`REPEATS`] times, the cacheless and the cached
 //! service alternating, and the run with the median throughput is
@@ -24,6 +28,8 @@
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
 
+use std::time::Instant;
+
 use rand::{Rng, SeedableRng};
 
 use vicinity_baselines::bfs::BfsEngine;
@@ -33,8 +39,8 @@ use vicinity_bench::{print_header, timed, ExperimentEnv};
 use vicinity_core::config::Alpha;
 use vicinity_core::OracleBuilder;
 use vicinity_graph::algo::sampling::random_pairs;
-use vicinity_graph::Distance;
-use vicinity_server::QueryService;
+use vicinity_graph::{Distance, NodeId};
+use vicinity_server::{QueryService, ServedAnswer};
 
 /// Served answers checked against BFS per dataset and configuration.
 const CHECKED_PAIRS: usize = 1_000;
@@ -105,11 +111,12 @@ fn main() {
                 for slot in [round % 2, 1 - round % 2] {
                     let cache_capacity = [0usize, 1 << 16][slot];
                     let service = QueryService::builder(oracle.clone(), graph.clone())
-                        .threads(threads)
                         .cache_capacity(cache_capacity)
                         .build()
                         .expect("oracle and graph agree");
-                    let answers = service.serve_batch(&pairs);
+                    let start = Instant::now();
+                    let answers = serve_on_threads(&service, &pairs, threads);
+                    let wall_time = start.elapsed();
                     assert_eq!(answers.len(), pairs.len());
                     for &(i, expected) in &checks {
                         if answers[i].distance() != expected {
@@ -121,7 +128,10 @@ fn main() {
                             mismatches += 1;
                         }
                     }
-                    let stats = service.stats();
+                    // Sessions record no wall time (only `serve_batch`
+                    // does): the scope's wall clock is the aggregate one.
+                    let mut stats = service.stats();
+                    stats.wall_time = wall_time;
                     let (pops, arcs) = stats.fallback_work_per_miss();
                     let fallback_us = (threads <= cores).then(|| stats.fallback_us_per_miss());
                     let line = format!(
@@ -202,4 +212,35 @@ fn main() {
             env.scale.name()
         );
     }
+}
+
+/// Serve `pairs` on `threads` client threads, each holding one session and
+/// serving a contiguous share: the calling thread serves the first share
+/// while scoped threads serve the rest. The answers come back in input
+/// order.
+fn serve_on_threads(
+    service: &QueryService,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+) -> Vec<ServedAnswer> {
+    let mut shares = pairs.chunks(pairs.len().div_ceil(threads).max(1));
+    let first = shares.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = shares
+            .map(|share| {
+                let mut session = service.session();
+                scope.spawn(move || {
+                    let mut out = Vec::with_capacity(share.len());
+                    session.serve_into(share, &mut out);
+                    out
+                })
+            })
+            .collect();
+        let mut answers = Vec::with_capacity(pairs.len());
+        service.session().serve_into(first, &mut answers);
+        for client in clients {
+            answers.extend(client.join().expect("client thread panicked"));
+        }
+        answers
+    })
 }

@@ -89,7 +89,6 @@ fn main() {
     let frozen = Arc::new(oracle);
     let (service, mut writer) =
         QueryService::builder_from_arcs(Arc::clone(&frozen), Arc::new(graph.clone()))
-            .threads(1)
             .cache_capacity(65_536)
             .build_updatable()
             .expect("oracle and graph agree");

@@ -1,6 +1,5 @@
 //! Worker-thread sizing shared by every parallel loop in the stack: the
-//! store's derived-section rebuild, snapshot encode/decode and the
-//! serving layer's `serve_batch` sharding.
+//! store's derived-section rebuild and snapshot encode/decode.
 
 /// Resolve a requested worker-thread count (`0` = all available
 /// parallelism) against the amount of work, clamping to at least one

@@ -154,9 +154,9 @@ pub enum DistanceAnswer {
         /// Which case of Algorithm 1 produced the answer.
         method: AnswerMethod,
     },
-    /// The two endpoints are provably disconnected (one of them is a
-    /// landmark or contains the other's component in its vicinity, and the
-    /// stored table shows no entry).
+    /// The two endpoints are provably disconnected: an endpoint is a
+    /// landmark, or is reached by its nearest landmark, whose row shows no
+    /// entry for the other endpoint.
     Unreachable,
     /// The vicinities do not intersect and the landmark walk is not proven
     /// shortest: the oracle cannot answer this query from its index alone.
@@ -356,6 +356,9 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
     // steps — and it need not look at sums the walk already achieves.
     let bounds = landmark_bounds(index, &vs, &vt, s, t);
     stats.lookups += bounds.rows_read;
+    if bounds.disconnected {
+        return (DistanceAnswer::Unreachable, stats);
+    }
     let lower_bound = bounds.lower;
     let walk = DistanceAnswer::Exact {
         distance: bounds.walk,
@@ -435,6 +438,10 @@ pub(crate) struct LandmarkBounds {
     pub(crate) walk: Distance,
     /// True when the walk passes through `ℓ(s)`, false for `ℓ(t)`.
     pub(crate) via_source: bool,
+    /// True when a row proves `s` and `t` disconnected: `ℓ(u)` reaches
+    /// `u`, so an unreachable entry for the other endpoint puts it in
+    /// another component. The other fields are then meaningless.
+    pub(crate) disconnected: bool,
     /// Landmark rows read (one look-up each).
     pub(crate) rows_read: u64,
 }
@@ -443,8 +450,10 @@ pub(crate) struct LandmarkBounds {
 /// row: `row_ℓ(s)[t]` and `row_ℓ(t)[s]`. Each entry gives both a triangle
 /// lower bound and a walk `r_u + row_ℓ(u)[other]`, which is a real walk
 /// because `d(u, ℓ(u)) == r_u` (an index invariant: the builder and the
-/// dynamic repair keep it, and decoding checks it). The index, path
-/// splicing and the fallback search all read the walk from here.
+/// dynamic repair keep it, and decoding checks it). The same invariant
+/// makes an unreachable entry a proof that the endpoints are disconnected.
+/// The index, path splicing and the fallback search all read the walk from
+/// here.
 #[inline]
 pub(crate) fn landmark_bounds<I: QueryIndex + ?Sized>(
     index: &I,
@@ -457,6 +466,7 @@ pub(crate) fn landmark_bounds<I: QueryIndex + ?Sized>(
         lower: vs.radius().max(vt.radius()) + 1,
         walk: INFINITY,
         via_source: true,
+        disconnected: false,
         rows_read: 0,
     };
     for (vicinity, other_endpoint, via_source) in [(vs, t, true), (vt, s, false)] {
@@ -464,13 +474,12 @@ pub(crate) fn landmark_bounds<I: QueryIndex + ?Sized>(
             continue;
         };
         bounds.rows_read += 1;
-        // An endpoint the landmark does not reach gives no bound; the
-        // scan (and, on a miss, the fallback) decides.
-        let Some(d_other) = index
-            .landmark_row_of(landmark)
-            .and_then(|row| row.distance_to(other_endpoint))
-        else {
+        let Some(row) = index.landmark_row_of(landmark) else {
             continue;
+        };
+        let Some(d_other) = row.distance_to(other_endpoint) else {
+            bounds.disconnected = true;
+            return bounds;
         };
         let radius = vicinity.radius();
         bounds.lower = bounds.lower.max(radius.abs_diff(d_other));
@@ -619,9 +628,14 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
         (vt, vs, false)
     };
     let Some((distance, witness)) = scan.min_outer_shell_sum(&probe) else {
-        // Disjoint vicinities: the landmark walk, when it is provably
+        // Disjoint vicinities: no path when a row proves the endpoints
+        // disconnected, else the landmark walk, when it is provably
         // shortest and the graph is at hand for its landmark half.
-        let walk = graph.and_then(|g| landmark_walk_path(index, g, &vs, &vt, s, t));
+        let bounds = landmark_bounds(index, &vs, &vt, s, t);
+        if bounds.disconnected {
+            return PathAnswer::Unreachable;
+        }
+        let walk = graph.and_then(|g| landmark_walk_path(index, g, &vs, &vt, s, t, &bounds));
         return match walk {
             Some(path) => PathAnswer::Exact {
                 distance: (path.len() - 1) as Distance,
@@ -649,11 +663,11 @@ pub(crate) fn path_on<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
     }
 }
 
-/// The walk through `ℓ(s)` or `ℓ(t)` as a path, for a pair whose
-/// vicinities are disjoint, or `None` when the walk is not provably
-/// shortest. Disjoint balls prove `d(s, t) ≥ r_s + r_t + 1`, so the walk
-/// is exact when it meets that or the rows' own lower bound — the same
-/// condition under which [`distance_with_stats_on`] answers
+/// The walk through `ℓ(s)` or `ℓ(t)` that `bounds` holds, as a path, for
+/// a pair whose vicinities are disjoint, or `None` when the walk is not
+/// provably shortest. Disjoint balls prove `d(s, t) ≥ r_s + r_t + 1`, so
+/// the walk is exact when it meets that or the rows' own lower bound — the
+/// same condition under which [`distance_with_stats_on`] answers
 /// [`AnswerMethod::LandmarkWalk`]. The vicinity's predecessors give the
 /// endpoint's half, greedy descent on the landmark's row the other.
 fn landmark_walk_path<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
@@ -663,8 +677,8 @@ fn landmark_walk_path<I: QueryIndex + ?Sized, G: Adjacency + ?Sized>(
     vt: &VicinityRef<'_>,
     s: NodeId,
     t: NodeId,
+    bounds: &LandmarkBounds,
 ) -> Option<Vec<NodeId>> {
-    let bounds = landmark_bounds(index, vs, vt, s, t);
     if bounds.walk != bounds.lower.max(vs.radius() + vt.radius() + 1) {
         return None;
     }
@@ -1086,6 +1100,43 @@ mod tests {
         assert_eq!(landmark, 0, "node 0 has the highest degree");
         assert!(oracle.distance(landmark, 6).is_unreachable());
         assert!(oracle.distance(6, landmark).is_unreachable());
+    }
+
+    #[test]
+    fn nearest_landmark_rows_prove_disconnection() {
+        // Two 5-node paths, 0–4 and 5–9, with landmarks 2 and 7 pinned:
+        // ℓ(0) = 2 reaches 0 but not 9, so (0, 9) is disconnected, and no
+        // endpoint of these pairs is a landmark.
+        let mut b = GraphBuilder::with_node_count(10);
+        for v in [0, 1, 2, 3, 5, 6, 7, 8] {
+            b.add_edge(v, v + 1);
+        }
+        let g = b.build_undirected();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(vec![2, 7])
+            .build(&g);
+        let pairs = [(0, 9), (1, 8), (9, 0), (4, 5), (0, 4)];
+        let mut scalar_stats = QueryStats::default();
+        let scalar: Vec<DistanceAnswer> = pairs
+            .iter()
+            .map(|&(s, t)| oracle.distance_accumulate(s, t, &mut scalar_stats))
+            .collect();
+        for (&(s, t), answer) in pairs[..4].iter().zip(&scalar) {
+            assert_eq!(*answer, DistanceAnswer::Unreachable, "({s},{t})");
+            assert_eq!(oracle.path_with_graph(&g, s, t), PathAnswer::Unreachable);
+        }
+        assert_eq!(scalar[4].exact_distance(), Some(4));
+
+        let mut batch_stats = QueryStats::default();
+        let mut batched = Vec::new();
+        oracle.distance_batch_accumulate(&pairs, &mut batched, &mut batch_stats);
+        assert_eq!(batched, scalar);
+        assert_eq!(batch_stats, scalar_stats);
+        let scalar_paths: Vec<PathAnswer> = pairs
+            .iter()
+            .map(|&(s, t)| oracle.path_with_graph(&g, s, t))
+            .collect();
+        assert_eq!(oracle.path_batch_with_graph(&g, &pairs), scalar_paths);
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! * [`WorkerSession`] — a worker's handle on a pooled worker state: a
 //!   reusable, allocation-free bidirectional-BFS scratch for index misses,
 //!   the batch staging buffers and the worker's statistics. Sessions and
-//!   `serve_batch` workers check states out of the service's pool and
+//!   `serve_batch` calls check states out of the service's pool and
 //!   return them, so steady-state serving performs no per-query
-//!   allocation at all.
-//! * [`QueryService::serve_batch`] — sharded batch execution over scoped
-//!   threads, answers in input order.
+//!   allocation at all. Each client thread holds its own session: that is
+//!   how serving runs in parallel.
+//! * [`QueryService::serve_batch`] — batch execution on the calling
+//!   thread through one pooled session, answers in input order.
 //! * [`QueryCache`] — a bounded, lock-free, set-associative table over
 //!   normalised `(min, max)` pairs caching definitive answers only: one
 //!   seqlocked cache line per operation, prefetched a block ahead.
@@ -44,13 +45,20 @@
 //! let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(1).build(&graph);
 //!
 //! let service = QueryService::builder(oracle, graph)
-//!     .threads(4)
 //!     .cache_capacity(100_000)
 //!     .build()
 //!     .unwrap();
 //!
 //! let answers = service.serve_batch(&[(0, 100), (7, 1500)]);
 //! assert!(answers.iter().all(|a| a.is_exact() || a.is_unreachable()));
+//!
+//! // Parallel clients: one session per thread, all sharing the index.
+//! std::thread::scope(|scope| {
+//!     for client in 0..2u32 {
+//!         let mut session = service.session();
+//!         scope.spawn(move || session.serve_one(client, 1500));
+//!     }
+//! });
 //! println!("{}", service.stats().report());
 //! ```
 

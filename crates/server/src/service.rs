@@ -7,12 +7,11 @@ use std::time::Instant;
 use vicinity_core::dynamic::{DynamicOracle, DynamicSnapshot, UpdateError};
 use vicinity_core::index::VicinityOracle;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::NodeId;
 
 use crate::cache::QueryCache;
 use crate::session::{ServedAnswer, SharedState, WorkerSession};
-use crate::stats::{ServedMethod, ServerStats};
+use crate::stats::ServerStats;
 
 /// Errors raised when assembling a [`QueryService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +47,6 @@ impl std::error::Error for ServerError {}
 pub struct QueryServiceBuilder {
     oracle: Arc<VicinityOracle>,
     graph: Arc<CsrGraph>,
-    threads: usize,
     cache_capacity: usize,
 }
 
@@ -57,15 +55,14 @@ impl QueryServiceBuilder {
         QueryServiceBuilder {
             oracle,
             graph,
-            threads: 0,
             cache_capacity: 0,
         }
     }
 
-    /// Worker threads used by [`QueryService::serve_batch`]
-    /// (`0` = all available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Ignored: [`QueryService::serve_batch`] always serves on the calling
+    /// thread. Kept so existing callers still build; for parallel serving,
+    /// give each client thread its own [`QueryService::session`].
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -113,7 +110,6 @@ impl QueryServiceBuilder {
             shared: Arc::new(SharedState::new(Arc::clone(&epoch), cache)),
             oracle: self.oracle,
             graph: self.graph,
-            threads: self.threads,
         };
         let writer = OracleWriter { dynamic, epoch };
         Ok((service, writer))
@@ -197,12 +193,12 @@ impl OracleWriter {
 /// Within one machine this type is the answer: the index is immutable
 /// after construction, so the oracle and graph live behind `Arc`s and
 /// any number of worker sessions share them without replication and
-/// without synchronisation on the hot path. `serve_batch` shards a batch
-/// over scoped threads; each session runs its shard through the batched
-/// prefetch pipeline and resolves misses with its own O(n) search scratch
-/// (never a copy of the index) through
-/// [`vicinity_core::fallback::fallback_distance`]. Repeated pairs are
-/// served by a lock-free set-associative result cache, one prefetched
+/// without synchronisation on the hot path. Parallelism comes from the
+/// callers: each client thread holds its own [`QueryService::session`],
+/// runs its queries through the batched prefetch pipeline and resolves
+/// misses with its own O(n) search scratch (never a copy of the index)
+/// through [`vicinity_core::fallback::fallback_distance`]. Repeated pairs
+/// are served by a lock-free set-associative result cache, one prefetched
 /// cache line per probe, and every query feeds the latency/method/work
 /// statistics of the worker state that served it; [`QueryService::stats`]
 /// folds them.
@@ -216,13 +212,24 @@ impl OracleWriter {
 /// let graph = SocialGraphConfig::small_test().generate(7);
 /// let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(7).build(&graph);
 /// let service = QueryService::builder(oracle, graph)
-///     .threads(4)
 ///     .cache_capacity(10_000)
 ///     .build()
 ///     .unwrap();
 /// let answers = service.serve_batch(&[(0, 42), (1, 99), (42, 0)]);
 /// assert_eq!(answers.len(), 3);
 /// assert!(answers.iter().all(|a| a.is_exact() || a.is_unreachable()));
+///
+/// // Four client threads, one session each, over the same index.
+/// std::thread::scope(|scope| {
+///     for client in 0..4u32 {
+///         let mut session = service.session();
+///         scope.spawn(move || {
+///             let mut out = Vec::new();
+///             session.serve_into(&[(client, 100), (100, client)], &mut out);
+///             assert_eq!(out[0].distance(), out[1].distance());
+///         });
+///     }
+/// });
 /// ```
 pub struct QueryService {
     shared: Arc<SharedState>,
@@ -232,7 +239,6 @@ pub struct QueryService {
     /// slot.
     oracle: Arc<VicinityOracle>,
     graph: Arc<CsrGraph>,
-    threads: usize,
 }
 
 impl std::fmt::Debug for QueryService {
@@ -240,7 +246,6 @@ impl std::fmt::Debug for QueryService {
         f.debug_struct("QueryService")
             .field("nodes", &self.oracle.node_count())
             .field("epoch", &self.epoch_id())
-            .field("threads", &self.threads)
             .field("cache", &self.shared.cache.is_some())
             .finish()
     }
@@ -284,11 +289,6 @@ impl QueryService {
         self.shared.cache.as_ref().map_or(0, |c| c.len())
     }
 
-    /// Effective worker-thread count for a batch of `work_items` queries.
-    pub fn effective_threads(&self, work_items: usize) -> usize {
-        vicinity_core::parallel::resolve_worker_threads(self.threads, work_items)
-    }
-
     /// Open a worker session. The session is `Send` and lock-free on its
     /// hot path; create one per worker thread and feed it queries with
     /// [`WorkerSession::serve_one`] or [`WorkerSession::serve_into`]. It
@@ -299,114 +299,26 @@ impl QueryService {
         WorkerSession::new(Arc::clone(&self.shared))
     }
 
-    /// Answer a batch of queries, sharded over the configured number of
-    /// worker threads. Answers are returned in input order.
+    /// Answer a batch of queries on the calling thread, in input order.
     ///
-    /// With one effective worker the batch goes straight to
-    /// [`WorkerSession::serve_into`] on a pooled worker state, so the whole
-    /// path is batched end to end: duplicate collapsing across the batch,
-    /// cache peel-off, the oracle's software-prefetch pipeline, and
-    /// fallback only for true misses. Once warmed, such a call allocates
-    /// only the vector it returns. With more workers, one dedup pass runs
-    /// before sharding and each worker serves its share of the unique
-    /// pairs. Latency samples recorded by batch serving are
-    /// batch-amortised (see `crate::session`); the call's wall time and
-    /// its statistics stay in the pooled states until
-    /// [`QueryService::stats`] folds them.
+    /// The batch goes straight to [`WorkerSession::serve_into`] on a pooled
+    /// worker state, so the whole path is batched end to end: duplicate
+    /// collapsing across the batch, cache peel-off, the oracle's
+    /// software-prefetch pipeline, and fallback only for true misses. Once
+    /// warmed, a call allocates only the vector it returns. For parallel
+    /// serving, give each client thread its own [`QueryService::session`].
+    /// Latency samples recorded by batch serving are batch-amortised (see
+    /// `crate::session`); the call's wall time and its statistics stay in
+    /// the pooled state until [`QueryService::stats`] folds them.
     pub fn serve_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
         if pairs.is_empty() {
             return Vec::new();
         }
         let wall_start = Instant::now();
-        let mut lead = self.session();
+        let mut session = self.session();
         let mut answers = Vec::new();
-        if self.effective_threads(pairs.len()) == 1 {
-            lead.serve_into(pairs, &mut answers);
-        } else {
-            answers = self.serve_sharded(&mut lead, pairs);
-        }
-        lead.stats_mut().wall_time += wall_start.elapsed();
-        answers
-    }
-
-    /// The multi-worker path of [`QueryService::serve_batch`]. The batch is
-    /// deduplicated once before sharding, cache or no cache: every
-    /// repeated (normalised) pair resolves once, and the repeats are
-    /// filled in afterwards and accounted on `lead`. With a result cache
-    /// the repeats are reported as cache-served — which they are, the
-    /// write-back having completed before the fill; without one they
-    /// adopt the first occurrence's answer and method verbatim. Either
-    /// way duplicate handling is a *deterministic* property of a batch
-    /// instead of a cross-worker timing race, and no two workers resolve
-    /// the same pair.
-    fn serve_sharded(
-        &self,
-        lead: &mut WorkerSession,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Vec<ServedAnswer> {
-        let mut seen: FastMap<u64, u32> =
-            FastMap::with_capacity_and_hasher(pairs.len(), Default::default());
-        let mut unique: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
-        let mut slots: Vec<u32> = Vec::with_capacity(pairs.len());
-        for &(s, t) in pairs {
-            let next = unique.len() as u32;
-            let slot = *seen.entry(QueryCache::key(s, t)).or_insert(next);
-            if slot == next {
-                unique.push((s, t));
-            }
-            slots.push(slot);
-        }
-
-        let mut unique_answers = Vec::with_capacity(unique.len());
-        let threads = self.effective_threads(unique.len());
-        if threads == 1 {
-            lead.serve_into(&unique, &mut unique_answers);
-        } else {
-            let chunk_size = unique.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = unique
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        let mut session = self.session();
-                        scope.spawn(move || {
-                            let mut chunk_answers = Vec::new();
-                            session.serve_into(chunk, &mut chunk_answers);
-                            chunk_answers
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    unique_answers.extend(handle.join().expect("serving worker panicked"));
-                }
-            });
-        }
-        if unique.len() == pairs.len() {
-            return unique_answers;
-        }
-
-        // Slots are handed out in order of first occurrence, so a slot
-        // below `firsts` is a repeat. Repeats cost only the fill-in: no
-        // latency sample.
-        let report_cache = self.shared.cache.is_some();
-        let mut answers = Vec::with_capacity(pairs.len());
-        let mut firsts = 0;
-        for &slot in &slots {
-            let resolved = unique_answers[slot as usize];
-            if slot == firsts {
-                firsts += 1;
-                answers.push(resolved);
-                continue;
-            }
-            let answer = match resolved {
-                ServedAnswer::Exact { distance, .. } if report_cache => ServedAnswer::Exact {
-                    distance,
-                    method: ServedMethod::Cache,
-                },
-                other => other,
-            };
-            lead.stats_mut().record(answer.served_method(), None);
-            answers.push(answer);
-        }
+        session.serve_into(pairs, &mut answers);
+        session.stats_mut().wall_time += wall_start.elapsed();
         answers
     }
 
@@ -440,13 +352,12 @@ mod tests {
     use vicinity_graph::builder::GraphBuilder;
     use vicinity_graph::generators::{classic, social::SocialGraphConfig};
 
-    fn small_service(seed: u64, cache: usize, threads: usize) -> QueryService {
+    fn small_service(seed: u64, cache: usize) -> QueryService {
         let graph = SocialGraphConfig::small_test().generate(seed);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
             .seed(seed)
             .build(&graph);
         QueryService::builder(oracle, graph)
-            .threads(threads)
             .cache_capacity(cache)
             .build()
             .expect("graph and oracle agree")
@@ -454,7 +365,7 @@ mod tests {
 
     #[test]
     fn batch_answers_match_reference_bfs() {
-        let service = small_service(21, 0, 2);
+        let service = small_service(21, 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let pairs = random_pairs(service.graph(), 400, &mut rng);
         let answers = service.serve_batch(&pairs);
@@ -478,33 +389,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_answers() {
-        let graph = SocialGraphConfig::small_test().generate(22);
-        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
-            .seed(22)
-            .build(&graph);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let pairs = random_pairs(&graph, 300, &mut rng);
-
-        let single = QueryService::builder(oracle.clone(), graph.clone())
-            .threads(1)
-            .build()
-            .unwrap()
-            .serve_batch(&pairs);
-        let four = QueryService::builder(oracle, graph)
-            .threads(4)
-            .build()
-            .unwrap()
-            .serve_batch(&pairs);
-        assert_eq!(
-            single, four,
-            "answers must be order-stable and thread-invariant"
-        );
-    }
-
-    #[test]
     fn cache_serves_repeated_pairs() {
-        let service = small_service(23, 4096, 1);
+        let service = small_service(23, 4096);
         let pairs: Vec<(NodeId, NodeId)> = vec![(1, 900), (2, 800), (900, 1), (1, 900)];
         let answers = service.serve_batch(&pairs);
         // (900,1) normalises to the same key as (1,900): second and third
@@ -524,7 +410,7 @@ mod tests {
         // Without a result cache there is nothing to serve repeats from:
         // every occurrence must resolve through the index (exactly like a
         // serve_one loop) and no answer may claim cache provenance.
-        let service = small_service(28, 0, 1);
+        let service = small_service(28, 0);
         let pairs: Vec<(NodeId, NodeId)> = vec![(1, 900), (2, 800), (900, 1), (1, 900)];
         let answers = service.serve_batch(&pairs);
         assert_eq!(answers[0].distance(), answers[2].distance());
@@ -561,6 +447,29 @@ mod tests {
     }
 
     #[test]
+    fn disconnected_pairs_cost_no_fallback_search() {
+        // Two 5-node paths with landmarks 2 and 7: the nearest-landmark
+        // rows prove (0, 9) and (1, 8) disconnected, so the index answers
+        // them and no search runs over a component.
+        let mut b = GraphBuilder::with_node_count(10);
+        for v in [0, 1, 2, 3, 5, 6, 7, 8] {
+            b.add_edge(v, v + 1);
+        }
+        let graph = b.build_undirected();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(vec![2, 7])
+            .build(&graph);
+        let service = QueryService::builder(oracle, graph).build().unwrap();
+        let answers = service.serve_batch(&[(0, 9), (1, 8)]);
+        assert!(answers.iter().all(ServedAnswer::is_unreachable));
+        let mut session = service.session();
+        assert!(session.serve_one(8, 1).is_unreachable());
+        drop(session);
+        let stats = service.stats();
+        assert_eq!((stats.unreachable, stats.fallback_searches), (3, 0));
+    }
+
+    #[test]
     fn builder_rejects_mismatched_graph() {
         let graph = classic::path(10);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).build(&graph);
@@ -578,7 +487,7 @@ mod tests {
 
     #[test]
     fn sessions_pool_scratch_and_merge_stats() {
-        let service = small_service(24, 0, 1);
+        let service = small_service(24, 0);
         {
             let mut session = service.session();
             session.serve_one(0, 500);
@@ -604,31 +513,29 @@ mod tests {
 
     #[test]
     fn stats_count_completed_batches_while_a_session_is_open() {
-        for threads in [1, 2] {
-            let service = small_service(24, 0, threads);
-            let mut open = service.session();
-            open.serve_one(0, 500);
-            let batch = [(1, 900), (2, 800), (1, 900), (3, 700)];
-            service.serve_batch(&batch);
-            service.serve_batch(&batch[..2]);
-            let stats = service.stats();
-            assert_eq!(stats.queries, 6, "threads {threads}");
-            assert!(stats.wall_time > std::time::Duration::ZERO);
+        let service = small_service(24, 0);
+        let mut open = service.session();
+        open.serve_one(0, 500);
+        let batch = [(1, 900), (2, 800), (1, 900), (3, 700)];
+        service.serve_batch(&batch);
+        service.serve_batch(&batch[..2]);
+        let stats = service.stats();
+        assert_eq!(stats.queries, 6);
+        assert!(stats.wall_time > std::time::Duration::ZERO);
 
-            // The reset clears the pooled states: the next batch is all
-            // that counts.
-            service.reset_stats();
-            let cleared = service.stats();
-            assert_eq!(cleared.queries, 0);
-            assert_eq!(cleared.index_work, Default::default());
-            assert_eq!(cleared.wall_time, std::time::Duration::ZERO);
-            service.serve_batch(&batch[..3]);
-            assert_eq!(service.stats().queries, 3, "threads {threads}");
+        // The reset clears the pooled states: the next batch is all that
+        // counts.
+        service.reset_stats();
+        let cleared = service.stats();
+        assert_eq!(cleared.queries, 0);
+        assert_eq!(cleared.index_work, Default::default());
+        assert_eq!(cleared.wall_time, std::time::Duration::ZERO);
+        service.serve_batch(&batch[..3]);
+        assert_eq!(service.stats().queries, 3);
 
-            // The open session brings its own count back when it drops.
-            drop(open);
-            assert_eq!(service.stats().queries, 4, "threads {threads}");
-        }
+        // The open session brings its own count back when it drops.
+        drop(open);
+        assert_eq!(service.stats().queries, 4);
     }
 
     #[test]
@@ -636,7 +543,7 @@ mod tests {
         // More than one 64-pair block, and a pair of the first block
         // repeated (reversed) in the second: the repeat must adopt the
         // first occurrence's answer and method, and the index must see
-        // the pair once, on one worker or sharded.
+        // the pair once.
         let graph = SocialGraphConfig::small_test().generate(33);
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let mut keys = std::collections::HashSet::new();
@@ -650,22 +557,20 @@ mod tests {
         let mut pairs = unique.clone();
         pairs.insert(90, (t, s));
 
-        let reference = small_service(33, 0, 1);
+        let reference = small_service(33, 0);
         let unique_answers = reference.serve_batch(&unique);
-        for threads in [1, 2] {
-            let service = small_service(33, 0, threads);
-            let answers = service.serve_batch(&pairs);
-            assert_eq!(answers[90], answers[3], "threads {threads}");
-            assert_eq!(answers[3], unique_answers[3], "threads {threads}");
-            let stats = service.stats();
-            assert_eq!(stats.queries, 101);
-            assert_eq!(
-                stats.index_work,
-                reference.stats().index_work,
-                "threads {threads}: the repeat must not pay index work"
-            );
-            assert_eq!(stats.fallback_searches, reference.stats().fallback_searches);
-        }
+        let service = small_service(33, 0);
+        let answers = service.serve_batch(&pairs);
+        assert_eq!(answers[90], answers[3]);
+        assert_eq!(answers[3], unique_answers[3]);
+        let stats = service.stats();
+        assert_eq!(stats.queries, 101);
+        assert_eq!(
+            stats.index_work,
+            reference.stats().index_work,
+            "the repeat must not pay index work"
+        );
+        assert_eq!(stats.fallback_searches, reference.stats().fallback_searches);
     }
 
     #[test]
@@ -683,24 +588,22 @@ mod tests {
             .take(200)
             .collect();
         assert_eq!(pairs.len(), 200);
-        for threads in [1, 2] {
-            let service = small_service(34, 0, threads);
-            let answers = service.serve_batch(&pairs);
-            let mut expected = vicinity_core::QueryStats::default();
-            service
-                .oracle()
-                .distance_batch_accumulate(&pairs, &mut Vec::new(), &mut expected);
-            assert_eq!(service.stats().index_work, expected, "threads {threads}");
-            let mut bfs = BfsEngine::new(service.graph());
-            for (&(s, t), answer) in pairs.iter().zip(&answers) {
-                assert_eq!(answer.distance(), bfs.distance(s, t), "pair ({s},{t})");
-            }
+        let service = small_service(34, 0);
+        let answers = service.serve_batch(&pairs);
+        let mut expected = vicinity_core::QueryStats::default();
+        service
+            .oracle()
+            .distance_batch_accumulate(&pairs, &mut Vec::new(), &mut expected);
+        assert_eq!(service.stats().index_work, expected);
+        let mut bfs = BfsEngine::new(service.graph());
+        for (&(s, t), answer) in pairs.iter().zip(&answers) {
+            assert_eq!(answer.distance(), bfs.distance(s, t), "pair ({s},{t})");
         }
     }
 
     #[test]
     fn out_of_range_ids_are_misses_not_unreachable() {
-        let service = small_service(27, 64, 1);
+        let service = small_service(27, 64);
         let bogus = 10_000_000u32;
         let answers = service.serve_batch(&[(0, bogus), (bogus, 0), (bogus, bogus)]);
         assert!(
@@ -717,7 +620,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let service = small_service(25, 0, 4);
+        let service = small_service(25, 0);
         assert!(service.serve_batch(&[]).is_empty());
         assert_eq!(service.stats().queries, 0);
     }
@@ -732,8 +635,8 @@ mod tests {
             vec![(1, 900), (1, 900), (900, 1), (2, 800), (1, 900), (2, 800)];
         let unique: Vec<(NodeId, NodeId)> = vec![(1, 900), (2, 800)];
 
-        let cacheless = small_service(31, 0, 1);
-        let reference = small_service(31, 0, 1);
+        let cacheless = small_service(31, 0);
+        let reference = small_service(31, 0);
         let answers = cacheless.serve_batch(&duplicate_heavy);
         let unique_answers = reference.serve_batch(&unique);
         // Duplicates adopt the first occurrence's answer *and method*
@@ -757,7 +660,7 @@ mod tests {
 
         // Cached configuration: same answers, duplicates reported as
         // cache-served.
-        let cached = small_service(31, 1024, 1);
+        let cached = small_service(31, 1024);
         let cached_answers = cached.serve_batch(&duplicate_heavy);
         assert_eq!(
             cached_answers
@@ -783,7 +686,6 @@ mod tests {
             .seed(5)
             .build(&graph);
         let (service, mut writer) = QueryService::builder(oracle, graph)
-            .threads(1)
             .cache_capacity(1024)
             .build_updatable()
             .unwrap();
@@ -831,7 +733,6 @@ mod tests {
             .seed(6)
             .build(&graph);
         let (service, mut writer) = QueryService::builder(oracle, graph)
-            .threads(2)
             .cache_capacity(256)
             .build_updatable()
             .unwrap();
@@ -908,7 +809,6 @@ mod tests {
             .store_paths(false)
             .build(&graph);
         let (service, mut writer) = QueryService::builder(oracle, graph)
-            .threads(1)
             .build_updatable()
             .unwrap();
         let pairs = [
@@ -935,13 +835,5 @@ mod tests {
         for (&(s, t), answer) in pairs.iter().zip(service.serve_batch(&pairs)) {
             assert_eq!(answer.distance(), bfs.distance(s, t), "({s},{t})");
         }
-    }
-
-    #[test]
-    fn effective_threads_clamps_to_work() {
-        let service = small_service(26, 0, 8);
-        assert_eq!(service.effective_threads(3), 3);
-        assert_eq!(service.effective_threads(100), 8);
-        assert_eq!(service.effective_threads(0), 1);
     }
 }

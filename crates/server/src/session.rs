@@ -40,11 +40,11 @@
 //! number for a batched engine, and the one `serving_throughput` reports.
 //!
 //! Worker states outlive sessions: a dropped session, and every
-//! `serve_batch` worker at the end of its call, returns its state to the
-//! pool, and the next one reuses it. So steady-state serving allocates
-//! nothing: once warmed, a single-worker `serve_batch` call allocates only
-//! the vector it returns. Statistics stay in the pooled states;
-//! `QueryService::stats` folds them when read.
+//! `serve_batch` call at its end, returns its state to the pool, and the
+//! next one reuses it. So steady-state serving allocates nothing: once
+//! warmed, a `serve_batch` call allocates only the vector it returns.
+//! Statistics stay in the pooled states; `QueryService::stats` folds them
+//! when read.
 //!
 //! [`Adjacency`]: vicinity_graph::Adjacency
 
@@ -138,9 +138,9 @@ pub(crate) struct SharedState {
     /// block; a writer thread replaces it on every applied update.
     pub(crate) epoch: Arc<RwLock<Arc<DynamicSnapshot>>>,
     pub(crate) cache: Option<QueryCache>,
-    /// Idle worker states. Sessions and `serve_batch` workers check one
-    /// out and hand it back, statistics included. A stack, so a
-    /// single-worker service keeps reusing one warm state.
+    /// Idle worker states. Sessions and `serve_batch` calls check one out
+    /// and hand it back, statistics included. A stack, so a service used
+    /// from one thread keeps reusing one warm state.
     pool: Mutex<Vec<WorkerState>>,
 }
 

@@ -4,9 +4,9 @@
 //! Builds a ~100k-node social stand-in graph, indexes it once, then drives
 //! [`QueryService`] through two measurement phases:
 //!
-//! 1. **Throughput** — the full workload (default 250k random pairs) served
-//!    by `serve_batch` across the worker threads (default 4), all sharing
-//!    the same immutable index.
+//! 1. **Throughput** — the full workload (default 250k random pairs) split
+//!    over the client threads (default 4), each serving its contiguous share
+//!    through its own `WorkerSession`, all sharing the same immutable index.
 //! 2. **Latency** — an unloaded single session re-serving a sample of the
 //!    same workload, giving per-query service times free of run-queue
 //!    waiting (on an oversubscribed host, wall-clock latency under full
@@ -88,7 +88,6 @@ fn main() {
     );
 
     let throughput_service = QueryService::builder(oracle, graph)
-        .threads(threads)
         .cache_capacity(1 << 18)
         .build()
         .expect("oracle and graph agree");
@@ -98,7 +97,6 @@ fn main() {
         throughput_service.oracle().clone(),
         throughput_service.graph().clone(),
     )
-    .threads(1)
     .build()
     .expect("same index");
 
@@ -110,12 +108,33 @@ fn main() {
         &mut rng,
     );
 
-    // 4. Phase 1 — aggregate throughput across the worker threads.
-    let workers = throughput_service.effective_threads(pairs.len());
+    // 4. Phase 1 — aggregate throughput across the worker threads, one
+    //    session each, every worker serving a contiguous share in order.
+    let share = pairs.len().div_ceil(threads.max(1)).max(1);
+    let workers = pairs.chunks(share).count();
     let serve_start = Instant::now();
-    let answers = throughput_service.serve_batch(&pairs);
-    let elapsed = serve_start.elapsed();
-    let stats = throughput_service.stats();
+    let answers: Vec<ServedAnswer> = std::thread::scope(|scope| {
+        let handles: Vec<_> = pairs
+            .chunks(share)
+            .map(|chunk| {
+                let mut session = throughput_service.session();
+                scope.spawn(move || {
+                    let mut out = Vec::with_capacity(chunk.len());
+                    session.serve_into(chunk, &mut out);
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("worker thread panicked"))
+            .collect()
+    });
+    // Sessions record no wall time (only `serve_batch` does): the scope's
+    // wall clock is the aggregate one.
+    let mut stats = throughput_service.stats();
+    stats.wall_time = serve_start.elapsed();
+    let elapsed = stats.wall_time;
     println!();
     println!(
         "phase 1: served {} queries on {workers} worker threads in {:.2?}",

@@ -1,7 +1,7 @@
 //! Steady-state allocation of `QueryService::serve_batch`: once warmed, a
-//! single-worker call reuses a pooled worker state (search scratch,
-//! staging buffers, dedup map, statistics) and allocates only the vector
-//! of answers it returns.
+//! call on a default-built service reuses a pooled worker state (search
+//! scratch, staging buffers, dedup map, statistics) and allocates only the
+//! vector of answers it returns.
 //!
 //! The binary installs a counting global allocator that counts per
 //! thread, so tests running in parallel do not see each other's
@@ -95,7 +95,6 @@ fn service(cache_capacity: usize) -> QueryService {
         .seed(41)
         .build(&graph);
     QueryService::builder(oracle, graph)
-        .threads(1)
         .cache_capacity(cache_capacity)
         .build()
         .expect("oracle and graph agree")

@@ -23,7 +23,6 @@ fn serve_batch_matches_dijkstra_on_social_graphs() {
             .seed(seed)
             .build(&graph);
         let service = QueryService::builder(oracle, graph)
-            .threads(3)
             .cache_capacity(4096)
             .build()
             .expect("oracle and graph agree");
@@ -67,10 +66,7 @@ fn fallback_on_miss_is_exact() {
     let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
         .seed(9)
         .build(&graph);
-    let service = QueryService::builder(oracle, graph)
-        .threads(2)
-        .build()
-        .unwrap();
+    let service = QueryService::builder(oracle, graph).build().unwrap();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let pairs = random_pairs(service.graph(), 250, &mut rng);
@@ -239,8 +235,9 @@ fn batched_serve_matches_serve_one_loop() {
     );
 }
 
-/// serve_batch across threads returns answers in input order (spot-checked
-/// against the same batch served single-threaded).
+/// Client threads, one session each, serving contiguous chunks of a batch:
+/// their answers, concatenated, equal one `serve_batch` of the whole input,
+/// in input order.
 #[test]
 fn batched_answers_preserve_input_order() {
     let graph = SocialGraphConfig::small_test().generate(304);
@@ -250,15 +247,28 @@ fn batched_answers_preserve_input_order() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let pairs = random_pairs(&graph, 400, &mut rng);
 
-    let single = QueryService::builder(oracle.clone(), graph.clone())
-        .threads(1)
+    let whole = QueryService::builder(oracle.clone(), graph.clone())
         .build()
         .unwrap()
         .serve_batch(&pairs);
-    let sharded = QueryService::builder(oracle, graph)
-        .threads(4)
-        .build()
-        .unwrap()
-        .serve_batch(&pairs);
-    assert_eq!(single, sharded);
+    let service = QueryService::builder(oracle, graph).build().unwrap();
+    let chunked: Vec<ServedAnswer> = std::thread::scope(|scope| {
+        let clients: Vec<_> = pairs
+            .chunks(pairs.len().div_ceil(4))
+            .map(|chunk| {
+                let mut session = service.session();
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    session.serve_into(chunk, &mut out);
+                    out
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().unwrap())
+            .collect()
+    });
+    assert_eq!(whole, chunked);
+    assert_eq!(service.stats().queries, pairs.len() as u64);
 }
