@@ -18,9 +18,10 @@
 //! * any served answer after churn disagrees with reference BFS on the
 //!   mutated graph (fallback enabled ⇒ every pair must resolve exactly) —
 //!   checked in every mode, and what CI's `update_churn --smoke` enforces;
-//! * in `--smoke` mode, the post-churn oracle's answers (including misses
-//!   and methods) differ from a from-scratch rebuild with the same pinned
-//!   landmark set;
+//! * in `--smoke` mode, the post-churn oracle differs from a from-scratch
+//!   rebuild with the same pinned landmark set: in any node's vicinity
+//!   (its `(radius, nearest landmark)` header and every section), or in
+//!   the checked pairs' answers (including misses and methods);
 //! * in full mode, the median single-edge update exceeds 1 ms — the
 //!   headline claim of the dynamic overlay (vs a full rebuild) — or the
 //!   median ratio of post-churn to frozen batched throughput, over the
@@ -38,6 +39,7 @@ use rand::{Rng, SeedableRng};
 use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{percentile_ms, timed};
 use vicinity_core::config::Alpha;
+use vicinity_core::query::QueryIndex;
 use vicinity_core::OracleBuilder;
 use vicinity_graph::algo::sampling::random_pairs;
 use vicinity_graph::generators::social::SocialGraphConfig;
@@ -291,14 +293,31 @@ fn main() {
         }
     }
 
-    // Smoke: pin full answer equality (misses and methods included)
-    // against a pinned-landmark rebuild on the mutated graph.
+    // Smoke: pin every node's vicinity, header included, and full answer
+    // equality (misses and methods included) against a pinned-landmark
+    // rebuild on the mutated graph.
     if smoke {
         let rebuilt = OracleBuilder::new(Alpha::new(alpha).expect("static alpha"))
             .seed(2012)
             .store_paths(false)
             .landmarks(landmarks)
             .build(&mutated);
+        for u in 0..n {
+            let (dynamic_vicinity, rebuilt_vicinity) =
+                (writer.oracle().vicinity_of(u), rebuilt.vicinity(u));
+            if dynamic_vicinity != rebuilt_vicinity {
+                let header = |v: Option<vicinity_core::VicinityRef<'_>>| {
+                    v.map(|v| (v.radius(), v.nearest_landmark(), v.len()))
+                };
+                eprintln!(
+                    "FAIL: overlay vicinity of {u} (radius, nearest, members) = {:?}, \
+                     rebuild says {:?}",
+                    header(dynamic_vicinity),
+                    header(rebuilt_vicinity)
+                );
+                failures += 1;
+            }
+        }
         for &(s, t) in &check_pairs {
             let (dynamic_answer, rebuilt_answer) =
                 (writer.oracle().distance(s, t), rebuilt.distance(s, t));

@@ -16,9 +16,10 @@ use crate::landmarks::LandmarkSet;
 ///
 /// Ties are broken canonically: `ℓ(u)` is the smallest-id landmark at
 /// distance `d(u, L)`, so it depends only on the graph and the landmark
-/// set. The dynamic oracle's label repair keeps the same rule, which is
-/// what makes its answers — the landmark walk's included — equal a
-/// pinned-landmark rebuild's.
+/// set. The dynamic oracle derives its labels from the landmark rows by
+/// the same rule (the least `(distance, id)` entry of a node's column),
+/// which is what makes its answers — the landmark walk's included — equal
+/// a pinned-landmark rebuild's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallRadii {
     /// `radius[u] = d(u, ℓ(u))`; `INFINITY` when no landmark is reachable

@@ -36,15 +36,7 @@
 //! three structures exact, each by a bounded repair proportional to the
 //! affected region rather than the graph:
 //!
-//! 1. **Nearest-landmark labels** `(d(u, L), ℓ(u))`, repaired once the
-//!    rows (item 2) have accepted the update — an incremental
-//!    improve-BFS on insertion; on deletion, the affected region `D`
-//!    (nodes reachable from the deeper endpoint along `+1`-level edges —
-//!    an overapproximation of every node whose distance *or* label support
-//!    could have run through the edge) is recomputed from its boundary by
-//!    a unit-weight Dijkstra. The label invariant maintained is the one
-//!    the query pruning relies on: `d(u, ℓ(u)) == radius(u)` exactly.
-//! 2. **Landmark rows** — one pass over the two endpoint columns checks
+//! 1. **Landmark rows** — one pass over the two endpoint columns checks
 //!    every landmark at once (`|d(ℓ, a) − d(ℓ, b)|` in the `u16`
 //!    encoding, where unreachable sorts above every distance) and proves
 //!    most rows untouched. On removal, the remaining candidate landmarks
@@ -56,8 +48,15 @@
 //!    and its writes are collected first and committed together — or, if
 //!    one would be a distance of [`HOP_HORIZON`] hops or more, none is:
 //!    the update is refused with [`UpdateError::PastHorizon`] and the
-//!    graph edit reverted. Rows are repaired before labels, so a refused
-//!    update leaves the oracle exactly as it was.
+//!    graph edit reverted, leaving the oracle exactly as it was.
+//! 2. **Nearest-landmark labels** `(d(u, L), ℓ(u))` are a function of the
+//!    rows: the least `(distance, landmark)` entry of `u`'s column, rank
+//!    order being id order. They are re-derived from the committed row
+//!    writes alone — a write below a label replaces it, a write raising
+//!    the entry of `ℓ(u)` itself rescans `u`'s column once — so the
+//!    labels match a rebuild's canonical smallest-id choice and the
+//!    invariant the query pruning relies on, `d(u, ℓ(u)) == radius(u)`,
+//!    holds exactly.
 //! 3. **Vicinities** — the affected set is `R ∪ C(a) ∪ C(b)`: nodes whose
 //!    `(radius, ℓ)` header changed, plus the *open clusters*
 //!    `C(x) = { u : d(u, x) < radius(u) }` of both endpoints (computed on
@@ -489,6 +488,33 @@ fn current_column(base: &LandmarkDistances, rows: &RowPatches, v: NodeId) -> Vec
     column
 }
 
+/// `v`'s nearest-landmark label read off its current column: the least
+/// `(distance, rank)` entry, ranks being in id order, and `(INFINITY,
+/// INVALID_NODE)` when no landmark is reachable.
+fn column_label(
+    base: &LandmarkDistances,
+    rows: &RowPatches,
+    landmarks: &[NodeId],
+    v: NodeId,
+) -> (Distance, NodeId) {
+    let patch = rows.get(&v).map_or(&[][..], |patch| &patch.entries[..]);
+    let mut patched = patch.iter().peekable();
+    let least = base
+        .column(v)
+        .iter()
+        .enumerate()
+        .map(|(rank, &raw)| {
+            let raw = patched
+                .next_if(|&&(r, _)| r as usize == rank)
+                .map_or(raw, |&(_, patched_raw)| patched_raw);
+            (raw, rank)
+        })
+        .min();
+    least
+        .and_then(|(raw, rank)| Some((decode_distance(raw)?, landmarks[rank])))
+        .unwrap_or((INFINITY, INVALID_NODE))
+}
+
 /// Set the current distance of landmark rank `rank` to `v`. A value equal
 /// to the base slab's drops the patch entry (and the node's patch once it
 /// is empty); `entries` tracks the total patch entries.
@@ -717,7 +743,8 @@ impl DynamicSnapshot {
 /// introspection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateProfile {
-    /// Nanoseconds spent repairing nearest-landmark labels.
+    /// Nanoseconds spent re-deriving nearest-landmark labels from the
+    /// update's row writes.
     pub labels_ns: u64,
     /// Nanoseconds spent repairing landmark rows.
     pub rows_ns: u64,
@@ -727,7 +754,7 @@ pub struct UpdateProfile {
     pub rebuild_ns: u64,
     /// Landmark rows actually repaired (the rest passed the O(1) check).
     pub rows_repaired: u32,
-    /// Nodes whose `(radius, nearest)` header changed.
+    /// Distinct nodes whose `(radius, nearest)` header changed.
     pub header_changes: u32,
     /// Vicinities rebuilt: the union of the header changes and both
     /// endpoints' open clusters.
@@ -751,14 +778,15 @@ pub struct DynamicOracle {
     overlay: OverlayMap,
     /// Landmark-distance patches, keyed by node.
     rows: RowPatches,
-    /// Exact `d(u, L)` per node (`INFINITY` = no landmark reachable).
+    /// Exact `d(u, L)` per node (`INFINITY` = no landmark reachable): the
+    /// least distance in `u`'s current column.
     radius: Vec<Distance>,
-    /// The smallest-id landmark attaining `radius[u]` — the builder's
-    /// canonical tie rule ([`crate::ball::BallRadii`]) — supported by a
-    /// neighbour chain (`INVALID_NODE` when unreachable). The query
-    /// bounds rely on `d(u, nearest[u]) == radius[u]` being exact, and
-    /// the canonical choice makes the landmark walk, and so every answer
-    /// method, match a pinned rebuild's.
+    /// The smallest-id landmark attaining `radius[u]` — the least entry
+    /// of `u`'s column, the builder's canonical tie rule
+    /// ([`crate::ball::BallRadii`]) — or `INVALID_NODE` when unreachable.
+    /// The query bounds rely on `d(u, nearest[u]) == radius[u]` being
+    /// exact, and the canonical choice makes the landmark walk, and so
+    /// every answer method, match a pinned rebuild's.
     nearest: Vec<NodeId>,
     version: u64,
     compaction_limit: usize,
@@ -907,11 +935,10 @@ impl DynamicOracle {
             .inspect_err(|_| self.graph.remove_edge(a, b))?;
         profile.rows_ns = phase.elapsed().as_nanos() as u64;
 
-        // 2. Nearest-landmark labels: distances only improve; flood the
-        //    improvement from the side the new edge shortcuts.
+        // 2. Nearest-landmark labels, read off the written rows.
         let mut affected: Vec<NodeId> = Vec::new();
         let phase = std::time::Instant::now();
-        self.improve_labels(a, b, &mut affected);
+        self.relabel(&mut affected);
         profile.labels_ns = phase.elapsed().as_nanos() as u64;
         profile.header_changes = affected.len() as u32;
 
@@ -965,10 +992,10 @@ impl DynamicOracle {
             .inspect_err(|_| self.graph.insert_edge(a, b))?;
         profile.rows_ns = phase.elapsed().as_nanos() as u64;
 
-        // 2. Nearest-landmark labels (decremental, label-aware).
+        // 2. Nearest-landmark labels, read off the written rows.
         let phase = std::time::Instant::now();
         let cluster_nodes = affected.len();
-        self.decrement_labels(a, b, &mut affected);
+        self.relabel(&mut affected);
         profile.labels_ns = phase.elapsed().as_nanos() as u64;
         profile.header_changes = (affected.len() - cluster_nodes) as u32;
 
@@ -1077,163 +1104,37 @@ impl DynamicOracle {
         self.stamp_version
     }
 
-    /// Incremental (insert-side) label repair: flood strictly smaller
-    /// `(distance, label)` pairs, compared lexicographically, from
-    /// whichever endpoint the new edge shortcuts. On insertion distances
-    /// only shrink and, at an unchanged distance, the least landmark can
-    /// only get smaller, so flooding improvements reaches the canonical
-    /// labels: an equal-length route to a smaller-id landmark changes the
-    /// label too. Nodes whose header changed are appended to `changed`.
-    fn improve_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<NodeId>) {
-        let graph = &self.graph;
-        let radius = &mut self.radius;
-        let nearest = &mut self.nearest;
-        let label_of = |u: NodeId| (radius[u as usize], nearest[u as usize]);
-        let via = |u: NodeId| (radius[u as usize].saturating_add(1), nearest[u as usize]);
-        let (seed, from) = if via(a) < label_of(b) {
-            (b, a)
-        } else if via(b) < label_of(a) {
-            (a, b)
-        } else {
-            return;
-        };
-        let mut queue: VecDeque<(NodeId, Distance, NodeId)> = VecDeque::new();
-        queue.push_back((seed, radius[from as usize] + 1, nearest[from as usize]));
-        while let Some((v, d, label)) = queue.pop_front() {
-            if (d, label) >= (radius[v as usize], nearest[v as usize]) {
-                continue;
-            }
-            radius[v as usize] = d;
-            nearest[v as usize] = label;
-            changed.push(v);
-            for &w in graph.neighbors(v) {
-                if (d + 1, label) < (radius[w as usize], nearest[w as usize]) {
-                    queue.push_back((w, d + 1, label));
-                }
-            }
-        }
-    }
-
-    /// Decremental (remove-side) label repair, support-aware. The removed
-    /// edge can only have carried label support from `lo` up to the deeper
-    /// endpoint `hi`; if `hi` still has a same-label supporter one level
-    /// down, nothing changed at all (the overwhelmingly common case on
-    /// dense graphs). Otherwise the **orphan set** `A` is computed by the
-    /// classic two-phase decremental scheme — a node joins `A` when every
-    /// same-label supporter it has sits in `A` itself, and joining re-
-    /// queues its same-label dependents — and exactly `A` is recomputed
-    /// from its boundary by a unit-weight Dijkstra carrying labels. Nodes
-    /// outside `A` keep valid `(distance, label)` pairs by the fixpoint
-    /// argument: their support chains stay outside `A` all the way down.
-    /// They stay canonical too: on deletion distances only grow and, at
-    /// an unchanged distance, the least landmark can only get larger, so a
-    /// label that keeps its support is still the smallest.
-    fn decrement_labels(&mut self, a: NodeId, b: NodeId, changed: &mut Vec<NodeId>) {
-        let (ra, rb) = (self.radius[a as usize], self.radius[b as usize]);
-        if ra == INFINITY && rb == INFINITY {
-            return;
-        }
-        // Both finite (they were adjacent); the edge can only carry
-        // support across a one-level step.
-        let hi = if ra == rb.saturating_add(1) {
-            a
-        } else if rb == ra.saturating_add(1) {
-            b
-        } else {
-            return;
-        };
-
-        // Phase 1: the orphan set.
+    /// Re-derive the nearest-landmark labels from the update's committed
+    /// row writes. A label is the least `(distance, landmark)` entry of its
+    /// node's column, so a write below the label replaces it, a write
+    /// raising the entry of the label's own landmark sends the node to one
+    /// rescan of its column, and any other write leaves the label as it
+    /// is: an unwritten entry kept its value, so the least entry can only
+    /// move to a written one or away from a raised label entry. A rescan
+    /// reads the committed column, so the node's later writes leave its
+    /// label as it is. Nodes whose label changed are appended to
+    /// `changed`, once each.
+    fn relabel(&mut self, changed: &mut Vec<NodeId>) {
         let stamp = self.bump_stamp();
-        let graph = &self.graph;
-        let radius = &self.radius;
-        let nearest = &self.nearest;
-        let stamps = &mut self.stamp;
-        let mut region: Vec<NodeId> = Vec::new();
-        let mut candidates: VecDeque<NodeId> = VecDeque::new();
-        candidates.push_back(hi);
-        while let Some(v) = candidates.pop_front() {
-            if stamps[v as usize] == stamp {
-                continue; // already an orphan
-            }
-            let (vv, vl) = (radius[v as usize], nearest[v as usize]);
-            let supported = graph.neighbors(v).iter().any(|&x| {
-                stamps[x as usize] != stamp
-                    && radius[x as usize] == vv - 1
-                    && nearest[x as usize] == vl
-            });
-            if supported {
-                continue;
-            }
-            stamps[v as usize] = stamp;
-            region.push(v);
-            // Same-label dependents one level up must re-examine their
-            // support (including ones that passed an earlier check on the
-            // strength of `v`).
-            for &w in graph.neighbors(v) {
-                if stamps[w as usize] != stamp
-                    && radius[w as usize] != INFINITY
-                    && radius[w as usize] == vv + 1
-                    && nearest[w as usize] == vl
-                {
-                    candidates.push_back(w);
-                }
-            }
-        }
-        if region.is_empty() {
-            return;
-        }
-
-        // Phase 2: recompute the orphans from the region boundary, taking
-        // the lexicographically least `(distance, label)` pair, so every
-        // orphan ends with the canonical smallest-id nearest landmark.
-        let mut heap: BinaryHeap<Reverse<(Distance, NodeId, NodeId)>> = BinaryHeap::new();
-        let mut new_label: FastMap<NodeId, NodeId> = FastMap::default();
-        for &v in &region {
-            let mut best = (INFINITY, INVALID_NODE);
-            for &w in graph.neighbors(v) {
-                if stamps[w as usize] != stamp && radius[w as usize] != INFINITY {
-                    best = best.min((radius[w as usize] + 1, nearest[w as usize]));
-                }
-            }
-            self.stamp_dist[v as usize] = best.0;
-            if best.0 != INFINITY {
-                new_label.insert(v, best.1);
-                heap.push(Reverse((best.0, best.1, v)));
-            }
-        }
-        let mut settled: FastMap<NodeId, ()> = FastMap::default();
-        while let Some(Reverse((d, label, v))) = heap.pop() {
-            if settled.contains_key(&v) || (d, label) > (self.stamp_dist[v as usize], new_label[&v])
-            {
-                continue;
-            }
-            settled.insert(v, ());
-            for &w in graph.neighbors(v) {
-                if stamps[w as usize] != stamp || settled.contains_key(&w) {
-                    continue;
-                }
-                let current = (
-                    self.stamp_dist[w as usize],
-                    new_label.get(&w).copied().unwrap_or(INVALID_NODE),
-                );
-                if (d + 1, label) < current {
-                    self.stamp_dist[w as usize] = d + 1;
-                    new_label.insert(w, label);
-                    heap.push(Reverse((d + 1, label, w)));
-                }
-            }
-        }
-        for &v in &region {
-            let new_radius = self.stamp_dist[v as usize];
-            let new_nearest = if new_radius == INFINITY {
-                INVALID_NODE
+        let slab = self.base.landmark_distances();
+        let landmarks = self.base.landmarks().nodes();
+        for &(rank, v, raw) in &self.row_writes {
+            let u = v as usize;
+            let label = (self.radius[u], self.nearest[u]);
+            let written = (
+                decode_distance(raw).unwrap_or(INFINITY),
+                landmarks[rank as usize],
+            );
+            let new_label = if written.0 != INFINITY && written < label {
+                written
+            } else if written.1 == label.1 && written.0 > label.0 {
+                column_label(slab, &self.rows, landmarks, v)
             } else {
-                *new_label.get(&v).expect("finite node carries a label")
+                continue;
             };
-            if new_radius != self.radius[v as usize] || new_nearest != self.nearest[v as usize] {
-                self.radius[v as usize] = new_radius;
-                self.nearest[v as usize] = new_nearest;
+            (self.radius[u], self.nearest[u]) = new_label;
+            if self.stamp[u] != stamp {
+                self.stamp[u] = stamp;
                 changed.push(v);
             }
         }
@@ -1468,17 +1369,15 @@ impl DynamicOracle {
                 heap.push(Reverse((best, v)));
             }
         }
-        let mut settled: FastMap<NodeId, ()> = FastMap::default();
+        // A node is pushed only on a strict improvement, so the distance
+        // check skips every stale entry and a settled neighbour never
+        // improves.
         while let Some(Reverse((d, v))) = heap.pop() {
-            if settled.contains_key(&v) || d > self.stamp_dist[v as usize] {
+            if d > self.stamp_dist[v as usize] {
                 continue;
             }
-            settled.insert(v, ());
             for &w in graph.neighbors(v) {
-                if stamps[w as usize] == stamp
-                    && !settled.contains_key(&w)
-                    && d + 1 < self.stamp_dist[w as usize]
-                {
+                if stamps[w as usize] == stamp && d + 1 < self.stamp_dist[w as usize] {
                     self.stamp_dist[w as usize] = d + 1;
                     heap.push(Reverse((d + 1, w)));
                 }
@@ -1727,6 +1626,58 @@ mod tests {
         assert_matches_rebuild(&dynamic);
         dynamic.remove_edge(3, 5).unwrap();
         assert_matches_rebuild(&dynamic);
+    }
+
+    #[test]
+    fn labels_are_the_least_entries_of_the_columns() {
+        // After every update each label equals its column's least
+        // `(distance, id)` entry, and `header_changes` counts the distinct
+        // nodes whose label moved, down to a node cut off from every
+        // landmark and back.
+        let g = classic::grid(5, 5);
+        let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
+            .landmarks(vec![6, 18])
+            .build(&g);
+        let mut dynamic = DynamicOracle::from_parts(oracle, g).unwrap();
+        let labels = |d: &DynamicOracle| -> Vec<(Distance, NodeId)> {
+            (0..d.node_count())
+                .map(|u| (d.radius[u], d.nearest[u]))
+                .collect()
+        };
+        for (u, v, insert) in [
+            (0, 24, true),
+            (0, 1, false),
+            (0, 5, false),
+            (0, 24, false),
+            (0, 12, true),
+            (7, 8, false),
+        ] {
+            let before = labels(&dynamic);
+            let applied = if insert {
+                dynamic.insert_edge(u, v).unwrap()
+            } else {
+                dynamic.remove_edge(u, v).unwrap()
+            };
+            assert!(applied);
+            let after = labels(&dynamic);
+            let slab = dynamic.base.landmark_distances();
+            let landmarks = dynamic.base.landmarks().nodes();
+            for x in 0..dynamic.node_count() as NodeId {
+                assert_eq!(
+                    after[x as usize],
+                    column_label(slab, &dynamic.rows, landmarks, x),
+                    "label of {x} after ({u},{v},{insert})"
+                );
+            }
+            let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+            assert_eq!(
+                dynamic.last_update_profile().header_changes as usize,
+                moved,
+                "header changes after ({u},{v},{insert})"
+            );
+            assert_matches_rebuild(&dynamic);
+        }
+        assert_eq!((dynamic.radius[0], dynamic.nearest[0]), (3, 6));
     }
 
     #[test]

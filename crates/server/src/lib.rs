@@ -31,8 +31,9 @@
 //! * [`QueryCache`] — a bounded, lock-free, set-associative table over
 //!   normalised `(min, max)` pairs caching definitive answers only: one
 //!   seqlocked cache line per operation, prefetched a block ahead.
-//! * [`ServerStats`] — throughput, latency histogram (p50/p99/max),
-//!   answer-method histogram, cache hit rate and fallback rate.
+//! * [`ServerStats`] — query counts, busy time, latency histogram
+//!   (p50/p99/max), answer-method histogram, cache hit rate and fallback
+//!   rate.
 //!
 //! ## Quick start
 //!

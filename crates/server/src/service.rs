@@ -2,7 +2,6 @@
 //! atomically by epoch when edge updates apply.
 
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Instant;
 
 use vicinity_core::dynamic::{DynamicOracle, DynamicSnapshot, UpdateError};
 use vicinity_core::index::VicinityOracle;
@@ -308,17 +307,15 @@ impl QueryService {
     /// warmed, a call allocates only the vector it returns. For parallel
     /// serving, give each client thread its own [`QueryService::session`].
     /// Latency samples recorded by batch serving are batch-amortised (see
-    /// `crate::session`); the call's wall time and its statistics stay in
-    /// the pooled state until [`QueryService::stats`] folds them.
+    /// `crate::session`); the call's statistics stay in the pooled state
+    /// until [`QueryService::stats`] folds them. An aggregate rate needs
+    /// the caller's own clock.
     pub fn serve_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        let wall_start = Instant::now();
-        let mut session = self.session();
         let mut answers = Vec::new();
-        session.serve_into(pairs, &mut answers);
-        session.stats_mut().wall_time += wall_start.elapsed();
+        self.session().serve_into(pairs, &mut answers);
         answers
     }
 
@@ -377,7 +374,7 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!(stats.queries, 400);
-        assert!(stats.throughput_qps() > 0.0);
+        assert!(stats.busy_time > std::time::Duration::ZERO);
         assert_eq!(
             stats.misses, 0,
             "fallback is enabled, no query goes unanswered"
@@ -521,7 +518,7 @@ mod tests {
         service.serve_batch(&batch[..2]);
         let stats = service.stats();
         assert_eq!(stats.queries, 6);
-        assert!(stats.wall_time > std::time::Duration::ZERO);
+        assert!(stats.busy_time > std::time::Duration::ZERO);
 
         // The reset clears the pooled states: the next batch is all that
         // counts.
@@ -529,7 +526,7 @@ mod tests {
         let cleared = service.stats();
         assert_eq!(cleared.queries, 0);
         assert_eq!(cleared.index_work, Default::default());
-        assert_eq!(cleared.wall_time, std::time::Duration::ZERO);
+        assert_eq!(cleared.busy_time, std::time::Duration::ZERO);
         service.serve_batch(&batch[..3]);
         assert_eq!(service.stats().queries, 3);
 

@@ -503,10 +503,6 @@ impl WorkerSession {
     pub fn stats(&self) -> &ServerStats {
         &self.state.stats
     }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut ServerStats {
-        &mut self.state.stats
-    }
 }
 
 impl Drop for WorkerSession {

@@ -1,5 +1,6 @@
-//! Serving statistics: latency histogram, answer-method histogram,
-//! throughput, cache and fallback rates.
+//! Serving statistics: latency histogram, answer-method histogram, busy
+//! time, cache and fallback rates. An aggregate throughput needs the
+//! caller's own clock over the whole serving scope.
 //!
 //! Each pooled worker state records into its own `ServerStats` (no shared
 //! state on the hot path), and the service folds the pool's statistics
@@ -188,8 +189,6 @@ pub struct ServerStats {
     pub latency: LatencyHistogram,
     /// Summed busy time across workers (CPU-side service time).
     pub busy_time: Duration,
-    /// Wall-clock time spent inside `serve_batch` calls.
-    pub wall_time: Duration,
 }
 
 impl ServerStats {
@@ -247,17 +246,6 @@ impl ServerStats {
         self.fallback_time += other.fallback_time;
         self.latency.merge(&other.latency);
         self.busy_time += other.busy_time;
-        self.wall_time += other.wall_time;
-    }
-
-    /// Aggregate throughput in queries per second of wall time, or zero
-    /// before any batch has run.
-    pub fn throughput_qps(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.queries as f64 / secs
     }
 
     /// Fraction of queries served from the cache.
@@ -315,7 +303,6 @@ impl ServerStats {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "queries          {}", self.queries);
-        let _ = writeln!(out, "throughput       {:.0} q/s", self.throughput_qps());
         let _ = writeln!(
             out,
             "latency          mean {:.2?}  p50 {:.2?}  p99 {:.2?}  max {:.2?}",
@@ -439,23 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn throughput_uses_wall_time() {
-        let s = ServerStats {
-            queries: 50_000,
-            wall_time: Duration::from_millis(250),
-            ..Default::default()
-        };
-        assert!((s.throughput_qps() - 200_000.0).abs() < 1e-6);
-        assert_eq!(ServerStats::default().throughput_qps(), 0.0);
-    }
-
-    #[test]
     fn report_mentions_key_figures() {
         let mut s = ServerStats::default();
         s.record(ServedMethod::Cache, Some(Duration::from_micros(1)));
-        s.wall_time = Duration::from_millis(1);
         let report = s.report();
-        assert!(report.contains("throughput"));
+        assert!(report.contains("queries"));
         assert!(report.contains("cache"));
         assert!(report.contains("p99"));
         assert!(report.contains("arcs scanned per miss"));
