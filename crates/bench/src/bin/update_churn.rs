@@ -18,10 +18,15 @@
 //! * any served answer after churn disagrees with reference BFS on the
 //!   mutated graph (fallback enabled ⇒ every pair must resolve exactly) —
 //!   checked in every mode, and what CI's `update_churn --smoke` enforces;
-//! * in `--smoke` mode, the post-churn oracle differs from a from-scratch
-//!   rebuild with the same pinned landmark set: in any node's vicinity
-//!   (its `(radius, nearest landmark)` header and every section), or in
-//!   the checked pairs' answers (including misses and methods);
+//! * in `--smoke` mode, the oracle differs from a from-scratch rebuild
+//!   with the same pinned landmark set: in any node's vicinity (its
+//!   `(radius, nearest landmark)` header and every section), or in the
+//!   checked pairs' answers (including misses and methods). This is
+//!   checked twice: once mid-stream, right after the middle update (an odd
+//!   count, so the stream stands inside an update/inverse cycle and the
+//!   overlay is not empty — the check fails if it is), and once after the
+//!   churn, whose whole cycles leave the graph and an empty overlay as
+//!   they found them;
 //! * in full mode, the median single-edge update exceeds 1 ms — the
 //!   headline claim of the dynamic overlay (vs a full rebuild) — or the
 //!   median ratio of post-churn to frozen batched throughput, over the
@@ -39,6 +44,7 @@ use rand::{Rng, SeedableRng};
 use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{percentile_ms, timed};
 use vicinity_core::config::Alpha;
+use vicinity_core::dynamic::DynamicOracle;
 use vicinity_core::query::QueryIndex;
 use vicinity_core::OracleBuilder;
 use vicinity_graph::algo::sampling::random_pairs;
@@ -115,6 +121,9 @@ fn main() {
     let mut pending_reinsert: Option<(NodeId, NodeId)> = None;
     let mut pending_remove_novel: Option<(NodeId, NodeId)> = None;
     let mut failures = 0u32;
+    // The smoke run's mid-stream rebuild check follows this many updates:
+    // odd, so it lands inside an update/inverse cycle.
+    let checkpoint = (updates / 2) | 1;
 
     while applied < updates {
         // One churn step: remove real edge → re-insert it → insert novel →
@@ -171,6 +180,18 @@ fn main() {
                 rows_repaired_total += u64::from(profile.rows_repaired);
                 vicinities_rebuilt_total += u64::from(profile.affected_vicinities);
                 applied += 1;
+                if smoke && applied == checkpoint {
+                    let oracle = writer.oracle();
+                    let overlay = oracle.overlay_len() + oracle.row_patch_entries();
+                    println!("mid-stream check after {applied} updates: overlay {overlay} entries");
+                    if overlay == 0 {
+                        eprintln!("FAIL: the mid-stream check would compare an empty overlay");
+                        failures += 1;
+                    }
+                    let mut mid_rng = rand::rngs::StdRng::seed_from_u64(13);
+                    let pairs = random_pairs(&oracle.graph().to_csr(), 300, &mut mid_rng);
+                    failures += rebuild_mismatches(oracle, alpha, &landmarks, &pairs);
+                }
             }
             Ok(false) => {}
             Err(e) => {
@@ -297,37 +318,7 @@ fn main() {
     // equality (misses and methods included) against a pinned-landmark
     // rebuild on the mutated graph.
     if smoke {
-        let rebuilt = OracleBuilder::new(Alpha::new(alpha).expect("static alpha"))
-            .seed(2012)
-            .store_paths(false)
-            .landmarks(landmarks)
-            .build(&mutated);
-        for u in 0..n {
-            let (dynamic_vicinity, rebuilt_vicinity) =
-                (writer.oracle().vicinity_of(u), rebuilt.vicinity(u));
-            if dynamic_vicinity != rebuilt_vicinity {
-                let header = |v: Option<vicinity_core::VicinityRef<'_>>| {
-                    v.map(|v| (v.radius(), v.nearest_landmark(), v.len()))
-                };
-                eprintln!(
-                    "FAIL: overlay vicinity of {u} (radius, nearest, members) = {:?}, \
-                     rebuild says {:?}",
-                    header(dynamic_vicinity),
-                    header(rebuilt_vicinity)
-                );
-                failures += 1;
-            }
-        }
-        for &(s, t) in &check_pairs {
-            let (dynamic_answer, rebuilt_answer) =
-                (writer.oracle().distance(s, t), rebuilt.distance(s, t));
-            if dynamic_answer != rebuilt_answer {
-                eprintln!(
-                    "FAIL: overlay ({s},{t}) = {dynamic_answer:?}, rebuild says {rebuilt_answer:?}"
-                );
-                failures += 1;
-            }
-        }
+        failures += rebuild_mismatches(writer.oracle(), alpha, &landmarks, &check_pairs);
     }
 
     if !smoke {
@@ -383,6 +374,50 @@ fn main() {
         std::process::exit(1);
     }
     println!("update_churn: all checks passed");
+}
+
+/// Compare `oracle` against a from-scratch rebuild of its current graph
+/// with the same landmarks: every node's vicinity, header included, and
+/// the answers to `pairs` (misses and methods included). Prints each
+/// mismatch and returns their count.
+fn rebuild_mismatches(
+    oracle: &DynamicOracle,
+    alpha: f64,
+    landmarks: &[NodeId],
+    pairs: &[(NodeId, NodeId)],
+) -> u32 {
+    let graph = oracle.graph().to_csr();
+    let rebuilt = OracleBuilder::new(Alpha::new(alpha).expect("static alpha"))
+        .seed(2012)
+        .store_paths(false)
+        .landmarks(landmarks.to_vec())
+        .build(&graph);
+    let mut failures = 0;
+    for u in 0..graph.node_count() as NodeId {
+        let (dynamic_vicinity, rebuilt_vicinity) = (oracle.vicinity_of(u), rebuilt.vicinity(u));
+        if dynamic_vicinity != rebuilt_vicinity {
+            let header = |v: Option<vicinity_core::VicinityRef<'_>>| {
+                v.map(|v| (v.radius(), v.nearest_landmark(), v.len()))
+            };
+            eprintln!(
+                "FAIL: overlay vicinity of {u} (radius, nearest, members) = {:?}, \
+                 rebuild says {:?}",
+                header(dynamic_vicinity),
+                header(rebuilt_vicinity)
+            );
+            failures += 1;
+        }
+    }
+    for &(s, t) in pairs {
+        let (dynamic_answer, rebuilt_answer) = (oracle.distance(s, t), rebuilt.distance(s, t));
+        if dynamic_answer != rebuilt_answer {
+            eprintln!(
+                "FAIL: overlay ({s},{t}) = {dynamic_answer:?}, rebuild says {rebuilt_answer:?}"
+            );
+            failures += 1;
+        }
+    }
+    failures
 }
 
 /// Mean µs per phase as a JSON object, keyed as in the flat fields.

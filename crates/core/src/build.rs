@@ -213,7 +213,7 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> Vi
 }
 
 /// Landmarks per bit-parallel search: one lane per bit of a `u64`.
-const LANES: usize = 64;
+pub(crate) const LANES: usize = 64;
 
 /// Build every landmark's distances into the node-major slab with one
 /// bit-parallel multi-source BFS per batch of [`LANES`] landmarks (MS-BFS,
@@ -264,7 +264,8 @@ fn build_landmark_distances(
 }
 
 /// The lanes set in `mask`, lowest first.
-fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+#[inline]
+pub(crate) fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         let lane = (mask != 0).then(|| mask.trailing_zeros() as usize);
         mask &= mask.wrapping_sub(1);

@@ -36,19 +36,32 @@
 //! three structures exact, each by a bounded repair proportional to the
 //! affected region rather than the graph:
 //!
-//! 1. **Landmark rows** — one pass over the two endpoint columns checks
-//!    every landmark at once (`|d(ℓ, a) − d(ℓ, b)|` in the `u16`
-//!    encoding, where unreachable sorts above every distance) and proves
-//!    most rows untouched. On removal, the remaining candidate landmarks
-//!    of the deeper endpoint are tested for support against one neighbour
-//!    column at a time, stopping once every candidate has a neighbour one
-//!    level closer. Only the rows left take the incremental/decremental
-//!    repair, reading entries through the columns. A rank never reads
-//!    another rank's entries, so every repair reads the pre-update rows
-//!    and its writes are collected first and committed together — or, if
-//!    one would be a distance of [`HOP_HORIZON`] hops or more, none is:
-//!    the update is refused with [`UpdateError::PastHorizon`] and the
-//!    graph edit reverted, leaving the oracle exactly as it was.
+//! 1. **Landmark rows** — the ranks are cut into lane words of 64
+//!    consecutive ranks, one `u64` bit per rank, whose entries in a column
+//!    are 128 contiguous bytes. One pass over the two endpoint
+//!    columns, a word at a time, checks every landmark at once
+//!    (`|d(ℓ, a) − d(ℓ, b)|` in the `u16` encoding, where unreachable
+//!    sorts above every distance) and proves most rows untouched. On
+//!    removal, the candidates of the deeper endpoint `hi` are tested for
+//!    support against one neighbour column at a time, stopping once every
+//!    candidate has a neighbour one level closer. Each word with a rank
+//!    left is repaired by one bit-parallel search over the node-major
+//!    columns (MS-BFS, Then et al., VLDB 2014; Hayashi, Akiba and
+//!    Kawarabayashi, CIKM 2016, keep such landmark trees exact under both
+//!    update kinds): a node the search looks at costs one patch-map probe
+//!    and one read of its column for all of its active lanes. An insert
+//!    runs one pruned BFS in which every lane starts at its own shortcut
+//!    endpoint with its own new distance there; a removal propagates the
+//!    orphans of all its lanes at once, carrying a lane mask per node, and
+//!    re-settles them with a bucket queue by distance. The first step of
+//!    every word — the seed's neighbours — is read in one pass for all
+//!    words (on removal, in the support probe's own pass). A rank never
+//!    reads another rank's entries, so every repair reads the pre-update
+//!    rows and its writes are collected first and committed together, one
+//!    merge per node's column patch — or, if one would be a distance of
+//!    [`HOP_HORIZON`] hops or more, none is: the update is refused with
+//!    [`UpdateError::PastHorizon`] and the graph edit reverted, leaving the
+//!    oracle exactly as it was.
 //! 2. **Nearest-landmark labels** `(d(u, L), ℓ(u))` are a function of the
 //!    rows: the least `(distance, landmark)` entry of `u`'s column, rank
 //!    order being id order. They are re-derived from the committed row
@@ -89,8 +102,7 @@
 //!
 //! [`VicinityChunk::push_node`]: crate::vicinity::VicinityChunk::push_node
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use vicinity_graph::algo::bfs::BoundedBfsScratch;
@@ -98,8 +110,10 @@ use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY, INVALID_NODE};
 
+use crate::build::{lanes, LANES};
 use crate::index::{
     decode_distance, encode_distance, LandmarkDistances, VicinityOracle, HOP_HORIZON,
+    UNREACHABLE_U16,
 };
 use crate::query::{
     distance_batch_accumulate_on, distance_with_stats_on, path_batch_on, path_on, DistanceAnswer,
@@ -431,6 +445,211 @@ impl ColumnPatch {
     }
 }
 
+/// Merge one node's writes, `(node, rank, value)` sorted by rank with each
+/// rank once, over its patch entries `old` into `merged`: a written value
+/// replaces the entry of its rank, and an entry equal to the node's base
+/// column `base` is dropped.
+fn merge_column_writes(
+    old: &[(u32, u16)],
+    writes: &[(NodeId, u32, u16)],
+    base: &[u16],
+    merged: &mut Vec<(u32, u16)>,
+) {
+    merged.clear();
+    let mut old = old.iter().copied().peekable();
+    for &(_, rank, raw) in writes {
+        while let Some(entry) = old.next_if(|&(r, _)| r < rank) {
+            merged.push(entry);
+        }
+        old.next_if(|&(r, _)| r == rank);
+        if raw != base[rank as usize] {
+            merged.push((rank, raw));
+        }
+    }
+    merged.extend(old);
+}
+
+/// The current landmark distances, read one column at a time: the base
+/// slab's columns through the column patches.
+#[derive(Clone, Copy)]
+struct Columns<'a> {
+    slab: &'a LandmarkDistances,
+    rows: &'a RowPatches,
+}
+
+impl<'a> Columns<'a> {
+    /// Hint the slab lines of `v`'s entries in `lanes` of the word
+    /// starting at rank `first`: the lines of its lowest and highest lane.
+    #[inline]
+    fn prefetch(self, v: NodeId, first: u32, lanes: u64) {
+        if lanes != 0 {
+            let low = lanes.trailing_zeros();
+            let high = u64::BITS - 1 - lanes.leading_zeros();
+            self.slab.prefetch((first + low) as usize, v);
+            self.slab.prefetch((first + high) as usize, v);
+        }
+    }
+
+    /// `v`'s current column: one patch-map probe, while any patch exists.
+    #[inline]
+    fn of(self, v: NodeId) -> CurrentColumn<'a> {
+        CurrentColumn {
+            base: self.slab.column(v),
+            patch: if self.rows.is_empty() {
+                None
+            } else {
+                self.rows.get(&v).map(|patch| &**patch)
+            },
+        }
+    }
+}
+
+/// One node's current column: its base slab column and its patch, if any.
+#[derive(Clone, Copy)]
+struct CurrentColumn<'a> {
+    base: &'a [u16],
+    patch: Option<&'a ColumnPatch>,
+}
+
+impl CurrentColumn<'_> {
+    /// The compact distance of landmark rank `rank`.
+    #[inline]
+    fn get(&self, rank: u32) -> u16 {
+        let base = self.base[rank as usize];
+        match self.patch {
+            Some(patch) => patch.get(rank as usize).unwrap_or(base),
+            None => base,
+        }
+    }
+
+    /// The compact distances of ranks `first..first + 64`, one lane word:
+    /// 128 contiguous bytes of the slab, with the patch entries in the word
+    /// written over them. Ranks past the column read unreachable.
+    #[inline]
+    fn block(&self, first: u32) -> [u16; LANES] {
+        let first = first as usize;
+        let end = (first + LANES).min(self.base.len());
+        let mut block = [UNREACHABLE_U16; LANES];
+        block[..end - first].copy_from_slice(&self.base[first..end]);
+        if let Some(patch) = self.patch {
+            let start = patch
+                .entries
+                .partition_point(|&(rank, _)| (rank as usize) < first);
+            for &(rank, raw) in &patch.entries[start..] {
+                if rank as usize >= end {
+                    break;
+                }
+                block[rank as usize - first] = raw;
+            }
+        }
+        block
+    }
+
+    /// The entries of the lanes in `mask`, in the word starting at rank
+    /// `first`; the other lanes read unreachable, or their own entries
+    /// when the mask is dense enough to read the whole block.
+    #[inline]
+    fn entries(&self, first: u32, mask: u64) -> [u16; LANES] {
+        if sparse(mask) {
+            let mut entries = [UNREACHABLE_U16; LANES];
+            let mut left = mask;
+            while left != 0 {
+                let lane = left.trailing_zeros() as usize;
+                left &= left - 1;
+                entries[lane] = self.get(first + lane as u32);
+            }
+            return entries;
+        }
+        self.block(first)
+    }
+
+    /// The lanes of `mask`, in the word starting at rank `first`, whose
+    /// entry here is one level below, at, and one level above their entry
+    /// in `value`.
+    #[inline]
+    fn levels(&self, first: u32, mask: u64, value: &[u16; LANES]) -> [u64; 3] {
+        let mut levels = [0; 3];
+        if sparse(mask) {
+            let mut left = mask;
+            while left != 0 {
+                let lane = left.trailing_zeros() as usize;
+                left &= left - 1;
+                let (raw, at) = (self.get(first + lane as u32), value[lane]);
+                for (level, hit) in levels.iter_mut().zip([
+                    raw.wrapping_add(1) == at,
+                    raw == at,
+                    raw == at.wrapping_add(1),
+                ]) {
+                    *level |= u64::from(hit) << lane;
+                }
+            }
+            return levels;
+        }
+        let block = self.block(first);
+        [
+            lane_flags(|lane| block[lane].wrapping_add(1) == value[lane]),
+            lane_flags(|lane| block[lane] == value[lane]),
+            lane_flags(|lane| block[lane] == value[lane].wrapping_add(1)),
+        ]
+        .map(|level| level & mask)
+    }
+
+    /// The lanes of `mask`, in the word starting at rank `first`, whose
+    /// entry here passes `pred(lane, entry)`. A few lanes are read one at
+    /// a time; more read the word's block and test all 64 lanes at once,
+    /// one byte per lane, which the compiler vectorises.
+    #[inline]
+    fn select(&self, first: u32, mask: u64, pred: impl Fn(usize, u16) -> bool) -> u64 {
+        if sparse(mask) {
+            let (mut left, mut selected) = (mask, 0);
+            while left != 0 {
+                let lane = left.trailing_zeros() as usize;
+                left &= left - 1;
+                if pred(lane, self.get(first + lane as u32)) {
+                    selected |= 1 << lane;
+                }
+            }
+            return selected;
+        }
+        let block = self.block(first);
+        mask & lane_flags(|lane| pred(lane, block[lane]))
+    }
+}
+
+/// The lanes `i` of a word for which `pred(i)` holds, as a mask. The test
+/// fills one byte per lane, which the compiler vectorises, and each eight
+/// bytes are packed at once: a multiply moves byte `k`'s low bit to bit
+/// `56 + k`, with no carries between the partial products.
+#[inline]
+fn lane_flags(pred: impl Fn(usize) -> bool) -> u64 {
+    let mut flags = [0u8; LANES];
+    for (lane, flag) in flags.iter_mut().enumerate() {
+        *flag = u8::from(pred(lane));
+    }
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |mask, (j, bytes)| {
+            let bytes = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+            mask | (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
+        })
+}
+
+/// Lanes up to which [`CurrentColumn::select`] reads entries one at a
+/// time rather than the whole block.
+const SPARSE_LANES: u32 = 4;
+
+/// True when `mask` has at most [`SPARSE_LANES`] lanes: clearing the
+/// lowest lane that many times empties it.
+#[inline]
+fn sparse(mask: u64) -> bool {
+    (0..SPARSE_LANES).fold(mask, |rest, _| rest & rest.wrapping_sub(1)) == 0
+}
+
+/// How many neighbours ahead of the one it reads a search hints the slab
+/// lines of.
+const AHEAD: usize = 4;
+
 /// Node → its column patch; every node absent reads its base column.
 pub(crate) type RowPatches = FastMap<NodeId, Arc<ColumnPatch>>;
 
@@ -467,27 +686,6 @@ fn view_nearest(base: &VicinityOracle, overlay: &OverlayMap, u: NodeId) -> Optio
     }
 }
 
-/// The current compact distance of landmark rank `rank` to `v`: its patch
-/// entry when present, else the base slab's.
-#[inline]
-fn current_raw(base: &LandmarkDistances, rows: &RowPatches, rank: usize, v: NodeId) -> u16 {
-    match rows.get(&v).and_then(|patch| patch.get(rank)) {
-        Some(raw) => raw,
-        None => base.raw(rank, v),
-    }
-}
-
-/// A copy of `v`'s current column (base plus patch).
-fn current_column(base: &LandmarkDistances, rows: &RowPatches, v: NodeId) -> Vec<u16> {
-    let mut column = base.column(v).to_vec();
-    if let Some(patch) = rows.get(&v) {
-        for &(rank, raw) in &patch.entries {
-            column[rank as usize] = raw;
-        }
-    }
-    column
-}
-
 /// `v`'s nearest-landmark label read off its current column: the least
 /// `(distance, rank)` entry, ranks being in id order, and `(INFINITY,
 /// INVALID_NODE)` when no landmark is reachable.
@@ -513,42 +711,6 @@ fn column_label(
     least
         .and_then(|(raw, rank)| Some((decode_distance(raw)?, landmarks[rank])))
         .unwrap_or((INFINITY, INVALID_NODE))
-}
-
-/// Set the current distance of landmark rank `rank` to `v`. A value equal
-/// to the base slab's drops the patch entry (and the node's patch once it
-/// is empty); `entries` tracks the total patch entries.
-fn write_raw(
-    base: &LandmarkDistances,
-    rows: &mut RowPatches,
-    entries: &mut usize,
-    rank: usize,
-    v: NodeId,
-    raw: u16,
-) {
-    if raw != base.raw(rank, v) {
-        let patch = Arc::make_mut(rows.entry(v).or_default());
-        match patch.position(rank) {
-            Ok(i) => patch.entries[i].1 = raw,
-            Err(i) => {
-                patch.entries.insert(i, (rank as u32, raw));
-                *entries += 1;
-            }
-        }
-        return;
-    }
-    let Some(patch) = rows.get_mut(&v) else {
-        return;
-    };
-    let Ok(i) = patch.position(rank) else {
-        return;
-    };
-    *entries -= 1;
-    if patch.entries.len() == 1 {
-        rows.remove(&v);
-    } else {
-        Arc::make_mut(patch).entries.remove(i);
-    }
 }
 
 /// Implements [`QueryIndex`] plus the user-facing query methods for a type
@@ -753,6 +915,8 @@ pub struct UpdateProfile {
     /// Nanoseconds spent rebuilding and folding affected vicinities.
     pub rebuild_ns: u64,
     /// Landmark rows actually repaired (the rest passed the O(1) check).
+    /// It counts ranks, not searches: one lane-parallel search repairs up
+    /// to 64 of them.
     pub rows_repaired: u32,
     /// Distinct nodes whose `(radius, nearest)` header changed.
     pub header_changes: u32,
@@ -797,14 +961,13 @@ pub struct DynamicOracle {
     compactions: u64,
     last_profile: UpdateProfile,
     bfs: BoundedBfsScratch,
-    /// Stamp-versioned visit marks for cluster / region traversals.
+    /// Stamp-versioned visit marks for the cluster traversals and
+    /// relabelling.
     stamp: Vec<u32>,
     stamp_version: u32,
-    /// Per-node distances for the stamped traversals, valid where stamped.
-    stamp_dist: Vec<Distance>,
-    /// The current update's landmark-distance writes, `(rank, node,
-    /// value)`, collected before any is committed.
-    row_writes: Vec<(u32, NodeId, u16)>,
+    /// The lane-parallel row repair's scratch and the current update's
+    /// row writes.
+    repair: RowRepair,
 }
 
 impl_overlay_queries!(DynamicOracle);
@@ -856,8 +1019,7 @@ impl DynamicOracle {
             bfs: BoundedBfsScratch::with_node_capacity(n),
             stamp: vec![0; n],
             stamp_version: 0,
-            stamp_dist: vec![0; n],
-            row_writes: Vec::new(),
+            repair: RowRepair::new(n),
         })
     }
 
@@ -1118,7 +1280,7 @@ impl DynamicOracle {
         let stamp = self.bump_stamp();
         let slab = self.base.landmark_distances();
         let landmarks = self.base.landmarks().nodes();
-        for &(rank, v, raw) in &self.row_writes {
+        for &(v, rank, raw) in &self.repair.writes {
             let u = v as usize;
             let label = (self.radius[u], self.nearest[u]);
             let written = (
@@ -1210,205 +1372,662 @@ impl DynamicOracle {
     }
 
     /// Insert-side repair of every landmark row. One pass over the two
-    /// endpoint columns finds the landmarks the new edge shortcuts; for
-    /// each, an improve-BFS from the shortcut endpoint collects the
-    /// entries that drop. It marks the nodes it reaches with a stamp
-    /// rather than reading back its writes, which
-    /// [`DynamicOracle::commit_row_writes`] makes only once every row has
-    /// been repaired within the horizon. Returns the rows repaired.
+    /// endpoint columns, a lane word at a time, finds the landmarks the new
+    /// edge shortcuts: every rank improved through `a` has the seed `b`,
+    /// at one hop past `a`'s entry, and the reverse. Each word with such a
+    /// rank takes one lane-parallel BFS ([`LaneRepair::improve`]) that
+    /// collects the entries that drop; the first hop of every word is taken
+    /// at once, one read of each seed neighbour's column serving them all.
+    /// [`DynamicOracle::commit_row_writes`] makes the writes only once
+    /// every word has been repaired within the horizon. Returns the rows
+    /// repaired.
     fn repair_rows_insert(&mut self, a: NodeId, b: NodeId) -> Result<u32, UpdateError> {
         let base = Arc::clone(&self.base);
-        let slab = base.landmark_distances();
-        let column_a = current_column(slab, &self.rows, a);
-        let column_b = current_column(slab, &self.rows, b);
-        self.row_writes.clear();
-        let mut queue: VecDeque<(NodeId, u16)> = VecDeque::new();
-        let mut repaired = 0u32;
-        // One hop past an entry; unreachable stays unreachable.
-        let step = |raw: u16| raw.saturating_add(1);
-        for (rank, (&raw_a, &raw_b)) in column_a.iter().zip(&column_b).enumerate() {
-            let (seed, seed_val) = if step(raw_a) < raw_b {
-                (b, step(raw_a))
-            } else if step(raw_b) < raw_a {
-                (a, step(raw_b))
-            } else {
+        let columns = Columns {
+            slab: base.landmark_distances(),
+            rows: &self.rows,
+        };
+        let RowRepair {
+            search,
+            words,
+            first_steps,
+            writes,
+            ..
+        } = &mut self.repair;
+        let (column_a, column_b) = (columns.of(a), columns.of(b));
+        words.clear();
+        writes.clear();
+        for first in (0..base.landmarks().len() as u32).step_by(LANES) {
+            let (block_a, block_b) = (column_a.block(first), column_b.block(first));
+            // One hop past an entry; unreachable stays unreachable.
+            let into_b = lane_flags(|lane| block_a[lane].saturating_add(1) < block_b[lane]);
+            let into_a = lane_flags(|lane| block_b[lane].saturating_add(1) < block_a[lane]);
+            if into_a | into_b == 0 {
                 continue;
-            };
-            repaired += 1;
-            let stamp = self.bump_stamp();
-            self.stamp[seed as usize] = stamp;
-            queue.clear();
-            queue.push_back((seed, seed_val));
-            self.row_writes.push((rank as u32, seed, seed_val));
-            while let Some((v, d)) = queue.pop_front() {
-                if d >= HOP_HORIZON {
-                    return Err(UpdateError::PastHorizon {
-                        landmark: base.landmarks().nodes()[rank],
+            }
+            let mut value = [0; LANES];
+            for ((value, &x), &y) in value.iter_mut().zip(&block_a).zip(&block_b) {
+                *value = x.min(y).saturating_add(1);
+            }
+            words.push(Word {
+                first,
+                seeds: [(a, into_a), (b, into_b)],
+                value,
+                sibling: 0,
+            });
+        }
+        first_steps.clear();
+        for side in 0..2 {
+            if words.iter().all(|word| word.seeds[side].1 == 0) {
+                continue;
+            }
+            for &w in self.graph.neighbors([a, b][side]) {
+                let column = columns.of(w);
+                for (index, word) in words.iter().enumerate() {
+                    let lowered = column.select(word.first, word.seeds[side].1, |lane, raw| {
+                        word.value[lane].saturating_add(1) < raw
                     });
-                }
-                let next = d + 1;
-                for &w in self.graph.neighbors(v) {
-                    if self.stamp[w as usize] != stamp
-                        && next < current_raw(slab, &self.rows, rank, w)
-                    {
-                        self.stamp[w as usize] = stamp;
-                        self.row_writes.push((rank as u32, w, next));
-                        queue.push_back((w, next));
+                    if lowered != 0 {
+                        first_steps.push((index as u32, w, lowered));
                     }
                 }
             }
         }
+        first_steps.sort_by_key(|&(index, ..)| index);
+        let mut steps = &first_steps[..];
+        for (index, word) in words.iter().enumerate() {
+            let (own, rest) = steps.split_at(steps.partition_point(|s| s.0 as usize == index));
+            steps = rest;
+            search
+                .improve(&self.graph, columns, word, own, writes)
+                .map_err(|rank| past_horizon(&base, rank))?;
+        }
+        let repaired = words.iter().map(Word::lane_count).sum();
         self.commit_row_writes();
         Ok(repaired)
     }
 
     /// Remove-side repair of every landmark row. One pass over the two
-    /// endpoint columns finds the candidate landmarks, those for which the
-    /// edge steps one level down from the deeper endpoint `hi`. A support
-    /// probe tests all of `hi`'s candidates against one neighbour column
-    /// at a time, stopping once each has a neighbour one level closer, and
-    /// only the unsupported ones take the decremental repair. Its writes
-    /// are committed only once every row has been repaired within the
-    /// horizon. Returns the rows repaired.
+    /// endpoint columns, a lane word at a time, finds the candidate
+    /// landmarks, those for which the edge steps one level down from the
+    /// deeper endpoint `hi`. A support probe then reads one neighbour
+    /// column of `hi` at a time and drops, a word at a time, every
+    /// candidate with a neighbour one level closer, stopping once none is
+    /// left; the same read records the neighbours one level deeper and at
+    /// `hi`'s own level, the first step of every word's repair. Each word
+    /// with an unsupported rank takes one lane-parallel decremental repair
+    /// ([`LaneRepair::resettle`]); its writes are committed only once
+    /// every word has been repaired within the horizon. Returns the rows
+    /// repaired.
     fn repair_rows_remove(&mut self, a: NodeId, b: NodeId) -> Result<u32, UpdateError> {
         let base = Arc::clone(&self.base);
-        let slab = base.landmark_distances();
-        let column_a = current_column(slab, &self.rows, a);
-        let column_b = current_column(slab, &self.rows, b);
-        // (rank, value at `hi`) of each candidate, per deeper endpoint.
-        let mut below: [Vec<(usize, u16)>; 2] = Default::default();
-        for (rank, (&raw_a, &raw_b)) in column_a.iter().zip(&column_b).enumerate() {
+        let columns = Columns {
+            slab: base.landmark_distances(),
+            rows: &self.rows,
+        };
+        let RowRepair {
+            search,
+            words,
+            first_steps,
+            writes,
+            ..
+        } = &mut self.repair;
+        let (column_a, column_b) = (columns.of(a), columns.of(b));
+        words.clear();
+        writes.clear();
+        for first in (0..base.landmarks().len() as u32).step_by(LANES) {
+            let (block_a, block_b) = (column_a.block(first), column_b.block(first));
             // Pre-removal adjacency bounds |d(ℓ, a) − d(ℓ, b)| by one; only
-            // a one-level edge can carry shortest paths.
-            if raw_b.checked_add(1) == Some(raw_a) {
-                below[0].push((rank, raw_a));
-            } else if raw_a.checked_add(1) == Some(raw_b) {
-                below[1].push((rank, raw_b));
+            // a one-level edge can carry shortest paths. A lane's value is
+            // its entry at `hi`.
+            let one_below = |other: u16, raw: u16| other != UNREACHABLE_U16 && other + 1 == raw;
+            let below_a = lane_flags(|lane| one_below(block_b[lane], block_a[lane]));
+            let below_b = lane_flags(|lane| one_below(block_a[lane], block_b[lane]));
+            if below_a | below_b == 0 {
+                continue;
             }
+            let mut value = block_a;
+            for lane in lanes(below_b) {
+                value[lane] = block_b[lane];
+            }
+            words.push(Word {
+                first,
+                seeds: [(a, below_a), (b, below_b)],
+                value,
+                sibling: 0,
+            });
         }
-
-        self.row_writes.clear();
-        let mut repaired = 0u32;
-        for (hi, mut candidates) in [a, b].into_iter().zip(below) {
-            // Support probe: the deleted edge mattered to a landmark only
-            // if it was `hi`'s last neighbour one level closer to it.
+        // Support probe: the deleted edge mattered to a landmark only if it
+        // was `hi`'s last neighbour one level closer to it.
+        first_steps.clear();
+        for side in 0..2 {
+            let hi = [a, b][side];
+            let mut open = words.iter().filter(|w| w.seeds[side].1 != 0).count();
             for &x in self.graph.neighbors(hi) {
-                if candidates.is_empty() {
+                if open == 0 {
                     break;
                 }
-                let column = slab.column(x);
-                let patch = self.rows.get(&x);
-                candidates.retain(|&(rank, hv)| {
-                    let raw = patch.and_then(|p| p.get(rank)).unwrap_or(column[rank]);
-                    raw != hv - 1
-                });
-            }
-            for &(rank, _) in &candidates {
-                self.decrement_row(rank, hi)?;
-                repaired += 1;
+                let column = columns.of(x);
+                for (index, word) in words.iter_mut().enumerate() {
+                    let candidates = word.seeds[side].1;
+                    if candidates == 0 {
+                        continue;
+                    }
+                    let [supported, level, deeper] =
+                        column.levels(word.first, candidates, &word.value);
+                    if deeper != 0 {
+                        first_steps.push((index as u32, x, deeper));
+                    }
+                    word.sibling |= level;
+                    word.seeds[side].1 &= !supported;
+                    open -= usize::from(word.seeds[side].1 == 0);
+                }
             }
         }
+        first_steps.sort_by_key(|&(index, ..)| index);
+        let mut steps = &first_steps[..];
+        for (index, word) in words.iter().enumerate() {
+            let (own, rest) = steps.split_at(steps.partition_point(|s| s.0 as usize == index));
+            steps = rest;
+            if word.lane_count() != 0 {
+                search
+                    .resettle(&self.graph, columns, word, own, writes)
+                    .map_err(|rank| past_horizon(&base, rank))?;
+            }
+        }
+        let repaired = words.iter().map(Word::lane_count).sum();
         self.commit_row_writes();
         Ok(repaired)
     }
 
-    /// Decremental repair of landmark rank `rank`'s row after `hi` lost
-    /// its last supporter. The orphan set — nodes whose every supporter is
-    /// itself an orphan — is exactly the set of entries that increase; it
-    /// is recomputed from its boundary, and the new values are appended to
-    /// the update's writes. Fails when a new value would be a distance of
-    /// [`HOP_HORIZON`] hops or more.
-    fn decrement_row(&mut self, rank: usize, hi: NodeId) -> Result<(), UpdateError> {
-        let base = Arc::clone(&self.base);
-        let slab = base.landmark_distances();
-        let stamp = self.bump_stamp();
-        let rows = &self.rows;
-        let value_now = |v: NodeId| current_raw(slab, rows, rank, v);
-
-        // Phase 1: orphan propagation.
-        let stamps = &mut self.stamp;
-        let graph = &self.graph;
-        let mut region: Vec<NodeId> = Vec::new();
-        let mut candidates: VecDeque<NodeId> = VecDeque::new();
-        candidates.push_back(hi);
-        while let Some(v) = candidates.pop_front() {
-            if stamps[v as usize] == stamp {
-                continue;
-            }
-            let vv = value_now(v);
-            let supported = graph
-                .neighbors(v)
-                .iter()
-                .any(|&x| stamps[x as usize] != stamp && value_now(x) == vv - 1);
-            if supported {
-                continue;
-            }
-            stamps[v as usize] = stamp;
-            region.push(v);
-            for &w in graph.neighbors(v) {
-                if stamps[w as usize] != stamp && value_now(w) == vv + 1 {
-                    candidates.push_back(w);
+    /// Write the update's collected landmark-distance writes into the
+    /// column patches: the writes are sorted by node and rank, and each
+    /// node's are merged into its patch in one pass — one map lookup and
+    /// at most one new patch per node. A value equal to the base slab's
+    /// drops its entry, and a patch left empty is removed.
+    fn commit_row_writes(&mut self) {
+        let slab = self.base.landmark_distances();
+        let RowRepair { writes, merged, .. } = &mut self.repair;
+        writes.sort_unstable_by_key(|&(v, rank, _)| (v, rank));
+        for group in writes.chunk_by(|x, y| x.0 == y.0) {
+            let v = group[0].0;
+            let patch = self.rows.get_mut(&v);
+            let old = patch.as_ref().map_or(&[][..], |patch| &patch.entries[..]);
+            let old_len = old.len();
+            merge_column_writes(old, group, slab.column(v), merged);
+            self.row_budget = self.row_budget + merged.len() - old_len;
+            match patch {
+                None if merged.is_empty() => {}
+                None => {
+                    self.rows.insert(
+                        v,
+                        Arc::new(ColumnPatch {
+                            entries: merged.clone(),
+                        }),
+                    );
                 }
-            }
-        }
-
-        // Phase 2: boundary-seeded unit Dijkstra over the orphans, in full
-        // width.
-        let mut heap: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
-        for &v in &region {
-            let mut best = INFINITY;
-            for &w in graph.neighbors(v) {
-                if stamps[w as usize] != stamp {
-                    if let Some(d) = decode_distance(value_now(w)) {
-                        best = best.min(d + 1);
+                Some(_) if merged.is_empty() => {
+                    self.rows.remove(&v);
+                }
+                Some(patch) => match Arc::get_mut(patch) {
+                    Some(patch) => {
+                        patch.entries.clear();
+                        patch.entries.extend_from_slice(merged);
                     }
-                }
-            }
-            self.stamp_dist[v as usize] = best;
-            if best != INFINITY {
-                heap.push(Reverse((best, v)));
-            }
-        }
-        // A node is pushed only on a strict improvement, so the distance
-        // check skips every stale entry and a settled neighbour never
-        // improves.
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if d > self.stamp_dist[v as usize] {
-                continue;
-            }
-            for &w in graph.neighbors(v) {
-                if stamps[w as usize] == stamp && d + 1 < self.stamp_dist[w as usize] {
-                    self.stamp_dist[w as usize] = d + 1;
-                    heap.push(Reverse((d + 1, w)));
-                }
+                    None => {
+                        *patch = Arc::new(ColumnPatch {
+                            entries: merged.clone(),
+                        })
+                    }
+                },
             }
         }
-        for &v in &region {
-            let Some(raw) = encode_distance(self.stamp_dist[v as usize]) else {
-                return Err(UpdateError::PastHorizon {
-                    landmark: base.landmarks().nodes()[rank],
-                });
-            };
-            self.row_writes.push((rank as u32, v, raw));
+    }
+}
+
+/// The error for an update whose repair of landmark rank `rank` would
+/// write a distance of [`HOP_HORIZON`] hops or more.
+fn past_horizon(base: &VicinityOracle, rank: u32) -> UpdateError {
+    UpdateError::PastHorizon {
+        landmark: base.landmarks().nodes()[rank as usize],
+    }
+}
+
+/// One lane word of an update's row repair: the landmark ranks
+/// `first..first + 64`, bit `i` of a mask being rank `first + i`, so the
+/// word's entries in a node's column are 128 contiguous bytes.
+#[derive(Debug, Clone)]
+struct Word {
+    first: u32,
+    /// The lanes repaired from each endpoint: an insert's start at their
+    /// shortcut endpoint, a removal's at their deeper endpoint `hi`.
+    seeds: [(NodeId, u64); 2],
+    /// Each lane's entry at its seed: its new distance there (insert), its
+    /// pre-update distance (removal).
+    value: [u16; LANES],
+    /// The removal lanes whose `hi` keeps a neighbour at its own level.
+    sibling: u64,
+}
+
+impl Word {
+    /// Landmark rows the word repairs.
+    fn lane_count(&self) -> u32 {
+        (self.seeds[0].1 | self.seeds[1].1).count_ones()
+    }
+}
+
+/// The writer's row-repair state, kept across updates.
+#[derive(Debug)]
+struct RowRepair {
+    search: LaneRepair,
+    /// The current update's lane words, in rank order.
+    words: Vec<Word>,
+    /// The first step of every word's search, taken for all words at
+    /// once: `(word index, node, lanes)`, the lanes that lower the node one
+    /// hop past their seed (insert) or sit one level below `hi` there
+    /// (removal).
+    first_steps: Vec<(u32, NodeId, u64)>,
+    /// The current update's landmark-distance writes, `(node, rank,
+    /// value)`, collected before any is committed.
+    writes: Vec<(NodeId, u32, u16)>,
+    /// One node's merged patch entries while the writes are committed.
+    merged: Vec<(u32, u16)>,
+}
+
+impl RowRepair {
+    fn new(n: usize) -> Self {
+        RowRepair {
+            search: LaneRepair::new(n),
+            words: Vec::new(),
+            first_steps: Vec::new(),
+            writes: Vec::new(),
+            merged: Vec::new(),
+        }
+    }
+}
+
+/// The lane-parallel repair of one [`Word`]: bit `i` of a node's masks is
+/// the word's lane `i`, and a node the search looks at costs one
+/// patch-map probe and one read of its column for all of its lanes
+/// ([`CurrentColumn::select`]). A node's masks are valid only while its
+/// stamp is the search's, so starting a search clears nothing, and a node
+/// the search looks at but never marks costs one 4-byte stamp read.
+#[derive(Debug)]
+struct LaneRepair {
+    /// Per node, the search that last marked it.
+    stamp: Vec<u32>,
+    /// The current search's stamp.
+    search: u32,
+    /// Per node, the lanes that reached it (insert), or orphaned it and
+    /// are not settled yet (removal); valid where the stamp is the
+    /// search's.
+    reached: Vec<u64>,
+    /// Per node, the lanes queued at it and not taken yet (removal); valid
+    /// where the stamp is the search's.
+    queued: Vec<u64>,
+    /// The next level's nodes and the lanes that lowered them (insert).
+    frontier: Vec<(NodeId, u64)>,
+    /// The level being expanded (insert).
+    level: Vec<(NodeId, u64)>,
+    /// Nodes with queued lanes, in queue order (removal).
+    queue: Vec<NodeId>,
+    /// Nodes orphaned in some lane (removal), once each.
+    region: Vec<NodeId>,
+    /// Orphans' distances through the region's boundary, `(distance,
+    /// node, lanes)` (removal).
+    seeds: Vec<(u32, NodeId, u64)>,
+    /// Bucket queue by distance (removal): bucket `i` holds the `(node,
+    /// lanes)` reached at the least seed distance plus `i`.
+    buckets: Vec<Vec<(NodeId, u64)>>,
+}
+
+impl LaneRepair {
+    fn new(n: usize) -> Self {
+        LaneRepair {
+            stamp: vec![0; n],
+            search: 0,
+            reached: vec![0; n],
+            queued: vec![0; n],
+            frontier: Vec::new(),
+            level: Vec::new(),
+            queue: Vec::new(),
+            region: Vec::new(),
+            seeds: Vec::new(),
+            buckets: Vec::new(),
+        }
+    }
+
+    /// Start a search: a new stamp, under which every node is unmarked.
+    fn reset(&mut self) {
+        self.search = self.search.wrapping_add(1);
+        if self.search == 0 {
+            self.stamp.fill(0);
+            self.search = 1;
+        }
+        self.frontier.clear();
+        self.level.clear();
+        self.queue.clear();
+        self.region.clear();
+        self.seeds.clear();
+    }
+
+    /// The lanes that reached `v` in the current search.
+    #[inline]
+    fn reached(&self, v: NodeId) -> u64 {
+        if self.stamp[v as usize] == self.search {
+            self.reached[v as usize]
+        } else {
+            0
+        }
+    }
+
+    /// Mark `v` in the current search; returns its index.
+    #[inline]
+    fn mark(&mut self, v: NodeId) -> usize {
+        let v = v as usize;
+        if self.stamp[v] != self.search {
+            self.stamp[v] = self.search;
+            self.reached[v] = 0;
+            self.queued[v] = 0;
+        }
+        v
+    }
+
+    /// Insert repair of `word` on the graph holding the new edge: one
+    /// pruned BFS in which every lane starts at its seed with its new
+    /// distance there and advances a hop a level. A frontier node's lanes
+    /// are tested at each neighbour against one read of its column: a lane
+    /// reaches `w` only while its distance is below `w`'s current entry,
+    /// and then writes it. Every entry that drops is appended to `writes`;
+    /// `Err(rank)` when one would be [`HOP_HORIZON`] hops or more.
+    fn improve(
+        &mut self,
+        graph: &OverlayGraph,
+        columns: Columns<'_>,
+        word: &Word,
+        first_steps: &[(u32, NodeId, u64)],
+        writes: &mut Vec<(NodeId, u32, u16)>,
+    ) -> Result<(), u32> {
+        self.reset();
+        // A lane lowers its seed's entry: that is what made it a lane. Its
+        // first hop, to the seed's neighbours, is given.
+        for (seed, lowered) in word.seeds {
+            self.reach(word, seed, lowered, 0, writes)?;
+        }
+        self.frontier.clear();
+        for &(_, w, lowered) in first_steps {
+            self.reach(word, w, lowered, 1, writes)?;
+        }
+        // A lane writes at most 65,533 hops past its seed value before one
+        // is refused, so the hop count fits the entries' width.
+        let mut hop = 1u16;
+        while !self.frontier.is_empty() {
+            hop += 1;
+            std::mem::swap(&mut self.frontier, &mut self.level);
+            for k in 0..self.level.len() {
+                let (v, live) = self.level[k];
+                let neighbors = graph.neighbors(v);
+                for (j, &w) in neighbors.iter().enumerate() {
+                    if let Some(&ahead) = neighbors.get(j + AHEAD) {
+                        columns.prefetch(ahead, word.first, live);
+                    }
+                    let fresh = live & !self.reached(w);
+                    if fresh == 0 {
+                        continue;
+                    }
+                    let lowered = columns.of(w).select(word.first, fresh, |lane, raw| {
+                        word.value[lane].saturating_add(hop) < raw
+                    });
+                    self.reach(word, w, lowered, hop, writes)?;
+                }
+            }
+            self.level.clear();
         }
         Ok(())
     }
 
-    /// Write the update's collected landmark-distance writes into the
-    /// column patches.
-    fn commit_row_writes(&mut self) {
-        let slab = self.base.landmark_distances();
-        for &(rank, v, raw) in &self.row_writes {
-            write_raw(
-                slab,
-                &mut self.rows,
-                &mut self.row_budget,
-                rank as usize,
-                v,
-                raw,
-            );
+    /// `lanes` reach `v` at `hop` hops past their seeds, lowering its
+    /// entries: write them, and put `(v, lanes)` on the next level.
+    #[inline]
+    fn reach(
+        &mut self,
+        word: &Word,
+        v: NodeId,
+        lowered: u64,
+        hop: u16,
+        writes: &mut Vec<(NodeId, u32, u16)>,
+    ) -> Result<(), u32> {
+        if lowered == 0 {
+            return Ok(());
+        }
+        for lane in lanes(lowered) {
+            let rank = word.first + lane as u32;
+            let distance = Distance::from(word.value[lane]) + Distance::from(hop);
+            writes.push((v, rank, encode_distance(distance).ok_or(rank)?));
+        }
+        let i = self.mark(v);
+        self.reached[i] |= lowered;
+        self.frontier.push((v, lowered));
+        Ok(())
+    }
+
+    /// Decremental repair of `word` on the graph without the removed edge,
+    /// after each lane's seed lost its last supporter (the support probe
+    /// proved it).
+    ///
+    /// 1. Orphan propagation, all lanes at once: a node is an orphan of a
+    ///    lane when none of its neighbours one level closer is still
+    ///    supported in that lane. An orphan queues the neighbours one level
+    ///    deeper in the lanes it lost, and a node is tested again whenever
+    ///    a parent is orphaned, so each lane's orphan set — exactly its
+    ///    entries that increase — does not depend on the order.
+    /// 2. Re-settling: each orphan's distance through a non-orphan
+    ///    neighbour seeds a bucket queue by distance of `(node, lanes)`
+    ///    entries, which spreads a hop a bucket inside the orphan region;
+    ///    the first bucket to settle a lane at a node holds its new
+    ///    distance, and an orphan no bucket settles is unreachable.
+    ///
+    /// Every new value is appended to `writes`; `Err(rank)` when one would
+    /// be a distance of [`HOP_HORIZON`] hops or more.
+    fn resettle(
+        &mut self,
+        graph: &OverlayGraph,
+        columns: Columns<'_>,
+        word: &Word,
+        first_steps: &[(u32, NodeId, u64)],
+        writes: &mut Vec<(NodeId, u32, u16)>,
+    ) -> Result<(), u32> {
+        self.reset();
+        // Each seed is an orphan of its lanes, whose children the probe
+        // found.
+        let lost = word.seeds[0].1 | word.seeds[1].1;
+        for (seed, lost) in word.seeds.into_iter().filter(|&(_, lost)| lost != 0) {
+            self.region.push(seed);
+            let i = self.mark(seed);
+            self.reached[i] |= lost;
+        }
+        for &(_, x, deeper) in first_steps {
+            self.enqueue(x, deeper & lost);
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            let i = self.mark(v);
+            let open = std::mem::take(&mut self.queued[i]) & !self.reached[i];
+            if open == 0 {
+                continue;
+            }
+            let entries = columns.of(v).entries(word.first, open);
+            let mut orphaned = open;
+            let neighbors = graph.neighbors(v);
+            for (k, &x) in neighbors.iter().enumerate() {
+                if orphaned == 0 {
+                    break;
+                }
+                if let Some(&ahead) = neighbors.get(k + AHEAD) {
+                    columns.prefetch(ahead, word.first, open);
+                }
+                // The lanes read depend on `open`, not on `orphaned`: a
+                // read's address then never waits for the last one's value,
+                // and the misses of consecutive neighbours overlap.
+                let unsure = open & !self.reached(x);
+                if unsure != 0 {
+                    orphaned &= !columns.of(x).select(word.first, unsure, |lane, raw| {
+                        raw.wrapping_add(1) == entries[lane]
+                    });
+                }
+            }
+            if orphaned != 0 {
+                self.orphan(graph, columns, word.first, v, orphaned, &entries);
+            }
+        }
+
+        let mut best = [u32::MAX; LANES];
+        for k in 0..self.region.len() {
+            let v = self.region[k];
+            let mut orphan = self.reached(v);
+            for (seed, lost) in word.seeds {
+                if seed == v {
+                    // Nothing is closer than `hi`'s neighbours at its own
+                    // level, which are not orphans.
+                    let level = orphan & lost & word.sibling;
+                    for lane in lanes(level) {
+                        best[lane] = u32::from(word.value[lane]) + 1;
+                    }
+                    orphan &= !level;
+                }
+            }
+            let neighbors = graph.neighbors(v);
+            for (j, &w) in neighbors.iter().enumerate() {
+                if orphan == 0 {
+                    break;
+                }
+                if let Some(&ahead) = neighbors.get(j + AHEAD) {
+                    columns.prefetch(ahead, word.first, orphan);
+                }
+                let outside = orphan & !self.reached(w);
+                if outside == 0 {
+                    continue;
+                }
+                let column = columns.of(w);
+                for lane in lanes(outside) {
+                    let raw = column.get(word.first + lane as u32);
+                    if raw != UNREACHABLE_U16 {
+                        best[lane] = best[lane].min(u32::from(raw) + 1);
+                    }
+                }
+            }
+            for lane in lanes(self.reached(v)) {
+                let distance = std::mem::replace(&mut best[lane], u32::MAX);
+                if distance == u32::MAX {
+                    continue;
+                }
+                match self.seeds.last_mut() {
+                    Some((d, u, mask)) if (*d, *u) == (distance, v) => *mask |= 1 << lane,
+                    _ => self.seeds.push((distance, v, 1 << lane)),
+                }
+            }
+        }
+        let least = self.seeds.iter().map(|&(distance, ..)| distance).min();
+        let least = least.unwrap_or(0);
+        let mut end = 0;
+        for &(distance, v, mask) in &self.seeds {
+            let level = (distance - least) as usize;
+            end = end.max(push_bucket(&mut self.buckets, level, (v, mask)));
+        }
+        let mut level = 0;
+        while level < end {
+            let mut bucket = std::mem::take(&mut self.buckets[level]);
+            let distance = least + level as u32;
+            for &(v, mask) in &bucket {
+                let settle = mask & self.reached(v);
+                if settle == 0 {
+                    continue;
+                }
+                let Some(raw) = encode_distance(distance) else {
+                    self.buckets.clear();
+                    return Err(word.first + settle.trailing_zeros());
+                };
+                self.reached[v as usize] &= !settle;
+                for lane in lanes(settle) {
+                    writes.push((v, word.first + lane as u32, raw));
+                }
+                for &w in graph.neighbors(v) {
+                    let next = settle & self.reached(w);
+                    if next != 0 {
+                        end = end.max(push_bucket(&mut self.buckets, level + 1, (w, next)));
+                    }
+                }
+            }
+            bucket.clear();
+            self.buckets[level] = bucket;
+            level += 1;
+        }
+        for &v in &self.region {
+            for lane in lanes(self.reached(v)) {
+                writes.push((v, word.first + lane as u32, UNREACHABLE_U16));
+            }
+        }
+        Ok(())
+    }
+
+    /// Make `v`, whose entries in the word are `entries`,
+    /// an orphan of `lost`, and queue each neighbour in the lanes in which
+    /// it sits one level deeper.
+    fn orphan(
+        &mut self,
+        graph: &OverlayGraph,
+        columns: Columns<'_>,
+        first: u32,
+        v: NodeId,
+        lost: u64,
+        entries: &[u16; LANES],
+    ) {
+        let i = self.mark(v);
+        let first_loss = self.reached[i] == 0;
+        self.reached[i] |= lost;
+        if first_loss {
+            self.region.push(v);
+        }
+        let neighbors = graph.neighbors(v);
+        for (k, &w) in neighbors.iter().enumerate() {
+            if let Some(&ahead) = neighbors.get(k + AHEAD) {
+                columns.prefetch(ahead, first, lost);
+            }
+            let open = lost & !self.reached(w);
+            if open == 0 {
+                continue;
+            }
+            let children = columns.of(w).select(first, open, |lane, raw| {
+                raw == entries[lane].wrapping_add(1)
+            });
+            self.enqueue(w, children);
         }
     }
+
+    /// Queue `lanes` at `v`.
+    #[inline]
+    fn enqueue(&mut self, v: NodeId, lanes: u64) {
+        if lanes == 0 {
+            return;
+        }
+        let i = self.mark(v);
+        if self.queued[i] == 0 {
+            self.queue.push(v);
+        }
+        self.queued[i] |= lanes;
+    }
+}
+
+/// Append `entry` to bucket `level`, growing the queue as needed; returns
+/// one past `level`.
+fn push_bucket(buckets: &mut Vec<Vec<(NodeId, u64)>>, level: usize, entry: (NodeId, u64)) -> usize {
+    if buckets.len() <= level {
+        buckets.resize_with(level + 1, Vec::new);
+    }
+    buckets[level].push(entry);
+    level + 1
 }
 
 // Compile-time audit: snapshots are shared across serving threads; the

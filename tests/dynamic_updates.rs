@@ -439,3 +439,88 @@ fn insert_past_the_horizon_is_refused() {
     assert_refused(&mut dynamic, (half - 1, half, true), &reference);
     assert_detaches_spare(&mut dynamic, &built);
 }
+
+/// Updates whose row repair spans several lane words. Every proptest graph
+/// above holds at most 36 nodes, so no repair there packs ranks into more
+/// than one 64-rank word. Here 140 pinned landmarks, every other node of
+/// the first 280 of a 400-node path, make three words, and each update
+/// below repairs at least 65 ranks: the cycle-closing insert seeds lanes
+/// from both endpoints with a different new distance per lane, the cut of
+/// the cycle orphans runs of dozens of nodes per lane, and the cut of the
+/// path leaves half of every landmark's row unreachable. After each update
+/// the oracle equals a pinned rebuild (answers, methods and every vicinity)
+/// and every landmark row equals a BFS from its landmark.
+#[test]
+fn repairs_spanning_lane_words_match_rebuild() {
+    use vicinity::graph::algo::bfs::bfs_distances;
+    use vicinity::graph::INFINITY;
+
+    const N: NodeId = 400;
+    let mut builder = GraphBuilder::with_node_count(N as usize);
+    for v in 0..N - 1 {
+        builder.add_edge(v, v + 1);
+    }
+    // Chords in the landmark-free stretch, so its vicinities are not paths.
+    for (u, v) in [(300, 330), (310, 350), (360, 395)] {
+        builder.add_edge(u, v);
+    }
+    let graph = builder.build_undirected();
+    let landmarks: Vec<NodeId> = (0..280).step_by(2).collect();
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .landmarks(landmarks.clone())
+        .build(&graph);
+    let mut dynamic = DynamicOracle::from_parts(oracle, graph).unwrap();
+
+    let rows = |dynamic: &DynamicOracle| -> Vec<Vec<Option<u32>>> {
+        landmarks
+            .iter()
+            .map(|&l| {
+                let row = dynamic.landmark_row_of(l).unwrap();
+                (0..N).map(|v| row.distance_to(v)).collect()
+            })
+            .collect()
+    };
+    for (a, b, insert) in [
+        (0, N - 1, true),
+        (150, 151, false),
+        (150, 151, true),
+        (0, N - 1, false),
+        (200, 201, false),
+        (200, 201, true),
+    ] {
+        let before = rows(&dynamic);
+        let applied = if insert {
+            dynamic.insert_edge(a, b).unwrap()
+        } else {
+            dynamic.remove_edge(a, b).unwrap()
+        };
+        assert!(applied, "({a},{b}) insert={insert}");
+        let repaired = dynamic.last_update_profile().rows_repaired;
+        assert!(repaired > 64, "({a},{b}) repaired {repaired} ranks");
+
+        let graph = dynamic.graph().to_csr();
+        let after = rows(&dynamic);
+        for (rank, &l) in landmarks.iter().enumerate() {
+            let bfs: Vec<Option<u32>> = bfs_distances(&graph, l)
+                .into_iter()
+                .map(|d| (d != INFINITY).then_some(d))
+                .collect();
+            assert_eq!(after[rank], bfs, "row of landmark {l} after ({a},{b})");
+        }
+        if (a, b, insert) == (150, 151, false) {
+            let longest = before
+                .iter()
+                .zip(&after)
+                .map(|(old, new)| old.iter().zip(new).filter(|(o, n)| o < n).count())
+                .max()
+                .unwrap();
+            assert!(longest > 20, "largest orphan region {longest} nodes");
+        }
+        if insert && (a, b) == (0, N - 1) {
+            let seed_values: std::collections::BTreeSet<_> =
+                after.iter().map(|row| row[b as usize]).collect();
+            assert!(seed_values.len() > 64, "{} seed values", seed_values.len());
+        }
+        assert_matches_rebuild(&dynamic, 3);
+    }
+}
