@@ -53,9 +53,7 @@
 //!    runs one pruned BFS in which every lane starts at its own shortcut
 //!    endpoint with its own new distance there; a removal propagates the
 //!    orphans of all its lanes at once, carrying a lane mask per node, and
-//!    re-settles them with a bucket queue by distance. The first step of
-//!    every word — the seed's neighbours — is read in one pass for all
-//!    words (on removal, in the support probe's own pass). A rank never
+//!    re-settles them with a bucket queue by distance. A rank never
 //!    reads another rank's entries, so every repair reads the pre-update
 //!    rows and its writes are collected first and committed together, one
 //!    merge per node's column patch — or, if one would be a distance of
@@ -478,18 +476,6 @@ struct Columns<'a> {
 }
 
 impl<'a> Columns<'a> {
-    /// Hint the slab lines of `v`'s entries in `lanes` of the word
-    /// starting at rank `first`: the lines of its lowest and highest lane.
-    #[inline]
-    fn prefetch(self, v: NodeId, first: u32, lanes: u64) {
-        if lanes != 0 {
-            let low = lanes.trailing_zeros();
-            let high = u64::BITS - 1 - lanes.leading_zeros();
-            self.slab.prefetch((first + low) as usize, v);
-            self.slab.prefetch((first + high) as usize, v);
-        }
-    }
-
     /// `v`'s current column: one patch-map probe, while any patch exists.
     #[inline]
     fn of(self, v: NodeId) -> CurrentColumn<'a> {
@@ -512,16 +498,6 @@ struct CurrentColumn<'a> {
 }
 
 impl CurrentColumn<'_> {
-    /// The compact distance of landmark rank `rank`.
-    #[inline]
-    fn get(&self, rank: u32) -> u16 {
-        let base = self.base[rank as usize];
-        match self.patch {
-            Some(patch) => patch.get(rank as usize).unwrap_or(base),
-            None => base,
-        }
-    }
-
     /// The compact distances of ranks `first..first + 64`, one lane word:
     /// 128 contiguous bytes of the slab, with the patch entries in the word
     /// written over them. Ranks past the column read unreachable.
@@ -545,74 +521,46 @@ impl CurrentColumn<'_> {
         block
     }
 
+    /// The compact distance of landmark rank `rank`.
+    #[inline]
+    fn get(&self, rank: u32) -> u16 {
+        let base = self.base[rank as usize];
+        match self.patch {
+            Some(patch) => patch.get(rank as usize).unwrap_or(base),
+            None => base,
+        }
+    }
+
     /// The entries of the lanes in `mask`, in the word starting at rank
     /// `first`; the other lanes read unreachable, or their own entries
-    /// when the mask is dense enough to read the whole block.
+    /// when the mask is not [`sparse`].
     #[inline]
     fn entries(&self, first: u32, mask: u64) -> [u16; LANES] {
-        if sparse(mask) {
-            let mut entries = [UNREACHABLE_U16; LANES];
-            let mut left = mask;
-            while left != 0 {
-                let lane = left.trailing_zeros() as usize;
-                left &= left - 1;
-                entries[lane] = self.get(first + lane as u32);
-            }
-            return entries;
+        if !sparse(mask) {
+            return self.block(first);
         }
-        self.block(first)
+        let mut entries = [UNREACHABLE_U16; LANES];
+        for lane in lanes(mask) {
+            entries[lane] = self.get(first + lane as u32);
+        }
+        entries
     }
 
     /// The lanes of `mask`, in the word starting at rank `first`, whose
-    /// entry here is one level below, at, and one level above their entry
-    /// in `value`.
-    #[inline]
-    fn levels(&self, first: u32, mask: u64, value: &[u16; LANES]) -> [u64; 3] {
-        let mut levels = [0; 3];
-        if sparse(mask) {
-            let mut left = mask;
-            while left != 0 {
-                let lane = left.trailing_zeros() as usize;
-                left &= left - 1;
-                let (raw, at) = (self.get(first + lane as u32), value[lane]);
-                for (level, hit) in levels.iter_mut().zip([
-                    raw.wrapping_add(1) == at,
-                    raw == at,
-                    raw == at.wrapping_add(1),
-                ]) {
-                    *level |= u64::from(hit) << lane;
-                }
-            }
-            return levels;
-        }
-        let block = self.block(first);
-        [
-            lane_flags(|lane| block[lane].wrapping_add(1) == value[lane]),
-            lane_flags(|lane| block[lane] == value[lane]),
-            lane_flags(|lane| block[lane] == value[lane].wrapping_add(1)),
-        ]
-        .map(|level| level & mask)
-    }
-
-    /// The lanes of `mask`, in the word starting at rank `first`, whose
-    /// entry here passes `pred(lane, entry)`. A few lanes are read one at
-    /// a time; more read the word's block and test all 64 lanes at once,
-    /// one byte per lane, which the compiler vectorises.
+    /// entry here passes `pred(lane, entry)`: a [`sparse`] mask reads its
+    /// lanes one at a time, a denser one the word's block, testing all 64
+    /// lanes at once.
     #[inline]
     fn select(&self, first: u32, mask: u64, pred: impl Fn(usize, u16) -> bool) -> u64 {
-        if sparse(mask) {
-            let (mut left, mut selected) = (mask, 0);
-            while left != 0 {
-                let lane = left.trailing_zeros() as usize;
-                left &= left - 1;
-                if pred(lane, self.get(first + lane as u32)) {
-                    selected |= 1 << lane;
-                }
-            }
-            return selected;
+        if !sparse(mask) {
+            let block = self.block(first);
+            return mask & lane_flags(|lane| pred(lane, block[lane]));
         }
-        let block = self.block(first);
-        mask & lane_flags(|lane| pred(lane, block[lane]))
+        let mut selected = 0;
+        for lane in lanes(mask) {
+            selected |= u64::from(pred(lane, self.get(first + lane as u32))) << lane;
+        }
+        selected
     }
 }
 
@@ -635,20 +583,14 @@ fn lane_flags(pred: impl Fn(usize) -> bool) -> u64 {
         })
 }
 
-/// Lanes up to which [`CurrentColumn::select`] reads entries one at a
-/// time rather than the whole block.
-const SPARSE_LANES: u32 = 4;
-
-/// True when `mask` has at most [`SPARSE_LANES`] lanes: clearing the
-/// lowest lane that many times empties it.
+/// True when `mask` has at most 4 lanes: clearing the lowest lane four
+/// times empties it. Most reads are of one lane (on the benchmark's write
+/// phase, 98 % of the searches' column reads); the few with more lanes —
+/// the removals that repair hundreds of ranks — read faster as one block.
 #[inline]
 fn sparse(mask: u64) -> bool {
-    (0..SPARSE_LANES).fold(mask, |rest, _| rest & rest.wrapping_sub(1)) == 0
+    (0..4).fold(mask, |rest, _| rest & rest.wrapping_sub(1)) == 0
 }
-
-/// How many neighbours ahead of the one it reads a search hints the slab
-/// lines of.
-const AHEAD: usize = 4;
 
 /// Node → its column patch; every node absent reads its base column.
 pub(crate) type RowPatches = FastMap<NodeId, Arc<ColumnPatch>>;
@@ -1376,8 +1318,7 @@ impl DynamicOracle {
     /// edge shortcuts: every rank improved through `a` has the seed `b`,
     /// at one hop past `a`'s entry, and the reverse. Each word with such a
     /// rank takes one lane-parallel BFS ([`LaneRepair::improve`]) that
-    /// collects the entries that drop; the first hop of every word is taken
-    /// at once, one read of each seed neighbour's column serving them all.
+    /// collects the entries that drop;
     /// [`DynamicOracle::commit_row_writes`] makes the writes only once
     /// every word has been repaired within the horizon. Returns the rows
     /// repaired.
@@ -1390,7 +1331,6 @@ impl DynamicOracle {
         let RowRepair {
             search,
             words,
-            first_steps,
             writes,
             ..
         } = &mut self.repair;
@@ -1413,33 +1353,11 @@ impl DynamicOracle {
                 first,
                 seeds: [(a, into_a), (b, into_b)],
                 value,
-                sibling: 0,
             });
         }
-        first_steps.clear();
-        for side in 0..2 {
-            if words.iter().all(|word| word.seeds[side].1 == 0) {
-                continue;
-            }
-            for &w in self.graph.neighbors([a, b][side]) {
-                let column = columns.of(w);
-                for (index, word) in words.iter().enumerate() {
-                    let lowered = column.select(word.first, word.seeds[side].1, |lane, raw| {
-                        word.value[lane].saturating_add(1) < raw
-                    });
-                    if lowered != 0 {
-                        first_steps.push((index as u32, w, lowered));
-                    }
-                }
-            }
-        }
-        first_steps.sort_by_key(|&(index, ..)| index);
-        let mut steps = &first_steps[..];
-        for (index, word) in words.iter().enumerate() {
-            let (own, rest) = steps.split_at(steps.partition_point(|s| s.0 as usize == index));
-            steps = rest;
+        for word in words.iter() {
             search
-                .improve(&self.graph, columns, word, own, writes)
+                .improve(&self.graph, columns, word, writes)
                 .map_err(|rank| past_horizon(&base, rank))?;
         }
         let repaired = words.iter().map(Word::lane_count).sum();
@@ -1451,11 +1369,11 @@ impl DynamicOracle {
     /// endpoint columns, a lane word at a time, finds the candidate
     /// landmarks, those for which the edge steps one level down from the
     /// deeper endpoint `hi`. A support probe then reads one neighbour
-    /// column of `hi` at a time and drops, a word at a time, every
-    /// candidate with a neighbour one level closer, stopping once none is
-    /// left; the same read records the neighbours one level deeper and at
-    /// `hi`'s own level, the first step of every word's repair. Each word
-    /// with an unsupported rank takes one lane-parallel decremental repair
+    /// column of `hi` at a time and drops every candidate with a neighbour
+    /// one level closer, stopping once none is left; it reads only the
+    /// candidates' entries, so its cost follows the candidates, not the
+    /// words they sit in. Each word with an unsupported rank takes one
+    /// lane-parallel decremental repair
     /// ([`LaneRepair::resettle`]); its writes are committed only once
     /// every word has been repaired within the horizon. Returns the rows
     /// repaired.
@@ -1468,7 +1386,7 @@ impl DynamicOracle {
         let RowRepair {
             search,
             words,
-            first_steps,
+            open,
             writes,
             ..
         } = &mut self.repair;
@@ -1494,46 +1412,33 @@ impl DynamicOracle {
                 first,
                 seeds: [(a, below_a), (b, below_b)],
                 value,
-                sibling: 0,
             });
         }
         // Support probe: the deleted edge mattered to a landmark only if it
         // was `hi`'s last neighbour one level closer to it.
-        first_steps.clear();
         for side in 0..2 {
-            let hi = [a, b][side];
-            let mut open = words.iter().filter(|w| w.seeds[side].1 != 0).count();
-            for &x in self.graph.neighbors(hi) {
-                if open == 0 {
+            open.clear();
+            for (index, word) in words.iter_mut().enumerate() {
+                for lane in lanes(std::mem::take(&mut word.seeds[side].1)) {
+                    open.push((index as u32, word.first + lane as u32, word.value[lane]));
+                }
+            }
+            for &x in self.graph.neighbors([a, b][side]) {
+                if open.is_empty() {
                     break;
                 }
                 let column = columns.of(x);
-                for (index, word) in words.iter_mut().enumerate() {
-                    let candidates = word.seeds[side].1;
-                    if candidates == 0 {
-                        continue;
-                    }
-                    let [supported, level, deeper] =
-                        column.levels(word.first, candidates, &word.value);
-                    if deeper != 0 {
-                        first_steps.push((index as u32, x, deeper));
-                    }
-                    word.sibling |= level;
-                    word.seeds[side].1 &= !supported;
-                    open -= usize::from(word.seeds[side].1 == 0);
-                }
+                open.retain(|&(_, rank, value)| column.get(rank).wrapping_add(1) != value);
+            }
+            for &(index, rank, _) in open.iter() {
+                let word = &mut words[index as usize];
+                word.seeds[side].1 |= 1 << (rank - word.first);
             }
         }
-        first_steps.sort_by_key(|&(index, ..)| index);
-        let mut steps = &first_steps[..];
-        for (index, word) in words.iter().enumerate() {
-            let (own, rest) = steps.split_at(steps.partition_point(|s| s.0 as usize == index));
-            steps = rest;
-            if word.lane_count() != 0 {
-                search
-                    .resettle(&self.graph, columns, word, own, writes)
-                    .map_err(|rank| past_horizon(&base, rank))?;
-            }
+        for word in words.iter().filter(|word| word.lane_count() != 0) {
+            search
+                .resettle(&self.graph, columns, word, writes)
+                .map_err(|rank| past_horizon(&base, rank))?;
         }
         let repaired = words.iter().map(Word::lane_count).sum();
         self.commit_row_writes();
@@ -1605,8 +1510,6 @@ struct Word {
     /// Each lane's entry at its seed: its new distance there (insert), its
     /// pre-update distance (removal).
     value: [u16; LANES],
-    /// The removal lanes whose `hi` keeps a neighbour at its own level.
-    sibling: u64,
 }
 
 impl Word {
@@ -1622,11 +1525,9 @@ struct RowRepair {
     search: LaneRepair,
     /// The current update's lane words, in rank order.
     words: Vec<Word>,
-    /// The first step of every word's search, taken for all words at
-    /// once: `(word index, node, lanes)`, the lanes that lower the node one
-    /// hop past their seed (insert) or sit one level below `hi` there
-    /// (removal).
-    first_steps: Vec<(u32, NodeId, u64)>,
+    /// The support probe's candidates not yet supported on the side being
+    /// probed: `(word index, rank, entry at hi)`.
+    open: Vec<(u32, u32, u16)>,
     /// The current update's landmark-distance writes, `(node, rank,
     /// value)`, collected before any is committed.
     writes: Vec<(NodeId, u32, u16)>,
@@ -1639,7 +1540,7 @@ impl RowRepair {
         RowRepair {
             search: LaneRepair::new(n),
             words: Vec::new(),
-            first_steps: Vec::new(),
+            open: Vec::new(),
             writes: Vec::new(),
             merged: Vec::new(),
         }
@@ -1649,28 +1550,25 @@ impl RowRepair {
 /// The lane-parallel repair of one [`Word`]: bit `i` of a node's masks is
 /// the word's lane `i`, and a node the search looks at costs one
 /// patch-map probe and one read of its column for all of its lanes
-/// ([`CurrentColumn::select`]). A node's masks are valid only while its
-/// stamp is the search's, so starting a search clears nothing, and a node
-/// the search looks at but never marks costs one 4-byte stamp read.
+/// ([`CurrentColumn::select`]). The per-node masks are all clear between
+/// searches, each search clearing only the masks the last one set, so
+/// starting one costs nothing n-sized and a node it looks at but never
+/// reaches costs one 8-byte mask read.
 #[derive(Debug)]
 struct LaneRepair {
-    /// Per node, the search that last marked it.
-    stamp: Vec<u32>,
-    /// The current search's stamp.
-    search: u32,
     /// Per node, the lanes that reached it (insert), or orphaned it and
-    /// are not settled yet (removal); valid where the stamp is the
-    /// search's.
+    /// are not settled yet (removal).
     reached: Vec<u64>,
-    /// Per node, the lanes queued at it and not taken yet (removal); valid
-    /// where the stamp is the search's.
-    queued: Vec<u64>,
+    /// The nodes whose mask the last search set, to clear when the next
+    /// starts.
+    marked: Vec<NodeId>,
     /// The next level's nodes and the lanes that lowered them (insert).
     frontier: Vec<(NodeId, u64)>,
     /// The level being expanded (insert).
     level: Vec<(NodeId, u64)>,
-    /// Nodes with queued lanes, in queue order (removal).
-    queue: Vec<NodeId>,
+    /// The nodes to test and the lanes to test each in, in queue order
+    /// (removal); a node may be queued more than once.
+    queue: VecDeque<(NodeId, u64)>,
     /// Nodes orphaned in some lane (removal), once each.
     region: Vec<NodeId>,
     /// Orphans' distances through the region's boundary, `(distance,
@@ -1684,26 +1582,23 @@ struct LaneRepair {
 impl LaneRepair {
     fn new(n: usize) -> Self {
         LaneRepair {
-            stamp: vec![0; n],
-            search: 0,
             reached: vec![0; n],
-            queued: vec![0; n],
+            marked: Vec::new(),
             frontier: Vec::new(),
             level: Vec::new(),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             region: Vec::new(),
             seeds: Vec::new(),
             buckets: Vec::new(),
         }
     }
 
-    /// Start a search: a new stamp, under which every node is unmarked.
+    /// Start a search: clear the masks the last one set.
     fn reset(&mut self) {
-        self.search = self.search.wrapping_add(1);
-        if self.search == 0 {
-            self.stamp.fill(0);
-            self.search = 1;
+        for &v in &self.marked {
+            self.reached[v as usize] = 0;
         }
+        self.marked.clear();
         self.frontier.clear();
         self.level.clear();
         self.queue.clear();
@@ -1714,23 +1609,19 @@ impl LaneRepair {
     /// The lanes that reached `v` in the current search.
     #[inline]
     fn reached(&self, v: NodeId) -> u64 {
-        if self.stamp[v as usize] == self.search {
-            self.reached[v as usize]
-        } else {
-            0
-        }
+        self.reached[v as usize]
     }
 
-    /// Mark `v` in the current search; returns its index.
+    /// Add `lanes` to the lanes that reached `v`; returns whether none had.
     #[inline]
-    fn mark(&mut self, v: NodeId) -> usize {
-        let v = v as usize;
-        if self.stamp[v] != self.search {
-            self.stamp[v] = self.search;
-            self.reached[v] = 0;
-            self.queued[v] = 0;
+    fn reach_lanes(&mut self, v: NodeId, lanes: u64) -> bool {
+        let reached = &mut self.reached[v as usize];
+        let fresh = *reached == 0;
+        if fresh {
+            self.marked.push(v);
         }
-        v
+        *reached |= lanes;
+        fresh
     }
 
     /// Insert repair of `word` on the graph holding the new edge: one
@@ -1745,32 +1636,22 @@ impl LaneRepair {
         graph: &OverlayGraph,
         columns: Columns<'_>,
         word: &Word,
-        first_steps: &[(u32, NodeId, u64)],
         writes: &mut Vec<(NodeId, u32, u16)>,
     ) -> Result<(), u32> {
         self.reset();
-        // A lane lowers its seed's entry: that is what made it a lane. Its
-        // first hop, to the seed's neighbours, is given.
+        // A lane lowers its seed's entry: that is what made it a lane.
         for (seed, lowered) in word.seeds {
             self.reach(word, seed, lowered, 0, writes)?;
         }
-        self.frontier.clear();
-        for &(_, w, lowered) in first_steps {
-            self.reach(word, w, lowered, 1, writes)?;
-        }
         // A lane writes at most 65,533 hops past its seed value before one
         // is refused, so the hop count fits the entries' width.
-        let mut hop = 1u16;
+        let mut hop = 0u16;
         while !self.frontier.is_empty() {
             hop += 1;
             std::mem::swap(&mut self.frontier, &mut self.level);
             for k in 0..self.level.len() {
                 let (v, live) = self.level[k];
-                let neighbors = graph.neighbors(v);
-                for (j, &w) in neighbors.iter().enumerate() {
-                    if let Some(&ahead) = neighbors.get(j + AHEAD) {
-                        columns.prefetch(ahead, word.first, live);
-                    }
+                for &w in graph.neighbors(v) {
                     let fresh = live & !self.reached(w);
                     if fresh == 0 {
                         continue;
@@ -1805,8 +1686,7 @@ impl LaneRepair {
             let distance = Distance::from(word.value[lane]) + Distance::from(hop);
             writes.push((v, rank, encode_distance(distance).ok_or(rank)?));
         }
-        let i = self.mark(v);
-        self.reached[i] |= lowered;
+        self.reach_lanes(v, lowered);
         self.frontier.push((v, lowered));
         Ok(())
     }
@@ -1818,9 +1698,11 @@ impl LaneRepair {
     /// 1. Orphan propagation, all lanes at once: a node is an orphan of a
     ///    lane when none of its neighbours one level closer is still
     ///    supported in that lane. An orphan queues the neighbours one level
-    ///    deeper in the lanes it lost, and a node is tested again whenever
-    ///    a parent is orphaned, so each lane's orphan set — exactly its
-    ///    entries that increase — does not depend on the order.
+    ///    deeper in the lanes it lost, and a node is queued and tested
+    ///    again whenever a parent is orphaned, so each lane's orphan set —
+    ///    exactly its entries that increase — does not depend on the order.
+    ///    A queue entry carries its lanes, so lanes orphaned together are
+    ///    tested together.
     /// 2. Re-settling: each orphan's distance through a non-orphan
     ///    neighbour seeds a bucket queue by distance of `(node, lanes)`
     ///    entries, which spreads a hop a bucket inside the orphan region;
@@ -1834,49 +1716,35 @@ impl LaneRepair {
         graph: &OverlayGraph,
         columns: Columns<'_>,
         word: &Word,
-        first_steps: &[(u32, NodeId, u64)],
         writes: &mut Vec<(NodeId, u32, u16)>,
     ) -> Result<(), u32> {
         self.reset();
-        // Each seed is an orphan of its lanes, whose children the probe
-        // found.
-        let lost = word.seeds[0].1 | word.seeds[1].1;
-        for (seed, lost) in word.seeds.into_iter().filter(|&(_, lost)| lost != 0) {
-            self.region.push(seed);
-            let i = self.mark(seed);
-            self.reached[i] |= lost;
+        // Each seed is the first orphan of its lanes: the probe proved it
+        // unsupported, so it is not tested again.
+        for (seed, lost) in word.seeds {
+            if lost != 0 {
+                let entries = columns.of(seed).entries(word.first, lost);
+                self.orphan(graph, columns, word.first, seed, lost, &entries);
+            }
         }
-        for &(_, x, deeper) in first_steps {
-            self.enqueue(x, deeper & lost);
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            let i = self.mark(v);
-            let open = std::mem::take(&mut self.queued[i]) & !self.reached[i];
+        while let Some((v, lanes)) = self.queue.pop_front() {
+            let open = lanes & !self.reached(v);
             if open == 0 {
                 continue;
             }
             let entries = columns.of(v).entries(word.first, open);
             let mut orphaned = open;
-            let neighbors = graph.neighbors(v);
-            for (k, &x) in neighbors.iter().enumerate() {
+            for &x in graph.neighbors(v) {
                 if orphaned == 0 {
                     break;
                 }
-                if let Some(&ahead) = neighbors.get(k + AHEAD) {
-                    columns.prefetch(ahead, word.first, open);
-                }
-                // The lanes read depend on `open`, not on `orphaned`: a
-                // read's address then never waits for the last one's value,
-                // and the misses of consecutive neighbours overlap.
-                let unsure = open & !self.reached(x);
-                if unsure != 0 {
-                    orphaned &= !columns.of(x).select(word.first, unsure, |lane, raw| {
-                        raw.wrapping_add(1) == entries[lane]
-                    });
-                }
+                // Every neighbour is read in the node's open lanes, orphans
+                // too, and its orphan lanes are dropped after: the read's
+                // address waits on no mask, so consecutive misses overlap.
+                let parents = columns.of(x).select(word.first, open, |lane, raw| {
+                    raw.wrapping_add(1) == entries[lane]
+                });
+                orphaned &= !(parents & !self.reached(x));
             }
             if orphaned != 0 {
                 self.orphan(graph, columns, word.first, v, orphaned, &entries);
@@ -1886,25 +1754,10 @@ impl LaneRepair {
         let mut best = [u32::MAX; LANES];
         for k in 0..self.region.len() {
             let v = self.region[k];
-            let mut orphan = self.reached(v);
-            for (seed, lost) in word.seeds {
-                if seed == v {
-                    // Nothing is closer than `hi`'s neighbours at its own
-                    // level, which are not orphans.
-                    let level = orphan & lost & word.sibling;
-                    for lane in lanes(level) {
-                        best[lane] = u32::from(word.value[lane]) + 1;
-                    }
-                    orphan &= !level;
-                }
-            }
-            let neighbors = graph.neighbors(v);
-            for (j, &w) in neighbors.iter().enumerate() {
+            let orphan = self.reached(v);
+            for &w in graph.neighbors(v) {
                 if orphan == 0 {
                     break;
-                }
-                if let Some(&ahead) = neighbors.get(j + AHEAD) {
-                    columns.prefetch(ahead, word.first, orphan);
                 }
                 let outside = orphan & !self.reached(w);
                 if outside == 0 {
@@ -1972,9 +1825,9 @@ impl LaneRepair {
         Ok(())
     }
 
-    /// Make `v`, whose entries in the word are `entries`,
-    /// an orphan of `lost`, and queue each neighbour in the lanes in which
-    /// it sits one level deeper.
+    /// Make `v`, whose entries in the word are `entries`, an orphan of
+    /// `lost`, and queue each neighbour that is not an orphan yet in the
+    /// lanes in which it sits one level deeper.
     fn orphan(
         &mut self,
         graph: &OverlayGraph,
@@ -1984,39 +1837,23 @@ impl LaneRepair {
         lost: u64,
         entries: &[u16; LANES],
     ) {
-        let i = self.mark(v);
-        let first_loss = self.reached[i] == 0;
-        self.reached[i] |= lost;
-        if first_loss {
+        if self.reach_lanes(v, lost) {
             self.region.push(v);
         }
-        let neighbors = graph.neighbors(v);
-        for (k, &w) in neighbors.iter().enumerate() {
-            if let Some(&ahead) = neighbors.get(k + AHEAD) {
-                columns.prefetch(ahead, first, lost);
-            }
-            let open = lost & !self.reached(w);
-            if open == 0 {
-                continue;
-            }
-            let children = columns.of(w).select(first, open, |lane, raw| {
+        for &w in graph.neighbors(v) {
+            let children = columns.of(w).select(first, lost, |lane, raw| {
                 raw == entries[lane].wrapping_add(1)
             });
-            self.enqueue(w, children);
+            self.enqueue(w, children & !self.reached(w));
         }
     }
 
-    /// Queue `lanes` at `v`.
+    /// Queue `v` to be tested in `lanes`.
     #[inline]
     fn enqueue(&mut self, v: NodeId, lanes: u64) {
-        if lanes == 0 {
-            return;
+        if lanes != 0 {
+            self.queue.push_back((v, lanes));
         }
-        let i = self.mark(v);
-        if self.queued[i] == 0 {
-            self.queue.push(v);
-        }
-        self.queued[i] |= lanes;
     }
 }
 
