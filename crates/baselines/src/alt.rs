@@ -75,11 +75,6 @@ impl<'g> AltEngine<'g> {
         &self.landmarks
     }
 
-    /// Bytes of memory used by the landmark distance tables.
-    pub fn preprocessing_bytes(&self) -> usize {
-        self.landmark_dist.len() * self.graph.node_count() * std::mem::size_of::<Distance>()
-    }
-
     /// Admissible lower bound on `d(v, t)` from the landmark tables.
     fn lower_bound(&self, v: NodeId, t: NodeId) -> Distance {
         let mut best = 0;
@@ -307,7 +302,6 @@ mod tests {
         assert_eq!(alt.distance(0, 3), None);
         assert_eq!(alt.distance(0, 0), Some(0));
         assert_eq!(alt.distance(0, 17), None);
-        assert!(alt.preprocessing_bytes() > 0);
         assert!(!alt.landmarks().is_empty());
         assert_eq!(alt.name(), "ALT (A* + landmarks)");
 

@@ -5,7 +5,7 @@
 //! reporting the fraction of pairs answered by the index and the fraction
 //! answered specifically through vicinity intersection.
 
-use vicinity_bench::{print_header, timed, ExperimentEnv};
+use vicinity_bench::{format_alpha, print_header, timed, ExperimentEnv};
 use vicinity_core::config::OracleConfig;
 use vicinity_core::stats::{intersection_experiment, ExperimentWorkload};
 
@@ -50,12 +50,4 @@ fn main() {
     println!("paper: for alpha = 4 the real datasets answer >99.9% of queries; the synthetic");
     println!("stand-ins are ~100x smaller, which shifts the same monotone curve towards");
     println!("larger alpha (see EXPERIMENTS.md for the discussion).");
-}
-
-fn format_alpha(a: f64) -> String {
-    if a >= 1.0 {
-        format!("{a}")
-    } else {
-        format!("1/{}", (1.0 / a).round() as u64)
-    }
 }

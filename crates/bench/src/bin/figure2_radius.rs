@@ -1,6 +1,7 @@
-//! Figure 2 (right) — average vicinity radius vs α.
+//! Figure 2 (right) — average vicinity radius vs α, with the oracle build
+//! time at each α.
 
-use vicinity_bench::{print_header, timed, ExperimentEnv};
+use vicinity_bench::{format_alpha, print_header, timed, ExperimentEnv};
 use vicinity_core::config::OracleConfig;
 use vicinity_core::stats::radius_experiment;
 
@@ -9,31 +10,24 @@ fn main() {
     print_header("Figure 2 (right): average vicinity radius vs alpha", &env);
 
     println!(
-        "{:<14} {:>8} {:>14} {:>12}",
-        "Topology", "alpha", "avg radius", "max radius"
+        "{:<14} {:>8} {:>14} {:>12} {:>12}",
+        "Topology", "alpha", "avg radius", "max radius", "build (s)"
     );
     for dataset in env.datasets() {
         let ((), elapsed) = timed(|| {
             let points = radius_experiment(&dataset.graph, &env.alphas, &OracleConfig::default());
             for p in points {
                 println!(
-                    "{:<14} {:>8} {:>14.2} {:>12}",
+                    "{:<14} {:>8} {:>14.2} {:>12} {:>12.3}",
                     dataset.name,
                     format_alpha(p.alpha),
                     p.average_radius,
-                    p.max_radius
+                    p.max_radius,
+                    p.build_s
                 );
             }
         });
         println!("  ({} sweep completed in {:.1?})\n", dataset.name, elapsed);
     }
     println!("paper: the average vicinity radius stays below 3.5 hops even at alpha = 4.");
-}
-
-fn format_alpha(a: f64) -> String {
-    if a >= 1.0 {
-        format!("{a}")
-    } else {
-        format!("1/{}", (1.0 / a).round() as u64)
-    }
 }

@@ -8,8 +8,8 @@
 //! | `table2_datasets` | Table 2 — dataset sizes |
 //! | `figure2_intersections` | Figure 2 (left) — intersection fraction vs α |
 //! | `figure2_boundary` | Figure 2 (center) — boundary-size CDF at α = 4 |
-//! | `figure2_radius` | Figure 2 (right) — vicinity radius vs α |
-//! | `table3_query_time` | Table 3 — look-ups, query times and speed-ups |
+//! | `figure2_radius` | Figure 2 (right) — vicinity radius (and build time) vs α |
+//! | `table3_query_time` | Table 3 — look-ups, query times and speed-ups, plus §4's ALT and landmark estimation |
 //! | `memory_comparison` | §3.2 — memory vs all-pairs storage |
 //! | `ablation_strawmen` | §2.1 — fixed-size / fixed-radius strawmen |
 //! | `run_all` | everything above, in sequence |
@@ -18,9 +18,6 @@
 //! [`ExperimentEnv`]: `VICINITY_SCALE`, `VICINITY_ALPHAS`,
 //! `VICINITY_SAMPLE_NODES`, `VICINITY_RUNS`, `VICINITY_DATASETS`,
 //! `VICINITY_DATA_DIR` and `VICINITY_CACHE_DIR`.
-//!
-//! Criterion micro-benchmarks (`cargo bench -p vicinity-bench`) cover query
-//! latency, index construction and the baseline comparison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -135,6 +132,12 @@ impl ExperimentEnv {
             .map(|&s| Dataset::stand_in(s, self.scale))
             .collect()
     }
+}
+
+/// An α value as the paper's Figure 2 axis labels it (`4`, `1/4`), as a
+/// string so table columns can pad it.
+pub fn format_alpha(alpha: f64) -> String {
+    Alpha::new(alpha).map_or_else(|_| alpha.to_string(), |a| a.to_string())
 }
 
 /// Time a closure, returning its result and the elapsed wall-clock time.

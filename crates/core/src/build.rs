@@ -3,8 +3,11 @@
 //! Construction follows §2.2 of the paper:
 //!
 //! 1. Sample the landmark set `L` (degree-proportional by default).
-//! 2. One multi-source BFS from `L` gives every node its nearest landmark
-//!    and ball radius `d(u, ℓ(u))`.
+//! 2. One multi-source BFS from `L` gives every node its ball radius
+//!    `d(u, L)` and nearest landmark `ℓ(u)`: the smallest-id landmark at
+//!    that distance, so it depends only on the graph and the landmark set
+//!    (the dynamic oracle reads the same label off a node's slab column
+//!    as its least `(distance, id)` entry).
 //! 3. The landmarks, in rank order, are cut into batches of 64; one
 //!    bit-parallel multi-source BFS per batch (one `u64` lane per
 //!    landmark) materialises the batch's distances to every node in a
@@ -23,11 +26,10 @@
 //! round, then the copy by node range), step 4 by node range; both use
 //! `std::thread::scope`, and neither result depends on the thread count.
 
-use vicinity_graph::algo::bfs::BoundedBfsScratch;
+use vicinity_graph::algo::bfs::{multi_source_bfs, BoundedBfsScratch, MultiSourceBfs};
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::NodeId;
+use vicinity_graph::{NodeId, INFINITY, INVALID_NODE};
 
-use crate::ball::BallRadii;
 use crate::config::{Alpha, OracleConfig};
 use crate::index::{LandmarkDistances, VicinityOracle, HOP_HORIZON, UNREACHABLE_U16};
 use crate::landmarks::LandmarkSet;
@@ -132,8 +134,8 @@ impl OracleBuilder {
             None => LandmarkSet::select(graph, &config),
         };
 
-        // Step 2: ball radii via one multi-source BFS.
-        let radii = BallRadii::compute(graph, &landmarks);
+        // Step 2: ball radii and nearest landmarks via one multi-source BFS.
+        let nearest = multi_source_bfs(graph, landmarks.nodes());
 
         // Step 3: landmark distances, 64 landmarks per search, in
         // parallel over batches.
@@ -146,7 +148,7 @@ impl OracleBuilder {
             })?;
 
         // Step 4: vicinities, in parallel over node ranges.
-        let store = build_store(graph, &config, &radii);
+        let store = build_store(graph, &config, &nearest);
 
         Ok(VicinityOracle {
             config,
@@ -164,7 +166,7 @@ impl OracleBuilder {
 /// (one dense BFS scratch per worker keeps every per-node traversal free
 /// of hashing and allocation); the chunks are spliced in node order, so
 /// the result is independent of the thread count.
-fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> VicinityStore {
+fn build_store(graph: &CsrGraph, config: &OracleConfig, nearest: &MultiSourceBfs) -> VicinityStore {
     let n = graph.node_count();
     if n == 0 {
         return VicinityStore::empty(0);
@@ -175,11 +177,13 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, radii: &BallRadii) -> Vi
     let fill_chunk = |start: usize, end: usize| -> VicinityChunk {
         let mut scratch = BoundedBfsScratch::with_node_capacity(n);
         let mut chunk = VicinityChunk::new(start as NodeId, config.store_paths);
-        for u in start as NodeId..end as NodeId {
+        for u in start..end {
+            let radius = nearest.distances[u];
+            let landmark = nearest.nearest_source[u];
             chunk.push_node(
                 graph,
-                radii.radius_of(u),
-                radii.nearest_landmark(u),
+                (radius != INFINITY).then_some(radius),
+                (landmark != INVALID_NODE).then_some(landmark),
                 &mut scratch,
             );
         }
@@ -534,10 +538,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn landmark_rows_match_bfs_with_unreachable_lanes() {
-        // A 5×5 grid (nodes 0–24), a path 25–34 and isolated nodes 35–39;
-        // landmarks in both components and on an isolated node.
+    /// A 5×5 grid (nodes 0–24), a path 25–34 and isolated nodes 35–39.
+    fn grid_path_and_isolated_nodes() -> CsrGraph {
         let mut b = GraphBuilder::with_node_count(40);
         for r in 0..5u32 {
             for c in 0..5u32 {
@@ -552,7 +554,13 @@ mod tests {
         for v in 25..34 {
             b.add_edge(v, v + 1);
         }
-        let g = b.build_undirected();
+        b.build_undirected()
+    }
+
+    #[test]
+    fn landmark_rows_match_bfs_with_unreachable_lanes() {
+        // Landmarks in both components and on an isolated node.
+        let g = grid_path_and_isolated_nodes();
         for threads in [1, 2, 3] {
             let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
                 .landmarks(vec![0, 12, 30, 37])
@@ -563,6 +571,59 @@ mod tests {
             assert_eq!(isolated.distance_to(37), Some(0));
             assert_eq!(isolated.distance_to(0), None);
         }
+    }
+
+    /// Every node's store header `(radius, nearest)` is the least
+    /// `(distance, landmark id)` entry of its slab column, the rule the
+    /// dynamic oracle relabels by; a node whose column holds no finite
+    /// entry has no nearest landmark.
+    fn assert_headers_are_least_column_entries(oracle: &VicinityOracle) {
+        let landmarks = oracle.landmarks().nodes();
+        for u in 0..oracle.node_count() as NodeId {
+            let least = oracle
+                .landmark_distances()
+                .column(u)
+                .iter()
+                .zip(landmarks)
+                .filter_map(|(&raw, &l)| Some((crate::index::decode_distance(raw)?, l)))
+                .min();
+            let header = oracle.vicinity(u).unwrap();
+            match least {
+                Some((d, l)) => {
+                    assert_eq!(
+                        (header.radius(), header.nearest_landmark()),
+                        (d, Some(l)),
+                        "node {u}"
+                    )
+                }
+                None => assert_eq!(header.nearest_landmark(), None, "node {u}"),
+            }
+        }
+    }
+
+    #[test]
+    fn store_headers_are_the_least_column_entries() {
+        // Grid corners as landmarks, listed out of id order: the centre is
+        // 4 hops from all four and every grid node but the corners ties
+        // two or more. The path 25–34 and the isolated nodes but 37 reach
+        // no landmark.
+        let g = grid_path_and_isolated_nodes();
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .landmarks(vec![24, 20, 4, 0, 37])
+            .build(&g);
+        let header = |u: NodeId| {
+            let v = oracle.vicinity(u).unwrap();
+            (v.radius(), v.nearest_landmark())
+        };
+        assert_eq!(header(12), (4, Some(0)));
+        assert_eq!(header(14), (2, Some(4)));
+        assert_eq!(header(22), (2, Some(20)));
+        assert_eq!(header(30).1, None);
+        assert_headers_are_least_column_entries(&oracle);
+        // Sampled landmarks on a social graph.
+        let g = SocialGraphConfig::small_test().generate(76);
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT).seed(4).build(&g);
+        assert_headers_are_least_column_entries(&oracle);
     }
 
     #[test]

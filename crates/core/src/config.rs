@@ -27,17 +27,6 @@ impl Alpha {
     pub fn value(&self) -> f64 {
         self.0
     }
-
-    /// The α sweep used by Figure 2 of the paper: powers of two from 1/64
-    /// to 64.
-    pub fn figure2_sweep() -> Vec<Alpha> {
-        (-6..=6).map(|e| Alpha(2f64.powi(e))).collect()
-    }
-
-    /// Expected vicinity size `α·√n` for a graph with `n` nodes.
-    pub fn expected_vicinity_size(&self, n: usize) -> f64 {
-        self.0 * (n as f64).sqrt()
-    }
 }
 
 impl Default for Alpha {
@@ -149,25 +138,6 @@ mod tests {
         assert_eq!(Alpha::new(1.0).unwrap().to_string(), "1");
         assert_eq!(Alpha::new(0.25).unwrap().to_string(), "1/4");
         assert_eq!(Alpha::new(0.015625).unwrap().to_string(), "1/64");
-    }
-
-    #[test]
-    fn figure2_sweep_covers_the_paper_range() {
-        let sweep = Alpha::figure2_sweep();
-        assert_eq!(sweep.len(), 13);
-        assert_eq!(sweep.first().unwrap().value(), 1.0 / 64.0);
-        assert_eq!(sweep.last().unwrap().value(), 64.0);
-        // Monotonically increasing by factors of two.
-        for w in sweep.windows(2) {
-            assert!((w[1].value() / w[0].value() - 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn expected_vicinity_size_scales_with_sqrt_n() {
-        let a = Alpha::PAPER_DEFAULT;
-        assert!((a.expected_vicinity_size(10_000) - 400.0).abs() < 1e-9);
-        assert!((a.expected_vicinity_size(1_000_000) - 4_000.0).abs() < 1e-9);
     }
 
     #[test]

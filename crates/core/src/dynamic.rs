@@ -888,8 +888,8 @@ pub struct DynamicOracle {
     /// least distance in `u`'s current column.
     radius: Vec<Distance>,
     /// The smallest-id landmark attaining `radius[u]` — the least entry
-    /// of `u`'s column, the builder's canonical tie rule
-    /// ([`crate::ball::BallRadii`]) — or `INVALID_NODE` when unreachable.
+    /// of `u`'s column, the builder's canonical tie rule (step 2 of
+    /// [`crate::build`]) — or `INVALID_NODE` when unreachable.
     /// The query bounds rely on `d(u, nearest[u]) == radius[u]` being
     /// exact, and the canonical choice makes the landmark walk, and so
     /// every answer method, match a pinned rebuild's.

@@ -20,7 +20,6 @@
 //! the edge updates alike. Paths from a landmark are reconstructed by greedy descent on its
 //! distances, so no predecessor storage is needed for landmarks.
 
-use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::{Distance, NodeId, INFINITY};
 
 use crate::config::OracleConfig;
@@ -361,21 +360,6 @@ impl VicinityOracle {
     /// Total number of stored vicinity entries, `Σ_u |Γ(u)|`.
     pub fn total_vicinity_entries(&self) -> u64 {
         self.store.total_entries()
-    }
-
-    /// Greedy-descent path from landmark `landmark` to node `target`, using
-    /// the landmark's row ([`VicinityOracle::landmark_row`]) and the graph
-    /// for neighbour enumeration: from `target`, repeatedly step to any
-    /// neighbour whose stored distance is exactly one less. Returns the
-    /// path from the landmark to the target (inclusive), or `None` if
-    /// `target` is unreachable or `landmark` is no landmark.
-    pub fn landmark_path(
-        &self,
-        graph: &CsrGraph,
-        landmark: NodeId,
-        target: NodeId,
-    ) -> Option<Vec<NodeId>> {
-        crate::query::landmark_path_on(self, graph, landmark, target)
     }
 }
 

@@ -59,7 +59,6 @@
 #![deny(unsafe_code)]
 
 pub mod ablation;
-pub mod ball;
 pub mod build;
 pub mod config;
 pub mod dynamic;

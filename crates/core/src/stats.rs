@@ -8,10 +8,12 @@
 //!   fraction of the network size, at a fixed α. The index stores no
 //!   boundary, so [`boundary_size`] computes `∂Γ(u)` from the graph.
 //! * [`radius_experiment`] — Figure 2 (right): average vicinity radius as α
-//!   varies.
+//!   varies, with each α's build time.
 //!
 //! The workload matches §2.3: sample `k` random nodes, take all ordered
 //! pairs, repeat over several runs with different seeds.
+
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,6 +190,8 @@ pub struct RadiusPoint {
     pub average_radius: f64,
     /// Maximum vicinity radius observed.
     pub max_radius: u32,
+    /// Wall-clock seconds the oracle build at this α took.
+    pub build_s: f64,
 }
 
 /// Figure 2 (right): average vicinity radius vs α.
@@ -203,7 +207,9 @@ pub fn radius_experiment(
                 alpha,
                 ..base_config.clone()
             };
+            let start = Instant::now();
             let oracle = OracleBuilder::from_config(config).build(graph);
+            let build_s = start.elapsed().as_secs_f64();
             let max_radius = (0..oracle.node_count() as u32)
                 .filter_map(|u| oracle.vicinity(u))
                 .map(|v| v.radius())
@@ -213,6 +219,7 @@ pub fn radius_experiment(
                 alpha: alpha.value(),
                 average_radius: oracle.average_vicinity_radius(),
                 max_radius,
+                build_s,
             }
         })
         .collect()
@@ -354,6 +361,7 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert!(points[1].average_radius >= points[0].average_radius);
         assert!(points[1].max_radius >= points[0].max_radius);
+        assert!(points.iter().all(|p| p.build_s > 0.0));
         // Social-network radii stay small (paper: < 3.5 hops at alpha = 4;
         // our stand-ins are much smaller so allow some slack above that).
         assert!(points[1].average_radius < 8.0);

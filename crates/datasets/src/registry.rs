@@ -82,11 +82,6 @@ impl StandIn {
         }
     }
 
-    /// Average undirected degree of the real dataset (2m/n).
-    pub fn paper_average_degree(&self) -> f64 {
-        2.0 * self.paper_undirected_links_millions() / self.paper_nodes_millions()
-    }
-
     /// Query-time results reported in Table 3 of the paper for this dataset
     /// (average look-ups, our-technique ms, BFS ms, bidirectional-BFS ms,
     /// speed-up vs bidirectional BFS). Used by `EXPERIMENTS.md` comparisons.
@@ -249,7 +244,7 @@ pub struct Dataset {
 }
 
 /// Guards concurrent generation of the same cached stand-in from multiple
-/// threads in one process (e.g. parallel Criterion benches).
+/// threads in one process (e.g. tests running in parallel).
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 impl Dataset {
@@ -318,14 +313,6 @@ impl Dataset {
         }
     }
 
-    /// All four stand-ins at the given scale.
-    pub fn all_stand_ins(scale: Scale) -> Vec<Dataset> {
-        StandIn::all()
-            .iter()
-            .map(|&s| Dataset::stand_in(s, scale))
-            .collect()
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.graph.node_count()
@@ -364,8 +351,6 @@ mod tests {
     fn paper_numbers_match_table2() {
         assert_eq!(StandIn::all().len(), 4);
         assert_eq!(StandIn::LiveJournal.name(), "LiveJournal");
-        assert!((StandIn::Orkut.paper_average_degree() - 76.3).abs() < 1.0);
-        assert!((StandIn::Dblp.paper_average_degree() - 7.07).abs() < 0.1);
         // Table 3 speed-ups as printed in the paper.
         assert_eq!(StandIn::Orkut.paper_table3().speedup, 2588.0);
         assert_eq!(StandIn::LiveJournal.paper_table3().speedup, 431.0);

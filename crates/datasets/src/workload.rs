@@ -53,14 +53,6 @@ impl PairWorkload {
         }
     }
 
-    /// Build a workload from an explicit pair list.
-    pub fn from_pairs(pairs: Vec<(NodeId, NodeId)>, description: impl Into<String>) -> Self {
-        PairWorkload {
-            pairs,
-            description: description.into(),
-        }
-    }
-
     /// The pairs.
     pub fn pairs(&self) -> &[(NodeId, NodeId)] {
         &self.pairs
@@ -131,7 +123,10 @@ mod tests {
 
     #[test]
     fn truncation_and_explicit_pairs() {
-        let w = PairWorkload::from_pairs(vec![(0, 1), (1, 2), (2, 3)], "manual");
+        let w = PairWorkload {
+            pairs: vec![(0, 1), (1, 2), (2, 3)],
+            description: "manual".to_string(),
+        };
         assert_eq!(w.len(), 3);
         let t = w.truncated(2);
         assert_eq!(t.len(), 2);

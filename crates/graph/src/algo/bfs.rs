@@ -13,45 +13,6 @@ use std::collections::VecDeque;
 use crate::csr::CsrGraph;
 use crate::{Adjacency, Distance, NodeId, INFINITY, INVALID_NODE};
 
-/// Result of a full single-source BFS: distances and BFS-tree parents.
-#[derive(Debug, Clone)]
-pub struct BfsTree {
-    /// Distance from the source to every node (`INFINITY` when unreachable).
-    pub distances: Vec<Distance>,
-    /// Parent of each node in the BFS tree (`INVALID_NODE` for the source
-    /// and for unreachable nodes).
-    pub parents: Vec<NodeId>,
-    /// The source node.
-    pub source: NodeId,
-    /// Number of nodes reached (including the source).
-    pub reached: usize,
-}
-
-impl BfsTree {
-    /// Distance to `v`, or `None` when unreachable.
-    pub fn distance_to(&self, v: NodeId) -> Option<Distance> {
-        match self.distances.get(v as usize) {
-            Some(&d) if d != INFINITY => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Reconstruct the path from the source to `v` (inclusive of both
-    /// endpoints), or `None` when `v` is unreachable.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        self.distance_to(v)?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != self.source {
-            cur = self.parents[cur as usize];
-            debug_assert_ne!(cur, INVALID_NODE, "reachable node must have a parent chain");
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
 /// Full single-source BFS returning only the distance array
 /// (`INFINITY` where unreachable; all `INFINITY` for an out-of-range
 /// source). Keeps no parents: the distance array marks visited nodes and
@@ -77,40 +38,6 @@ pub fn bfs_distances(graph: &CsrGraph, source: NodeId) -> Vec<Distance> {
         }
     }
     distances
-}
-
-/// Full single-source BFS returning distances and parents.
-pub fn bfs_tree(graph: &CsrGraph, source: NodeId) -> BfsTree {
-    let n = graph.node_count();
-    let mut distances = vec![INFINITY; n];
-    let mut parents = vec![INVALID_NODE; n];
-    let mut reached = 0usize;
-    let mut queue = VecDeque::new();
-
-    if (source as usize) < n {
-        distances[source as usize] = 0;
-        reached = 1;
-        queue.push_back(source);
-    }
-
-    while let Some(u) = queue.pop_front() {
-        let du = distances[u as usize];
-        for &v in graph.neighbors(u) {
-            if distances[v as usize] == INFINITY {
-                distances[v as usize] = du + 1;
-                parents[v as usize] = u;
-                reached += 1;
-                queue.push_back(v);
-            }
-        }
-    }
-
-    BfsTree {
-        distances,
-        parents,
-        source,
-        reached,
-    }
 }
 
 /// Point-to-point BFS distance; stops as soon as `target` is settled.
@@ -714,27 +641,13 @@ mod tests {
     }
 
     #[test]
-    fn bfs_tree_path_reconstruction() {
-        let g = path_graph(5);
-        let t = bfs_tree(&g, 0);
-        assert_eq!(t.reached, 5);
-        assert_eq!(t.path_to(4), Some(vec![0, 1, 2, 3, 4]));
-        assert_eq!(t.path_to(0), Some(vec![0]));
-        assert_eq!(t.distance_to(3), Some(3));
-    }
-
-    #[test]
     fn bfs_handles_disconnected_graph() {
         let mut b = GraphBuilder::with_node_count(4);
         b.add_edge(0, 1);
         b.add_edge(2, 3);
         let g = b.build_undirected();
-        let t = bfs_tree(&g, 0);
-        assert_eq!(t.reached, 2);
-        assert_eq!(bfs_distances(&g, 0), t.distances);
+        assert_eq!(bfs_distances(&g, 0), vec![0, 1, INFINITY, INFINITY]);
         assert_eq!(bfs_distances(&g, 3), vec![INFINITY, INFINITY, 1, 0]);
-        assert_eq!(t.distance_to(2), None);
-        assert_eq!(t.path_to(3), None);
         assert_eq!(bfs_distance_between(&g, 0, 3), None);
     }
 
@@ -758,8 +671,6 @@ mod tests {
         let g = path_graph(3);
         assert_eq!(bfs_distance_between(&g, 7, 0), None);
         assert_eq!(bfs_distance_between(&g, 0, 7), None);
-        let t = bfs_tree(&g, 9);
-        assert_eq!(t.reached, 0);
         assert_eq!(bfs_distances(&g, 9), vec![INFINITY; 3]);
         assert!(bounded_bfs(&g, 9, 2).is_empty());
     }

@@ -55,40 +55,6 @@ pub fn sampled_average_clustering(graph: &CsrGraph, sample: &[NodeId]) -> f64 {
     sum / sample.len() as f64
 }
 
-/// Count of triangles in the graph (each triangle counted once).
-pub fn triangle_count(graph: &CsrGraph) -> u64 {
-    let mut count = 0u64;
-    for u in graph.nodes() {
-        let nu = graph.neighbors(u);
-        for &v in nu.iter().filter(|&&v| v > u) {
-            let nv = graph.neighbors(v);
-            // Count common neighbours w with w > v to count each triangle once.
-            count += count_common_greater_than(nu, nv, v);
-        }
-    }
-    count
-}
-
-/// Number of elements common to two sorted slices that are strictly greater
-/// than `threshold`.
-fn count_common_greater_than(a: &[NodeId], b: &[NodeId], threshold: NodeId) -> u64 {
-    let mut i = a.partition_point(|&x| x <= threshold);
-    let mut j = b.partition_point(|&x| x <= threshold);
-    let mut count = 0u64;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,21 +66,28 @@ mod tests {
         let g = classic::complete(3);
         assert!((local_clustering(&g, 0) - 1.0).abs() < 1e-12);
         assert!((average_clustering(&g) - 1.0).abs() < 1e-12);
-        assert_eq!(triangle_count(&g), 1);
     }
 
     #[test]
     fn path_has_zero_clustering() {
         let g = classic::path(5);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(triangle_count(&g), 0);
     }
 
     #[test]
     fn complete_graph_triangle_count() {
         let g = classic::complete(5);
-        // C(5,3) = 10 triangles.
-        assert_eq!(triangle_count(&g), 10);
+        // Each node closes every pair of its neighbours: summed over nodes,
+        // c(u)·d(u)·(d(u) − 1)/2 counts each of the C(5,3) = 10 triangles
+        // three times.
+        let closed_pairs: f64 = g
+            .nodes()
+            .map(|u| {
+                let d = g.degree(u) as f64;
+                local_clustering(&g, u) * d * (d - 1.0) / 2.0
+            })
+            .sum();
+        assert!((closed_pairs / 3.0 - 10.0).abs() < 1e-9);
         assert!((average_clustering(&g) - 1.0).abs() < 1e-12);
     }
 
@@ -139,7 +112,6 @@ mod tests {
         assert!((local_clustering(&g, 0) - 1.0 / 3.0).abs() < 1e-12);
         assert!((local_clustering(&g, 1) - 1.0).abs() < 1e-12);
         assert_eq!(local_clustering(&g, 3), 0.0);
-        assert_eq!(triangle_count(&g), 1);
         let avg = average_clustering(&g);
         assert!((avg - (1.0 / 3.0 + 1.0 + 1.0 + 0.0) / 4.0).abs() < 1e-12);
     }
@@ -156,6 +128,5 @@ mod tests {
     fn empty_graph_clustering_is_zero() {
         let g = GraphBuilder::new().build_undirected();
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(triangle_count(&g), 0);
     }
 }

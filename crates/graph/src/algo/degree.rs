@@ -4,7 +4,7 @@
 //! node degree, and the structural argument for why vicinities stay small
 //! relies on the heavy-tailed degree distribution of social networks. The
 //! helpers here expose the quantities needed to verify both: degree arrays,
-//! moments, histograms and power-law tail summaries.
+//! moments and power-law tail summaries.
 
 use crate::csr::CsrGraph;
 use crate::NodeId;
@@ -70,15 +70,6 @@ pub fn degree_stats(graph: &CsrGraph) -> Option<DegreeStats> {
         p99: pct(0.99),
         isolated,
     })
-}
-
-/// Histogram of degrees: `histogram[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for u in graph.nodes() {
-        hist[graph.degree(u)] += 1;
-    }
-    hist
 }
 
 /// Nodes sorted by decreasing degree (ties broken by ascending id). The
@@ -153,15 +144,6 @@ mod tests {
         let s = degree_stats(&g).unwrap();
         assert_eq!(s.isolated, 3);
         assert_eq!(s.min, 0);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = classic::grid(4, 5);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), g.node_count());
-        // A 4x5 grid has 4 corner nodes with degree 2.
-        assert_eq!(h[2], 4);
     }
 
     #[test]

@@ -10,5 +10,4 @@ pub mod clustering;
 pub mod components;
 pub mod degree;
 pub mod diameter;
-pub mod kcore;
 pub mod sampling;

@@ -108,11 +108,6 @@ impl GraphBuilder {
         self.weights.push(w);
     }
 
-    /// Number of edges currently buffered (before deduplication).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// True if no edge has been added.
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty() && self.min_nodes == 0
@@ -405,15 +400,6 @@ mod tests {
         let g = b.build_undirected();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn pending_edges_counts_buffered_edges() {
-        let mut b = GraphBuilder::new();
-        assert_eq!(b.pending_edges(), 0);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        assert_eq!(b.pending_edges(), 2);
     }
 
     #[test]

@@ -78,9 +78,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using the fast deterministic hasher.
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using the fast deterministic hasher.
-pub type FastSet<K> = std::collections::HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,9 +117,6 @@ mod tests {
         for k in 0..10_000u32 {
             assert_eq!(map.get(&k), Some(&(k * 2)));
         }
-        let mut set: FastSet<u64> = FastSet::default();
-        set.insert(7);
-        assert!(set.contains(&7));
     }
 
     #[test]

@@ -23,29 +23,8 @@ pub struct ParsedEdgeList {
     pub original_ids: Vec<u64>,
 }
 
-impl ParsedEdgeList {
-    /// Dense id of an original id, if it appeared in the input.
-    pub fn dense_id(&self, original: u64) -> Option<NodeId> {
-        // original_ids is in first-seen order, so we need a linear scan; this
-        // accessor exists for tests and small lookups only.
-        self.original_ids
-            .iter()
-            .position(|&o| o == original)
-            .map(|i| i as NodeId)
-    }
-}
-
 /// Parse an undirected graph from a reader containing an edge list.
 pub fn parse_undirected<R: Read>(reader: R) -> Result<ParsedEdgeList> {
-    parse(reader, true)
-}
-
-/// Parse a directed graph from a reader containing an edge list.
-pub fn parse_directed<R: Read>(reader: R) -> Result<ParsedEdgeList> {
-    parse(reader, false)
-}
-
-fn parse<R: Read>(reader: R, undirected: bool) -> Result<ParsedEdgeList> {
     let reader = BufReader::new(reader);
     let mut id_map: HashMap<u64, NodeId> = HashMap::new();
     let mut original_ids: Vec<u64> = Vec::new();
@@ -85,13 +64,8 @@ fn parse<R: Read>(reader: R, undirected: bool) -> Result<ParsedEdgeList> {
         builder.add_edge(u, v);
     }
 
-    let graph = if undirected {
-        builder.build_undirected()
-    } else {
-        builder.build_directed()
-    };
     Ok(ParsedEdgeList {
-        graph,
+        graph: builder.build_undirected(),
         original_ids,
     })
 }
@@ -136,8 +110,6 @@ mod tests {
         assert_eq!(parsed.graph.node_count(), 3);
         assert_eq!(parsed.graph.edge_count(), 3);
         assert_eq!(parsed.original_ids, vec![1, 2, 3]);
-        assert_eq!(parsed.dense_id(2), Some(1));
-        assert_eq!(parsed.dense_id(99), None);
     }
 
     #[test]
@@ -172,16 +144,6 @@ mod tests {
             parse_undirected(input.as_bytes()),
             Err(GraphError::Parse { .. })
         ));
-    }
-
-    #[test]
-    fn parse_directed_keeps_direction() {
-        let input = "0 1\n1 2\n";
-        let parsed = parse_directed(input.as_bytes()).unwrap();
-        assert!(!parsed.graph.is_undirected());
-        assert_eq!(parsed.graph.neighbors(0), &[1]);
-        assert!(parsed.graph.neighbors(1).contains(&2));
-        assert!(!parsed.graph.neighbors(1).contains(&0));
     }
 
     #[test]

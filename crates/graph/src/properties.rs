@@ -66,27 +66,6 @@ pub fn analyze<R: Rng>(graph: &CsrGraph, rng: &mut R) -> GraphProperties {
     }
 }
 
-impl GraphProperties {
-    /// Render the Table 2 row for this graph: nodes, directed links and
-    /// undirected links, in millions when `in_millions` is set.
-    pub fn table2_row(&self, name: &str, in_millions: bool) -> String {
-        if in_millions {
-            format!(
-                "{:<14} {:>10.2} {:>12.2} {:>12.2}",
-                name,
-                self.nodes as f64 / 1e6,
-                self.directed_links as f64 / 1e6,
-                self.undirected_edges as f64 / 1e6
-            )
-        } else {
-            format!(
-                "{:<14} {:>10} {:>12} {:>12}",
-                name, self.nodes, self.directed_links, self.undirected_edges
-            )
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,16 +119,5 @@ mod tests {
         assert!(p.max_degree as f64 > 3.0 * p.average_degree);
         assert!(p.diameter_estimate <= 15);
         assert!(p.clustering > 0.0);
-    }
-
-    #[test]
-    fn table2_row_formats() {
-        let g = classic::complete(4);
-        let p = analyze(&g, &mut rng());
-        let row = p.table2_row("Tiny", false);
-        assert!(row.contains("Tiny"));
-        assert!(row.contains('6')); // 6 undirected edges
-        let row_m = p.table2_row("Tiny", true);
-        assert!(row_m.contains("0.00"));
     }
 }
