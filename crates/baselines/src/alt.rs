@@ -8,7 +8,7 @@
 //!
 //! Like the techniques it represents, ALT still runs a (modified) shortest
 //! path search per query — its per-query exploration shrinks relative to
-//! plain Dijkstra/BFS but remains orders of magnitude above the vicinity
+//! plain BFS but remains orders of magnitude above the vicinity
 //! oracle's handful of hash probes, which is exactly the comparison the
 //! paper draws in §4.
 
@@ -110,14 +110,17 @@ impl<'g> AltEngine<'g> {
             return Some(0);
         }
         self.reset();
-        // Heap keyed by f = g + h; ties broken by node id.
-        let mut heap: BinaryHeap<Reverse<(Distance, Distance, NodeId)>> = BinaryHeap::new();
+        // Least f = g + h first; among equal f the deepest node (largest g)
+        // first, so the search runs down toward t instead of settling the
+        // whole f-plateau level by level; then the smallest id.
+        let mut heap: BinaryHeap<(Reverse<Distance>, Distance, Reverse<NodeId>)> =
+            BinaryHeap::new();
         self.dist[s as usize] = 0;
         self.parent[s as usize] = s;
         self.touched.push(s);
-        heap.push(Reverse((self.lower_bound(s, t), 0, s)));
+        heap.push((Reverse(self.lower_bound(s, t)), 0, Reverse(s)));
 
-        while let Some(Reverse((_f, g, u))) = heap.pop() {
+        while let Some((Reverse(f), g, Reverse(u))) = heap.pop() {
             if g > self.dist[u as usize] {
                 continue;
             }
@@ -125,16 +128,22 @@ impl<'g> AltEngine<'g> {
             if u == t {
                 return Some(g);
             }
+            let ng = g + 1;
             for &v in self.graph.neighbors(u) {
-                let ng = g + 1;
                 if ng < self.dist[v as usize] {
                     if self.dist[v as usize] == INFINITY {
                         self.touched.push(v);
                     }
                     self.dist[v as usize] = ng;
                     self.parent[v as usize] = u;
-                    let f = ng.saturating_add(self.lower_bound(v, t));
-                    heap.push(Reverse((f, ng, v)));
+                    // The bounds are consistent, so `f` is the least f left
+                    // open and every path not yet found is at least `f`
+                    // long: reaching t at `g(t) = f` is final.
+                    if v == t && ng == f {
+                        return Some(ng);
+                    }
+                    let fv = ng.saturating_add(self.lower_bound(v, t));
+                    heap.push((Reverse(fv), ng, Reverse(v)));
                 }
             }
         }
@@ -276,6 +285,14 @@ mod tests {
             alt_ops < bfs_ops,
             "ALT ({alt_ops}) should explore less than BFS ({bfs_ops})"
         );
+        // On a grid the farthest landmarks bound most pairs tightly, and a
+        // search that runs deepest-first down the f-plateau settles little
+        // more than the path: under a tenth of BFS's nodes (about 5 %).
+        // Settling the plateau shallowest-first costs about 30 %.
+        assert!(
+            alt_ops * 10 < bfs_ops,
+            "ALT settles {alt_ops} nodes, BFS {bfs_ops}: the f-plateau is being settled"
+        );
     }
 
     #[test]
@@ -305,7 +322,7 @@ mod tests {
         assert!(!alt.landmarks().is_empty());
         assert_eq!(alt.name(), "ALT (A* + landmarks)");
 
-        // Zero landmarks degrade to plain Dijkstra-with-zero-heuristic.
+        // Zero landmarks degrade to a best-first search with a zero bound.
         let mut no_lm = AltEngine::new(&g, 0, AltLandmarkStrategy::Random, &mut rng(9));
         assert_eq!(no_lm.distance(0, 1), Some(1));
         assert!(no_lm.landmarks().is_empty());

@@ -71,14 +71,6 @@ impl LandmarkEstimator {
         &self.landmarks
     }
 
-    /// Memory used by the landmark tables, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|t| t.len() * std::mem::size_of::<Distance>())
-            .sum()
-    }
-
     /// Upper-bound estimate `min_L d(s,L) + d(L,t)`, or `None` when no
     /// landmark reaches both endpoints.
     pub fn upper_bound(&mut self, s: NodeId, t: NodeId) -> Option<Distance> {
@@ -214,7 +206,6 @@ mod tests {
         // Node 2/3 are isolated: no landmark reaches both endpoints unless
         // the landmark *is* the endpoint; either way bounds are None or huge.
         assert_eq!(est.distance(0, 9), None);
-        assert!(est.memory_bytes() > 0);
         assert!(est.landmarks().len() <= 4);
         assert_eq!(est.name(), "Landmark estimation (Orion-style)");
     }

@@ -7,7 +7,6 @@
 //! * [`bidirectional_bfs`] — alternating bidirectional BFS, the
 //!   "Bidirectional BFS" column (the paper's stand-in for the
 //!   state-of-the-art point-to-point algorithm of Goldberg et al. \[4\]).
-//! * [`dijkstra`] / [`bidirectional_dijkstra`] — weighted exact baselines.
 //! * [`alt`] — A* with landmark lower bounds (ALT), representative of the
 //!   goal-directed heuristics in [3, 4].
 //! * [`landmark_estimate`] — landmark/sketch-based *approximate* distances,
@@ -25,8 +24,6 @@ pub mod alt;
 pub mod apsp;
 pub mod bfs;
 pub mod bidirectional_bfs;
-pub mod bidirectional_dijkstra;
-pub mod dijkstra;
 pub mod landmark_estimate;
 
 use vicinity_graph::{Distance, NodeId};

@@ -21,9 +21,10 @@
 //! cores: such rows print `—` for it (`null` in the JSON).
 //! Each configuration runs [`REPEATS`] times, the cacheless and the cached
 //! service alternating, and the run with the median throughput is
-//! reported with the throughput of every run: one pass per configuration,
-//! always cacheless first, could not tell the few-percent cost of the
-//! cache from the drift of the machine between two passes.
+//! reported with the least and greatest throughput of its runs: one pass
+//! per configuration, always cacheless first, could not tell the
+//! few-percent cost of the cache from the drift of the machine between two
+//! passes, and one 100,000-query pass lasts only 0.05–0.1 s.
 //! Results are also written as the `serving_throughput` section of
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
@@ -45,8 +46,8 @@ use vicinity_server::{QueryService, ServedAnswer};
 /// Served answers checked against BFS per dataset and configuration.
 const CHECKED_PAIRS: usize = 1_000;
 
-/// Runs per configuration; the median one is reported.
-const REPEATS: usize = 3;
+/// Runs per configuration; the median one is reported with the range.
+const REPEATS: usize = 5;
 
 fn main() {
     let env = ExperimentEnv::from_env();
@@ -175,9 +176,13 @@ fn main() {
                 let all_qps: Vec<String> =
                     config_runs.iter().map(|r| format!("{:.0}", r.0)).collect();
                 config_runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let (min, max) = (config_runs[0].0, config_runs[config_runs.len() - 1].0);
                 let (_, line, json) = &config_runs[config_runs.len() / 2];
-                println!("{line}   runs: {}", all_qps.join(" / "));
-                json_rows.push(format!("{json}, \"qps_runs\": [{}]}}", all_qps.join(", ")));
+                println!("{line}   range: {min:.0}–{max:.0}");
+                json_rows.push(format!(
+                    "{json}, \"qps_min\": {min:.0}, \"qps_max\": {max:.0}, \"qps_runs\": [{}]}}",
+                    all_qps.join(", ")
+                ));
             }
         }
         println!();

@@ -8,7 +8,11 @@
 //! Table 3 of the paper, printed next to the paper's own numbers. The same
 //! subset also times the §4 related-work engines: ALT (A* with 8
 //! highest-degree landmarks, exact) and landmark estimation (16
-//! highest-degree landmarks, an upper bound, not exact).
+//! highest-degree landmarks, an upper bound, not exact). Each baseline's
+//! time is followed by its mean work per query (`ops`,
+//! `PointToPoint::last_operations`), as the paper puts look-ups beside
+//! time, and a closing line says on which datasets ALT settles fewer nodes
+//! than BFS.
 
 use std::time::Duration;
 
@@ -24,14 +28,22 @@ use vicinity_core::config::Alpha;
 use vicinity_core::OracleBuilder;
 use vicinity_datasets::workload::PairWorkload;
 
-/// Mean milliseconds per query of `engine` over `workload`, each query
-/// timed on its own.
-fn mean_query_ms(engine: &mut impl PointToPoint, workload: &PairWorkload) -> f64 {
+/// Mean milliseconds and mean operations (`last_operations`) per query of
+/// `engine` over `workload`, each query timed on its own.
+fn mean_query_cost(engine: &mut impl PointToPoint, workload: &PairWorkload) -> (f64, f64) {
+    let mut operations = 0u64;
     let times: Vec<Duration> = workload
         .iter()
-        .map(|(s, t)| timed(|| engine.distance(s, t)).1)
+        .map(|(s, t)| {
+            let elapsed = timed(|| engine.distance(s, t)).1;
+            operations += engine.last_operations();
+            elapsed
+        })
         .collect();
-    mean_ms(&times)
+    (
+        mean_ms(&times),
+        operations as f64 / workload.len().max(1) as f64,
+    )
 }
 
 fn main() {
@@ -39,19 +51,26 @@ fn main() {
     print_header("Table 3: query time results (alpha = 4)", &env);
 
     println!(
-        "{:<14} {:>12} {:>12} {:>10} {:>10} {:>12} {:>10} {:>27} {:>10} | {:>10} {:>12}",
+        "{:<14} {:>12} {:>12} {:>10} {:>10} {:>7} {:>12} {:>7} {:>10} {:>7} {:>27} {:>7} {:>10} | {:>10} {:>12}",
         "Dataset",
         "avg lookups",
         "worst",
         "ours (ms)",
         "BFS (ms)",
+        "ops",
         "bidir (ms)",
+        "ops",
         "ALT (ms)",
+        "ops",
         "landmark est. (ms, approx.)",
+        "ops",
         "speed-up",
         "hit rate",
         "paper spdup"
     );
+    // Datasets run, and those where ALT settles fewer nodes than BFS.
+    let mut datasets = 0usize;
+    let mut alt_fewer: Vec<String> = Vec::new();
 
     for dataset in env.datasets() {
         let graph = &dataset.graph;
@@ -85,19 +104,20 @@ fn main() {
 
         // Baseline pass on a capped subset (a BFS per pair is expensive).
         let baseline_workload = workload.truncated(env.baseline_pairs);
-        let bfs_ms = mean_query_ms(&mut BfsEngine::new(graph), &baseline_workload);
-        let bidir_ms = mean_query_ms(&mut BidirectionalBfs::new(graph), &baseline_workload);
+        let (bfs_ms, bfs_ops) = mean_query_cost(&mut BfsEngine::new(graph), &baseline_workload);
+        let (bidir_ms, bidir_ops) =
+            mean_query_cost(&mut BidirectionalBfs::new(graph), &baseline_workload);
         // Highest-degree selection draws nothing from the RNG.
         let mut rng = rand::rngs::StdRng::seed_from_u64(2012);
         let mut alt = AltEngine::new(graph, 8, AltLandmarkStrategy::HighestDegree, &mut rng);
-        let alt_ms = mean_query_ms(&mut alt, &baseline_workload);
+        let (alt_ms, alt_ops) = mean_query_cost(&mut alt, &baseline_workload);
         let mut estimator = LandmarkEstimator::new(
             graph,
             16,
             EstimatorLandmarkStrategy::HighestDegree,
             &mut rng,
         );
-        let estimate_ms = mean_query_ms(&mut estimator, &baseline_workload);
+        let (estimate_ms, estimate_ops) = mean_query_cost(&mut estimator, &baseline_workload);
         let speedup = if ours_ms > 0.0 {
             bidir_ms / ours_ms
         } else {
@@ -106,15 +126,19 @@ fn main() {
         let paper = dataset.stand_in.map(|s| s.paper_table3());
 
         println!(
-            "{:<14} {:>12.1} {:>12} {:>10.4} {:>10.3} {:>12.3} {:>10.3} {:>27.4} {:>9.0}x | {:>9.1}% {:>11}",
+            "{:<14} {:>12.1} {:>12} {:>10.4} {:>10.3} {:>7.1} {:>12.3} {:>7.1} {:>10.3} {:>7.1} {:>27.4} {:>7.1} {:>9.0}x | {:>9.1}% {:>11}",
             dataset.name,
             avg_lookups,
             lookups_worst,
             ours_ms,
             bfs_ms,
+            bfs_ops,
             bidir_ms,
+            bidir_ops,
             alt_ms,
+            alt_ops,
             estimate_ms,
+            estimate_ops,
             speedup,
             hit_rate * 100.0,
             paper.map_or("-".to_string(), |p| format!("{:.0}x", p.speedup)),
@@ -126,6 +150,10 @@ fn main() {
             workload.len(),
             baseline_workload.len()
         );
+        datasets += 1;
+        if alt_ops < bfs_ops {
+            alt_fewer.push(dataset.name.to_string());
+        }
     }
 
     println!();
@@ -135,4 +163,11 @@ fn main() {
     println!("wall-clock per query on this machine; compare the *ratios*, not the values.");
     println!("ALT is exact; 'landmark est.' returns min over landmarks of d(s,L) + d(L,t),");
     println!("an upper bound on the distance (the §4 approximation schemes).");
+    println!("'ops' is the mean work per query: nodes settled by BFS, bidirectional BFS");
+    println!("and ALT, landmark-table reads by the estimator.");
+    println!(
+        "ALT settles fewer nodes per query than BFS on {} of {datasets} datasets ({}).",
+        alt_fewer.len(),
+        alt_fewer.join(", ")
+    );
 }

@@ -284,8 +284,7 @@ impl OverlayGraph {
             targets.extend_from_slice(self.neighbors(u));
             offsets.push(targets.len() as u64);
         }
-        CsrGraph::from_parts(offsets, targets, true)
-            .expect("overlay adjacency is structurally valid")
+        CsrGraph::from_parts(offsets, targets).expect("overlay adjacency is structurally valid")
     }
 }
 

@@ -1,4 +1,4 @@
-//! Diameter and effective-diameter estimation.
+//! Exact and estimated diameters.
 //!
 //! Social networks have small diameters — that is why vicinities of radius
 //! ~3.5 hops (Figure 2, right) cover enough of the graph for nearly all
@@ -61,28 +61,6 @@ pub fn double_sweep_diameter<R: Rng>(
         best = best.max(ecc);
     }
     Some(best)
-}
-
-/// The 90th-percentile of pairwise distances ("effective diameter"),
-/// estimated from BFS trees rooted at `samples` random nodes.
-pub fn effective_diameter<R: Rng>(graph: &CsrGraph, samples: usize, rng: &mut R) -> Option<f64> {
-    let n = graph.node_count();
-    if n == 0 || samples == 0 {
-        return None;
-    }
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    let mut all: Vec<Distance> = Vec::new();
-    for _ in 0..samples {
-        let &start = nodes.choose(rng).expect("non-empty");
-        let d = bfs::bfs_distances(graph, start);
-        all.extend(d.into_iter().filter(|&x| x != INFINITY && x > 0));
-    }
-    if all.is_empty() {
-        return None;
-    }
-    all.sort_unstable();
-    let idx = ((all.len() as f64 - 1.0) * 0.9).round() as usize;
-    Some(all[idx.min(all.len() - 1)] as f64)
 }
 
 fn farthest_reachable(distances: &[Distance]) -> NodeId {
@@ -151,27 +129,5 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let g = GraphBuilder::new().build_undirected();
         assert_eq!(double_sweep_diameter(&g, 2, &mut rng), None);
-    }
-
-    #[test]
-    fn effective_diameter_bounded_by_diameter() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let g = classic::grid(6, 6);
-        let eff = effective_diameter(&g, 10, &mut rng).unwrap();
-        let exact = exact_diameter(&g).unwrap() as f64;
-        assert!(eff <= exact);
-        assert!(eff > 0.0);
-    }
-
-    #[test]
-    fn effective_diameter_degenerate_inputs() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let empty = GraphBuilder::new().build_undirected();
-        assert_eq!(effective_diameter(&empty, 5, &mut rng), None);
-        let g = classic::path(4);
-        assert_eq!(effective_diameter(&g, 0, &mut rng), None);
-        // A graph with a single node has no positive-distance pairs.
-        let single = GraphBuilder::with_node_count(1).build_undirected();
-        assert_eq!(effective_diameter(&single, 3, &mut rng), None);
     }
 }

@@ -1,18 +1,16 @@
-//! Compressed sparse row (CSR) storage for unweighted graphs.
+//! Compressed sparse row (CSR) storage for undirected, unweighted graphs.
 //!
 //! The vicinity oracle only ever needs to (1) enumerate the neighbours of a
 //! node and (2) read node degrees, both in tight inner loops over millions
 //! of nodes. CSR gives both as contiguous slice accesses with no pointer
 //! chasing, which is what the paper's "optimised implementation" relies on.
 
-use crate::{Adjacency, Distance, GraphError, NodeId, Result};
+use crate::{Adjacency, GraphError, NodeId, Result};
 
-/// An immutable undirected (or directed) graph in compressed sparse row form.
+/// An immutable undirected graph in compressed sparse row form.
 ///
-/// For an undirected graph every edge `{u, v}` is stored twice, once in each
-/// adjacency list; [`CsrGraph::edge_count`] reports the number of
-/// *undirected* edges (i.e. half the number of stored arcs) when the graph
-/// was built as undirected, and the number of arcs otherwise.
+/// Every edge `{u, v}` is stored twice, as the arc `u → v` in `u`'s
+/// adjacency list and the arc `v → u` in `v`'s, and every edge has length 1.
 ///
 /// Node identifiers are dense: a graph with `n` nodes uses ids `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,8 +20,6 @@ pub struct CsrGraph {
     offsets: Vec<u64>,
     /// Concatenated adjacency lists.
     targets: Vec<NodeId>,
-    /// Whether the graph was built as undirected (arcs stored symmetrically).
-    undirected: bool,
 }
 
 impl CsrGraph {
@@ -32,8 +28,11 @@ impl CsrGraph {
     /// `offsets` must have length `n + 1`, be non-decreasing, start at 0 and
     /// end at `targets.len()`; every target must be `< n`. These invariants
     /// are checked and violations reported as errors, so this constructor is
-    /// safe to expose to deserialization code.
-    pub fn from_parts(offsets: Vec<u64>, targets: Vec<NodeId>, undirected: bool) -> Result<Self> {
+    /// safe to expose to deserialization code. The caller guarantees that the
+    /// adjacency is symmetric (each arc's reverse is stored too);
+    /// [`CsrGraph::validate`] checks it where the arrays come from outside
+    /// the process.
+    pub fn from_parts(offsets: Vec<u64>, targets: Vec<NodeId>) -> Result<Self> {
         if offsets.is_empty() {
             return Err(GraphError::Decode("offsets array must be non-empty".into()));
         }
@@ -57,11 +56,7 @@ impl CsrGraph {
                 node_count: n,
             });
         }
-        Ok(CsrGraph {
-            offsets,
-            targets,
-            undirected,
-        })
+        Ok(CsrGraph { offsets, targets })
     }
 
     /// Number of nodes in the graph.
@@ -70,28 +65,16 @@ impl CsrGraph {
         self.offsets.len() - 1
     }
 
-    /// Number of edges. For undirected graphs this is the number of
-    /// undirected edges; for directed graphs the number of arcs.
+    /// Number of edges: half the number of stored arcs.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        if self.undirected {
-            self.targets.len() / 2
-        } else {
-            self.targets.len()
-        }
+        self.targets.len() / 2
     }
 
-    /// Number of stored arcs (directed adjacency entries). For an undirected
-    /// graph this is `2 * edge_count()`.
+    /// Number of stored arcs (adjacency entries): `2 * edge_count()`.
     #[inline]
     pub fn arc_count(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Whether the graph was built as undirected.
-    #[inline]
-    pub fn is_undirected(&self) -> bool {
-        self.undirected
     }
 
     /// Degree (number of adjacent arcs) of `u`.
@@ -113,15 +96,14 @@ impl CsrGraph {
         0..self.node_count() as NodeId
     }
 
-    /// Iterator over every arc `(u, v)` stored in the graph. For undirected
-    /// graphs each edge appears twice (once per direction).
+    /// Iterator over every arc `(u, v)` stored in the graph: each edge
+    /// appears twice, once per direction.
     pub fn arcs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.nodes()
             .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// Iterator over undirected edges `(u, v)` with `u <= v`, each reported
-    /// once. On directed graphs this simply filters `arcs()` to `u <= v`.
+    /// Iterator over the edges as `(u, v)` with `u <= v`, each reported once.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.arcs().filter(|&(u, v)| u <= v)
     }
@@ -154,15 +136,35 @@ impl CsrGraph {
         }
     }
 
-    /// Validate internal invariants. Used by property tests and after
-    /// deserialization; cheap enough (O(n + m)) to run in debug assertions.
+    /// Check the invariant [`CsrGraph::from_parts`] leaves to its caller:
+    /// every arc `u → v` has its reverse `v → u`, counted with
+    /// multiplicity. Used by property tests and after deserialization;
+    /// O(n + m) plus sorting a copy of each adjacency list.
     pub fn validate(&self) -> Result<()> {
-        // Re-run the structural checks from `from_parts` on our own data.
-        Self::from_parts(self.offsets.clone(), self.targets.clone(), self.undirected)?;
-        if self.undirected && !self.targets.len().is_multiple_of(2) {
-            return Err(GraphError::Decode(
-                "undirected graph must store an even number of arcs".into(),
-            ));
+        // The transpose, filled source by source, lists each node's
+        // in-neighbours in ascending order; in a symmetric graph they are
+        // the node's sorted out-neighbours, in the same slots.
+        let asymmetric = || {
+            Err(GraphError::Decode(
+                "adjacency is not symmetric: an arc has no reverse".into(),
+            ))
+        };
+        let mut cursor = self.offsets.clone();
+        let mut transpose = vec![0 as NodeId; self.targets.len()];
+        for (u, v) in self.arcs() {
+            let slot = &mut cursor[v as usize];
+            if *slot == self.offsets[v as usize + 1] {
+                return asymmetric(); // more arcs into v than out of it
+            }
+            transpose[*slot as usize] = u;
+            *slot += 1;
+        }
+        let mut sorted = self.targets.clone();
+        for w in self.offsets.windows(2) {
+            sorted[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        if sorted != transpose {
+            return asymmetric();
         }
         Ok(())
     }
@@ -182,13 +184,6 @@ impl CsrGraph {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.targets.len() * std::mem::size_of::<NodeId>()
             + std::mem::size_of::<Self>()
-    }
-
-    /// Total weight of the shortest possible path bound: in an unweighted
-    /// graph every edge contributes 1, so a path can never be longer than
-    /// `n - 1` hops. Useful as a finite "effectively infinite" bound.
-    pub fn hop_bound(&self) -> Distance {
-        self.node_count().saturating_sub(1) as Distance
     }
 }
 
@@ -219,7 +214,7 @@ mod tests {
 
     #[test]
     fn from_parts_accepts_valid_input() {
-        let g = CsrGraph::from_parts(vec![0, 2, 3, 4], vec![1, 2, 0, 0], false).unwrap();
+        let g = CsrGraph::from_parts(vec![0, 2, 3, 4], vec![1, 2, 0, 0]).unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.arc_count(), 4);
         assert_eq!(g.neighbors(0), &[1, 2]);
@@ -229,27 +224,27 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_empty_offsets() {
-        assert!(CsrGraph::from_parts(vec![], vec![], false).is_err());
+        assert!(CsrGraph::from_parts(vec![], vec![]).is_err());
     }
 
     #[test]
     fn from_parts_rejects_bad_first_offset() {
-        assert!(CsrGraph::from_parts(vec![1, 1], vec![], false).is_err());
+        assert!(CsrGraph::from_parts(vec![1, 1], vec![]).is_err());
     }
 
     #[test]
     fn from_parts_rejects_mismatched_last_offset() {
-        assert!(CsrGraph::from_parts(vec![0, 2], vec![0], false).is_err());
+        assert!(CsrGraph::from_parts(vec![0, 2], vec![0]).is_err());
     }
 
     #[test]
     fn from_parts_rejects_decreasing_offsets() {
-        assert!(CsrGraph::from_parts(vec![0, 2, 1, 3], vec![0, 1, 2], false).is_err());
+        assert!(CsrGraph::from_parts(vec![0, 2, 1, 3], vec![0, 1, 2]).is_err());
     }
 
     #[test]
     fn from_parts_rejects_out_of_range_target() {
-        let err = CsrGraph::from_parts(vec![0, 1], vec![5], false).unwrap_err();
+        let err = CsrGraph::from_parts(vec![0, 1], vec![5]).unwrap_err();
         assert!(matches!(
             err,
             GraphError::NodeOutOfRange {
@@ -265,7 +260,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.arc_count(), 6);
-        assert!(g.is_undirected());
         for u in 0..3 {
             assert_eq!(g.degree(u), 2);
         }
@@ -304,6 +298,19 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_an_arc_without_its_reverse() {
+        // 0 -> 1 and 1 -> 0, plus 0 -> 2 with no 2 -> 0: structurally fine.
+        let g = CsrGraph::from_parts(vec![0, 2, 3, 3], vec![1, 2, 0]).unwrap();
+        assert!(g.validate().is_err());
+        // Equal degrees, wrong partners: 0 -> 1, 1 -> 2, 2 -> 0.
+        let g = CsrGraph::from_parts(vec![0, 1, 2, 3], vec![1, 2, 0]).unwrap();
+        assert!(g.validate().is_err());
+        // Unsorted lists are symmetric all the same.
+        let g = CsrGraph::from_parts(vec![0, 2, 3, 4], vec![2, 1, 0, 0]).unwrap();
+        g.validate().unwrap();
+    }
+
+    #[test]
     fn memory_and_hop_bound_are_sane() {
         let g = triangle();
         assert!(g.memory_bytes() > 0);
@@ -312,7 +319,7 @@ mod tests {
 
     #[test]
     fn empty_graph_edge_cases() {
-        let g = CsrGraph::from_parts(vec![0], vec![], true).unwrap();
+        let g = CsrGraph::from_parts(vec![0], vec![]).unwrap();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.max_degree(), 0);

@@ -10,13 +10,16 @@
 //!
 //! ```text
 //! [0..4]   magic  b"VGR1"
-//! [4]      flags  bit0 = undirected
+//! [4]      flags  bit0 = undirected, required (always written)
 //! [5..13]  node count (u64)
 //! [13..21] arc count  (u64)
 //! ...      offsets    ((n + 1) * u64)
 //! ...      targets    (arcs * u32)
 //! [last 8] checksum: sum of all preceding bytes as u64
 //! ```
+//!
+//! Every graph is undirected, so decode refuses a cleared flag and an
+//! adjacency in which some arc has no reverse.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -31,7 +34,7 @@ pub fn encode(graph: &CsrGraph) -> Bytes {
     let arcs = graph.arc_count();
     let mut buf = BytesMut::with_capacity(4 + 1 + 16 + (n + 1) * 8 + arcs * 4 + 8);
     buf.put_slice(MAGIC);
-    buf.put_u8(u8::from(graph.is_undirected()));
+    buf.put_u8(1);
     buf.put_u64_le(n as u64);
     buf.put_u64_le(arcs as u64);
     for &o in graph.raw_offsets() {
@@ -70,13 +73,17 @@ pub fn decode(mut data: &[u8]) -> Result<CsrGraph> {
     if &magic != MAGIC {
         return Err(GraphError::Decode("bad magic number".into()));
     }
-    let flags = data.get_u8();
-    let undirected = flags & 1 == 1;
+    if data.get_u8() & 1 == 0 {
+        return Err(GraphError::Decode(
+            "directed graph: only undirected graphs are supported".into(),
+        ));
+    }
     let n = data.get_u64_le() as usize;
     let arcs = data.get_u64_le() as usize;
 
-    let need = (n + 1) * 8 + arcs * 4 + 8;
-    if data.remaining() < need {
+    // In u128, so that counts near u64::MAX cannot overflow the sum.
+    let need = (n as u128 + 1) * 8 + arcs as u128 * 4 + 8;
+    if (data.remaining() as u128) < need {
         return Err(GraphError::Decode(format!(
             "truncated input: need {need} more bytes, have {}",
             data.remaining()
@@ -90,7 +97,9 @@ pub fn decode(mut data: &[u8]) -> Result<CsrGraph> {
     for _ in 0..arcs {
         targets.push(data.get_u32_le());
     }
-    CsrGraph::from_parts(offsets, targets, undirected)
+    let graph = CsrGraph::from_parts(offsets, targets)?;
+    graph.validate()?;
+    Ok(graph)
 }
 
 /// Write a graph to a file in binary format.
@@ -141,6 +150,11 @@ mod tests {
         for len in [0, 3, 10, encoded.len() - 1] {
             assert!(decode(&encoded[..len]).is_err(), "len {len} should fail");
         }
+        // A sealed header whose node count would overflow the size sum.
+        let mut bytes = encoded.to_vec();
+        bytes[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        assert!(decode(&bytes).is_err());
     }
 
     #[test]
@@ -163,15 +177,35 @@ mod tests {
         );
     }
 
+    /// Recompute the trailing checksum after editing an encoded graph.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let checksum: u64 = bytes[..body].iter().map(|&b| b as u64).sum();
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
     #[test]
-    fn directedness_flag_round_trips() {
-        let mut b = crate::builder::GraphBuilder::new();
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        let g = b.build_directed();
-        let decoded = decode(&encode(&g)).unwrap();
-        assert!(!decoded.is_undirected());
-        assert_eq!(g, decoded);
+    fn decode_rejects_a_cleared_undirected_flag() {
+        let mut bytes = encode(&classic::path(4)).to_vec();
+        assert_eq!(bytes[4], 1, "encode always writes the undirected flag");
+        bytes[4] = 0;
+        reseal(&mut bytes);
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("undirected"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_an_asymmetric_adjacency() {
+        // Path 0 - 1 - 2: targets [1, 0, 2, 1]. Rewrite node 2's arc 2 -> 1
+        // as 2 -> 0, so 0 -> 2 is missing and 1 -> 2 has no reverse.
+        let g = classic::path(3);
+        let mut bytes = encode(&g).to_vec();
+        let last_target = bytes.len() - 8 - 4;
+        assert_eq!(bytes[last_target..last_target + 4], 1u32.to_le_bytes());
+        bytes[last_target..last_target + 4].copy_from_slice(&0u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("symmetric"), "{err}");
     }
 
     #[test]

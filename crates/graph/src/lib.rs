@@ -40,15 +40,13 @@ pub mod fast_hash;
 pub mod generators;
 pub mod io;
 pub mod properties;
-pub mod weighted;
 
 /// Identifier of a node. Graphs are limited to `u32::MAX - 1` nodes which is
 /// ample for the social networks targeted by the paper (the largest dataset,
 /// LiveJournal, has ~4.85 million nodes).
 pub type NodeId = u32;
 
-/// Length of a path in an unweighted graph (number of hops) or total weight
-/// in a weighted graph.
+/// Length of a path: its number of hops (every edge has length 1).
 pub type Distance = u32;
 
 /// Sentinel distance meaning "unreachable" / "not yet visited".

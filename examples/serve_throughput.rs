@@ -12,8 +12,8 @@
 //!    waiting (on an oversubscribed host, wall-clock latency under full
 //!    concurrency measures the scheduler, not the service).
 //!
-//! A sample of the served answers is cross-validated against the exact
-//! Dijkstra baseline, and the serving targets are asserted at the end:
+//! A sample of the served answers is cross-validated against exact BFS,
+//! and the serving targets are asserted at the end:
 //! at least 100k queries, at least 100k queries/sec aggregate (measured, or
 //! projected as workers times the unloaded service rate when the host has
 //! fewer cores than workers), and a sub-millisecond p99.
@@ -25,7 +25,7 @@
 //! Environment knobs: `SERVE_NODES` (graph size before largest-component
 //! extraction, default 110000), `SERVE_QUERIES` (default 250000),
 //! `SERVE_THREADS` (default 4), `SERVE_VALIDATE` (answers checked against
-//! Dijkstra, default 300), `SERVE_ALPHA` (default 128 — the stand-in
+//! BFS, default 300), `SERVE_ALPHA` (default 128 — the stand-in
 //! graphs quantise vicinity radii to whole hops, so they need a larger
 //! alpha than the paper's million-node datasets to reach the same
 //! intersection rates), `SERVE_DEGREE`, `SERVE_GAMMA_X10` (generator
@@ -33,9 +33,7 @@
 
 use std::time::{Duration, Instant};
 
-use vicinity::baselines::dijkstra::Dijkstra;
 use vicinity::baselines::PointToPoint;
-use vicinity::graph::weighted::WeightedCsrGraph;
 use vicinity::prelude::*;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -163,22 +161,21 @@ fn main() {
         unloaded.latency.max()
     );
 
-    // 6. Cross-validate served answers against Dijkstra with unit weights
-    //    (exact, independent of every serving-path optimisation above).
-    let weighted = WeightedCsrGraph::unit_weights(throughput_service.graph());
-    let mut dijkstra = Dijkstra::new(&weighted);
+    // 6. Cross-validate served answers against BFS (exact, independent of
+    //    every serving-path optimisation above).
+    let mut bfs = BfsEngine::new(throughput_service.graph());
     let validate_step = (pairs.len() / validate.max(1)).max(1);
     let mut checked = 0usize;
     for i in (0..pairs.len()).step_by(validate_step) {
         let (s, t) = pairs[i];
         assert_eq!(
             answers[i].distance(),
-            dijkstra.distance(s, t),
-            "served answer for pair ({s},{t}) disagrees with Dijkstra"
+            bfs.distance(s, t),
+            "served answer for pair ({s},{t}) disagrees with BFS"
         );
         checked += 1;
     }
-    println!("validated {checked} sampled answers against Dijkstra: all exact");
+    println!("validated {checked} sampled answers against BFS: all exact");
 
     // 7. Enforce the serving targets this example exists to demonstrate.
     //    Aggregate throughput scales with real cores; when the host grants
@@ -223,7 +220,7 @@ fn main() {
     );
     println!(
         "targets met: {aggregate_qps:.0} q/s aggregate (>= 100k) on {workers} workers, \
-         p99 {p99:.2?} (< 1 ms), every sampled answer matches Dijkstra"
+         p99 {p99:.2?} (< 1 ms), every sampled answer matches BFS"
     );
 }
 

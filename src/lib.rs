@@ -27,9 +27,7 @@ pub use vicinity_server as server;
 
 /// Convenience re-exports of the most frequently used items.
 pub mod prelude {
-    pub use vicinity_baselines::{
-        bfs::BfsEngine, bidirectional_bfs::BidirectionalBfs, dijkstra::Dijkstra,
-    };
+    pub use vicinity_baselines::{bfs::BfsEngine, bidirectional_bfs::BidirectionalBfs};
     pub use vicinity_core::{
         config::{Alpha, OracleConfig, SamplingStrategy},
         dynamic::{DynamicOracle, DynamicSnapshot},

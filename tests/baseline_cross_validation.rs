@@ -9,29 +9,23 @@ use vicinity::baselines::alt::{AltEngine, AltLandmarkStrategy};
 use vicinity::baselines::apsp::ApspTable;
 use vicinity::baselines::bfs::BfsEngine;
 use vicinity::baselines::bidirectional_bfs::BidirectionalBfs;
-use vicinity::baselines::bidirectional_dijkstra::BidirectionalDijkstra;
-use vicinity::baselines::dijkstra::Dijkstra;
 use vicinity::baselines::landmark_estimate::{EstimatorLandmarkStrategy, LandmarkEstimator};
 use vicinity::baselines::PointToPoint;
 use vicinity::core::config::Alpha;
 use vicinity::core::OracleBuilder;
 use vicinity::graph::algo::sampling::random_pairs;
 use vicinity::graph::generators::social::SocialGraphConfig;
-use vicinity::graph::weighted::WeightedCsrGraph;
 
 #[test]
 fn all_engines_agree_on_a_social_graph() {
     let graph = SocialGraphConfig::small_test()
         .with_nodes(1200)
         .generate(2024);
-    let weighted = WeightedCsrGraph::unit_weights(&graph);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 
     let apsp = ApspTable::build(&graph).expect("graph is small enough for APSP");
     let mut bfs = BfsEngine::new(&graph);
     let mut bidir = BidirectionalBfs::new(&graph);
-    let mut dijkstra = Dijkstra::new(&weighted);
-    let mut bidir_dijkstra = BidirectionalDijkstra::new(&weighted);
     let mut alt = AltEngine::new(&graph, 6, AltLandmarkStrategy::Farthest, &mut rng);
     let mut estimator = LandmarkEstimator::new(
         &graph,
@@ -50,16 +44,6 @@ fn all_engines_agree_on_a_social_graph() {
             bidir.distance(s, t),
             reference,
             "BiBFS disagrees on ({s},{t})"
-        );
-        assert_eq!(
-            dijkstra.distance(s, t),
-            reference,
-            "Dijkstra disagrees on ({s},{t})"
-        );
-        assert_eq!(
-            bidir_dijkstra.distance(s, t),
-            reference,
-            "BiDijkstra disagrees on ({s},{t})"
         );
         assert_eq!(alt.distance(s, t), reference, "ALT disagrees on ({s},{t})");
 

@@ -216,6 +216,4 @@ fn prelude_is_usable() {
     let engine = BfsEngine::new(&graph);
     drop(engine);
     let _bidir = BidirectionalBfs::new(&graph);
-    let weighted = vicinity::graph::weighted::WeightedCsrGraph::unit_weights(&graph);
-    let _dij = Dijkstra::new(&weighted);
 }

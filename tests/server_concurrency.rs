@@ -1,22 +1,20 @@
 //! Integration tests for the serving subsystem: cross-validation of
-//! `QueryService` answers (including fallback-on-miss) against the exact
-//! Dijkstra baseline, and concurrent serving of one shared oracle from
+//! `QueryService` answers (including fallback-on-miss) against exact BFS,
+//! and concurrent serving of one shared oracle from
 //! multiple threads.
 
 use rand::SeedableRng;
 
-use vicinity::baselines::dijkstra::Dijkstra;
 use vicinity::baselines::PointToPoint;
 use vicinity::core::config::Alpha;
 use vicinity::core::OracleBuilder;
 use vicinity::graph::algo::sampling::random_pairs;
-use vicinity::graph::weighted::WeightedCsrGraph;
 use vicinity::prelude::*;
 
 /// Every answer served on a social graph — whether from the index, the
-/// cache or the fallback — must equal the Dijkstra distance.
+/// cache or the fallback — must equal the BFS distance.
 #[test]
-fn serve_batch_matches_dijkstra_on_social_graphs() {
+fn serve_batch_matches_bfs_on_social_graphs() {
     for seed in [301u64, 302] {
         let graph = SocialGraphConfig::small_test().generate(seed);
         let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
@@ -37,12 +35,11 @@ fn serve_batch_matches_dijkstra_on_social_graphs() {
         let answers = service.serve_batch(&pairs);
         assert_eq!(answers.len(), pairs.len());
 
-        let weighted = WeightedCsrGraph::unit_weights(service.graph());
-        let mut dijkstra = Dijkstra::new(&weighted);
+        let mut bfs = BfsEngine::new(service.graph());
         for (&(s, t), answer) in pairs.iter().zip(&answers) {
             assert_eq!(
                 answer.distance(),
-                dijkstra.distance(s, t),
+                bfs.distance(s, t),
                 "pair ({s},{t}) seed {seed}"
             );
             assert!(
@@ -72,11 +69,10 @@ fn fallback_on_miss_is_exact() {
     let pairs = random_pairs(service.graph(), 250, &mut rng);
     let answers = service.serve_batch(&pairs);
 
-    let weighted = WeightedCsrGraph::unit_weights(service.graph());
-    let mut dijkstra = Dijkstra::new(&weighted);
+    let mut bfs = BfsEngine::new(service.graph());
     let mut fallback_seen = false;
     for (&(s, t), answer) in pairs.iter().zip(&answers) {
-        assert_eq!(answer.distance(), dijkstra.distance(s, t), "pair ({s},{t})");
+        assert_eq!(answer.distance(), bfs.distance(s, t), "pair ({s},{t})");
         if answer.method() == Some(ServedMethod::Fallback) {
             fallback_seen = true;
         }
@@ -111,16 +107,10 @@ fn one_oracle_shared_across_four_threads() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + worker as u64);
         workloads.push(random_pairs(service.graph(), PER_THREAD, &mut rng));
     }
-    let weighted = WeightedCsrGraph::unit_weights(service.graph());
-    let mut dijkstra = Dijkstra::new(&weighted);
+    let mut bfs = BfsEngine::new(service.graph());
     let expected: Vec<Vec<Option<u32>>> = workloads
         .iter()
-        .map(|pairs| {
-            pairs
-                .iter()
-                .map(|&(s, t)| dijkstra.distance(s, t))
-                .collect()
-        })
+        .map(|pairs| pairs.iter().map(|&(s, t)| bfs.distance(s, t)).collect())
         .collect();
 
     std::thread::scope(|scope| {
