@@ -11,7 +11,11 @@
 //! remainder), over all updates and split by operation (insert, remove),
 //! with the rows repaired per update, compaction counts, and
 //! post-churn batched query throughput against the frozen pre-churn
-//! oracle, the two timed alternately ([`QPS_PASSES`] passes each).
+//! oracle, the two timed alternately ([`QPS_PASSES`] passes each). The
+//! churn's whole update/inverse cycles leave the overlay empty, so a
+//! growth phase then inserts novel edges with no inverse (1,000; 100 with
+//! `--smoke`) and times the same alternating passes over the resident
+//! overlay.
 //!
 //! The binary doubles as a correctness gate and exits non-zero when:
 //!
@@ -22,11 +26,13 @@
 //!   with the same pinned landmark set: in any node's vicinity (its
 //!   `(radius, nearest landmark)` header and every section), or in the
 //!   checked pairs' answers (including misses and methods). This is
-//!   checked twice: once mid-stream, right after the middle update (an odd
-//!   count, so the stream stands inside an update/inverse cycle and the
-//!   overlay is not empty — the check fails if it is), and once after the
-//!   churn, whose whole cycles leave the graph and an empty overlay as
-//!   they found them;
+//!   checked three times: once mid-stream, right after the middle update
+//!   (an odd count, so the stream stands inside an update/inverse cycle
+//!   and the overlay is not empty — the check fails if it is), once after
+//!   the churn, whose whole cycles leave the graph and an empty overlay as
+//!   they found them, and once after the growth phase (which fails too if
+//!   its overlay is empty). Each vicinity is compared with its derived
+//!   sections: the shells and the membership slot span;
 //! * in full mode, the median single-edge update exceeds 1 ms — the
 //!   headline claim of the dynamic overlay (vs a full rebuild) — or the
 //!   median ratio of post-churn to frozen batched throughput, over the
@@ -45,11 +51,11 @@ use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{percentile_ms, timed};
 use vicinity_core::config::Alpha;
 use vicinity_core::dynamic::DynamicOracle;
-use vicinity_core::query::QueryIndex;
-use vicinity_core::OracleBuilder;
+use vicinity_core::query::{QueryIndex, QueryStats};
+use vicinity_core::{OracleBuilder, VicinityOracle, VicinityRef};
 use vicinity_graph::algo::sampling::random_pairs;
 use vicinity_graph::generators::social::SocialGraphConfig;
-use vicinity_graph::NodeId;
+use vicinity_graph::{Distance, NodeId};
 use vicinity_server::QueryService;
 
 /// Timed batched passes over the query pairs, per side, after the churn:
@@ -261,34 +267,9 @@ fn main() {
     );
 
     // Batched throughput: the frozen pre-churn oracle against the
-    // post-churn dynamic oracle (overlay resident), same workload, timed
-    // in alternating passes; the gate reads the median per-pair ratio.
-    let mut frozen_runs = Vec::with_capacity(QPS_PASSES);
-    let mut dynamic_runs = Vec::with_capacity(QPS_PASSES);
-    let mut ratios = Vec::with_capacity(QPS_PASSES);
-    for _ in 0..QPS_PASSES {
-        let frozen_qps = batched_qps(
-            |pairs, out| {
-                let mut stats = vicinity_core::query::QueryStats::default();
-                frozen.distance_batch_accumulate(pairs, out, &mut stats);
-            },
-            &query_pairs,
-        );
-        let dynamic_qps = batched_qps(
-            |pairs, out| {
-                let mut stats = vicinity_core::query::QueryStats::default();
-                writer
-                    .oracle()
-                    .distance_batch_accumulate(pairs, out, &mut stats);
-            },
-            &query_pairs,
-        );
-        frozen_runs.push(frozen_qps);
-        dynamic_runs.push(dynamic_qps);
-        ratios.push(dynamic_qps / frozen_qps.max(1e-9));
-    }
-    let (frozen_qps, dynamic_qps, ratio) =
-        (median(frozen_runs), median(dynamic_runs), median(ratios));
+    // post-churn dynamic oracle, same workload; the gate reads the median
+    // per-pair ratio.
+    let (frozen_qps, dynamic_qps, ratio) = alternating_qps(&frozen, writer.oracle(), &query_pairs);
     println!();
     println!(
         "batched query throughput, median of {QPS_PASSES} alternating passes: frozen \
@@ -321,6 +302,42 @@ fn main() {
         failures += rebuild_mismatches(writer.oracle(), alpha, &landmarks, &check_pairs);
     }
 
+    // Growth: novel insertions with no inverse, so these passes read a
+    // resident overlay (the churn's whole cycles leave it empty).
+    let growth = if smoke { 100 } else { 1_000 };
+    let mut grown = 0;
+    while grown < growth {
+        let (u, v) = (novel_rng.gen_range(0..n), novel_rng.gen_range(0..n));
+        if u == v || writer.oracle().graph().has_edge(u, v) {
+            continue;
+        }
+        if let Err(e) = writer.insert_edge(u, v) {
+            eprintln!("FAIL: growth insertion ({u}, {v}) errored: {e}");
+            failures += 1;
+            break;
+        }
+        grown += 1;
+    }
+    let grown_oracle = writer.oracle();
+    let (vicinity_patches, row_patches) =
+        (grown_oracle.overlay_len(), grown_oracle.row_patch_entries());
+    let growth_overlay = vicinity_patches + row_patches;
+    let (growth_frozen_qps, growth_qps, growth_ratio) =
+        alternating_qps(&frozen, grown_oracle, &query_pairs);
+    println!(
+        "after {grown} more insertions (overlay {growth_overlay} entries: {vicinity_patches} \
+         vicinities, {row_patches} landmark distances; compactions: {}): frozen \
+         {growth_frozen_qps:>9.0} q/s -> overlay {growth_qps:>9.0} q/s ({growth_ratio:.2}x median ratio)",
+        grown_oracle.compactions(),
+    );
+    if smoke {
+        if growth_overlay == 0 {
+            eprintln!("FAIL: the post-growth check would compare an empty overlay");
+            failures += 1;
+        }
+        failures += rebuild_mismatches(grown_oracle, alpha, &landmarks, &check_pairs);
+    }
+
     if !smoke {
         if update_p50_us >= 1_000.0 {
             eprintln!(
@@ -344,7 +361,9 @@ fn main() {
              \"rows_us\": {:.1}, \"cluster_us\": {:.1}, \"rebuild_us\": {:.1}, \"publish_us\": {:.1}, \
              \"rows_repaired_per_update\": {rows_repaired:.3}, \
              \"vicinities_rebuilt_per_update\": {vicinities_rebuilt:.3}, \
-             \"insert_phase_us\": {}, \"remove_phase_us\": {}}}\n  ]",
+             \"insert_phase_us\": {}, \"remove_phase_us\": {}, \
+             \"growth_overlay_entries\": {growth_overlay}, \"growth_qps\": {growth_qps:.0}, \
+             \"growth_qps_ratio\": {growth_ratio:.3}}}\n  ]",
             all_samples.len(),
             percentile_ms(&insert_samples, 50.0) * 1e3,
             percentile_ms(&insert_samples, 99.0) * 1e3,
@@ -377,9 +396,9 @@ fn main() {
 }
 
 /// Compare `oracle` against a from-scratch rebuild of its current graph
-/// with the same landmarks: every node's vicinity, header included, and
-/// the answers to `pairs` (misses and methods included). Prints each
-/// mismatch and returns their count.
+/// with the same landmarks: every node's vicinity, header and derived
+/// sections included, and the answers to `pairs` (misses and methods
+/// included). Prints each mismatch and returns their count.
 fn rebuild_mismatches(
     oracle: &DynamicOracle,
     alpha: f64,
@@ -395,13 +414,16 @@ fn rebuild_mismatches(
     let mut failures = 0;
     for u in 0..graph.node_count() as NodeId {
         let (dynamic_vicinity, rebuilt_vicinity) = (oracle.vicinity_of(u), rebuilt.vicinity(u));
-        if dynamic_vicinity != rebuilt_vicinity {
-            let header = |v: Option<vicinity_core::VicinityRef<'_>>| {
-                v.map(|v| (v.radius(), v.nearest_landmark(), v.len()))
-            };
+        let primary_equal = dynamic_vicinity == rebuilt_vicinity;
+        let derived_equal =
+            derived_sections(dynamic_vicinity) == derived_sections(rebuilt_vicinity);
+        if !(primary_equal && derived_equal) {
+            let header =
+                |v: Option<VicinityRef<'_>>| v.map(|v| (v.radius(), v.nearest_landmark(), v.len()));
             eprintln!(
                 "FAIL: overlay vicinity of {u} (radius, nearest, members) = {:?}, \
-                 rebuild says {:?}",
+                 rebuild says {:?}; primary sections equal: {primary_equal}, \
+                 shells and slot span equal: {derived_equal}",
                 header(dynamic_vicinity),
                 header(rebuilt_vicinity)
             );
@@ -420,6 +442,20 @@ fn rebuild_mismatches(
     failures
 }
 
+/// The derived sections of a vicinity view, which `VicinityRef`'s
+/// equality leaves out: the outermost shell distance, every shell up to
+/// it, and the memory footprint, which counts the membership slot span.
+fn derived_sections(v: Option<VicinityRef<'_>>) -> Option<(Distance, Vec<&[NodeId]>, usize)> {
+    v.map(|v| {
+        let max = v.max_shell_distance();
+        (
+            max,
+            (0..=max).map(|d| v.shell(d)).collect(),
+            v.memory_bytes(),
+        )
+    })
+}
+
 /// Mean µs per phase as a JSON object, keyed as in the flat fields.
 fn phase_json(us: &[f64; 5]) -> String {
     format!(
@@ -433,6 +469,34 @@ fn phase_json(us: &[f64; 5]) -> String {
 fn median(mut values: Vec<f64>) -> f64 {
     values.sort_by(f64::total_cmp);
     values[values.len() / 2]
+}
+
+/// Batched throughput of `frozen` and `dynamic` on `pairs`, timed in
+/// [`QPS_PASSES`] alternating passes so host noise lands on both: the
+/// median q/s of each, and the median per-pass ratio of dynamic to frozen.
+fn alternating_qps(
+    frozen: &VicinityOracle,
+    dynamic: &DynamicOracle,
+    pairs: &[(NodeId, NodeId)],
+) -> (f64, f64, f64) {
+    let mut frozen_runs = Vec::with_capacity(QPS_PASSES);
+    let mut dynamic_runs = Vec::with_capacity(QPS_PASSES);
+    let mut ratios = Vec::with_capacity(QPS_PASSES);
+    for _ in 0..QPS_PASSES {
+        let mut stats = QueryStats::default();
+        let frozen_qps = batched_qps(
+            |chunk, out| frozen.distance_batch_accumulate(chunk, out, &mut stats),
+            pairs,
+        );
+        let dynamic_qps = batched_qps(
+            |chunk, out| dynamic.distance_batch_accumulate(chunk, out, &mut stats),
+            pairs,
+        );
+        frozen_runs.push(frozen_qps);
+        dynamic_runs.push(dynamic_qps);
+        ratios.push(dynamic_qps / frozen_qps.max(1e-9));
+    }
+    (median(frozen_runs), median(dynamic_runs), median(ratios))
 }
 
 /// Steady-state batched throughput of `run` over `pairs` in 64-pair

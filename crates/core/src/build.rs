@@ -191,7 +191,7 @@ fn build_store(graph: &CsrGraph, config: &OracleConfig, nearest: &MultiSourceBfs
     };
 
     if threads == 1 {
-        return VicinityStore::from_chunks(vec![fill_chunk(0, n)]);
+        return VicinityStore::from_chunks([fill_chunk(0, n)]);
     }
 
     let mut chunks: Vec<VicinityChunk> = Vec::new();

@@ -1,14 +1,14 @@
 //! Dynamic edge updates: a delta-overlay oracle over the frozen flat store.
 //!
-//! The flat [`VicinityStore`](crate::VicinityStore) is immutable by design
-//! — its pools are packed CSR spans, so editing one node's vicinity in
-//! place would mean splicing every pool. Instead, [`DynamicOracle`] wraps
-//! a frozen base oracle with a **delta overlay**:
+//! The flat [`VicinityStore`] is immutable by design — its pools are
+//! packed CSR spans, so editing one node's vicinity in place would mean
+//! splicing every pool. Instead, [`DynamicOracle`] wraps a frozen base
+//! oracle with a **delta overlay**:
 //!
-//! * **patched vicinity entries** — per-node owned vicinity replacements
-//!   (same sections as a store span, including the derived shells and
-//!   membership slots) for every node whose vicinity differs from the
-//!   frozen base;
+//! * **patched vicinity entries** — for every node whose vicinity differs
+//!   from the frozen base, a one-node [`VicinityStore`] holding its
+//!   replacement: the store's own layout, built by the offline builder's
+//!   code, so it is served through the same [`VicinityRef`] probes;
 //! * **landmark-distance patches** — per node, the `(rank, u16)` entries
 //!   of its column of the node-major landmark slab ([`LandmarkDistances`])
 //!   that differ from the base;
@@ -79,14 +79,18 @@
 //!    admit pruned-BFS enumeration in output-sensitive time — a
 //!    Thorup–Zwick argument: any node on a shortest `x`–`u` path of a
 //!    cluster member is itself a member. Each affected vicinity is rebuilt
-//!    by the same bounded truncated BFS the offline builder runs
-//!    ([`VicinityChunk::push_node`]'s logic, sharing its helpers), so a
-//!    patched span is bit-compatible with what a rebuild would store.
+//!    by the offline builder itself — a chunk starting at the node, one
+//!    [`VicinityChunk::push_node`], then [`VicinityStore::from_chunks`] —
+//!    so a patch holds, section for section, what a rebuild would store.
+//!    A rebuilt chunk equal to the base span is dropped before
+//!    `from_chunks`, so a rebuild back to the base derives no shells or
+//!    slots.
 //!
 //! When the overlay outgrows its budget, [`DynamicOracle::compact`] folds
-//! it back into a fresh frozen store (pool concatenation, no per-node
-//! rebuilds except the derived sections) and a fresh CSR graph, after which
-//! snapshots are as cheap as at construction.
+//! it back into a fresh frozen store (every node's current span copied into
+//! one chunk, no per-node searches; only the derived sections are rebuilt)
+//! and a fresh CSR graph, after which snapshots are as cheap as at
+//! construction.
 //!
 //! ## Snapshots
 //!
@@ -97,8 +101,6 @@
 //! independent of the graph).
 //! The serving layer (`vicinity-server`) swaps snapshots behind an epoch
 //! pointer so queries ride a consistent version end to end.
-//!
-//! [`VicinityChunk::push_node`]: crate::vicinity::VicinityChunk::push_node
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -117,7 +119,7 @@ use crate::query::{
     distance_batch_accumulate_on, distance_with_stats_on, path_batch_on, path_on, DistanceAnswer,
     PathAnswer, QueryIndex, QueryStats, RowRef,
 };
-use crate::vicinity::{fill_hash_slots, node_shell_sections, slot_count, VicinityRef};
+use crate::vicinity::{VicinityChunk, VicinityRef, VicinityStore};
 
 /// Errors raised by dynamic-update operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,123 +305,6 @@ impl Adjacency for OverlayGraph {
     }
 }
 
-/// One patched vicinity: the same sections a store span holds (primary and
-/// derived), owned, so the overlay can serve it through a borrowed
-/// [`VicinityRef`] with the exact probe API and probe *behaviour* (same
-/// shells, same membership slots) as the frozen store.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct OwnedVicinity {
-    /// Header radius in store encoding (the hop bound for landmark-free
-    /// vicinities, matching `VicinityChunk::push_node`).
-    radius: Distance,
-    /// Header nearest landmark (`INVALID_NODE` = none reachable).
-    nearest: NodeId,
-    members: Vec<NodeId>,
-    distances: Vec<Distance>,
-    predecessors: Vec<NodeId>,
-    shell_offsets: Vec<u32>,
-    shell_data: Vec<NodeId>,
-    hash_slots: Vec<u32>,
-}
-
-impl OwnedVicinity {
-    /// Build `owner`'s vicinity on `graph` exactly as the offline builder
-    /// would: one bounded BFS, id-sorted entries, then the derived shell
-    /// and membership-slot sections through the same helpers the
-    /// store-wide rebuild uses.
-    fn build<G: Adjacency>(
-        graph: &G,
-        owner: NodeId,
-        radius: Option<Distance>,
-        nearest: Option<NodeId>,
-        store_paths: bool,
-        scratch: &mut BoundedBfsScratch,
-    ) -> Self {
-        let nearest = nearest.unwrap_or(INVALID_NODE);
-        // A landmark (radius 0) has an empty vicinity by Definition 1.
-        if radius == Some(0) {
-            return OwnedVicinity {
-                radius: 0,
-                nearest,
-                members: Vec::new(),
-                distances: Vec::new(),
-                predecessors: Vec::new(),
-                shell_offsets: Vec::new(),
-                shell_data: Vec::new(),
-                hash_slots: Vec::new(),
-            };
-        }
-        let effective_radius = radius.unwrap_or_else(|| graph.hop_bound());
-        let visited = scratch.bounded_bfs(graph, owner, effective_radius);
-        let mut members = Vec::with_capacity(visited.len());
-        let mut distances = Vec::with_capacity(visited.len());
-        let mut predecessors = Vec::with_capacity(if store_paths { visited.len() } else { 0 });
-        crate::vicinity::append_vicinity_sections(
-            &visited,
-            store_paths,
-            &mut members,
-            &mut distances,
-            &mut predecessors,
-        );
-
-        let mut shell_offsets = Vec::new();
-        let mut shell_data = vec![0 as NodeId; members.len()];
-        if !members.is_empty() {
-            let mut counts = Vec::new();
-            node_shell_sections(
-                &members,
-                &distances,
-                &mut counts,
-                &mut shell_offsets,
-                &mut shell_data,
-            );
-        }
-        let mut hash_slots = vec![0u32; slot_count(members.len())];
-        fill_hash_slots(&members, &mut hash_slots);
-
-        OwnedVicinity {
-            radius: effective_radius,
-            nearest,
-            members,
-            distances,
-            predecessors,
-            shell_offsets,
-            shell_data,
-            hash_slots,
-        }
-    }
-
-    /// Borrow as the standard probe view.
-    fn view(&self, owner: NodeId) -> VicinityRef<'_> {
-        VicinityRef::from_raw_parts(
-            owner,
-            self.radius,
-            self.nearest,
-            &self.members,
-            &self.distances,
-            &self.predecessors,
-            &self.shell_offsets,
-            &self.shell_data,
-            &self.hash_slots,
-        )
-    }
-
-    /// True when this rebuilt vicinity is identical to the frozen base
-    /// span (primary sections and header), so it needs no overlay entry.
-    fn matches_base(&self, base: &VicinityRef<'_>) -> bool {
-        self.radius == base.radius()
-            && self.nearest == base.raw_nearest()
-            && self.members == base.members()
-            && self.distances == base.raw_distances()
-            && self.predecessors == base.raw_predecessors()
-    }
-
-    /// Overlay budget charge: one entry plus its members.
-    fn budget_cost(&self) -> usize {
-        self.members.len() + 1
-    }
-}
-
 /// The repaired landmark distances of one node: the entries of its
 /// column that differ from the frozen base slab, as `(rank, value)` pairs
 /// sorted by rank (compact `u16` encoding, the slab's clamped domain).
@@ -594,7 +479,14 @@ fn sparse(mask: u64) -> bool {
 /// Node → its column patch; every node absent reads its base column.
 pub(crate) type RowPatches = FastMap<NodeId, Arc<ColumnPatch>>;
 
-type OverlayMap = FastMap<NodeId, Arc<OwnedVicinity>>;
+/// Node → its patched vicinity: a one-node store built as the offline
+/// builder builds every node, so a patch has the base's exact layout.
+type OverlayMap = FastMap<NodeId, Arc<VicinityStore>>;
+
+/// Overlay budget charge of a patch: one entry plus its members.
+fn budget_cost(patch: &VicinityStore) -> usize {
+    patch.total_entries() as usize + 1
+}
 
 /// Resolve a vicinity through the overlay, falling back to the base store.
 fn view_vicinity<'a>(
@@ -603,7 +495,7 @@ fn view_vicinity<'a>(
     u: NodeId,
 ) -> Option<VicinityRef<'a>> {
     match overlay.get(&u) {
-        Some(v) => Some(v.view(u)),
+        Some(patch) => patch.get(u),
         None => base.vicinity(u),
     }
 }
@@ -621,10 +513,10 @@ fn view_row<'a>(base: &'a VicinityOracle, rows: &'a RowPatches, u: NodeId) -> Op
 
 /// Resolve a node's nearest-landmark header through the overlay.
 fn view_nearest(base: &VicinityOracle, overlay: &OverlayMap, u: NodeId) -> Option<NodeId> {
-    match overlay.get(&u) {
-        Some(v) => (v.nearest != INVALID_NODE).then_some(v.nearest),
-        None => base.store().nearest_of(u),
-    }
+    overlay
+        .get(&u)
+        .map_or(base.store(), |patch| &**patch)
+        .nearest_of(u)
 }
 
 /// `v`'s nearest-landmark label read off its current column: the least
@@ -925,23 +817,16 @@ impl DynamicOracle {
             });
         }
         let n = base.node_count();
-        let (radii, nearest_raw) = {
-            let s = base.store().raw_sections();
-            (s.0, s.1)
-        };
         // Reconstruct full-width labels from the store headers: the store
         // encodes landmark-free nodes as (hop_bound, INVALID_NODE).
-        let mut radius = Vec::with_capacity(n);
-        let mut nearest = Vec::with_capacity(n);
-        for u in 0..n {
-            if nearest_raw[u] == INVALID_NODE {
-                radius.push(INFINITY);
-                nearest.push(INVALID_NODE);
-            } else {
-                radius.push(radii[u]);
-                nearest.push(nearest_raw[u]);
-            }
-        }
+        let (radius, nearest) = base
+            .store()
+            .iter()
+            .map(|v| match v.nearest_landmark() {
+                Some(landmark) => (v.radius(), landmark),
+                None => (INFINITY, INVALID_NODE),
+            })
+            .unzip();
         // Default budget: an eighth of the base store before folding.
         let compaction_limit = (base.store().total_entries() as usize / 8).max(4 * 1024);
         Ok(DynamicOracle {
@@ -1119,59 +1004,21 @@ impl DynamicOracle {
     }
 
     /// Fold the overlay back into a fresh frozen base: a new CSR graph, a
-    /// new flat store (patched spans spliced over base spans), and a copy
-    /// of the landmark slab with the column patches written in. Answers
-    /// are unchanged, so the version (and any epoch-stamped cache entries
-    /// keyed on it) stays valid.
+    /// new flat store (each node's current span, patched or base, pushed
+    /// into one chunk), and a copy of the landmark slab with the column
+    /// patches written in. Answers are unchanged, so the version (and any
+    /// epoch-stamped cache entries keyed on it) stays valid.
     pub fn compact(&mut self) {
         if self.overlay.is_empty() && self.rows.is_empty() && self.graph.patched.is_empty() {
             return;
         }
         let csr = self.graph.to_csr();
         let n = self.base.node_count();
-        let store_paths = self.base.stores_paths();
-        let (b_radii, b_nearest, b_offsets, b_members, b_distances, b_preds) =
-            self.base.store().raw_sections();
-
-        let mut radii = Vec::with_capacity(n);
-        let mut nearest = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut members: Vec<NodeId> = Vec::with_capacity(b_members.len());
-        let mut distances: Vec<Distance> = Vec::with_capacity(b_distances.len());
-        let mut predecessors: Vec<NodeId> = Vec::with_capacity(b_preds.len());
-        offsets.push(0u64);
-
-        for u in 0..n {
-            match self.overlay.get(&(u as NodeId)) {
-                Some(v) => {
-                    radii.push(v.radius);
-                    nearest.push(v.nearest);
-                    members.extend_from_slice(&v.members);
-                    distances.extend_from_slice(&v.distances);
-                    predecessors.extend_from_slice(&v.predecessors);
-                }
-                None => {
-                    let (start, end) = (b_offsets[u] as usize, b_offsets[u + 1] as usize);
-                    radii.push(b_radii[u]);
-                    nearest.push(b_nearest[u]);
-                    members.extend_from_slice(&b_members[start..end]);
-                    distances.extend_from_slice(&b_distances[start..end]);
-                    if store_paths && !b_preds.is_empty() {
-                        predecessors.extend_from_slice(&b_preds[start..end]);
-                    }
-                }
-            }
-            offsets.push(members.len() as u64);
+        let mut chunk = VicinityChunk::new(0, self.base.stores_paths());
+        for u in 0..n as NodeId {
+            chunk.push_view(view_vicinity(&self.base, &self.overlay, u).expect("in range"));
         }
-
-        let store = crate::vicinity::VicinityStore::from_raw(
-            radii,
-            nearest,
-            offsets,
-            members,
-            distances,
-            predecessors,
-        );
+        let store = VicinityStore::from_chunks([chunk]);
 
         let mut landmark_distances = self.base.landmark_distances().clone();
         for (v, patch) in self.rows.drain() {
@@ -1286,29 +1133,24 @@ impl DynamicOracle {
                 (self.radius[u as usize] != INFINITY).then_some(self.radius[u as usize]);
             let nearest_opt =
                 (self.nearest[u as usize] != INVALID_NODE).then_some(self.nearest[u as usize]);
-            let owned = OwnedVicinity::build(
-                &self.graph,
-                u,
-                radius_opt,
-                nearest_opt,
-                store_paths,
-                &mut self.bfs,
-            );
-            self.fold_patch(u, owned);
+            let mut rebuilt = VicinityChunk::new(u, store_paths);
+            rebuilt.push_node(&self.graph, radius_opt, nearest_opt, &mut self.bfs);
+            self.fold_patch(u, rebuilt);
         }
     }
 
     /// Fold one rebuilt vicinity into the overlay: identical-to-base
-    /// drops the node's entry, anything else becomes its patch; the
-    /// overlay budget tracks live patch sizes.
-    fn fold_patch(&mut self, u: NodeId, owned: OwnedVicinity) {
-        let base_ref = self.base.vicinity(u).expect("in range");
-        self.overlay_budget -= self.overlay.get(&u).map_or(0, |v| v.budget_cost());
-        if owned.matches_base(&base_ref) {
+    /// drops the node's entry before any store is built for it, anything
+    /// else becomes its patch, a one-node store; the overlay budget tracks
+    /// live patch sizes.
+    fn fold_patch(&mut self, u: NodeId, rebuilt: VicinityChunk) {
+        self.overlay_budget -= self.overlay.get(&u).map_or(0, |old| budget_cost(old));
+        if rebuilt.holds(&self.base.vicinity(u).expect("in range")) {
             self.overlay.remove(&u);
         } else {
-            self.overlay_budget += owned.budget_cost();
-            self.overlay.insert(u, Arc::new(owned));
+            let patch = VicinityStore::from_chunks([rebuilt]);
+            self.overlay_budget += budget_cost(&patch);
+            self.overlay.insert(u, Arc::new(patch));
         }
     }
 

@@ -24,6 +24,7 @@ use vicinity_graph::{Distance, NodeId, INFINITY};
 
 use crate::config::OracleConfig;
 use crate::landmarks::LandmarkSet;
+use crate::parallel::map_parts;
 use crate::prefetch::prefetch_read;
 use crate::query::RowRef;
 use crate::vicinity::{VicinityRef, VicinityStore};
@@ -224,32 +225,6 @@ fn holds_horizon(raw: &[[u8; 2]]) -> bool {
         any | (x.wrapping_sub(LOW) & !x & HIGH)
     });
     lanes != 0 || raw[4 * words.len()..].contains(&HOP_HORIZON.to_le_bytes())
-}
-
-/// Run `work(index, part)` on every part, each on a scoped thread of its
-/// own (inline when there is only one part), and collect the results in
-/// part order.
-fn map_parts<T: Send, R: Send>(
-    parts: std::slice::ChunksMut<'_, T>,
-    work: impl Fn(usize, &mut [T]) -> R + Sync,
-) -> Vec<R> {
-    if parts.len() <= 1 {
-        return parts
-            .enumerate()
-            .map(|(index, part)| work(index, part))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = parts
-            .enumerate()
-            .map(|(index, part)| scope.spawn(move || work(index, part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("slab worker panicked"))
-            .collect()
-    })
 }
 
 /// The vicinity-intersection shortest-path oracle.

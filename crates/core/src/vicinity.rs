@@ -17,6 +17,11 @@
 //! [`VicinityChunk`] arenas which are spliced — plain `Vec` concatenations,
 //! no per-node re-hashing — into one [`VicinityStore`].
 //!
+//! The same builder makes the dynamic overlay's patches
+//! ([`crate::dynamic`]): a patched vicinity is a one-node store whose
+//! chunk starts at its node, so the frozen index and every patch share one
+//! layout, one assembly path and one derivation of shells and slots.
+//!
 //! ## Why flat?
 //!
 //! The previous layout stored one `NodeVicinity` per node, six private
@@ -44,6 +49,7 @@
 use vicinity_graph::algo::bfs::BoundedBfsScratch;
 use vicinity_graph::{Adjacency, Distance, NodeId, INVALID_NODE};
 
+use crate::parallel::map_parts;
 use crate::prefetch::{prefetch_read, prefetch_slice};
 
 #[inline]
@@ -58,7 +64,7 @@ pub(crate) fn hash_id(v: NodeId) -> usize {
 /// next power of two at or above `2·len`, capping the load factor at 50 %
 /// so linear probes stay short.
 #[inline]
-pub(crate) fn slot_count(len: usize) -> usize {
+fn slot_count(len: usize) -> usize {
     if len == 0 {
         0
     } else {
@@ -66,7 +72,9 @@ pub(crate) fn slot_count(len: usize) -> usize {
     }
 }
 
-/// Arena-backed struct-of-arrays storage for every node's vicinity.
+/// Arena-backed struct-of-arrays storage for the vicinities of a node
+/// range `first .. first + node_count`: every node for an oracle's index
+/// (`first == 0`), one node for a dynamic-overlay patch.
 ///
 /// Per-node data lives in shared pools addressed through CSR-style offset
 /// arrays; the only per-node storage is one header row (radius + nearest
@@ -77,6 +85,9 @@ pub(crate) fn slot_count(len: usize) -> usize {
 /// (never serialized — snapshot decode rebuilds them in one pass).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VicinityStore {
+    /// The first node covered; row `i` of every per-node array is node
+    /// `first + i`.
+    first: NodeId,
     node_count: usize,
     /// Ball radius `d(u, ℓ(u))` per node; `0` for landmarks.
     radii: Vec<Distance>,
@@ -123,46 +134,68 @@ impl VicinityStore {
         )
     }
 
-    /// Splice worker-local chunk arenas (covering node ranges `0..n` in
-    /// order, without gaps) into one store. Pool contents are concatenated
-    /// verbatim — no per-node work, no re-hashing — and the derived shell
-    /// and hash-slot sections are then built in one pass over the pools.
-    pub fn from_chunks(chunks: Vec<VicinityChunk>) -> Self {
-        let node_count: usize = chunks.iter().map(|c| c.len()).sum();
-        let total_members: usize = chunks.iter().map(|c| c.members.len()).sum();
-        let store_paths = chunks.iter().any(|c| !c.predecessors.is_empty());
-
-        let mut radii = Vec::with_capacity(node_count);
-        let mut nearest = Vec::with_capacity(node_count);
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut members = Vec::with_capacity(total_members);
-        let mut distances = Vec::with_capacity(total_members);
-        let mut predecessors = Vec::with_capacity(if store_paths { total_members } else { 0 });
-        offsets.push(0u64);
-
-        for chunk in chunks {
+    /// Splice chunk arenas (covering consecutive node ranges in order,
+    /// without gaps) into one store covering their union. Pool contents are
+    /// appended verbatim onto the first chunk's — no per-node work, no
+    /// re-hashing, and no copy at all for a single chunk — and the derived
+    /// shell and hash-slot sections are then built in one pass over the
+    /// pools.
+    pub fn from_chunks(chunks: impl IntoIterator<Item = VicinityChunk>) -> Self {
+        let mut chunks = chunks.into_iter();
+        let Some(mut all) = chunks.next() else {
+            return Self::empty(0);
+        };
+        let rest: Vec<VicinityChunk> = chunks.collect();
+        let more_nodes: usize = rest.iter().map(|c| c.len()).sum();
+        let more_members: usize = rest.iter().map(|c| c.members.len()).sum();
+        all.radii.reserve_exact(more_nodes);
+        all.nearest.reserve_exact(more_nodes);
+        all.offsets.reserve_exact(more_nodes);
+        all.members.reserve_exact(more_members);
+        all.distances.reserve_exact(more_members);
+        if all.store_paths {
+            all.predecessors.reserve_exact(more_members);
+        }
+        for chunk in rest {
             assert_eq!(
-                chunk.start as usize,
-                radii.len(),
+                chunk.start,
+                all.next_node(),
                 "vicinity chunks must be spliced in contiguous node order"
             );
-            let member_base = members.len() as u64;
-            radii.extend_from_slice(&chunk.radii);
-            nearest.extend_from_slice(&chunk.nearest);
-            offsets.extend(chunk.offsets.iter().skip(1).map(|&o| o + member_base));
-            members.extend_from_slice(&chunk.members);
-            distances.extend_from_slice(&chunk.distances);
-            predecessors.extend_from_slice(&chunk.predecessors);
+            let member_base = all.members.len() as u64;
+            all.radii.extend_from_slice(&chunk.radii);
+            all.nearest.extend_from_slice(&chunk.nearest);
+            all.offsets
+                .extend(chunk.offsets[1..].iter().map(|&o| o + member_base));
+            all.members.extend_from_slice(&chunk.members);
+            all.distances.extend_from_slice(&chunk.distances);
+            all.predecessors.extend_from_slice(&chunk.predecessors);
         }
-        debug_assert_eq!(offsets.len(), node_count + 1);
-
-        Self::from_raw(radii, nearest, offsets, members, distances, predecessors)
+        // A lone chunk keeps the growth slack of its pushes; the store is
+        // built once and read for its lifetime, so drop it.
+        all.members.shrink_to_fit();
+        all.distances.shrink_to_fit();
+        all.predecessors.shrink_to_fit();
+        let VicinityChunk {
+            start,
+            radii,
+            nearest,
+            offsets,
+            members,
+            distances,
+            predecessors,
+            ..
+        } = all;
+        let mut store = Self::from_raw(radii, nearest, offsets, members, distances, predecessors);
+        store.first = start;
+        store
     }
 
-    /// Assemble a store from its primary pools (the exact sections snapshot
-    /// format v4 persists), rebuilding the derived shell and hash sections.
-    /// Member spans must already be sorted by node id; the decoder checks
-    /// this with [`spans_sorted`] before calling.
+    /// Assemble a store over nodes `0..radii.len()` from its primary pools
+    /// (the exact sections snapshot format v4 persists), deriving the shell
+    /// and hash sections: the one place either is built. Member spans must
+    /// already be sorted by node id; the decoder checks this with
+    /// [`spans_sorted`] before calling.
     pub(crate) fn from_raw(
         radii: Vec<Distance>,
         nearest: Vec<NodeId>,
@@ -175,6 +208,7 @@ impl VicinityStore {
         debug_assert_eq!(offsets.len(), node_count + 1);
         debug_assert_eq!(members.len(), distances.len());
         let mut store = VicinityStore {
+            first: 0,
             node_count,
             radii,
             nearest,
@@ -188,8 +222,10 @@ impl VicinityStore {
             hash_offsets: Vec::new(),
             hash_slots: Vec::new(),
         };
-        store.build_shells();
-        store.build_hash_slots();
+        store.build_shells(derived_rebuild_threads(store.members.len()));
+        store.hash_offsets = slot_offsets(&store.offsets);
+        let slots = store.hash_offsets[node_count] as usize;
+        store.build_hash_slots(derived_rebuild_threads(slots));
         debug_assert!(
             spans_sorted(&store.offsets, &store.members),
             "member pools must be sorted by node id within each span"
@@ -200,107 +236,49 @@ impl VicinityStore {
     /// Group each node's members by distance (counting sort per span).
     /// Members are id-sorted within a span, so every shell comes out
     /// id-sorted too. Node spans are independent, so large stores fan the
-    /// work out over scoped worker threads writing disjoint `shell_data`
-    /// slices; the result is identical for any thread count.
-    fn build_shells(&mut self) {
-        let n = self.node_count;
+    /// work out over up to `threads` scoped workers, each writing the
+    /// `shell_data` window its node range owns; the result is identical for
+    /// any thread count.
+    fn build_shells(&mut self, threads: usize) {
         self.shell_data = vec![0 as NodeId; self.members.len()];
-        let ranges =
-            partition_by_offsets(&self.offsets, derived_rebuild_threads(self.members.len()));
-        let offsets = &self.offsets;
-        let members = &self.members;
-        let distances = &self.distances;
-
-        let parts: Vec<(Vec<u32>, Vec<u64>)> = if ranges.len() == 1 {
-            vec![shells_for_range(
-                offsets,
-                members,
-                distances,
-                ranges[0],
-                &mut self.shell_data,
-            )]
-        } else {
-            // Hand each worker the exact `shell_data` window its node range
-            // owns (spans are disjoint, so `split_at_mut` suffices).
-            let mut windows = Vec::with_capacity(ranges.len());
-            let mut rest = self.shell_data.as_mut_slice();
-            for &(range_start, range_end) in &ranges {
-                let size = (offsets[range_end] - offsets[range_start]) as usize;
-                let (head, tail) = rest.split_at_mut(size);
-                windows.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .zip(windows)
-                    .map(|(&range, window)| {
-                        scope.spawn(move || {
-                            shells_for_range(offsets, members, distances, range, window)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shell rebuild worker panicked"))
-                    .collect()
-            })
-        };
-
-        self.shell_offsets = Vec::new();
-        self.shell_index = Vec::with_capacity(n + 1);
-        self.shell_index.push(0);
+        let ranges = partition_by_offsets(&self.offsets, threads);
+        let (offsets, members, distances) = (&self.offsets, &self.members, &self.distances);
+        let parts = map_parts(
+            range_windows(&mut self.shell_data, offsets, &ranges),
+            |index, window| shells_for_range(offsets, members, distances, ranges[index], window),
+        );
+        let mut parts = parts.into_iter();
+        (self.shell_offsets, self.shell_index) = parts.next().expect("at least one range");
         for (pool, index) in parts {
             let base = self.shell_offsets.len() as u64;
-            self.shell_index.extend(index.iter().map(|&i| i + base));
+            self.shell_index
+                .extend(index.iter().skip(1).map(|&i| i + base));
             self.shell_offsets.extend_from_slice(&pool);
         }
-        debug_assert_eq!(self.shell_index.len(), n + 1);
+        debug_assert_eq!(self.shell_index.len(), self.node_count + 1);
     }
 
-    /// Build the flat membership slot arena, with the same disjoint-window
-    /// parallelism as [`VicinityStore::build_shells`].
-    fn build_hash_slots(&mut self) {
-        let n = self.node_count;
-        let mut hash_offsets = Vec::with_capacity(n + 1);
-        hash_offsets.push(0u64);
-        let mut running = 0u64;
-        for u in 0..n {
-            running += slot_count((self.offsets[u + 1] - self.offsets[u]) as usize) as u64;
-            hash_offsets.push(running);
-        }
-        self.hash_slots = vec![0u32; running as usize];
-        let ranges = partition_by_offsets(&hash_offsets, derived_rebuild_threads(running as usize));
-        let offsets = &self.offsets;
-        let members = &self.members;
+    /// Fill the flat membership slot arena laid out by `hash_offsets`, with
+    /// the same disjoint-window fan-out as [`VicinityStore::build_shells`].
+    fn build_hash_slots(&mut self, threads: usize) {
+        let hash_offsets = &self.hash_offsets;
+        self.hash_slots = vec![0u32; hash_offsets[self.node_count] as usize];
+        let ranges = partition_by_offsets(hash_offsets, threads);
+        let (offsets, members) = (&self.offsets, &self.members);
+        map_parts(
+            range_windows(&mut self.hash_slots, hash_offsets, &ranges),
+            |index, window| {
+                hash_slots_for_range(offsets, hash_offsets, members, ranges[index], window)
+            },
+        );
+    }
 
-        if ranges.len() == 1 {
-            hash_slots_for_range(
-                offsets,
-                &hash_offsets,
-                members,
-                ranges[0],
-                &mut self.hash_slots,
-            );
-        } else {
-            let mut windows = Vec::with_capacity(ranges.len());
-            let mut rest = self.hash_slots.as_mut_slice();
-            for &(range_start, range_end) in &ranges {
-                let size = (hash_offsets[range_end] - hash_offsets[range_start]) as usize;
-                let (head, tail) = rest.split_at_mut(size);
-                windows.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (&range, window) in ranges.iter().zip(windows) {
-                    let hash_offsets = &hash_offsets;
-                    scope.spawn(move || {
-                        hash_slots_for_range(offsets, hash_offsets, members, range, window)
-                    });
-                }
-            });
-        }
-        self.hash_offsets = hash_offsets;
+    /// Row of node `u` in the per-node arrays, or `None` when the store
+    /// does not cover it.
+    #[inline]
+    fn row(&self, u: NodeId) -> Option<usize> {
+        let i = u.wrapping_sub(self.first) as usize;
+        (i < self.node_count).then_some(i)
     }
 
     /// Nearest landmark of `u` from its header row, or `None` when none is
@@ -308,11 +286,8 @@ impl VicinityStore {
     /// batched pipeline to locate the landmark rows worth prefetching.
     #[inline]
     pub(crate) fn nearest_of(&self, u: NodeId) -> Option<NodeId> {
-        let i = u as usize;
-        if i >= self.node_count || self.nearest[i] == INVALID_NODE {
-            return None;
-        }
-        Some(self.nearest[i])
+        let nearest = self.nearest[self.row(u)?];
+        (nearest != INVALID_NODE).then_some(nearest)
     }
 
     /// Number of nodes covered by the store.
@@ -333,10 +308,7 @@ impl VicinityStore {
     /// Borrow the vicinity view of node `u`, or `None` when out of range.
     #[inline]
     pub fn get(&self, u: NodeId) -> Option<VicinityRef<'_>> {
-        let i = u as usize;
-        if i >= self.node_count {
-            return None;
-        }
+        let i = self.row(u)?;
         let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         let (s_start, s_end) = (
             self.shell_index[i] as usize,
@@ -363,9 +335,10 @@ impl VicinityStore {
         })
     }
 
-    /// Iterator over every node's vicinity view, in node order.
+    /// Iterator over every covered node's vicinity view, in node order.
     pub fn iter(&self) -> impl Iterator<Item = VicinityRef<'_>> + '_ {
-        (0..self.node_count as NodeId).map(move |u| self.get(u).expect("in range"))
+        let nodes = self.first..self.first + self.node_count as NodeId;
+        nodes.map(move |u| self.get(u).expect("in range"))
     }
 
     /// Stage-1 hint of the batched query pipeline: touch node `u`'s header
@@ -374,10 +347,9 @@ impl VicinityStore {
     /// ignored — hints must never fail.
     #[inline]
     pub(crate) fn prefetch_header(&self, u: NodeId) {
-        let i = u as usize;
-        if i >= self.node_count {
+        let Some(i) = self.row(u) else {
             return;
-        }
+        };
         prefetch_read(&self.radii[i]);
         prefetch_read(&self.nearest[i]);
         prefetch_read(&self.offsets[i]);
@@ -393,10 +365,9 @@ impl VicinityStore {
     /// the path-splicing walk reads.
     #[inline]
     pub(crate) fn prefetch_query_spans(&self, u: NodeId, probe: NodeId, want_paths: bool) {
-        let i = u as usize;
-        if i >= self.node_count {
+        let Some(i) = self.row(u) else {
             return;
-        }
+        };
         let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         if start == end {
             return;
@@ -552,50 +523,6 @@ impl PartialEq for VicinityRef<'_> {
 }
 
 impl<'a> VicinityRef<'a> {
-    /// Assemble a view from raw section slices — the constructor used by
-    /// the delta overlay in [`crate::dynamic`] to serve patched vicinities
-    /// through the exact probe API the frozen store exposes.
-    /// `nearest_landmark` uses the header encoding (`INVALID_NODE` = none).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
-        owner: NodeId,
-        radius: Distance,
-        nearest_landmark: NodeId,
-        members: &'a [NodeId],
-        distances: &'a [Distance],
-        predecessors: &'a [NodeId],
-        shell_offsets: &'a [u32],
-        shell_data: &'a [NodeId],
-        hash_slots: &'a [u32],
-    ) -> Self {
-        VicinityRef {
-            owner,
-            radius,
-            nearest_landmark,
-            members,
-            distances,
-            predecessors,
-            shell_offsets,
-            shell_data,
-            hash_slots,
-        }
-    }
-
-    /// Header encoding of the nearest landmark (`INVALID_NODE` = none).
-    pub(crate) fn raw_nearest(&self) -> NodeId {
-        self.nearest_landmark
-    }
-
-    /// Raw distance span, parallel to [`VicinityRef::members`].
-    pub(crate) fn raw_distances(&self) -> &'a [Distance] {
-        self.distances
-    }
-
-    /// Raw predecessor span (empty when paths are not stored).
-    pub(crate) fn raw_predecessors(&self) -> &'a [NodeId] {
-        self.predecessors
-    }
-
     /// The node this vicinity belongs to.
     pub fn owner(&self) -> NodeId {
         self.owner
@@ -935,15 +862,40 @@ impl VicinityChunk {
         self.nearest.push(nearest);
         self.offsets.push(self.members.len() as u64);
     }
+
+    /// Append the primary sections of `view` (node [`Self::next_node`]'s
+    /// current vicinity, header included) as they are: the dynamic
+    /// overlay's compaction packs base spans and patches into one chunk.
+    pub(crate) fn push_view(&mut self, view: VicinityRef<'_>) {
+        debug_assert_eq!(view.owner, self.next_node());
+        self.radii.push(view.radius);
+        self.nearest.push(view.nearest_landmark);
+        self.members.extend_from_slice(view.members);
+        self.distances.extend_from_slice(view.distances);
+        self.predecessors.extend_from_slice(view.predecessors);
+        self.offsets.push(self.members.len() as u64);
+    }
+
+    /// Whether the chunk holds exactly `view`'s vicinity: one node, the
+    /// view's owner, with the view's primary sections and header — what
+    /// [`VicinityRef`]'s equality compares. The dynamic overlay asks this
+    /// of a rebuilt vicinity before deriving anything from it, so a rebuild
+    /// back to the base builds no store.
+    pub(crate) fn holds(&self, view: &VicinityRef<'_>) -> bool {
+        self.start == view.owner
+            && self.radii == [view.radius]
+            && self.nearest == [view.nearest_landmark]
+            && self.members == view.members
+            && self.distances == view.distances
+            && self.predecessors == view.predecessors
+    }
 }
 
 /// Assemble one vicinity's primary sections from its bounded-BFS visit
 /// list, appending to the given pools: id-sorted members and distances,
-/// plus BFS parents when `store_paths`. Shared by the offline chunk
-/// builder ([`VicinityChunk::push_node`]) and the dynamic overlay's
-/// per-node rebuild ([`crate::dynamic`]), so a patched span is assembled
-/// by the same code path — bit for bit — as a rebuilt one.
-pub(crate) fn append_vicinity_sections(
+/// plus BFS parents when `store_paths`. Only [`VicinityChunk::push_node`]
+/// calls it, for the offline build and the overlay's patches alike.
+fn append_vicinity_sections(
     visited: &[vicinity_graph::algo::bfs::VisitedNode],
     store_paths: bool,
     members: &mut Vec<NodeId>,
@@ -955,6 +907,11 @@ pub(crate) fn append_vicinity_sections(
         .map(|v| (v.node, v.distance, v.parent))
         .collect();
     entries.sort_unstable_by_key(|&(node, _, _)| node);
+    members.reserve(entries.len());
+    distances.reserve(entries.len());
+    if store_paths {
+        predecessors.reserve(entries.len());
+    }
     for (node, distance, parent) in entries {
         members.push(node);
         distances.push(distance);
@@ -1001,10 +958,39 @@ fn partition_by_offsets(offsets: &[u64], parts: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// The windows of `pool` that `ranges` own, a node range `(start, end)`
+/// owning `offsets[start] .. offsets[end]`, for [`map_parts`]. The ranges
+/// are consecutive from node 0, as [`partition_by_offsets`] returns them.
+fn range_windows<'a, T>(
+    mut pool: &'a mut [T],
+    offsets: &'a [u64],
+    ranges: &'a [(usize, usize)],
+) -> impl ExactSizeIterator<Item = &'a mut [T]> + 'a {
+    ranges.iter().map(move |&(start, end)| {
+        let size = (offsets[end] - offsets[start]) as usize;
+        let (window, rest) = std::mem::take(&mut pool).split_at_mut(size);
+        pool = rest;
+        window
+    })
+}
+
+/// CSR offsets of the membership slot spans: [`slot_count`] slots per
+/// node, laid out in node order.
+fn slot_offsets(offsets: &[u64]) -> Vec<u64> {
+    let mut running = 0u64;
+    let mut hash_offsets = Vec::with_capacity(offsets.len());
+    hash_offsets.push(0);
+    for span in offsets.windows(2) {
+        running += slot_count((span[1] - span[0]) as usize) as u64;
+        hash_offsets.push(running);
+    }
+    hash_offsets
+}
+
 /// Counting-sort the members of nodes `range` into their shell order,
 /// writing grouped ids into `out` (the `shell_data` window owned by the
-/// range) and returning the range's level-offset pool plus per-node end
-/// indices into it.
+/// range) and returning the range's level-offset pool plus its per-node
+/// CSR index into it (leading 0, then one end per node).
 fn shells_for_range(
     offsets: &[u64],
     members: &[NodeId],
@@ -1015,7 +1001,8 @@ fn shells_for_range(
     let (start_node, end_node) = range;
     let base = offsets[start_node] as usize;
     let mut pool: Vec<u32> = Vec::new();
-    let mut index: Vec<u64> = Vec::with_capacity(end_node - start_node);
+    let mut index: Vec<u64> = Vec::with_capacity(end_node - start_node + 1);
+    index.push(0);
     // Reusable per-node counting-sort scratch, sized by the *populated*
     // levels of each node (a landmark-free vicinity's nominal radius
     // degenerates to the hop bound; sizing by it would cost O(n) here).
@@ -1042,10 +1029,8 @@ fn shells_for_range(
 /// span-local level offsets (one per populated level `0..=max` plus a
 /// trailing end) to `pool` and write the grouped member ids into `out`,
 /// which must be exactly the node's `shell_data` window. `counts` is
-/// reusable scratch. Shared by the store-wide rebuild above and the
-/// per-node overlay construction in [`crate::dynamic`], so the derived
-/// sections of a patched vicinity cannot drift from the frozen layout.
-pub(crate) fn node_shell_sections(
+/// reusable scratch.
+fn node_shell_sections(
     members: &[NodeId],
     distances: &[Distance],
     counts: &mut Vec<u32>,
@@ -1095,8 +1080,8 @@ fn hash_slots_for_range(
 /// Fill one node's power-of-two open-addressing slot span (zeroed on entry)
 /// from its member list: each slot holds `local_index + 1`, 0 meaning
 /// empty, linear probing from the FxHash mix. An empty vicinity has an
-/// empty span. Shared with the overlay construction in [`crate::dynamic`].
-pub(crate) fn fill_hash_slots(members: &[NodeId], span: &mut [u32]) {
+/// empty span.
+fn fill_hash_slots(members: &[NodeId], span: &mut [u32]) {
     let Some(mask) = span.len().checked_sub(1) else {
         return;
     };
@@ -1171,7 +1156,7 @@ mod tests {
         for _ in 0..graph.node_count() {
             chunk.push_node(graph, Some(radius), Some(nearest), &mut scratch);
         }
-        VicinityStore::from_chunks(vec![chunk])
+        VicinityStore::from_chunks([chunk])
     }
 
     /// Reference implementation of the merge intersection: one membership
@@ -1374,7 +1359,7 @@ mod tests {
         for _ in 0..6 {
             chunk.push_node(&g, None, None, &mut scratch);
         }
-        let store = VicinityStore::from_chunks(vec![chunk]);
+        let store = VicinityStore::from_chunks([chunk]);
         let v = store.get(0).unwrap();
         assert_eq!(v.members(), &[0, 1, 2]);
         assert_eq!(v.nearest_landmark(), None);
@@ -1417,6 +1402,69 @@ mod tests {
         assert_eq!(single, spliced);
         for u in (0..n as NodeId).step_by(17) {
             assert_eq!(single.get(u), spliced.get(u));
+        }
+    }
+
+    #[test]
+    fn one_node_store_is_its_span_of_the_full_store() {
+        let g = SocialGraphConfig::small_test().generate(65);
+        let full = store_with_radius(&g, 2, 7, false);
+        let mut scratch = BoundedBfsScratch::with_node_capacity(g.node_count());
+        for u in (0..g.node_count() as NodeId).step_by(11) {
+            let mut chunk = VicinityChunk::new(u, false);
+            chunk.push_node(&g, Some(2), Some(7), &mut scratch);
+            let patch = VicinityStore::from_chunks([chunk]);
+            let (one, all) = (patch.get(u).unwrap(), full.get(u).unwrap());
+            assert_eq!(one, all);
+            assert_eq!(one.max_shell_distance(), all.max_shell_distance());
+            for d in 0..=all.max_shell_distance() {
+                assert_eq!(one.shell(d), all.shell(d), "node {u} shell {d}");
+            }
+            assert_eq!(one.memory_bytes(), all.memory_bytes());
+            assert!(all.members().iter().all(|&m| one.contains(m)));
+            assert_eq!(patch.nearest_of(u), Some(7));
+            assert!(patch.get(u + 1).is_none() && patch.nearest_of(u + 1).is_none());
+            assert!(u == 0 || patch.get(u - 1).is_none());
+            assert_eq!(patch.iter().map(|v| v.owner()).collect::<Vec<_>>(), [u]);
+            assert_eq!(patch.total_entries() as usize, all.len());
+        }
+    }
+
+    #[test]
+    fn chunk_holds_only_an_equal_view() {
+        let g = SocialGraphConfig::small_test().generate(65);
+        let full = store_with_radius(&g, 2, 7, false);
+        let mut scratch = BoundedBfsScratch::with_node_capacity(g.node_count());
+        for u in (1..g.node_count() as NodeId).step_by(13) {
+            let view = full.get(u).unwrap();
+            let mut chunk = VicinityChunk::new(u, false);
+            chunk.push_node(&g, Some(2), Some(7), &mut scratch);
+            assert!(chunk.holds(&view), "node {u}");
+            assert!(
+                !chunk.holds(&full.get(u - 1).unwrap()),
+                "node {u}'s neighbour id"
+            );
+            let mut other = chunk.clone();
+            other.nearest[0] = 8;
+            assert!(!other.holds(&view), "node {u} nearest landmark");
+            if let Some(d) = chunk.distances.last_mut() {
+                *d += 1;
+                assert!(!chunk.holds(&view), "node {u} distances");
+            }
+            chunk.push_node(&g, Some(2), Some(7), &mut scratch);
+            assert!(!chunk.holds(&view), "two nodes");
+        }
+    }
+
+    #[test]
+    fn derived_sections_do_not_depend_on_the_thread_count() {
+        let g = SocialGraphConfig::small_test().generate(66);
+        let store = store_with_radius(&g, 2, 0, false);
+        for threads in 1..=3 {
+            let mut rebuilt = store.clone();
+            rebuilt.build_shells(threads);
+            rebuilt.build_hash_slots(threads);
+            assert_eq!(rebuilt, store, "{threads} threads");
         }
     }
 

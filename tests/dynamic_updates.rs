@@ -3,11 +3,11 @@
 //! storage settings and forced compaction boundaries — the
 //! [`DynamicOracle`]'s answers (distances, paths, and the answer method the
 //! stats plane reports) and every node's vicinity (radius, nearest
-//! landmark, members, distances, predecessors) must equal a from-scratch
-//! rebuild on the mutated graph with the same (pinned) landmark set,
-//! published snapshots must answer identically to the writer, and every
-//! miss must be resolved exactly by the seeded fallback search over the
-//! patched vicinities.
+//! landmark, members, distances, predecessors, and the derived shells and
+//! membership slots) must equal a from-scratch rebuild on the mutated
+//! graph with the same (pinned) landmark set, published snapshots must
+//! answer identically to the writer, and every miss must be resolved
+//! exactly by the seeded fallback search over the patched vicinities.
 
 use proptest::prelude::*;
 
@@ -15,11 +15,11 @@ use vicinity::core::config::Alpha;
 use vicinity::core::dynamic::{DynamicOracle, UpdateError};
 use vicinity::core::fallback::fallback_distance;
 use vicinity::core::query::QueryIndex;
-use vicinity::core::{OracleBuilder, VicinityOracle};
+use vicinity::core::{OracleBuilder, VicinityOracle, VicinityRef};
 use vicinity::graph::algo::bfs::{bfs_distance_between, BidirBfsScratch};
 use vicinity::graph::builder::GraphBuilder;
 use vicinity::graph::csr::CsrGraph;
-use vicinity::graph::NodeId;
+use vicinity::graph::{Distance, NodeId};
 
 /// Strategy: a random edge list over up to `max_nodes` nodes.
 fn arbitrary_graph(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = CsrGraph> {
@@ -57,6 +57,19 @@ fn assert_matches_rebuild(dynamic: &DynamicOracle, stride: usize) {
         let expected = rebuilt.vicinity(u);
         prop_assert_eq!(dynamic.vicinity_of(u), expected, "vicinity {}", u);
         prop_assert_eq!(snapshot.vicinity_of(u), expected, "snapshot vicinity {}", u);
+        let expected = derived_sections(expected);
+        prop_assert_eq!(
+            derived_sections(dynamic.vicinity_of(u)),
+            expected,
+            "derived {}",
+            u
+        );
+        prop_assert_eq!(
+            derived_sections(snapshot.vicinity_of(u)),
+            expected,
+            "snapshot derived {}",
+            u
+        );
     }
     for s in (0..n).step_by(stride) {
         for t in (0..n).step_by(stride) {
@@ -90,6 +103,20 @@ fn assert_matches_rebuild(dynamic: &DynamicOracle, stride: usize) {
         .collect();
     let scalar: Vec<_> = pairs.iter().map(|&(s, t)| dynamic.distance(s, t)).collect();
     prop_assert_eq!(dynamic.distance_batch(&pairs), scalar);
+}
+
+/// The derived sections of a vicinity view, which `VicinityRef`'s
+/// equality leaves out: the outermost shell distance, every shell up to
+/// it, and the memory footprint, which counts the membership slot span.
+fn derived_sections(v: Option<VicinityRef<'_>>) -> Option<(Distance, Vec<&[NodeId]>, usize)> {
+    v.map(|v| {
+        let max = v.max_shell_distance();
+        (
+            max,
+            (0..=max).map(|d| v.shell(d)).collect(),
+            v.memory_bytes(),
+        )
+    })
 }
 
 proptest! {
